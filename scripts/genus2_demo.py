@@ -46,10 +46,7 @@ def main():
                 "P1": {"B12": 1.0, "B13": 1.0, "B23": 1.0}},
         gluing={"C1": 0.0, "C2": 0.7, "C3": -1.2})
     realized = bd.realize_slice(target, spec, n)
-    vec2 = bd.bd_vector(realized, n)
-    dev = max([abs(v) for v in vec2.tau.values()]
-              + [abs(v - target.shears[k[0]][k[1]]) for k, v in vec2.sigma.items()]
-              + [abs(v - target.gluing[k[0]]) for k, v in vec2.theta.items()])
+    dev = bd.roundtrip_deviation(bd.bd_vector(realized, n), target)
     print(f"\n== slice realization: shears 1.0, gluing (0, 0.7, -1.2)")
     print(f"  solved twists: { {c: round(t, 6) for c, t in sorted(realized.twists.items())} }")
     print(f"  round-trip deviation: {dev:.2e}")

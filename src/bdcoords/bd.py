@@ -7,6 +7,16 @@ triangle vertices, shearing invariants are logs of double ratios at leaf
 quadruples, gluing invariants are logs of double ratios at the short-arc
 quadruples of the decomposing curves.
 
+The invariants are exact at the developed points.  Each point, float or
+rational, is converted to integer homogeneous coordinates of the same
+value (a float is a dyadic rational), and the integer Veronese flag rows
+are built once per distinct point of one computation.  Each triangle and
+each quadruple gets a table of the stacked wedges its ratios need, every
+entry one integer Bareiss determinant checked exactly nonzero; each ratio's
+sign is checked exactly, and only its final quotient is rounded and passed
+to the log.  The float genericity threshold of the flags module plays no
+part here, so a triangle invariant of a developed surface is exactly 0.
+
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
 p-th eigenvalue-gap length of the curve's holonomy.  The slice of the
@@ -21,8 +31,10 @@ import math
 from dataclasses import dataclass
 
 from .scalars import Scalar, serialize_value
-from .flags import double_ratio, triple_ratio
-from .veronese import irrep_n, length_spectrum, veronese_flag
+from .flags import DegenerateFlagError
+from .halfplane import ProjPoint
+from .multilinear import _det_int_bareiss
+from .veronese import flag_rows, irrep_n, length_spectrum
 from .surfaces import (AssemblyError, DevelopedSurface, LaminationError,
                        PantsShearing, SurfaceSpec, SLOTS, assemble_surface,
                        boundary_lengths, fan_cycle, solve_twist,
@@ -48,47 +60,142 @@ def triple_indices(n: int):
             for p in range(1, n - 1) for q in range(1, n - p)]
 
 
-def _flags_at(points, n: int):
-    return [veronese_flag(pt, n) for pt in points]
+# ---------------------------------------------------------------------------
+# the exact wedge-table kernel
+
+
+def _integer_point(pt: ProjPoint):
+    """Integer homogeneous coordinates [a : b] of a point, with the same value.
+
+    A float coordinate is a dyadic rational, so the conversion is exact:
+    clear the denominators, divide out the gcd, and fix the overall sign so
+    that equal coordinates give equal keys.
+    """
+    na, da = pt.a.as_integer_ratio()
+    nb, db = pt.b.as_integer_ratio()
+    a, b = na * db, nb * da
+    g = math.gcd(a, b)
+    if b < 0 or (b == 0 and a < 0):
+        g = -g
+    return a // g, b // g
+
+
+class WedgeKernel:
+    """Exact rank-n invariants of Veronese flags at developed points.
+
+    Each distinct point gets its integer flag rows once, and each triangle
+    or quadruple gets a :class:`WedgeTable` over those rows.  A kernel holds
+    no state beyond the computation that creates it.
+    """
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError("need n >= 2")
+        self.n = n
+        self._rows = {}
+
+    def table(self, points, what: str) -> "WedgeTable":
+        """The wedge table of the flags at ``points``; ``what`` names them."""
+        flags = []
+        for pt in points:
+            key = _integer_point(pt)
+            if key not in self._rows:
+                self._rows[key] = flag_rows(*key, self.n)
+            flags.append(self._rows[key])
+        return WedgeTable(flags, self.n, what)
+
+
+class WedgeTable:
+    """Stacked wedges of a tuple of integer flags, each computed once.
+
+    The entry at levels (d_1, ..., d_m), summing to n, is the determinant of
+    the first d_1 rows of flag 1, then the first d_2 rows of flag 2, and so
+    on: an exact integer, checked nonzero when first computed.  Ratios are
+    formed from the integer factors, their signs checked exactly, and the
+    log taken of the correctly rounded quotient.
+    """
+
+    def __init__(self, flags, n: int, what: str):
+        self.flags, self.n, self.what = flags, n, what
+        self._wedges = {}
+
+    def wedge(self, *levels) -> int:
+        value = self._wedges.get(levels)
+        if value is None:
+            value = _det_int_bareiss(
+                [row for flag, d in zip(self.flags, levels) for row in flag[:d]])
+            if value == 0:
+                raise DegenerateFlagError(
+                    f"vanishing wedge factor at {self.what}: wedge {levels} "
+                    f"is exactly 0 at n = {self.n}")
+            self._wedges[levels] = value
+        return value
+
+    def _log_ratio(self, num: int, den: int, name: str) -> float:
+        if (num > 0) != (den > 0):
+            raise AssemblyError(
+                f"{name} at {self.what} is not positive: {num / den:.6g} "
+                f"at n = {self.n}")
+        return math.log(num / den)
+
+    def log_triple_ratio(self, p: int, q: int, r: int) -> float:
+        """log T_pqr of the first three flags (see ``flags.triple_ratio``)."""
+        if min(p, q, r) < 1 or p + q + r != self.n:
+            raise ValueError(f"need p, q, r >= 1 with p + q + r = {self.n}, "
+                             f"got {(p, q, r)} at {self.what}")
+        w = self.wedge
+        num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
+        den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
+        return self._log_ratio(num, den, f"triple ratio T_{(p, q, r)}")
+
+    def log_double_ratio(self, p: int) -> float:
+        """log D_p of the flag quadruple (see ``flags.double_ratio``)."""
+        n = self.n
+        if not 1 <= p <= n - 1:
+            raise ValueError(f"need 1 <= p <= {n - 1}, got {p} at {self.what}")
+        w = self.wedge
+        num = w(p, n - p - 1, 1, 0) * w(p - 1, n - p, 0, 1)
+        den = w(p, n - p - 1, 0, 1) * w(p - 1, n - p, 1, 0)
+        return self._log_ratio(-num, den, f"double ratio D_{p}")
+
+
+def _triangle_table(kernel: WedgeKernel, ds: DevelopedSurface, pants_id: str,
+                    tri: int, vertex: int) -> WedgeTable:
+    placed = ds.pants[pants_id].triangles[tri]
+    # rotate the fixed clockwise cycle to start at the chosen vertex
+    k = _CW_ORDER.index(vertex)
+    pts = [placed.pts[_CW_ORDER[(k + m) % 3]] for m in range(3)]
+    return kernel.table(pts, f"pants {pants_id} triangle {tri}")
+
+
+def _leaf_table(kernel: WedgeKernel, ds: DevelopedSurface, pants_id: str,
+                leaf: str) -> WedgeTable:
+    q = ds.pants[pants_id].leaf_quadruples[leaf]
+    return kernel.table((q.x, q.y, q.zl, q.zr), f"pants {pants_id} leaf {leaf}")
+
+
+def _curve_table(kernel: WedgeKernel, ds: DevelopedSurface, curve_id: str) -> WedgeTable:
+    c = ds.curves[curve_id]
+    return kernel.table((c.x, c.y, c.zl, c.zr), f"curve {curve_id}")
 
 
 def triangle_invariant(ds: DevelopedSurface, pants_id: str, tri: int,
                        vertex: int, p: int, q: int, r: int, n: int) -> Scalar:
     """log of the (p, q, r) triple ratio at an ideal triangle's flags,
     vertices taken clockwise from the chosen one."""
-    placed = ds.pants[pants_id].triangles[tri]
-    # rotate the fixed clockwise cycle to start at the chosen vertex
-    k = _CW_ORDER.index(vertex)
-    order = [_CW_ORDER[(k + m) % 3] for m in range(3)]
-    pts = [placed.pts[c] for c in order]
-    fE, fF, fG = _flags_at(pts, n)
-    value = triple_ratio(fE, fF, fG, p, q, r)
-    v = float(value.value)
-    if v <= 0:
-        raise AssemblyError("triple ratio not positive at a developed triangle")
-    return Scalar(math.log(v))
-
-
-def _log_double_ratio(quad, p: int, n: int) -> Scalar:
-    fE, fF, fG, fGp = _flags_at(quad, n)
-    value = double_ratio(fE, fF, fG, fGp, p)
-    v = float(value.value)
-    if v <= 0:
-        raise AssemblyError("double ratio not positive at a developed quadruple")
-    return Scalar(math.log(v))
+    table = _triangle_table(WedgeKernel(n), ds, pants_id, tri, vertex)
+    return Scalar(table.log_triple_ratio(p, q, r))
 
 
 def shearing_invariant(ds: DevelopedSurface, pants_id: str, leaf: str,
                        p: int, n: int) -> Scalar:
     """log D_p at the leaf quadruple (x, y, z_left, z_right)."""
-    q = ds.pants[pants_id].leaf_quadruples[leaf]
-    return _log_double_ratio((q.x, q.y, q.zl, q.zr), p, n)
+    return Scalar(_leaf_table(WedgeKernel(n), ds, pants_id, leaf).log_double_ratio(p))
 
 
 def gluing_invariant(ds: DevelopedSurface, curve_id: str, p: int, n: int) -> Scalar:
     """log D_p at the curve's short-arc quadruple (x, y, z_left, z_right)."""
-    c = ds.curves[curve_id]
-    return _log_double_ratio((c.x, c.y, c.zl, c.zr), p, n)
+    return Scalar(_curve_table(WedgeKernel(n), ds, curve_id).log_double_ratio(p))
 
 
 @dataclass(frozen=True)
@@ -145,27 +252,29 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
-    """All invariants of the developed surface at rank n."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    """All invariants of the developed surface at rank n, through one kernel."""
+    kernel = WedgeKernel(n)
     tau = {}
     sigma = {}
     theta = {}
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
+            table = _triangle_table(kernel, ds, pid, tri, 0)
             for pqr in triple_indices(n):
-                tau[(pid, tri, pqr)] = float(
-                    triangle_invariant(ds, pid, tri, 0, *pqr, n).value)
+                tau[(pid, tri, pqr)] = table.log_triple_ratio(*pqr)
         for leaf in dev.lam.leaves():
+            table = _leaf_table(kernel, ds, pid, leaf)
             for p in range(1, n):
-                sigma[(pid, leaf, p)] = float(
-                    shearing_invariant(ds, pid, leaf, p, n).value)
+                sigma[(pid, leaf, p)] = table.log_double_ratio(p)
     for cid in ds.curves:
+        table = _curve_table(kernel, ds, cid)
         for p in range(1, n):
-            theta[(cid, p)] = float(gluing_invariant(ds, cid, p, n).value)
+            theta[(cid, p)] = table.log_double_ratio(p)
     vec = BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
     if vec.size() != expected_size(ds.spec, n):
-        raise AssemblyError("invariant count does not match the surface combinatorics")
+        raise AssemblyError(
+            f"{vec.size()} invariants at n = {n}, the surface combinatorics "
+            f"need {expected_size(ds.spec, n)}")
     return vec
 
 
@@ -340,6 +449,19 @@ def slice_point_of(v: BDVector, spec: SurfaceSpec) -> SlicePoint:
     for cid in gluing:
         gluing[cid] /= gcounts[cid]
     return SlicePoint(shears=shears, gluing=gluing)
+
+
+def roundtrip_deviation(v: BDVector, sp: SlicePoint) -> float:
+    """Largest coordinatewise gap between v and the slice point it realizes:
+    |tau|, sigma against the leaf's shear, theta against the curve's gluing."""
+    dev = 0.0
+    for value in v.tau.values():
+        dev = max(dev, abs(value))
+    for (pid, leaf, _p), value in v.sigma.items():
+        dev = max(dev, abs(value - float(sp.shears[pid][leaf])))
+    for (cid, _p), value in v.theta.items():
+        dev = max(dev, abs(value - sp.gluing[cid]))
+    return dev
 
 
 def realize_slice(sp: SlicePoint, spec: SurfaceSpec, n: int,

@@ -196,13 +196,7 @@ def cmd_realize(config: RunConfig) -> int:
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
     ds = bd.realize_slice(sp, spec, config.n, config.tol)
     vec = bd.bd_vector(ds, config.n)
-    deviation = 0.0
-    for value in vec.tau.values():
-        deviation = max(deviation, abs(value))
-    for (pid, leaf, _p), value in vec.sigma.items():
-        deviation = max(deviation, abs(value - float(shears[pid][leaf])))
-    for (cid, _p), value in vec.theta.items():
-        deviation = max(deviation, abs(value - gluing[cid]))
+    deviation = bd.roundtrip_deviation(vec, sp)
     payload = {
         "surface": spec_to_dict(spec),
         "n": config.n,

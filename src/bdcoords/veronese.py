@@ -87,17 +87,25 @@ def veronese_point(p: ProjPoint, n: int):
     return tuple(_poly_pow([p.a, p.b], n - 1, one))
 
 
-def veronese_flag(p: ProjPoint, n: int) -> Flag:
-    """The osculating flag of the Veronese curve at a boundary point."""
+def flag_rows(a, b, n: int, one=1):
+    """Raw basis rows v_1, ..., v_n of the Veronese flag at [a : b].
+
+    The coefficients live in the ring of a, b and ``one``: plain ints give
+    the exact integer rows the invariant kernel of the bd module stacks.
+    """
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
+    lead, aux = [[one]], [[one]]
+    for _ in range(n - 1):   # the powers (a X + b Y)^k and (b X - a Y)^k
+        lead.append(_poly_mul(lead[-1], [a, b]))
+        aux.append(_poly_mul(aux[-1], [b, -a]))
+    return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
+
+
+def veronese_flag(p: ProjPoint, n: int) -> Flag:
+    """The osculating flag of the Veronese curve at a boundary point."""
     one = 1.0 if p.mode == FLOAT else Fraction(1)
-    a, b = p.a, p.b
-    rows = []
-    for d in range(1, n + 1):
-        poly = _poly_mul(_poly_pow([a, b], n - d, one), _poly_pow([b, -a], d - 1, one))
-        rows.append(poly)
-    return Flag(rows)
+    return Flag(flag_rows(p.a, p.b, n, one))
 
 
 def length_spectrum(m: SymPowerMatrix):
