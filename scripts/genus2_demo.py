@@ -26,7 +26,7 @@ def main():
     ds = assemble_surface(spec, shears, twists)
     for cid, chart in sorted(ds.curves.items()):
         print(f"  {cid}: length {chart.length:.6f}  twist {chart.twist:+.3f}  "
-              f"gluing cross ratio {float(chart.gluing_cross_ratio().value):+.6f}")
+              f"gluing cross ratio {chart.gluing_cross_ratio():+.6f}")
 
     vec = bd.bd_vector(ds, n)
     print(f"\n== invariant vector ({vec.size()} coordinates)")

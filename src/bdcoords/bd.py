@@ -30,14 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import Scalar, serialize_value
+from .scalars import serialize_value
 from .flags import DegenerateFlagError
 from .halfplane import ProjPoint
 from .multilinear import _det_int_bareiss
-from .veronese import flag_rows, irrep_n, length_spectrum
+from .veronese import flag_rows, length_spectrum
 from .surfaces import (AssemblyError, DevelopedSurface, LaminationError,
-                       PantsShearing, SurfaceSpec, SLOTS, assemble_surface,
-                       boundary_lengths, fan_cycle, solve_twist,
+                       PantsShearing, SurfaceSpec, SLOTS, UnreachableTwistError,
+                       assemble_surface, boundary_lengths, fan_cycle, solve_twist,
                        validate_shears)
 
 DEFAULT_TOL = 1e-9
@@ -180,22 +180,22 @@ def _curve_table(kernel: WedgeKernel, ds: DevelopedSurface, curve_id: str) -> We
 
 
 def triangle_invariant(ds: DevelopedSurface, pants_id: str, tri: int,
-                       vertex: int, p: int, q: int, r: int, n: int) -> Scalar:
+                       vertex: int, p: int, q: int, r: int, n: int) -> float:
     """log of the (p, q, r) triple ratio at an ideal triangle's flags,
     vertices taken clockwise from the chosen one."""
     table = _triangle_table(WedgeKernel(n), ds, pants_id, tri, vertex)
-    return Scalar(table.log_triple_ratio(p, q, r))
+    return table.log_triple_ratio(p, q, r)
 
 
 def shearing_invariant(ds: DevelopedSurface, pants_id: str, leaf: str,
-                       p: int, n: int) -> Scalar:
+                       p: int, n: int) -> float:
     """log D_p at the leaf quadruple (x, y, z_left, z_right)."""
-    return Scalar(_leaf_table(WedgeKernel(n), ds, pants_id, leaf).log_double_ratio(p))
+    return _leaf_table(WedgeKernel(n), ds, pants_id, leaf).log_double_ratio(p)
 
 
-def gluing_invariant(ds: DevelopedSurface, curve_id: str, p: int, n: int) -> Scalar:
+def gluing_invariant(ds: DevelopedSurface, curve_id: str, p: int, n: int) -> float:
     """log D_p at the curve's short-arc quadruple (x, y, z_left, z_right)."""
-    return Scalar(_curve_table(WedgeKernel(n), ds, curve_id).log_double_ratio(p))
+    return _curve_table(WedgeKernel(n), ds, curve_id).log_double_ratio(p)
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def _side_direction(spec: SurfaceSpec, curve_id: str, side: str) -> bool:
 
 
 def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
-                     side: str, vertex_rule: str = "verbatim") -> Scalar:
+                     side: str, vertex_rule: str = "verbatim") -> float:
     """The spiral sum R_p (side="right") or L_p (side="left") of a curve.
 
     Sums run over the spiral crossings of the side's fan: each leaf end
@@ -339,7 +339,7 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
             total += v.tau_at(pid, step.tri, step.corner, pqr)
 
     sign = 1.0 if (side == "right") == with_direction else -1.0
-    return Scalar(sign * total)
+    return sign * total
 
 
 @dataclass(frozen=True)
@@ -371,11 +371,11 @@ def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
     """R_p, L_p and the symmetric-power length l_p for every curve and p."""
     entries = []
     for cid in sorted(ds.curves):
-        spectrum = length_spectrum(irrep_n(ds.curves[cid].holonomy, v.n))
+        spectrum = length_spectrum(ds.curves[cid].holonomy, v.n)
         for p in range(1, v.n):
-            r = float(closed_leaf_sums(v, ds.spec, cid, p, "right", vertex_rule).value)
-            l = float(closed_leaf_sums(v, ds.spec, cid, p, "left", vertex_rule).value)
-            entries.append((cid, p, r, l, float(spectrum[p - 1].value)))
+            r = closed_leaf_sums(v, ds.spec, cid, p, "right", vertex_rule)
+            l = closed_leaf_sums(v, ds.spec, cid, p, "left", vertex_rule)
+            entries.append((cid, p, r, l, spectrum[p - 1]))
     return ClosedLeafReport(n=v.n, entries=tuple(entries))
 
 
@@ -391,8 +391,8 @@ def polytope_membership(v: BDVector, spec: SurfaceSpec, tol: float = DEFAULT_TOL
     problems = []
     for cid in sorted(spec.curves):
         for p in range(1, v.n):
-            r = float(closed_leaf_sums(v, spec, cid, p, "right").value)
-            l = float(closed_leaf_sums(v, spec, cid, p, "left").value)
+            r = closed_leaf_sums(v, spec, cid, p, "right")
+            l = closed_leaf_sums(v, spec, cid, p, "left")
             if abs(r - l) > tol:
                 problems.append(f"{cid}: R_{p} = {r:.12g} != L_{p} = {l:.12g}")
             if r <= 0:
@@ -471,7 +471,9 @@ def realize_slice(sp: SlicePoint, spec: SurfaceSpec, n: int,
     Each pants gets the hyperbolic structure with the prescribed shears (the
     per-pants ranges are checked and violations named); matching boundary
     lengths let the pants glue, and each curve's twist is then solved so the
-    gluing invariant hits the prescribed value.
+    gluing invariant hits the prescribed value.  A curve's chart depends only
+    on its own twist, so every solve is checked once, on the returned surface:
+    its gluing cross ratio must be -exp(-gluing) to 1e-9 (relative).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -486,15 +488,20 @@ def realize_slice(sp: SlicePoint, spec: SurfaceSpec, n: int,
         shearings[pid] = shearing
     for cid in spec.curves:
         (pl, sl, _), (pr, sr, _) = (spec.side(cid, "left"), spec.side(cid, "right"))
-        ll = float(boundary_lengths(spec.pants[pl], shearings[pl])[sl].value)
-        lr = float(boundary_lengths(spec.pants[pr], shearings[pr])[sr].value)
+        ll = boundary_lengths(spec.pants[pl], shearings[pl])[sl]
+        lr = boundary_lengths(spec.pants[pr], shearings[pr])[sr]
         if abs(ll - lr) > tol * max(1.0, ll):
             raise AssemblyError(
                 f"slice point mismatches lengths across {cid}: {ll:.12g} vs {lr:.12g}")
     base = assemble_surface(spec, shearings, {cid: 0.0 for cid in spec.curves})
-    twists = {cid: float(solve_twist(base, cid, sp.gluing[cid]).value)
-              for cid in spec.curves}
-    return assemble_surface(spec, shearings, twists)
+    twists = {cid: solve_twist(base, cid, sp.gluing[cid]) for cid in spec.curves}
+    ds = assemble_surface(spec, shearings, twists)
+    for cid, chart in ds.curves.items():
+        r = -math.exp(-float(sp.gluing[cid]))
+        residual = abs(chart.gluing_cross_ratio() - r)
+        if residual > 1e-9 * max(1.0, abs(r)):
+            raise UnreachableTwistError(f"curve {cid}: twist solve residual {residual}")
+    return ds
 
 
 def dimension_counts(spec: SurfaceSpec, n: int) -> dict:

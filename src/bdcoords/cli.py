@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .scalars import serialize_value
 from .surfaces import (CurveData, LaminationError, PantsLamination, PantsShearing,
@@ -30,26 +29,6 @@ from . import verification
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    suite: str | None = None
-    n: int = 3
-    samples: int = verification.DEFAULT_SAMPLES
-    seed: int = verification.DEFAULT_SEED
-    mode: str = "exact"
-    max_index: int = 10
-    tol: float = bd.DEFAULT_TOL
-    input_path: str | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.samples < 1:
-            raise ValueError("need samples >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -140,46 +119,46 @@ def _write_csv(vec: bd.BDVector, path: str):
 # subcommands
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.suite == "all":
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "all":
         suites = list(verification.SUITES)
-    elif config.suite in verification.SUITES:
-        suites = [config.suite]
+    elif args.suite in verification.SUITES:
+        suites = [args.suite]
     else:
-        print(f"unknown suite {config.suite!r}; known: "
+        print(f"unknown suite {args.suite!r}; known: "
               f"{', '.join(sorted(verification.SUITES))} or 'all'", file=sys.stderr)
         return EXIT_INPUT_ERROR
     reports = []
     for name in suites:
-        report = verification.SUITES[name](config)
+        report = verification.SUITES[name](args)
         reports.append(report)
         for line in report.lines():
             print(line)
-    if config.out:
-        _dump_json([r.to_json_dict() for r in reports], config.out)
+    if args.out:
+        _dump_json([r.to_json_dict() for r in reports], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 
-def cmd_invariants(config: RunConfig) -> int:
-    with open(config.input_path) as fh:
+def cmd_invariants(args: argparse.Namespace) -> int:
+    with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
     shears = shears_from_dict(spec, data.get("shears", {}))
     twists = {cid: float(v) for cid, v in data.get("twists", {}).items()}
     ds = assemble_surface(spec, shears, twists)
-    vec = bd.bd_vector(ds, config.n)
+    vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
-    ok, problems = bd.polytope_membership(vec, spec, config.tol)
+    ok, problems = bd.polytope_membership(vec, spec, args.tol)
     payload = {
         "surface": spec_to_dict(spec),
-        "n": config.n,
+        "n": args.n,
         "invariants": vec.to_json_dict(),
         "closed_leaf": report.to_json_dict(),
         "polytope_membership": ok,
         "polytope_violations": problems,
-        "slice_membership": bd.slice_membership(vec, config.tol),
+        "slice_membership": bd.slice_membership(vec, args.tol),
     }
-    prefix = config.out or "invariants"
+    prefix = args.out or "invariants"
     _dump_json(payload, f"{prefix}.json")
     _write_csv(vec, f"{prefix}.csv")
     print(f"wrote {prefix}.json and {prefix}.csv "
@@ -187,19 +166,19 @@ def cmd_invariants(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_realize(config: RunConfig) -> int:
-    with open(config.input_path) as fh:
+def cmd_realize(args: argparse.Namespace) -> int:
+    with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
     shears = {pid: dict(data["shears"][pid]) for pid in spec.pants}
     gluing = {cid: float(data["gluing"][cid]) for cid in spec.curves}
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
-    ds = bd.realize_slice(sp, spec, config.n, config.tol)
-    vec = bd.bd_vector(ds, config.n)
+    ds = bd.realize_slice(sp, spec, args.n, args.tol)
+    vec = bd.bd_vector(ds, args.n)
     deviation = bd.roundtrip_deviation(vec, sp)
     payload = {
         "surface": spec_to_dict(spec),
-        "n": config.n,
+        "n": args.n,
         "shears": {pid: {leaf: serialize_value(float(v)) for leaf, v in sorted(m.items())}
                    for pid, m in sorted(shears.items())},
         "gluing_targets": {cid: serialize_value(v) for cid, v in sorted(gluing.items())},
@@ -213,7 +192,7 @@ def cmd_realize(config: RunConfig) -> int:
         "invariants": vec.to_json_dict(),
         "max_roundtrip_deviation": serialize_value(deviation),
     }
-    prefix = config.out or "realize"
+    prefix = args.out or "realize"
     _dump_json(payload, f"{prefix}.json")
     _write_csv(vec, f"{prefix}.csv")
     print(f"wrote {prefix}.json and {prefix}.csv "
@@ -260,23 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n < 2:
+        print(f"error: need n >= 2, got --n {args.n}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.command == "verify" and args.samples < 1:
+        print(f"error: need samples >= 1, got --samples {args.samples}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
-        config = RunConfig(
-            command=args.command,
-            suite=getattr(args, "suite", None),
-            n=getattr(args, "n", 3),
-            samples=getattr(args, "samples", verification.DEFAULT_SAMPLES),
-            seed=getattr(args, "seed", verification.DEFAULT_SEED),
-            mode=getattr(args, "mode", "exact"),
-            max_index=getattr(args, "max_index", 10),
-            tol=getattr(args, "tol", bd.DEFAULT_TOL),
-            input_path=getattr(args, "input", None),
-            out=getattr(args, "out", None))
-        if config.command == "verify":
-            return cmd_verify(config)
-        if config.command == "invariants":
-            return cmd_invariants(config)
-        return cmd_realize(config)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "invariants":
+            return cmd_invariants(args)
+        return cmd_realize(args)
     except (SurfaceSpecError, LaminationError, AssemblyError, ValueError,
             OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

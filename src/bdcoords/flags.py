@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, Scalar, join_mode, _lift
-from .multilinear import det_raw, infer_mode
+from .scalars import EXACT, FLOAT, infer_mode, join_mode
+from .multilinear import det_raw
 
 _FLOAT_RANK_TOL = 1e-12  # |det| > tol * (product of row norms) counts as nonzero
 
@@ -40,7 +40,7 @@ class Flag:
             raise ValueError("flag basis must be n vectors of length n")
         self.mode = infer_mode(x for row in rows for x in row)
         conv = float if self.mode == FLOAT else Fraction
-        self.basis = tuple(tuple(conv(_lift(x)) for x in row) for row in rows)
+        self.basis = tuple(tuple(conv(x) for x in row) for row in rows)
         self.n = n
         d = det_raw(self.basis, self.mode)
         if not _nonzero(d, self.basis, self.mode):
@@ -53,11 +53,12 @@ class Flag:
         return self.basis[:d]
 
     def rescaled(self, scales) -> "Flag":
-        """Same flag with basis vector i multiplied by scales[i] (all nonzero)."""
-        if any(_lift(s) == 0 for s in scales):
+        """Same flag with basis vector i multiplied by scales[i] (all nonzero,
+        in the flag's mode or plain ints)."""
+        infer_mode(scales, requested=self.mode)
+        if any(s == 0 for s in scales):
             raise ValueError("rescaling by zero")
-        return Flag([[s * x for x in row]
-                     for s, row in zip((_lift(s) for s in scales), self.basis)])
+        return Flag([[s * x for x in row] for s, row in zip(scales, self.basis)])
 
     def __repr__(self):
         return f"Flag(n={self.n}, mode={self.mode})"
@@ -135,7 +136,7 @@ def _guarded_wedge(blocks, mode, what: str):
     return value
 
 
-def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int) -> Scalar:
+def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int):
     """The (p, q, r) triple ratio of a generic flag triple.
 
     T_pqr = (e^{p+1} f^q g^{r-1} * e^p f^{q-1} g^{r+1} * e^{p-1} f^{q+1} g^r)
@@ -158,10 +159,10 @@ def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int) -> Scalar:
 
     num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
     den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
-    return Scalar(num / den)
+    return num / den
 
 
-def double_ratio(E: Flag, F: Flag, G: Flag, Gp: Flag, p: int) -> Scalar:
+def double_ratio(E: Flag, F: Flag, G: Flag, Gp: Flag, p: int):
     """The p-th double ratio of a generic flag quadruple (E, F, G, G').
 
     D_p = - (e^p f^{n-p-1} g^1 * e^{p-1} f^{n-p} g'^1)
@@ -180,4 +181,4 @@ def double_ratio(E: Flag, F: Flag, G: Flag, Gp: Flag, p: int) -> Scalar:
 
     num = w(p, n - p - 1, G) * w(p - 1, n - p, Gp)
     den = w(p, n - p - 1, Gp) * w(p - 1, n - p, G)
-    return Scalar(-num / den)
+    return -num / den

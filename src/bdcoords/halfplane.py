@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, Scalar, _lift, join_mode
-from .multilinear import infer_mode
+from .scalars import EXACT, FLOAT, infer_mode, join_mode
 
 _HYPERBOLIC_TOL = 1e-12  # |trace| must exceed 2 by this much in float mode
 
@@ -33,7 +32,7 @@ class ProjPoint:
     def __init__(self, a, b):
         mode = infer_mode([a, b])
         conv = float if mode == FLOAT else Fraction
-        a, b = conv(_lift(a)), conv(_lift(b))
+        a, b = conv(a), conv(b)
         if a == 0 and b == 0:
             raise ValueError("[0 : 0] is not a projective point")
         if mode == FLOAT:
@@ -49,7 +48,6 @@ class ProjPoint:
     @classmethod
     def of(cls, x) -> "ProjPoint":
         """Finite point x as [x : 1] (mode follows the value)."""
-        x = _lift(x)
         return cls(x, 1.0 if isinstance(x, float) else 1)
 
     @property
@@ -59,11 +57,11 @@ class ProjPoint:
     def to_float(self) -> "ProjPoint":
         return ProjPoint(float(self.a), float(self.b))
 
-    def value(self) -> Scalar:
+    def value(self):
         """Affine coordinate a/b; raises at infinity."""
         if self.b == 0:
             raise ZeroDivisionError("point at infinity has no affine value")
-        return Scalar(self.a / self.b)
+        return self.a / self.b
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -99,7 +97,7 @@ def is_clockwise(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
     return orientation(a, b, c) < 0
 
 
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scalar:
+def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint):
     """z(a,b,c,d) = (d-a)(b-c) / ((d-c)(b-a)), evaluated projectively.
 
     Normalized so that z(0, 1, oo, d) = d.  Degenerate quadruples (d = c or
@@ -109,13 +107,16 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scala
     den = wedge(d, c) * wedge(b, a)
     if den == 0:
         raise DegenerateConfigurationError("cross ratio undefined: d = c or b = a")
-    return Scalar(num / den)
+    return num / den
 
 
 def fourth_point(a: ProjPoint, c: ProjPoint, d: ProjPoint, r) -> ProjPoint:
-    """The unique b with cross_ratio(a, b, c, d) = r (a projective-linear solve)."""
-    r = _lift(r)
+    """The unique b with cross_ratio(a, b, c, d) = r (a projective-linear solve).
+
+    r must be in the points' mode or a plain int.
+    """
     da, dc = wedge(d, a), wedge(d, c)
+    infer_mode([r], requested=a.mode)
     # (b ^ c) * (d ^ a) = r * (b ^ a) * (d ^ c), linear in b = [b1 : b2]
     b1 = c.a * da - r * a.a * dc
     b2 = c.b * da - r * a.b * dc
@@ -138,7 +139,7 @@ class Mobius:
         mode = infer_mode([x for row in rows for x in row])
         conv = float if mode == FLOAT else Fraction
         (a, b), (c, d) = rows
-        a, b, c, d = (conv(_lift(x)) for x in (a, b, c, d))
+        a, b, c, d = (conv(x) for x in (a, b, c, d))
         det = a * d - b * c
         if det == 0:
             raise ValueError("singular matrix is not a Moebius map")
@@ -159,9 +160,9 @@ class Mobius:
             raise ValueError("scaling factor must be positive")
         return cls([[float(factor), 0.0], [0.0, 1.0]])
 
-    def det(self) -> Scalar:
+    def det(self):
         (a, b), (c, d) = self.m
-        return Scalar(a * d - b * c)
+        return a * d - b * c
 
     def trace_normalized(self) -> float:
         """tr(M / sqrt(det M)) up to sign; requires det > 0."""
@@ -219,17 +220,17 @@ def mobius_to_standard(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> Mobius:
     return Mobius([[c.b * ba, -c.a * ba], [a.b * bc, -a.a * bc]])
 
 
-def shear_from_quadruple(y: ProjPoint, zr: ProjPoint, x: ProjPoint, zl: ProjPoint) -> Scalar:
+def shear_from_quadruple(y: ProjPoint, zr: ProjPoint, x: ProjPoint, zl: ProjPoint) -> float:
     """Shear of two ideal triangles glued along (x, y): log -z(y, zr, x, zl)^(-1).
 
     (x, zl, y, zr) must be the vertices of the two triangles in cyclic order
     around the circle, which makes the cross ratio negative.
     """
     z = cross_ratio(y, zr, x, zl)
-    if z.value >= 0:
+    if z >= 0:
         raise DegenerateConfigurationError(
             f"quadruple is not an adjacent-triangle configuration (z = {z})")
-    return Scalar(math.log(-1.0 / float(z.value)))
+    return math.log(-1.0 / float(z))
 
 
 def axis_data(m: Mobius):
@@ -265,7 +266,7 @@ def axis_data(m: Mobius):
         else:
             att, rep = ProjPoint(0.0, 1.0), ProjPoint.infinity(FLOAT)
     length = 2.0 * math.acosh(abs(tr) / 2.0)
-    return att, rep, Scalar(length)
+    return att, rep, length
 
 
 def twist_map(attracting: ProjPoint, repelling: ProjPoint, t) -> Mobius:
@@ -279,7 +280,7 @@ def twist_map(attracting: ProjPoint, repelling: ProjPoint, t) -> Mobius:
     rep = repelling if repelling.mode == FLOAT else repelling.to_float()
     if wedge(att, rep) == 0:
         raise DegenerateConfigurationError("twist axis needs distinct endpoints")
-    t = float(_lift(t))
+    t = float(t)
     norm = Mobius([[rep.b, -rep.a], [att.b, -att.a]])  # rep -> 0, att -> oo
     diag = Mobius([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
     return norm.inverse() @ diag @ norm

@@ -25,31 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, Scalar, ScalarModeError, _lift, join_mode
-
-
-def infer_mode(values, default=EXACT, requested=None) -> str:
-    """Common mode of a collection: ints lift either way, Fraction/float clash."""
-    seen = set()
-    for x in values:
-        if isinstance(x, Scalar):
-            x = x.value
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar")
-        if isinstance(x, int):
-            continue
-        if isinstance(x, float):
-            seen.add(FLOAT)
-        elif isinstance(x, Fraction):
-            seen.add(EXACT)
-        else:
-            raise TypeError(f"cannot interpret {x!r} as a scalar")
-    if len(seen) > 1:
-        raise ScalarModeError("mixed exact and float values")
-    inferred = seen.pop() if seen else (requested or default)
-    if requested is not None and requested != inferred:
-        raise ScalarModeError(f"values are {inferred}, requested {requested}")
-    return inferred
+from .scalars import EXACT, FLOAT, infer_mode, join_mode
 
 
 class Matrix:
@@ -69,19 +45,12 @@ class Matrix:
         self.mode = infer_mode(
             (x for row in data for x in row), default=EXACT, requested=mode)
         conv = float if self.mode == FLOAT else Fraction
-        self._rows = tuple(tuple(conv(_lift(x)) for x in row) for row in data)
+        self._rows = tuple(tuple(conv(x) for x in row) for row in data)
 
     @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "Matrix":
         one, zero = (1.0, 0.0) if mode == FLOAT else (Fraction(1), Fraction(0))
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self._rows[i][j])
-
-    @property
-    def entries(self):
-        return tuple(tuple(Scalar(x) for x in row) for row in self._rows)
 
     def raw_rows(self):
         return self._rows
@@ -104,30 +73,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self._rows]!r})"
-
-
-def _det_bareiss(rows) -> Fraction:
-    """Fraction-free elimination; exact for integer or rational entries."""
-    n = len(rows)
-    a = [list(map(Fraction, row)) for row in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _det_int_bareiss(rows) -> int:
@@ -157,7 +102,11 @@ def _det_int_bareiss(rows) -> int:
 
 
 def det_raw(rows, mode: str):
-    """Determinant on raw row data; returns a raw Fraction or float."""
+    """Determinant on raw row data; returns a raw Fraction or float.
+
+    Exact rows are scaled to integers by the lcm of their denominators, so
+    integer Bareiss elimination serves integral and rational input alike.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
@@ -167,27 +116,30 @@ def det_raw(rows, mode: str):
         if n == 2:
             return float(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
         return float(np.linalg.det(np.array(rows, dtype=float)))
-    if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-           for row in rows for x in row):
-        return Fraction(_det_int_bareiss([[int(x) for x in row] for row in rows]))
-    return _det_bareiss(rows)
+    scale = 1
+    int_rows = []
+    for row in rows:
+        row_scale = math.lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (row_scale // x.denominator) for x in row])
+        scale *= row_scale
+    return Fraction(_det_int_bareiss(int_rows), scale)
 
 
-def det(m: Matrix) -> Scalar:
+def det(m: Matrix):
     """Determinant of a square matrix, in the matrix's own mode."""
     if m.rows != m.cols:
         raise ValueError(f"determinant of a {m.rows} x {m.cols} matrix")
-    return Scalar(det_raw(m._rows, m.mode))
+    return det_raw(m._rows, m.mode)
 
 
-def ext_binomial(n: int, p: int) -> Scalar:
+def ext_binomial(n: int, p: int) -> Fraction:
     """Binomial coefficient extended by 0 outside the range 0 <= p <= n."""
     if 0 <= p <= n:
-        return Scalar(Fraction(math.comb(n, p)))
-    return Scalar(Fraction(0))
+        return Fraction(math.comb(n, p))
+    return Fraction(0)
 
 
-def wedge_coeff(vectors, basis) -> Scalar:
+def wedge_coeff(vectors, basis):
     """The scalar c with v_1 ^ ... ^ v_n = c * (b_1 ^ ... ^ b_n).
 
     Both arguments are sequences of n coordinate vectors in the same
@@ -214,15 +166,15 @@ def band_matrix(p: int, q: int, r: int) -> Matrix:
     """q x q matrix, entry (i, j) = ext_binomial(p + r, p + i - j), 0-indexed."""
     if p < 0 or q < 1 or r < 0:
         raise ValueError("band determinant needs p, r >= 0 and q >= 1")
-    return Matrix([[ext_binomial(p + r, p + i - j).value for j in range(q)]
+    return Matrix([[ext_binomial(p + r, p + i - j) for j in range(q)]
                    for i in range(q)])
 
 
-def band_det_bruteforce(p: int, q: int, r: int) -> Scalar:
+def band_det_bruteforce(p: int, q: int, r: int) -> Fraction:
     return det(band_matrix(p, q, r))
 
 
-def band_det_formula(n: int, p: int, q: int, r: int) -> Scalar:
+def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
     """Closed form for the band determinant, evaluated literally.
 
     sign (-1)^(q-1)q/2 times
@@ -246,7 +198,7 @@ def band_det_formula(n: int, p: int, q: int, r: int) -> Scalar:
     for m in range(r, r + q):
         den *= math.factorial(m)
     sign = -1 if ((q - 1) * q // 2) % 2 else 1
-    return Scalar(Fraction(sign * num, den))
+    return Fraction(sign * num, den)
 
 
 def rhombus_matrix(n: int, k: int, l: int) -> Matrix:
@@ -255,15 +207,15 @@ def rhombus_matrix(n: int, k: int, l: int) -> Matrix:
         raise ValueError("rhombus determinant needs n, l >= 0")
     if not 0 <= k <= n:
         raise ValueError(f"rhombus determinant needs 0 <= k <= n, got k={k}, n={n}")
-    return Matrix([[ext_binomial(n + i + j, k + j).value for j in range(l + 1)]
+    return Matrix([[ext_binomial(n + i + j, k + j) for j in range(l + 1)]
                    for i in range(l + 1)])
 
 
-def rhombus_det_bruteforce(n: int, k: int, l: int) -> Scalar:
+def rhombus_det_bruteforce(n: int, k: int, l: int) -> Fraction:
     return det(rhombus_matrix(n, k, l))
 
 
-def rhombus_det_formula(n: int, k: int, l: int) -> Scalar:
+def rhombus_det_formula(n: int, k: int, l: int) -> Fraction:
     """Closed form for the rhombus determinant, evaluated literally.
 
     n! (n+1)! ... (n+l)! over k! ... (k+l)! (n-k)! ... (n-k+l)!,
@@ -283,7 +235,7 @@ def rhombus_det_formula(n: int, k: int, l: int) -> Scalar:
     for m in range(1, l + 1):
         superfact *= math.factorial(m)
     sign = -1 if (l * (l + 1) // 2) % 2 else 1
-    return Scalar(Fraction(sign * num * superfact, den))
+    return Fraction(sign * num * superfact, den)
 
 
 def compare_band(n: int, p: int, q: int, r: int) -> dict:
@@ -294,8 +246,8 @@ def compare_band(n: int, p: int, q: int, r: int) -> dict:
         "args": (n, p, q, r),
         "bruteforce": brute,
         "formula": formula,
-        "abs_equal": abs(brute.value) == abs(formula.value),
-        "sign_agree": brute.value == formula.value,
+        "abs_equal": abs(brute) == abs(formula),
+        "sign_agree": brute == formula,
     }
 
 
@@ -307,6 +259,6 @@ def compare_rhombus(n: int, k: int, l: int) -> dict:
         "args": (n, k, l),
         "bruteforce": brute,
         "formula": formula,
-        "abs_equal": abs(brute.value) == abs(formula.value),
-        "sign_agree": brute.value == formula.value,
+        "abs_equal": abs(brute) == abs(formula),
+        "sign_agree": brute == formula,
     }

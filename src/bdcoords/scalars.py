@@ -1,14 +1,16 @@
-"""Dual-mode scalars: exact rationals for identity checking, doubles for geometry.
+"""The exact-versus-float mode rule.
 
 Every quantity in this package is either *exact* (an arbitrary-precision
-``fractions.Fraction``) or *float* (IEEE double).  The two modes never mix
-silently: combining an exact scalar with a float scalar raises
-:class:`ScalarModeError`.  Plain python ``int`` literals are mode-agnostic and
-lift into whichever mode the other operand carries.
+``fractions.Fraction``) or *float* (IEEE double), and numeric functions
+return these raw values.  The two modes never mix silently: the
+constructors of ``Matrix``, ``Flag``, ``ProjPoint`` and ``Mobius`` settle
+the common mode of their entries with :func:`infer_mode`, and operations on
+two objects check theirs with :func:`join_mode`; both raise
+:class:`ScalarModeError` on a clash.  Plain python ``int`` values are
+mode-agnostic and lift into whichever mode the other values carry.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 EXACT = "exact"
@@ -19,21 +21,26 @@ class ScalarModeError(TypeError):
     """Raised when exact and float quantities are combined."""
 
 
-def _lift(value):
-    """Normalize a raw value to Fraction (exact) or float."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, float)):
-        return value
-    if isinstance(value, Scalar):
-        return value.value
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
-
-
-def mode_of(raw) -> str:
-    return FLOAT if isinstance(raw, float) else EXACT
+def infer_mode(values, default=EXACT, requested=None) -> str:
+    """Common mode of a collection: ints lift either way, Fraction/float clash."""
+    seen = set()
+    for x in values:
+        if isinstance(x, bool):
+            raise TypeError("bool is not a scalar")
+        if isinstance(x, int):
+            continue
+        if isinstance(x, float):
+            seen.add(FLOAT)
+        elif isinstance(x, Fraction):
+            seen.add(EXACT)
+        else:
+            raise TypeError(f"cannot interpret {x!r} as a scalar")
+    if len(seen) > 1:
+        raise ScalarModeError("mixed exact and float values")
+    inferred = seen.pop() if seen else (requested or default)
+    if requested is not None and requested != inferred:
+        raise ScalarModeError(f"values are {inferred}, requested {requested}")
+    return inferred
 
 
 def join_mode(a: str, b: str) -> str:
@@ -42,151 +49,9 @@ def join_mode(a: str, b: str) -> str:
     return a
 
 
-class Scalar:
-    """A tagged exact-or-float number.
-
-    Exact scalars hold a ``Fraction`` (lowest terms, positive denominator,
-    both guaranteed by the Fraction type).  Float scalars hold a double.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", _lift(value))
-
-    @classmethod
-    def exact(cls, num, den=1) -> "Scalar":
-        return cls(Fraction(num, den))
-
-    @classmethod
-    def approx(cls, x) -> "Scalar":
-        return cls(float(x))
-
-    @property
-    def mode(self) -> str:
-        return mode_of(self.value)
-
-    @property
-    def is_exact(self) -> bool:
-        return not isinstance(self.value, float)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other):
-        """Return the raw value of `other` in self's mode, or None."""
-        if isinstance(other, Scalar):
-            other = other.value
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, int):
-            return float(other) if self.mode == FLOAT else Fraction(other)
-        if isinstance(other, Fraction):
-            if self.mode == FLOAT:
-                raise ScalarModeError("cannot mix exact value into float mode")
-            return other
-        if isinstance(other, float):
-            if self.mode == EXACT:
-                raise ScalarModeError("cannot mix float value into exact mode")
-            return other
-        return None
-
-    def _binop(self, other, op):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return Scalar(op(self.value, raw))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return Scalar(-self.value)
-
-    def __abs__(self):
-        return Scalar(abs(self.value))
-
-    def __eq__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return self.value == raw
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __lt__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return self.value < raw
-
-    def __le__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return self.value <= raw
-
-    def __gt__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return self.value > raw
-
-    def __ge__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return self.value >= raw
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __float__(self):
-        return float(self.value)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self.value!r})"
-
-    def __str__(self):
-        return serialize_value(self.value)
-
-
 def serialize_value(raw) -> str:
     """Lossless text form: "p/q" for exact values, 17 significant digits for floats."""
     if isinstance(raw, float):
         return format(raw, ".17g")
     frac = Fraction(raw)
     return f"{frac.numerator}/{frac.denominator}"
-
-
-def log_scalar(x: Scalar | float | Fraction | int) -> Scalar:
-    """Natural log; always a float scalar (logs leave the exact world)."""
-    raw = _lift(x)
-    val = float(raw)
-    if val <= 0.0:
-        raise ValueError(f"log of non-positive value {val}")
-    return Scalar(math.log(val))

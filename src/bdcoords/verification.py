@@ -166,7 +166,7 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
             if mode == "exact":
                 dev = 0.0 if value == 1 else 1.0
             else:
-                dev = abs(float(value.value) - 1.0)
+                dev = abs(value - 1.0)
             report.record(dev, f"case {case} T_{p}{q}{r}", tol if mode == "float" else 0.0)
     return report
 
@@ -192,8 +192,8 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
                 dev = 0.0 if value == expected else 1.0
                 report.record(dev, f"case {case} D_{p}")
             else:
-                e = float(expected.value)
-                dev = abs(float(value.value) - e) / max(1.0, abs(e))
+                e = float(expected)
+                dev = abs(value - e) / max(1.0, abs(e))
                 report.record(dev, f"case {case} D_{p}", tol)
     return report
 
@@ -299,14 +299,14 @@ def run_pants(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-9) -
             expected = boundary_lengths(lam, s)
             for slot in SLOTS:
                 fan = dev_pants.fans[slot]
-                dev = abs(fan.length - float(expected[slot].value))
+                dev = abs(fan.length - expected[slot])
                 report.record(dev, f"{tag} case {case} length slot {slot}", tol)
                 signed = lam.spiral_signs[slot] * fan.shear_sum
                 report.record(0.0 if signed > 0 else 1.0,
                               f"{tag} case {case} spiral sign slot {slot}")
             for leaf, quad in dev_pants.leaf_quadruples.items():
                 back = shear_from_quadruple(quad.y, quad.zr, quad.x, quad.zl)
-                dev = abs(float(back.value) - s[leaf])
+                dev = abs(back - s[leaf])
                 report.record(dev, f"{tag} case {case} shear {leaf}", tol)
     return report
 
@@ -376,7 +376,7 @@ def run_genus2_invariants(n_values=(3, 4, 5), seeds: int = 50,
                 report.record(abs(values[0] - shears[pid][leaf]),
                               f"case {case} n={n} shear recovery {pid}/{leaf}", tol)
                 quad = ds.pants[pid].leaf_quadruples[leaf]
-                classical = float(shear_from_quadruple(quad.y, quad.zr, quad.x, quad.zl).value)
+                classical = shear_from_quadruple(quad.y, quad.zr, quad.x, quad.zl)
                 report.record(abs(values[0] - classical),
                               f"case {case} n={n} classical shear {pid}/{leaf}", tol)
             for cid in spec.curves:
@@ -406,19 +406,20 @@ def run_roundtrip(n_values=(3, 4, 5), seeds: int = 50, seed: int = DEFAULT_SEED,
             ds = bd.realize_slice(sp, spec, n)
             vec = bd.bd_vector(ds, n)
             report.record(bd.roundtrip_deviation(vec, sp), f"case {case} n={n} roundtrip", tol)
-            residual = max(abs(float(chart.gluing_cross_ratio().value) + math.exp(-gluing[cid]))
+            residual = max(abs(chart.gluing_cross_ratio() + math.exp(-gluing[cid]))
                            for cid, chart in ds.curves.items())
             report.record(residual, f"case {case} n={n} solve residual", tol)
     return report
 
 
+# each suite reads the parsed arguments of ``bdcoords verify``
 SUITES = {
-    "triple-ratio": lambda cfg: run_triple_ratio(cfg.n, cfg.samples, cfg.seed, cfg.mode),
-    "double-ratio": lambda cfg: run_double_ratio(cfg.n, cfg.samples, cfg.seed, cfg.mode),
-    "permutation": lambda cfg: run_permutation(cfg.n, cfg.samples, cfg.seed),
-    "rhombus": lambda cfg: run_rhombus(cfg.max_index),
-    "band": lambda cfg: run_band(cfg.max_index),
-    "pants": lambda cfg: run_pants(cfg.samples, cfg.seed),
-    "genus2": lambda cfg: run_genus2_invariants(seeds=cfg.samples, seed=cfg.seed),
-    "roundtrip": lambda cfg: run_roundtrip(seeds=cfg.samples, seed=cfg.seed),
+    "triple-ratio": lambda args: run_triple_ratio(args.n, args.samples, args.seed, args.mode),
+    "double-ratio": lambda args: run_double_ratio(args.n, args.samples, args.seed, args.mode),
+    "permutation": lambda args: run_permutation(args.n, args.samples, args.seed),
+    "rhombus": lambda args: run_rhombus(args.max_index),
+    "band": lambda args: run_band(args.max_index),
+    "pants": lambda args: run_pants(args.samples, args.seed),
+    "genus2": lambda args: run_genus2_invariants(seeds=args.samples, seed=args.seed),
+    "roundtrip": lambda args: run_roundtrip(seeds=args.samples, seed=args.seed),
 }

@@ -17,10 +17,9 @@ span is exactly the multiples of (a X + b Y)^{n-d}.  The auxiliary factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import FLOAT, Scalar
+from .scalars import FLOAT
 from .multilinear import Matrix
 from .flags import Flag
 from .halfplane import Mobius, ProjPoint, axis_data
@@ -43,7 +42,7 @@ def _poly_pow(p, k, one):
     return out
 
 
-def irrep_n(A: Mobius, n: int) -> "SymPowerMatrix":
+def irrep_n(A: Mobius, n: int) -> Matrix:
     """The symmetric-power image of a 2x2 matrix, in the monomial basis.
 
     Column j holds the coefficients of (a11 X + a21 Y)^{n-j} (a12 X + a22 Y)^{j-1}
@@ -59,26 +58,7 @@ def irrep_n(A: Mobius, n: int) -> "SymPowerMatrix":
         # polynomials as coefficient lists over X^{deg-i} Y^i
         poly = _poly_mul(_poly_pow([a, c], n - j, one), _poly_pow([b, d], j - 1, one))
         cols.append(poly)
-    entries = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return SymPowerMatrix(n=n, matrix=Matrix(entries), source=A)
-
-
-@dataclass(frozen=True)
-class SymPowerMatrix:
-    """An n x n matrix arising as a symmetric power, with its 2x2 source."""
-
-    n: int
-    matrix: Matrix
-    source: Mobius | None = None
-
-    @property
-    def mode(self) -> str:
-        return self.matrix.mode
-
-    def apply_rows(self, row):
-        """Matrix * column-vector, for a raw coefficient sequence."""
-        m = self.matrix.raw_rows()
-        return tuple(sum(m[i][j] * row[j] for j in range(self.n)) for i in range(self.n))
+    return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 def veronese_point(p: ProjPoint, n: int):
@@ -108,8 +88,16 @@ def veronese_flag(p: ProjPoint, n: int) -> Flag:
     return Flag(flag_rows(p.a, p.b, n, one))
 
 
-def length_spectrum(m: SymPowerMatrix):
-    """The n-1 logs of consecutive eigenvalue ratios of a symmetric power.
+def _translation_length(holonomy: Mobius, n: int) -> float:
+    if n < 2:
+        raise ValueError("symmetric powers need n >= 2")
+    _, _, length = axis_data(holonomy if holonomy.mode == FLOAT else _as_float(holonomy))
+    return length
+
+
+def length_spectrum(holonomy: Mobius, n: int):
+    """The n-1 logs of consecutive eigenvalue ratios of the n-th symmetric
+    power of a hyperbolic 2x2 element.
 
     The eigenvalues of the symmetric power of a hyperbolic element with
     eigenvalues lambda^{+-1} are lambda^{n-1}, lambda^{n-3}, ...,
@@ -117,19 +105,13 @@ def length_spectrum(m: SymPowerMatrix):
     an eigensolver), so every consecutive ratio is lambda^2 and every log is
     the translation length.
     """
-    if m.source is None:
-        raise ValueError("length spectrum needs the 2x2 source element")
-    _, _, length = axis_data(m.source if m.source.mode == FLOAT else _as_float(m.source))
-    return [Scalar(float(length.value)) for _ in range(m.n - 1)]
+    return [_translation_length(holonomy, n)] * (n - 1)
 
 
-def sym_eigenvalues(m: SymPowerMatrix):
-    """Eigenvalues of the symmetric power, descending, from the source element."""
-    if m.source is None:
-        raise ValueError("eigenvalues need the 2x2 source element")
-    _, _, length = axis_data(m.source if m.source.mode == FLOAT else _as_float(m.source))
-    lam = math.exp(float(length.value) / 2.0)
-    return [lam ** (m.n - 1 - 2 * k) for k in range(m.n)]
+def sym_eigenvalues(holonomy: Mobius, n: int):
+    """Eigenvalues of the n-th symmetric power of a 2x2 element, descending."""
+    lam = math.exp(_translation_length(holonomy, n) / 2.0)
+    return [lam ** (n - 1 - 2 * k) for k in range(n)]
 
 
 def _as_float(m: Mobius) -> Mobius:

@@ -32,7 +32,7 @@ def test_triangle_invariants_vanish(ds):
             for tri in (0, 1):
                 for pqr in bd.triple_indices(n):
                     tau = bd.triangle_invariant(ds, pid, tri, 0, *pqr, n)
-                    assert abs(float(tau.value)) < 1e-9
+                    assert abs(tau) < 1e-9
 
 
 def test_triangle_invariant_vertex_rotation(ds):
@@ -41,7 +41,7 @@ def test_triangle_invariant_vertex_rotation(ds):
     for (p, q, r) in bd.triple_indices(n):
         t0 = bd.triangle_invariant(ds, "P0", 0, 0, p, q, r, n)
         t1 = bd.triangle_invariant(ds, "P0", 0, 2, q, r, p, n)  # next clockwise
-        assert float(t0.value) == pytest.approx(float(t1.value), abs=1e-12)
+        assert t0 == pytest.approx(t1, abs=1e-12)
 
 
 def test_triangle_invariant_exact_log_argument():
@@ -61,7 +61,7 @@ def test_shearing_invariant_recovers_shear(ds):
             for leaf, value in SHEARS[pid].items():
                 for p in range(1, n):
                     sigma = bd.shearing_invariant(ds, pid, leaf, p, n)
-                    assert float(sigma.value) == pytest.approx(value, abs=1e-9)
+                    assert sigma == pytest.approx(value, abs=1e-9)
 
 
 def test_shearing_invariant_n2_reduces_to_classical(ds):
@@ -70,7 +70,7 @@ def test_shearing_invariant_n2_reduces_to_classical(ds):
             q = ds.pants[pid].leaf_quadruples[leaf]
             classical = shear_from_quadruple(q.y, q.zr, q.x, q.zl)
             sigma = bd.shearing_invariant(ds, pid, leaf, 1, 2)
-            assert float(sigma.value) == pytest.approx(float(classical.value), abs=1e-12)
+            assert sigma == pytest.approx(classical, abs=1e-12)
 
 
 # -- gluing invariants --------------------------------------------------------
@@ -82,14 +82,14 @@ def test_gluing_invariant_is_twice_the_twist(ds):
         for cid, t in ds.twists.items():
             for p in range(1, n):
                 theta = bd.gluing_invariant(ds, cid, p, n)
-                assert float(theta.value) == pytest.approx(2 * t, abs=1e-9)
+                assert theta == pytest.approx(2 * t, abs=1e-9)
 
 
 def test_gluing_invariant_n2_matches_cross_ratio(ds):
     for cid, chart in ds.curves.items():
-        z = float(chart.gluing_cross_ratio().value)
+        z = chart.gluing_cross_ratio()
         theta = bd.gluing_invariant(ds, cid, 1, 2)
-        assert float(theta.value) == pytest.approx(math.log(-1.0 / z), abs=1e-12)
+        assert theta == pytest.approx(math.log(-1.0 / z), abs=1e-12)
 
 
 # -- the vector ---------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_closed_leaf_sums_reduce_to_shear_sums(ds):
     # tau vanishes here, so R_p is just a signed sum of shears
     vec = bd.bd_vector(ds, 3)
     r1 = bd.closed_leaf_sums(vec, ds.spec, "C1", 1, "right")
-    assert float(r1.value) == pytest.approx(ds.curves["C1"].length, abs=1e-9)
+    assert r1 == pytest.approx(ds.curves["C1"].length, abs=1e-9)
 
 
 def test_closed_leaf_sums_both_vertex_rules_agree_on_fuchsian(ds):
@@ -138,7 +138,7 @@ def test_closed_leaf_sums_both_vertex_rules_agree_on_fuchsian(ds):
             for side in ("left", "right"):
                 a = bd.closed_leaf_sums(vec, ds.spec, cid, p, side, "verbatim")
                 b = bd.closed_leaf_sums(vec, ds.spec, cid, p, side, "swapped")
-                assert float(a.value) == pytest.approx(float(b.value), abs=1e-9)
+                assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_closed_leaf_length_spectrum(ds):

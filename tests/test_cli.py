@@ -35,6 +35,19 @@ def test_verify_unknown_suite():
     assert main(["verify", "--suite", "no-such-suite"]) == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    pytest.param(["invariants", "--input", SURFACE, "--n", "1"], "--n 1", id="invariants-n"),
+    pytest.param(["realize", "--input", SLICE, "--n", "1"], "--n 1", id="realize-n"),
+    pytest.param(["verify", "--suite", "pants", "--n", "1"], "--n 1", id="verify-n"),
+    pytest.param(["verify", "--suite", "pants", "--samples", "0"], "--samples 0",
+                 id="verify-samples"),
+])
+def test_out_of_range_arguments_exit_2(argv, bad, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert bad in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invariants_command(tmp_path, capsys):
     prefix = str(tmp_path / "inv")
     assert main(["invariants", "--input", SURFACE, "--n", "3",

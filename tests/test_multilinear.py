@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bdcoords.scalars import Scalar, ScalarModeError
+from bdcoords.flags import Flag
+from bdcoords.halfplane import Mobius, ProjPoint, fourth_point, wedge
+from bdcoords.scalars import ScalarModeError
+from bdcoords.veronese import veronese_flag
 from bdcoords.multilinear import (Matrix, band_det_bruteforce, band_det_formula,
                                   band_matrix, compare_band, compare_rhombus, det,
                                   ext_binomial, rhombus_det_bruteforce,
@@ -33,7 +36,7 @@ def test_det_float_partial_pivot():
     expected = cofactor_det([[Fraction(0), Fraction(2), Fraction(1)],
                              [Fraction(1), Fraction(1, 2), Fraction(-3)],
                              [Fraction(2), Fraction(1), Fraction(1)]])
-    assert det(Matrix(rows)).value == pytest.approx(float(expected), rel=1e-12)
+    assert det(Matrix(rows)) == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_det_requires_square():
@@ -65,18 +68,32 @@ def test_det_matches_cofactor_oracle_random():
             assert det(Matrix(rows)) == cofactor_det(rows)
 
 
-# -- scalars ----------------------------------------------------------------
+# -- the mode rule ----------------------------------------------------------
 
-def test_scalar_mixed_mode_arithmetic_rejected():
-    with pytest.raises(ScalarModeError):
-        Scalar.exact(1, 2) + Scalar.approx(0.5)
-    with pytest.raises(ScalarModeError):
-        Scalar.approx(0.5) * Fraction(1, 3)
+# Each case combines operands in the mode of u with the value v; v is a
+# scalar entry or argument, except for wedge, whose v is a second point.
+MODE_CASES = {
+    "Matrix": lambda u, v: Matrix([[u, v], [1, 2]]),
+    "Flag": lambda u, v: Flag([[u, v], [0, 1]]),
+    "ProjPoint": lambda u, v: ProjPoint(u, v),
+    "Mobius": lambda u, v: Mobius([[u, v], [0, 1]]),
+    "wedge": lambda u, v: wedge(ProjPoint(u, 1), ProjPoint(v, 1)),
+    "fourth_point": lambda u, v: fourth_point(ProjPoint(u, 1), ProjPoint(1, u),
+                                              ProjPoint(-u, 1), v),
+    "Flag.rescaled": lambda u, v: veronese_flag(ProjPoint(u, 1), 3).rescaled([v, v, v]),
+}
 
 
-def test_scalar_int_literals_lift_into_either_mode():
-    assert Scalar.exact(3, 2) * 2 == 3
-    assert Scalar.approx(1.5) * 2 == 3.0
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_exact_and_float_never_mix(case):
+    build = MODE_CASES[case]
+    for u, v in ((Fraction(1, 2), 0.25), (0.5, Fraction(1, 4))):
+        with pytest.raises(ScalarModeError):
+            build(u, v)
+    # a plain int lifts into either mode; a point of ints is exact
+    build(Fraction(1, 2), 3)
+    if case != "wedge":
+        build(0.5, 3)
 
 
 # -- extended binomials -----------------------------------------------------
@@ -133,9 +150,9 @@ def test_rhombus_2x2_documented_sign_mismatch():
 
 
 def test_rhombus_3x3_against_cofactor_oracle():
-    rows = [[x.value for x in row] for row in rhombus_matrix(3, 1, 2).entries]
+    rows = rhombus_matrix(3, 1, 2).raw_rows()
     assert rhombus_det_bruteforce(3, 1, 2) == cofactor_det(rows)
-    assert abs(rhombus_det_formula(3, 1, 2).value) == abs(cofactor_det(rows))
+    assert abs(rhombus_det_formula(3, 1, 2)) == abs(cofactor_det(rows))
 
 
 def test_rhombus_out_of_range_k():
@@ -189,7 +206,7 @@ def test_band_bruteforce_matches_cofactor_oracle():
     rng = random.Random(3)
     for _ in range(25):
         p, q, r = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 6)
-        rows = [[x.value for x in row] for row in band_matrix(p, q, r).entries]
+        rows = band_matrix(p, q, r).raw_rows()
         assert band_det_bruteforce(p, q, r) == cofactor_det(rows)
 
 

@@ -84,23 +84,23 @@ def test_boundary_lengths_symmetric():
     s = 0.7
     lengths = boundary_lengths(lam_I(), shears_I(s, s, s))
     for slot in (1, 2, 3):
-        assert float(lengths[slot].value) == pytest.approx(2 * s)
+        assert lengths[slot] == pytest.approx(2 * s)
 
 
 def test_boundary_lengths_asymmetric():
     lengths = boundary_lengths(lam_I(), shears_I(1.0, 3.0, 2.0))
-    assert float(lengths[1].value) == pytest.approx(4.0)  # |x12 + x13|
-    assert float(lengths[2].value) == pytest.approx(3.0)  # |x12 + x23|
-    assert float(lengths[3].value) == pytest.approx(5.0)  # |x13 + x23|
+    assert lengths[1] == pytest.approx(4.0)  # |x12 + x13|
+    assert lengths[2] == pytest.approx(3.0)  # |x12 + x23|
+    assert lengths[3] == pytest.approx(5.0)  # |x13 + x23|
 
 
 def test_boundary_lengths_type_II_counts_doubled_leaf_twice():
     lam = lam_II(1)
     s = PantsShearing.for_lamination(lam, {"B11": 0.3, "B12": 0.9, "B13": 0.5})
     lengths = boundary_lengths(lam, s)
-    assert float(lengths[1].value) == pytest.approx(2 * 0.3 + 0.9 + 0.5)
-    assert float(lengths[2].value) == pytest.approx(0.9)
-    assert float(lengths[3].value) == pytest.approx(0.5)
+    assert lengths[1] == pytest.approx(2 * 0.3 + 0.9 + 0.5)
+    assert lengths[2] == pytest.approx(0.9)
+    assert lengths[3] == pytest.approx(0.5)
 
 
 def test_boundary_lengths_rejects_invalid():
@@ -115,7 +115,7 @@ def test_develop_symmetric_pants_lengths():
     dp = develop_pants(lam_I(), shears_I(s, s, s))
     for slot in (1, 2, 3):
         att, rep, length = axis_data(dp.fans[slot].deck)
-        assert float(length.value) == pytest.approx(2 * s, abs=1e-12)
+        assert length == pytest.approx(2 * s, abs=1e-12)
 
 
 def test_develop_shear_round_trip():
@@ -123,7 +123,7 @@ def test_develop_shear_round_trip():
     for leaf, expected in (("B12", 0.4), ("B13", 1.3), ("B23", 0.8)):
         q = dp.leaf_quadruples[leaf]
         back = shear_from_quadruple(q.y, q.zr, q.x, q.zl)
-        assert float(back.value) == pytest.approx(expected, abs=1e-12)
+        assert back == pytest.approx(expected, abs=1e-12)
 
 
 def test_develop_rejects_invalid_shears():
@@ -143,7 +143,7 @@ def test_develop_base_chart_equivariance():
         q1, q2 = dp1.leaf_quadruples[leaf], dp2.leaf_quadruples[leaf]
         s1 = shear_from_quadruple(q1.y, q1.zr, q1.x, q1.zl)
         s2 = shear_from_quadruple(q2.y, q2.zr, q2.x, q2.zl)
-        assert float(s1.value) == pytest.approx(float(s2.value), abs=1e-10)
+        assert s1 == pytest.approx(s2, abs=1e-10)
 
 
 def test_develop_rejects_clockwise_base():
@@ -173,7 +173,7 @@ def test_develop_all_variants_prop_2_6():
         expected = boundary_lengths(lam, s)
         for slot in (1, 2, 3):
             assert dp.fans[slot].length == pytest.approx(
-                float(expected[slot].value), abs=1e-10)
+                expected[slot], abs=1e-10)
 
 
 # -- surface spec -------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_assembly_lengths_match_both_sides():
     for cid, chart in ds.curves.items():
         assert chart.length > 0
         att, rep, length = axis_data(chart.holonomy)
-        assert float(length.value) == pytest.approx(chart.length)
+        assert length == pytest.approx(chart.length)
 
 
 def test_assembly_rejects_length_mismatch():
@@ -240,16 +240,16 @@ def test_twist_moves_only_zl_exponentially():
     assert zl1 == pytest.approx(math.exp(2 * t) * zl0)
     assert c0.zr == c1.zr and c0.x == c1.x and c0.y == c1.y
     for cid in ("C2", "C3"):
-        assert float(ds0.curves[cid].gluing_cross_ratio().value) == pytest.approx(
-            float(ds1.curves[cid].gluing_cross_ratio().value))
+        assert ds0.curves[cid].gluing_cross_ratio() == pytest.approx(
+            ds1.curves[cid].gluing_cross_ratio())
 
 
 def test_twist_deform_zero_is_identity():
     ds = _simple_assembly({"C2": 0.4})
     ds2 = twist_deform(ds, "C2", 0.0)
     for cid in ds.curves:
-        assert float(ds.curves[cid].gluing_cross_ratio().value) == pytest.approx(
-            float(ds2.curves[cid].gluing_cross_ratio().value))
+        assert ds.curves[cid].gluing_cross_ratio() == pytest.approx(
+            ds2.curves[cid].gluing_cross_ratio())
 
 
 def test_twist_deform_composes():
@@ -257,8 +257,8 @@ def test_twist_deform_composes():
     t = 0.31
     once = twist_deform(twist_deform(ds, "C3", t), "C3", t)
     twice = twist_deform(ds, "C3", 2 * t)
-    assert float(once.curves["C3"].gluing_cross_ratio().value) == pytest.approx(
-        float(twice.curves["C3"].gluing_cross_ratio().value))
+    assert once.curves["C3"].gluing_cross_ratio() == pytest.approx(
+        twice.curves["C3"].gluing_cross_ratio())
 
 
 def test_twist_deform_unknown_curve():
@@ -268,27 +268,27 @@ def test_twist_deform_unknown_curve():
 
 def test_solve_twist_fixed_point():
     ds = _simple_assembly({"C1": 0.25})
-    w = math.log(-1.0 / float(ds.curves["C1"].gluing_cross_ratio().value))
+    w = math.log(-1.0 / ds.curves["C1"].gluing_cross_ratio())
     t0 = solve_twist(ds, "C1", w)
-    assert float(t0.value) == pytest.approx(0.0, abs=1e-12)
+    assert t0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_solve_twist_reaches_target():
     ds = _simple_assembly()
     for w in (-1.5, 0.0, 2.0):
         t0 = solve_twist(ds, "C2", w)
-        moved = twist_deform(ds, "C2", float(t0.value))
-        z = float(moved.curves["C2"].gluing_cross_ratio().value)
+        moved = twist_deform(ds, "C2", t0)
+        z = moved.curves["C2"].gluing_cross_ratio()
         assert z == pytest.approx(-math.exp(-w), abs=1e-12)
 
 
 def test_solve_twist_round_trip_to_origin():
     ds = _simple_assembly()
-    w0 = math.log(-1.0 / float(ds.curves["C3"].gluing_cross_ratio().value))
+    w0 = math.log(-1.0 / ds.curves["C3"].gluing_cross_ratio())
     t1 = solve_twist(ds, "C3", 1.3)
-    ds1 = twist_deform(ds, "C3", float(t1.value))
+    ds1 = twist_deform(ds, "C3", t1)
     t2 = solve_twist(ds1, "C3", w0)
-    assert float(t1.value) + float(t2.value) == pytest.approx(0.0, abs=1e-10)
+    assert t1 + t2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_assembly_left_right_sides():
@@ -319,12 +319,12 @@ def test_assembly_equivariant_under_base_chart_change():
     for cid in spec.curves:
         c1, c2 = ds1.curves[cid], ds2.curves[cid]
         assert c1.length == pytest.approx(c2.length, abs=1e-10)
-        assert float(c1.gluing_cross_ratio().value) == pytest.approx(
-            float(c2.gluing_cross_ratio().value), abs=1e-10)
+        assert c1.gluing_cross_ratio() == pytest.approx(
+            c2.gluing_cross_ratio(), abs=1e-10)
     for pid in spec.pants:
         for leaf in spec.pants[pid].leaves():
             q1 = ds1.pants[pid].leaf_quadruples[leaf]
             q2 = ds2.pants[pid].leaf_quadruples[leaf]
             s1 = shear_from_quadruple(q1.y, q1.zr, q1.x, q1.zl)
             s2 = shear_from_quadruple(q2.y, q2.zr, q2.x, q2.zl)
-            assert float(s1.value) == pytest.approx(float(s2.value), abs=1e-10)
+            assert s1 == pytest.approx(s2, abs=1e-10)

@@ -29,13 +29,13 @@ CLOCKWISE = (0, 2, 1)   # corner order of the canonical vertex's triple ratio
 
 def general_log_triples(pts, n):
     fs = [veronese_flag(p, n) for p in pts]
-    return {pqr: math.log(float(triple_ratio(*fs, *pqr).value))
+    return {pqr: math.log(float(triple_ratio(*fs, *pqr)))
             for pqr in bd.triple_indices(n)}
 
 
 def general_log_doubles(pts, n):
     fs = [veronese_flag(x, n) for x in pts]
-    return {p: math.log(float(double_ratio(*fs, p).value)) for p in range(1, n)}
+    return {p: math.log(float(double_ratio(*fs, p))) for p in range(1, n)}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
