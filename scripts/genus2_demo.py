@@ -38,14 +38,14 @@ def main():
     print(f"\n== closed leaf condition (max deviation {report.max_deviation():.2e})")
     for cid, p, right, left, length in report.entries:
         print(f"  {cid} p={p}:  R={right:.12f}  L={left:.12f}  l={length:.12f}")
-    ok, _ = bd.polytope_membership(vec, spec)
+    ok, _ = bd.polytope_membership(report)
     print(f"  polytope membership: {ok}   slice membership: {bd.slice_membership(vec)}")
 
     target = bd.SlicePoint(
         shears={"P0": {"B12": 1.0, "B13": 1.0, "B23": 1.0},
                 "P1": {"B12": 1.0, "B13": 1.0, "B23": 1.0}},
         gluing={"C1": 0.0, "C2": 0.7, "C3": -1.2})
-    realized = bd.realize_slice(target, spec, n)
+    realized = bd.realize_slice(target, spec)
     dev = bd.roundtrip_deviation(bd.bd_vector(realized, n), target)
     print(f"\n== slice realization: shears 1.0, gluing (0, 0.7, -1.2)")
     print(f"  solved twists: { {c: round(t, 6) for c, t in sorted(realized.twists.items())} }")

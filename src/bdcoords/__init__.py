@@ -18,7 +18,7 @@ from .veronese import irrep_n, length_spectrum, veronese_flag
 from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,
                        PantsLamination, PantsShearing, SurfaceSpec, SurfaceSpecError,
                        UnreachableTwistError, assemble_surface, boundary_lengths,
-                       develop_pants, genus2_spec, solve_twist, twist_deform,
+                       develop_pants, genus2_spec, solve_twist,
                        validate_shears)
 from .bd import (BDVector, ClosedLeafReport, SlicePoint, bd_vector,
                  closed_leaf_report, closed_leaf_sums, dimension_counts,

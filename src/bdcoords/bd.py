@@ -35,10 +35,8 @@ from .flags import DegenerateFlagError
 from .halfplane import ProjPoint
 from .multilinear import _det_int_bareiss
 from .veronese import flag_rows, length_spectrum
-from .surfaces import (AssemblyError, DevelopedSurface, LaminationError,
-                       PantsShearing, SurfaceSpec, SLOTS, UnreachableTwistError,
-                       assemble_surface, boundary_lengths, fan_cycle, solve_twist,
-                       validate_shears)
+from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
+                       UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
 DEFAULT_TOL = 1e-9
 
@@ -369,6 +367,10 @@ class ClosedLeafReport:
 def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
                        vertex_rule: str = "verbatim") -> ClosedLeafReport:
     """R_p, L_p and the symmetric-power length l_p for every curve and p."""
+    if v.size() != expected_size(ds.spec, v.n):
+        raise ValueError(
+            f"invariant vector has {v.size()} coordinates, surface needs "
+            f"{expected_size(ds.spec, v.n)} at n = {v.n}")
     entries = []
     for cid in sorted(ds.curves):
         spectrum = length_spectrum(ds.curves[cid].holonomy, v.n)
@@ -379,24 +381,18 @@ def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
     return ClosedLeafReport(n=v.n, entries=tuple(entries))
 
 
-def polytope_membership(v: BDVector, spec: SurfaceSpec, tol: float = DEFAULT_TOL):
+def polytope_membership(report: ClosedLeafReport, tol: float = DEFAULT_TOL):
     """Closed leaf condition: R_p = L_p (within tol) and R_p > 0, every curve.
 
-    Returns (ok, diagnostics); diagnostics name each violated constraint.
+    Reads the spiral sums of ``closed_leaf_report``.  Returns (ok,
+    diagnostics); diagnostics name each violated constraint.
     """
-    if v.size() != expected_size(spec, v.n):
-        raise ValueError(
-            f"invariant vector has {v.size()} coordinates, surface needs "
-            f"{expected_size(spec, v.n)} at n = {v.n}")
     problems = []
-    for cid in sorted(spec.curves):
-        for p in range(1, v.n):
-            r = closed_leaf_sums(v, spec, cid, p, "right")
-            l = closed_leaf_sums(v, spec, cid, p, "left")
-            if abs(r - l) > tol:
-                problems.append(f"{cid}: R_{p} = {r:.12g} != L_{p} = {l:.12g}")
-            if r <= 0:
-                problems.append(f"{cid}: R_{p} = {r:.12g} is not positive")
+    for cid, p, r, l, _ in report.entries:
+        if abs(r - l) > tol:
+            problems.append(f"{cid}: R_{p} = {r:.12g} != L_{p} = {l:.12g}")
+        if r <= 0:
+            problems.append(f"{cid}: R_{p} = {r:.12g} is not positive")
     return (not problems), problems
 
 
@@ -464,38 +460,23 @@ def roundtrip_deviation(v: BDVector, sp: SlicePoint) -> float:
     return dev
 
 
-def realize_slice(sp: SlicePoint, spec: SurfaceSpec, n: int,
-                  tol: float = DEFAULT_TOL) -> DevelopedSurface:
-    """Construct a developed surface whose rank-n invariants realize sp.
+def realize_slice(sp: SlicePoint, spec: SurfaceSpec) -> DevelopedSurface:
+    """Construct the hyperbolic surface realizing the slice point sp.
 
-    Each pants gets the hyperbolic structure with the prescribed shears (the
-    per-pants ranges are checked and violations named); matching boundary
-    lengths let the pants glue, and each curve's twist is then solved so the
-    gluing invariant hits the prescribed value.  A curve's chart depends only
-    on its own twist, so every solve is checked once, on the returned surface:
-    its gluing cross ratio must be -exp(-gluing) to 1e-9 (relative).
+    The surface does not depend on a rank: its invariants realize sp at
+    every n.  Each pants gets the hyperbolic structure with the prescribed
+    shears, and each curve's twist is then solved so the gluing invariant
+    hits the prescribed value.  Every fact is checked once, by the code that
+    computes it: ``develop_pants`` checks each pants' shear range (the error
+    names the pants and its signed spiral sums), ``assemble_surface`` checks
+    that the boundary lengths match across each curve (the error names the
+    curve), and, since a curve's chart depends only on its own twist, every
+    twist solve is checked on the returned surface: its gluing cross ratio
+    must be -exp(-gluing) to 1e-9 (relative).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    shearings = {}
-    for pid, lam in spec.pants.items():
-        shearing = PantsShearing.for_lamination(lam, sp.shears[pid])
-        if not validate_shears(lam, shearing):
-            raise LaminationError(
-                f"slice point violates the shear range of pants {pid}: "
-                f"need sign * (spiral sums) > 0, got sums "
-                f"{ {s: sum(shearing[st.leaf] for st in fan_cycle(lam, s)) for s in SLOTS} }")
-        shearings[pid] = shearing
-    for cid in spec.curves:
-        (pl, sl, _), (pr, sr, _) = (spec.side(cid, "left"), spec.side(cid, "right"))
-        ll = boundary_lengths(spec.pants[pl], shearings[pl])[sl]
-        lr = boundary_lengths(spec.pants[pr], shearings[pr])[sr]
-        if abs(ll - lr) > tol * max(1.0, ll):
-            raise AssemblyError(
-                f"slice point mismatches lengths across {cid}: {ll:.12g} vs {lr:.12g}")
-    base = assemble_surface(spec, shearings, {cid: 0.0 for cid in spec.curves})
+    base = assemble_surface(spec, sp.shears, {cid: 0.0 for cid in spec.curves})
     twists = {cid: solve_twist(base, cid, sp.gluing[cid]) for cid in spec.curves}
-    ds = assemble_surface(spec, shearings, twists)
+    ds = assemble_surface(spec, sp.shears, twists)
     for cid, chart in ds.curves.items():
         r = -math.exp(-float(sp.gluing[cid]))
         residual = abs(chart.gluing_cross_ratio() - r)

@@ -148,7 +148,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     ds = assemble_surface(spec, shears, twists)
     vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
-    ok, problems = bd.polytope_membership(vec, spec, args.tol)
+    ok, problems = bd.polytope_membership(report, args.tol)
     payload = {
         "surface": spec_to_dict(spec),
         "n": args.n,
@@ -173,7 +173,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     shears = {pid: dict(data["shears"][pid]) for pid in spec.pants}
     gluing = {cid: float(data["gluing"][cid]) for cid in spec.curves}
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
-    ds = bd.realize_slice(sp, spec, args.n, args.tol)
+    ds = bd.realize_slice(sp, spec)
     vec = bd.bd_vector(ds, args.n)
     deviation = bd.roundtrip_deviation(vec, sp)
     payload = {
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_real = sub.add_parser("realize", help="realize a slice-point JSON file")
     p_real.add_argument("--input", required=True)
     p_real.add_argument("--n", type=int, required=True)
-    p_real.add_argument("--tol", type=float, default=bd.DEFAULT_TOL)
     p_real.add_argument("--out", help="output path prefix (default 'realize')")
     return parser
 

@@ -367,10 +367,6 @@ class FanData:
         raise SurfaceSpecError(
             f"triangle {triangle} has no spike at boundary {self.slot}")
 
-    def fan_vertex(self) -> ProjPoint:
-        """The common spike point of the fan (an axis endpoint)."""
-        return self.placed[0].pts[self.steps[0].corner]
-
 
 @dataclass(frozen=True)
 class LeafQuadruple:
@@ -389,13 +385,9 @@ class LeafQuadruple:
 @dataclass(frozen=True)
 class DevelopedPants:
     lam: PantsLamination
-    shears: PantsShearing
     triangles: dict          # tri -> Placed (one lift of each triangle)
     leaf_quadruples: dict    # leaf -> LeafQuadruple
     fans: dict               # slot -> FanData
-
-    def boundary_holonomy(self, slot: int) -> Mobius:
-        return self.fans[slot].deck
 
 
 _BASE_POINTS = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(1.0, 0.0))
@@ -412,7 +404,10 @@ def develop_pants(lam: PantsLamination, s: PantsShearing,
     """
     s = PantsShearing.for_lamination(lam, s.values)
     if not validate_shears(lam, s):
-        raise LaminationError("shears outside the valid range for this lamination")
+        simple = " and positive simple leaves" if lam.kind == "II" else ""
+        raise LaminationError(
+            f"shears outside the valid range: need sign * (spiral sums) > 0{simple}, "
+            f"got sums {signed_boundary_sums(lam, s)}")
     tables = tables_for(lam)
     pts = tuple(base_points) if base_points is not None else _BASE_POINTS
     if len(pts) != 3 or orientation(*pts) <= 0:
@@ -470,7 +465,7 @@ def develop_pants(lam: PantsLamination, s: PantsShearing,
         fans[slot] = FanData(slot=slot, steps=tuple(steps), placed=tuple(placed),
                              deck=deck, attracting=att, repelling=rep,
                              length=length, shear_sum=shear_sum)
-    return DevelopedPants(lam=lam, shears=s, triangles=triangles,
+    return DevelopedPants(lam=lam, triangles=triangles,
                           leaf_quadruples=quadruples, fans=fans)
 
 
@@ -561,9 +556,6 @@ class CurveChart:
     zl: ProjPoint
     zr: ProjPoint
     holonomy: Mobius
-    left_map: Mobius          # left pants chart -> curve chart (twist included)
-    right_map: Mobius
-    fan_vertex_attracting: dict   # side -> bool: spike point of that side's fan
 
     def gluing_cross_ratio(self) -> float:
         return cross_ratio(self.y, self.zr, self.x, self.zl)
@@ -572,7 +564,6 @@ class CurveChart:
 @dataclass(frozen=True)
 class DevelopedSurface:
     spec: SurfaceSpec
-    shears: dict             # pants_id -> PantsShearing
     twists: dict             # curve_id -> float
     pants: dict              # pants_id -> DevelopedPants
     curves: dict             # curve_id -> CurveChart
@@ -598,23 +589,25 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                      base_points: dict | None = None) -> DevelopedSurface:
     """Develop every pants and glue them with the given twists.
 
-    Both sides of each curve must develop the same boundary length (relative
-    tolerance 1e-9).  Per curve, both sides are normalized onto the axis
-    (0, oo) with matching translation direction and the left side is
-    post-composed with the twist along the axis.
+    ``develop_pants`` checks each pants' shear range; its errors are raised
+    again with the pants id in front.  Both sides of each curve must develop
+    the same boundary length (relative tolerance 1e-9); this is the one
+    length check, and its error names the curve.  Per curve, both sides are
+    normalized onto the axis (0, oo) with matching translation direction and
+    the left side is post-composed with the twist along the axis.
 
     base_points optionally places each pants' base triangle elsewhere; all
     invariants are unchanged (the per-curve normalization eats the chart).
     """
-    shears = {pid: PantsShearing.for_lamination(spec.pants[pid], shears[pid].values
-                                                if isinstance(shears[pid], PantsShearing)
-                                                else shears[pid])
-              for pid in spec.pants}
     twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     base_points = base_points or {}
-    developed = {pid: develop_pants(spec.pants[pid], shears[pid],
-                                    base_points=base_points.get(pid))
-                 for pid in spec.pants}
+    developed = {}
+    for pid, lam in spec.pants.items():
+        s = shears[pid] if isinstance(shears[pid], PantsShearing) else PantsShearing(shears[pid])
+        try:
+            developed[pid] = develop_pants(lam, s, base_points=base_points.get(pid))
+        except (LaminationError, AssemblyError) as exc:
+            raise type(exc)(f"pants {pid}: {exc}") from exc
 
     charts = {}
     for cid in spec.curves:
@@ -629,16 +622,13 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
         length = fan_l.length
 
         # convention 3: ends[0] is the left side, whose induced boundary
-        # orientation agrees with the curve's; the right side opposes it.
-        rho_left = fan_l.deck
-        rho_right = fan_r.deck.inverse()
-
+        # orientation agrees with the curve's; the right side opposes it, so
+        # its fan's attracting and repelling points trade places.
         maps = {}
-        fan_vertex_att = {}
         raw_vertex = {}
-        for side, fan, rho, tri in (("left", fan_l, rho_left, tri_l),
-                                    ("right", fan_r, rho_right, tri_r)):
-            att, rep, _ = axis_data(rho)
+        for side, fan, tri, att, rep in (
+                ("left", fan_l, tri_l, fan_l.attracting, fan_l.repelling),
+                ("right", fan_r, tri_r, fan_r.repelling, fan_r.attracting)):
             norm = _normalizer_to_axis(att, rep)
             z_raw = fan.plaque_vertex_for_arc(tri)
             z0 = _affine_value(norm(z_raw))
@@ -649,35 +639,20 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                 raise AssemblyError(
                     f"curve {cid}: {side} side developed on the wrong side of the axis")
             maps[side] = Mobius.scaling(1.0 / abs(z0)) @ norm
-            v = fan.fan_vertex()
-            fan_vertex_att[side] = abs(wedge(v, att)) < abs(wedge(v, rep))
             raw_vertex[side] = z_raw
 
         t = twists[cid]
         left_map = twist_map(ProjPoint.infinity("float"), ProjPoint(0.0, 1.0), t) @ maps["left"]
-        right_map = maps["right"]
         zl = left_map(raw_vertex["left"])
-        zr = right_map(raw_vertex["right"])
+        zr = maps["right"](raw_vertex["right"])
         half = math.exp(length / 2.0)
         charts[cid] = CurveChart(
             curve_id=cid, length=length, twist=t,
             x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
             zl=zl, zr=zr,
-            holonomy=Mobius([[half, 0.0], [0.0, 1.0 / half]]),
-            left_map=left_map, right_map=right_map,
-            fan_vertex_attracting=fan_vertex_att)
+            holonomy=Mobius([[half, 0.0], [0.0, 1.0 / half]]))
 
-    return DevelopedSurface(spec=spec, shears=shears, twists=twists,
-                            pants=developed, curves=charts)
-
-
-def twist_deform(ds: DevelopedSurface, curve_id: str, t) -> DevelopedSurface:
-    """Re-glue with the named curve's twist incremented by t."""
-    if curve_id not in ds.curves:
-        raise KeyError(f"unknown curve {curve_id!r}")
-    twists = dict(ds.twists)
-    twists[curve_id] = twists[curve_id] + float(t)
-    return assemble_surface(ds.spec, ds.shears, twists)
+    return DevelopedSurface(spec=spec, twists=twists, pants=developed, curves=charts)
 
 
 def solve_twist(ds: DevelopedSurface, curve_id: str, target_w) -> float:
@@ -685,9 +660,12 @@ def solve_twist(ds: DevelopedSurface, curve_id: str, target_w) -> float:
     -exp(-target_w).
 
     In the normalized chart the cross ratio is a strictly monotone Moebius
-    function of exp(2t), so the solve is closed-form.  The solve does not
-    re-glue to check itself: ``bd.realize_slice`` checks the gluing cross
-    ratio of every curve on the surface it assembles.
+    function of exp(2t), so the solve is closed-form: re-gluing with the
+    curve's twist raised by t0 (``assemble_surface`` with the new twists)
+    reaches the target.  The solve does not re-glue to check itself;
+    ``bd.realize_slice`` checks the gluing cross ratio of every curve on the
+    surface it assembles.  A curve's chart depends only on its own twist, so
+    the increments of several curves can be applied together.
     """
     if curve_id not in ds.curves:
         raise KeyError(f"unknown curve {curve_id!r}")

@@ -9,6 +9,7 @@ from bdcoords.halfplane import ProjPoint, shear_from_quadruple
 from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
                                AssemblyError)
 from bdcoords.veronese import veronese_flag
+from bdcoords import verification
 from bdcoords.verification import sample_genus2
 
 SHEARS = {"P0": {"B12": 0.8, "B13": 0.6, "B23": 1.1},
@@ -153,7 +154,7 @@ def test_closed_leaf_length_spectrum(ds):
 
 def test_polytope_membership(ds):
     vec = bd.bd_vector(ds, 3)
-    ok, problems = bd.polytope_membership(vec, ds.spec)
+    ok, problems = bd.polytope_membership(bd.closed_leaf_report(vec, ds))
     assert ok and not problems
 
 
@@ -162,7 +163,7 @@ def test_polytope_membership_detects_violation(ds):
     broken = bd.BDVector(n=3, tau=vec.tau,
                          sigma={k: -v for k, v in vec.sigma.items()},
                          theta=vec.theta)
-    ok, problems = bd.polytope_membership(broken, ds.spec)
+    ok, problems = bd.polytope_membership(bd.closed_leaf_report(broken, ds))
     assert not ok and problems
 
 
@@ -171,7 +172,7 @@ def test_polytope_membership_zero_vector(ds):
     zero = bd.BDVector(n=3, tau={k: 0.0 for k in vec.tau},
                        sigma={k: 0.0 for k in vec.sigma},
                        theta={k: 0.0 for k in vec.theta})
-    ok, problems = bd.polytope_membership(zero, ds.spec)
+    ok, problems = bd.polytope_membership(bd.closed_leaf_report(zero, ds))
     assert not ok
     assert any("not positive" in p for p in problems)
 
@@ -192,7 +193,7 @@ def test_realize_slice_flat_point():
     spec = genus2_spec()
     shears = {pid: {leaf: 1.0 for leaf in ("B12", "B13", "B23")} for pid in ("P0", "P1")}
     sp = bd.SlicePoint(shears=shears, gluing={"C1": 0.0, "C2": 0.0, "C3": 0.0})
-    ds = bd.realize_slice(sp, spec, 3)
+    ds = bd.realize_slice(sp, spec)
     vec = bd.bd_vector(ds, 3)
     for v in vec.tau.values():
         assert abs(v) < 1e-9
@@ -209,7 +210,7 @@ def test_realize_slice_round_trip_from_assembly():
     n = 4
     vec = bd.bd_vector(ds, n)
     sp = bd.slice_point_of(vec, spec)
-    ds2 = bd.realize_slice(sp, spec, n)
+    ds2 = bd.realize_slice(sp, spec)
     vec2 = bd.bd_vector(ds2, n)
     for key in vec.sigma:
         assert vec2.sigma[key] == pytest.approx(vec.sigma[key], abs=1e-9)
@@ -224,7 +225,7 @@ def test_realize_slice_rejects_range_violation():
     shears = {pid: {"B12": -1.0, "B13": -1.0, "B23": 1.0} for pid in ("P0", "P1")}
     sp = bd.SlicePoint(shears=shears, gluing={"C1": 0.0, "C2": 0.0, "C3": 0.0})
     with pytest.raises(LaminationError, match="P0"):
-        bd.realize_slice(sp, spec, 3)
+        bd.realize_slice(sp, spec)
 
 
 def test_realize_slice_rejects_length_mismatch():
@@ -233,7 +234,17 @@ def test_realize_slice_rejects_length_mismatch():
               "P1": {"B12": 1.5, "B13": 1.5, "B23": 1.5}}
     sp = bd.SlicePoint(shears=shears, gluing={"C1": 0.0, "C2": 0.0, "C3": 0.0})
     with pytest.raises(AssemblyError, match="C1"):
-        bd.realize_slice(sp, spec, 3)
+        bd.realize_slice(sp, spec)
+
+
+def test_roundtrip_suite_realizes_once_per_case(monkeypatch):
+    realized = []
+    realize = bd.realize_slice
+    monkeypatch.setattr(bd, "realize_slice", lambda *a: realized.append(a) or realize(*a))
+    report = verification.run_roundtrip(n_values=(2, 3, 4), seeds=3, seed=5)
+    assert report.passed, report.failures
+    assert len(realized) == 3
+    assert report.cases == 3 * 3 * 2   # seeds x len(n_values) x (round trip, residual)
 
 
 # -- dimension bookkeeping ----------------------------------------------------
@@ -275,9 +286,10 @@ def test_type_II_assembly_invariants():
         for (pid, leaf, _p), v in vec.sigma.items():
             assert v == pytest.approx(shears[pid][leaf], abs=1e-9)
         assert bd.slice_membership(vec)
-        ok, problems = bd.polytope_membership(vec, spec)
+        report = bd.closed_leaf_report(vec, ds)
+        ok, problems = bd.polytope_membership(report)
         assert ok, problems
-        assert bd.closed_leaf_report(vec, ds).max_deviation() < 1e-9
+        assert report.max_deviation() < 1e-9
 
 
 def test_self_glued_handle_decomposition():
@@ -299,11 +311,12 @@ def test_self_glued_handle_decomposition():
         vec = bd.bd_vector(ds, n)
         for v in vec.tau.values():
             assert abs(v) < 1e-9
-        ok, problems = bd.polytope_membership(vec, spec)
+        report = bd.closed_leaf_report(vec, ds)
+        ok, problems = bd.polytope_membership(report)
         assert ok, problems
-        assert bd.closed_leaf_report(vec, ds).max_deviation() < 1e-9
+        assert report.max_deviation() < 1e-9
     sp = bd.slice_point_of(bd.bd_vector(ds, 3), spec)
-    ds2 = bd.realize_slice(sp, spec, 3)
+    ds2 = bd.realize_slice(sp, spec)
     vec2 = bd.bd_vector(ds2, 3)
     for key, v in bd.bd_vector(ds, 3).theta.items():
         assert vec2.theta[key] == pytest.approx(v, abs=1e-9)
@@ -314,7 +327,7 @@ def test_polytope_membership_rejects_size_mismatch(ds):
     truncated = bd.BDVector(n=3, tau=vec.tau, sigma=vec.sigma,
                             theta={k: v for k, v in vec.theta.items() if k[1] == 1})
     with pytest.raises(ValueError, match="coordinates"):
-        bd.polytope_membership(truncated, ds.spec)
+        bd.closed_leaf_report(truncated, ds)
 
 
 def test_realize_slice_type_II():
@@ -331,7 +344,7 @@ def test_realize_slice_type_II():
     sp = bd.SlicePoint(
         shears={p: {"B11": -0.2, "B12": 0.8, "B13": 1.1} for p in ("P0", "P1")},
         gluing={"C1": 0.5, "C2": -0.9, "C3": 0.0})
-    ds = bd.realize_slice(sp, spec, 4)
+    ds = bd.realize_slice(sp, spec)
     assert ds.curves["C1"].length == pytest.approx(abs(2 * (-0.2) + 0.8 + 1.1), abs=1e-12)
     vec = bd.bd_vector(ds, 4)
     for (pid, leaf, _p), v in vec.sigma.items():

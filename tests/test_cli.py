@@ -101,6 +101,36 @@ def test_realize_rejects_invalid_slice_point(tmp_path, capsys):
     assert "P0" in capsys.readouterr().err
 
 
+def test_realize_rejects_length_mismatch(tmp_path, capsys):
+    bad = json.loads(open(SLICE).read())
+    # boundary lengths (x12 + x13, x12 + x23, x13 + x23): only C1's differ
+    bad["shears"]["P1"] = {"B12": 1.2, "B13": 1.2, "B23": 0.8}
+    path = tmp_path / "bad_slice.json"
+    path.write_text(json.dumps(bad))
+    assert main(["realize", "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "curve C1: boundary lengths differ" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("suite, n, cases, ratio", [
+    pytest.param("triple-ratio", 8, 20 * 21, "triple ratio", id="triple-n8"),
+    pytest.param("double-ratio", 10, 20 * 9, "double ratio", id="double-n10"),
+])
+def test_float_suite_breakdown_is_a_failed_case(suite, n, cases, ratio, tmp_path, capsys):
+    # seed 1 draws configurations whose float wedge factors fall below the
+    # 1e-12 genericity threshold at these ranks
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--float", "--n", str(n),
+                 "--samples", "20", "--seed", "1", "--out", str(out)]) == 1
+    assert f"[FAIL] {suite} cases={cases}" in capsys.readouterr().out
+    (report,) = json.loads(out.read_text())
+    assert report["passed"] is False and report["cases"] == cases
+    assert any(f.startswith("case ") and f.endswith(f"vanishing wedge factor in {ratio} at n = {n}")
+               for f in report["failures"])
+
+
 def test_outputs_are_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
     for prefix in (p1, p2):

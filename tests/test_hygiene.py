@@ -1,0 +1,39 @@
+"""Source hygiene: no module of the package imports a name it never uses.
+
+The package re-exports its public names from ``__init__.py``, so only the
+other modules are checked.  The check reads the source with ``ast``: a name
+counts as used when it appears as an identifier anywhere in the module
+(attribute chains such as ``bd.bd_vector`` use ``bd``).
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bdcoords"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the source never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    source = "import math\nfrom .surfaces import SLOTS, leaf_name\nprint(leaf_name(1, 2))\n"
+    assert unused_imports(source) == [(1, "math"), (2, "SLOTS")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -8,8 +8,7 @@ from bdcoords.surfaces import (AssemblyError, CurveData, LaminationError,
                                PantsLamination, PantsShearing, SurfaceSpec,
                                SurfaceSpecError, assemble_surface,
                                boundary_lengths, develop_pants, fan_cycle,
-                               genus2_spec, solve_twist, twist_deform,
-                               validate_shears)
+                               genus2_spec, solve_twist, validate_shears)
 from bdcoords.verification import (lamination_variants, sample_genus2,
                                    sample_valid_shears)
 
@@ -230,10 +229,19 @@ def test_assembly_rejects_length_mismatch():
         assemble_surface(spec, shears, {})
 
 
+def test_assembly_names_pants_out_of_range():
+    spec = genus2_spec()
+    shears = {"P0": {"B12": 1.0, "B13": 1.0, "B23": 1.0},
+              "P1": {"B12": -1.0, "B13": -1.0, "B23": 1.0}}
+    with pytest.raises(LaminationError,
+                       match=r"^pants P1: .*got sums \{1: -2\.0, 2: 0\.0, 3: 0\.0\}$"):
+        assemble_surface(spec, shears, {})
+
+
 def test_twist_moves_only_zl_exponentially():
     ds0 = _simple_assembly({"C1": 0.0})
     t = 0.37
-    ds1 = twist_deform(ds0, "C1", t)
+    ds1 = _simple_assembly({"C1": t})
     c0, c1 = ds0.curves["C1"], ds1.curves["C1"]
     zl0 = float(c0.zl.a) / float(c0.zl.b)
     zl1 = float(c1.zl.a) / float(c1.zl.b)
@@ -244,26 +252,9 @@ def test_twist_moves_only_zl_exponentially():
             ds1.curves[cid].gluing_cross_ratio())
 
 
-def test_twist_deform_zero_is_identity():
-    ds = _simple_assembly({"C2": 0.4})
-    ds2 = twist_deform(ds, "C2", 0.0)
-    for cid in ds.curves:
-        assert ds.curves[cid].gluing_cross_ratio() == pytest.approx(
-            ds2.curves[cid].gluing_cross_ratio())
-
-
-def test_twist_deform_composes():
-    ds = _simple_assembly()
-    t = 0.31
-    once = twist_deform(twist_deform(ds, "C3", t), "C3", t)
-    twice = twist_deform(ds, "C3", 2 * t)
-    assert once.curves["C3"].gluing_cross_ratio() == pytest.approx(
-        twice.curves["C3"].gluing_cross_ratio())
-
-
-def test_twist_deform_unknown_curve():
-    with pytest.raises(KeyError):
-        twist_deform(_simple_assembly(), "C9", 1.0)
+def test_solve_twist_unknown_curve():
+    with pytest.raises(KeyError, match="C9"):
+        solve_twist(_simple_assembly(), "C9", 1.0)
 
 
 def test_solve_twist_fixed_point():
@@ -277,7 +268,7 @@ def test_solve_twist_reaches_target():
     ds = _simple_assembly()
     for w in (-1.5, 0.0, 2.0):
         t0 = solve_twist(ds, "C2", w)
-        moved = twist_deform(ds, "C2", t0)
+        moved = _simple_assembly({"C2": t0})
         z = moved.curves["C2"].gluing_cross_ratio()
         assert z == pytest.approx(-math.exp(-w), abs=1e-12)
 
@@ -286,7 +277,7 @@ def test_solve_twist_round_trip_to_origin():
     ds = _simple_assembly()
     w0 = math.log(-1.0 / ds.curves["C3"].gluing_cross_ratio())
     t1 = solve_twist(ds, "C3", 1.3)
-    ds1 = twist_deform(ds, "C3", t1)
+    ds1 = _simple_assembly({"C3": t1})
     t2 = solve_twist(ds1, "C3", w0)
     assert t1 + t2 == pytest.approx(0.0, abs=1e-10)
 
