@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .scalars import serialize_value
 from .flags import DegenerateFlagError
 from .halfplane import ProjPoint
-from .multilinear import _det_int_bareiss
+from .multilinear import det_int
 from .veronese import flag_rows, length_spectrum
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
@@ -120,7 +120,7 @@ class WedgeTable:
     def wedge(self, *levels) -> int:
         value = self._wedges.get(levels)
         if value is None:
-            value = _det_int_bareiss(
+            value = det_int(
                 [row for flag, d in zip(self.flags, levels) for row in flag[:d]])
             if value == 0:
                 raise DegenerateFlagError(

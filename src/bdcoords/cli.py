@@ -71,7 +71,19 @@ def spec_from_dict(data: dict):
     return spec
 
 
+def _known_ids(section: str, data: dict, known, kind: str) -> dict:
+    """An input section keyed by object id, checked to name only objects of
+    the surface (``known``, the pants or the curves of the spec)."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise SurfaceSpecError(
+            f"{section} names unknown {kind} {', '.join(map(repr, unknown))}; "
+            f"the surface has {', '.join(map(repr, sorted(known)))}")
+    return data
+
+
 def shears_from_dict(spec: SurfaceSpec, data: dict) -> dict:
+    _known_ids("shears", data, spec.pants, "pants")
     shears = {}
     for pid, lam in spec.pants.items():
         if pid not in data:
@@ -144,7 +156,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         data = json.load(fh)
     spec = spec_from_dict(data)
     shears = shears_from_dict(spec, data.get("shears", {}))
-    twists = {cid: float(v) for cid, v in data.get("twists", {}).items()}
+    twists = {cid: float(v) for cid, v in
+              _known_ids("twists", data.get("twists", {}), spec.curves, "curve").items()}
     ds = assemble_surface(spec, shears, twists)
     vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
@@ -170,6 +183,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
+    _known_ids("shears", data["shears"], spec.pants, "pants")
+    _known_ids("gluing", data["gluing"], spec.curves, "curve")
     shears = {pid: dict(data["shears"][pid]) for pid in spec.pants}
     gluing = {cid: float(data["gluing"][cid]) for cid in spec.curves}
     sp = bd.SlicePoint(shears=shears, gluing=gluing)

@@ -12,6 +12,13 @@ top-degree wedge products of stacked leading blocks:
 Both are invariant under the projective linear action and under rescaling
 each flag's basis vectors; the identification of the top wedge power with the
 scalars is fixed once and for all as the standard-basis determinant.
+
+An exact flag clears each basis row to integers once, when it is built, as
+an integer row over a positive scale.  Every stacked wedge of exact flags is
+then one integer Bareiss determinant (``multilinear.det_int``) over the
+product of the stacked rows' scales, checked exactly nonzero.  Nothing is
+shared between calls: each ratio computes its own wedges from its own flags.
+Float flags use ``multilinear.det_raw`` and a relative genericity threshold.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
-from .multilinear import det_raw
+from .multilinear import det_int, det_raw, integer_row
 
 _FLOAT_RANK_TOL = 1e-12  # |det| > tol * (product of row norms) counts as nonzero
 
@@ -29,9 +36,10 @@ class DegenerateFlagError(ValueError):
 
 
 class Flag:
-    """A complete flag given by an ordered basis of R^n."""
+    """A complete flag given by an ordered basis of R^n; an exact flag also
+    keeps each row as (integer row, scale), see ``multilinear.integer_row``."""
 
-    __slots__ = ("n", "basis", "mode")
+    __slots__ = ("n", "basis", "mode", "_int_rows", "_scales")
 
     def __init__(self, basis):
         rows = [tuple(row) for row in basis]
@@ -39,11 +47,15 @@ class Flag:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("flag basis must be n vectors of length n")
         self.mode = infer_mode(x for row in rows for x in row)
-        conv = float if self.mode == FLOAT else Fraction
-        self.basis = tuple(tuple(conv(x) for x in row) for row in rows)
         self.n = n
-        d = det_raw(self.basis, self.mode)
-        if not _nonzero(d, self.basis, self.mode):
+        if self.mode == FLOAT:
+            self.basis = tuple(tuple(float(x) for x in row) for row in rows)
+        else:
+            self.basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            cleared = [integer_row(row) for row in rows]
+            self._int_rows = tuple(r for r, _ in cleared)
+            self._scales = tuple(s for _, s in cleared)
+        if not _wedge([(self, n)], self.mode)[1]:
             raise DegenerateFlagError("flag basis is not linearly independent")
 
     def level(self, d: int):
@@ -88,19 +100,26 @@ class FlagTuple:
         return len(self.flags)
 
 
-def _nonzero(value, rows, mode) -> bool:
+def _wedge(levels, mode):
+    """The stacked wedge of ``levels``, pairs (flag, d) taking the first d
+    basis vectors of each flag, and whether it counts as nonzero.
+
+    Exact flags stack their integer rows for one integer Bareiss
+    determinant, divided by the product of the row scales, and the zero
+    check is exact.  Float flags use ``det_raw`` and count as nonzero when
+    |det| exceeds _FLOAT_RANK_TOL times the product of the row norms.
+    """
     if mode == EXACT:
-        return value != 0
-    scale = 1.0
-    for row in rows:
-        scale *= math.sqrt(sum(float(x) * float(x) for x in row))
-    return abs(value) > _FLOAT_RANK_TOL * scale
-
-
-def stacked_wedge(blocks, mode):
-    """Raw determinant of the rows obtained by stacking the given blocks."""
-    rows = [row for block in blocks for row in block]
-    return det_raw(rows, mode)
+        rows, scale = [], 1
+        for flag, d in levels:
+            rows.extend(flag._int_rows[:d])
+            scale *= math.prod(flag._scales[:d])
+        value = det_int(rows)
+        return Fraction(value, scale), value != 0
+    rows = [row for flag, d in levels for row in flag.basis[:d]]
+    value = det_raw(rows, mode)
+    norms = math.prod(math.sqrt(sum(x * x for x in row)) for row in rows)
+    return value, abs(value) > _FLOAT_RANK_TOL * norms
 
 
 def _compositions(n: int, k: int):
@@ -119,19 +138,13 @@ def is_generic(t: FlagTuple) -> bool:
     For each composition (n_1, ..., n_k) of n, the wedge of the first n_1
     vectors of flag 1, first n_2 of flag 2, ... must be nonzero.
     """
-    n = t.n
-    for comp in _compositions(n, len(t)):
-        blocks = [f.level(d) for f, d in zip(t, comp)]
-        value = stacked_wedge(blocks, t.mode)
-        if not _nonzero(value, [r for b in blocks for r in b], t.mode):
-            return False
-    return True
+    return all(_wedge(zip(t, comp), t.mode)[1]
+               for comp in _compositions(t.n, len(t)))
 
 
-def _guarded_wedge(blocks, mode, what: str):
-    rows = [row for block in blocks for row in block]
-    value = det_raw(rows, mode)
-    if not _nonzero(value, rows, mode):
+def _guarded_wedge(levels, mode, what: str):
+    value, nonzero = _wedge(levels, mode)
+    if not nonzero:
         raise DegenerateFlagError(f"vanishing wedge factor in {what}")
     return value
 
@@ -154,8 +167,7 @@ def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int):
         raise ValueError(f"need p, q, r >= 1 with p + q + r = {n}, got {(p, q, r)}")
 
     def w(dp, dq, dr):
-        return _guarded_wedge(
-            [E.level(dp), F.level(dq), G.level(dr)], mode, "triple ratio")
+        return _guarded_wedge([(E, dp), (F, dq), (G, dr)], mode, "triple ratio")
 
     num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
     den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
@@ -176,8 +188,7 @@ def double_ratio(E: Flag, F: Flag, G: Flag, Gp: Flag, p: int):
         raise ValueError(f"need 1 <= p <= {n - 1}, got {p}")
 
     def w(dp, dq, last: Flag):
-        return _guarded_wedge(
-            [E.level(dp), F.level(dq), last.level(1)], mode, "double ratio")
+        return _guarded_wedge([(E, dp), (F, dq), (last, 1)], mode, "double ratio")
 
     num = w(p, n - p - 1, G) * w(p - 1, n - p, Gp)
     den = w(p, n - p - 1, Gp) * w(p - 1, n - p, G)

@@ -75,8 +75,8 @@ class Matrix:
         return f"Matrix({[list(r) for r in self._rows]!r})"
 
 
-def _det_int_bareiss(rows) -> int:
-    """Bareiss over python ints (all divisions are exact)."""
+def det_int(rows) -> int:
+    """Determinant of integer rows by Bareiss elimination (all divisions are exact)."""
     n = len(rows)
     a = [list(row) for row in rows]
     sign = 1
@@ -101,11 +101,21 @@ def _det_int_bareiss(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def integer_row(row):
+    """An exact row as (integer row, scale), the row being integer row / scale.
+
+    The scale is the lcm of the row's denominators, so it is 1 exactly when
+    every entry is an integer.
+    """
+    scale = math.lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (scale // x.denominator) for x in row), scale
+
+
 def det_raw(rows, mode: str):
     """Determinant on raw row data; returns a raw Fraction or float.
 
-    Exact rows are scaled to integers by the lcm of their denominators, so
-    integer Bareiss elimination serves integral and rational input alike.
+    Exact rows are cleared to integers by :func:`integer_row`, so integer
+    Bareiss elimination serves integral and rational input alike.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -116,13 +126,8 @@ def det_raw(rows, mode: str):
         if n == 2:
             return float(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
         return float(np.linalg.det(np.array(rows, dtype=float)))
-    scale = 1
-    int_rows = []
-    for row in rows:
-        row_scale = math.lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (row_scale // x.denominator) for x in row])
-        scale *= row_scale
-    return Fraction(_det_int_bareiss(int_rows), scale)
+    cleared = [integer_row(row) for row in rows]
+    return Fraction(det_int([r for r, _ in cleared]), math.prod(s for _, s in cleared))
 
 
 def det(m: Matrix):

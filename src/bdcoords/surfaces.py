@@ -73,7 +73,7 @@ def leaf_name(i: int, j: int) -> str:
     return f"B{a}{b}"
 
 
-def _cyclic_pair(i: int) -> tuple[int, int]:
+def cyclic_pair(i: int) -> tuple[int, int]:
     return (i % 3) + 1, ((i + 1) % 3) + 1
 
 
@@ -130,7 +130,7 @@ class PantsLamination:
         if self.kind == "I":
             return (leaf_name(1, 2), leaf_name(1, 3), leaf_name(2, 3))
         i = self.distinguished
-        j, k = _cyclic_pair(i)
+        j, k = cyclic_pair(i)
         return (leaf_name(i, i), leaf_name(i, j), leaf_name(i, k))
 
     def leaf_end_slots(self, leaf: str) -> tuple[int, int]:
@@ -181,7 +181,7 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
         }
     else:
         i = distinguished
-        j, k = _cyclic_pair(i)
+        j, k = cyclic_pair(i)
         corner_slot = {(0, 0): j, (0, 1): i, (0, 2): i,
                        (1, 0): k, (1, 1): i, (1, 2): i}
         leaf_sides = {
@@ -284,7 +284,7 @@ def validate_shears(lam: PantsLamination, s: PantsShearing) -> bool:
         return False
     if lam.kind == "II":
         i = lam.distinguished
-        j, k = _cyclic_pair(i)
+        j, k = cyclic_pair(i)
         if s[leaf_name(i, j)] <= 0 or s[leaf_name(i, k)] <= 0:
             return False
     return True

@@ -21,8 +21,8 @@ from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadrupl
 from .veronese import veronese_flag
 from .multilinear import compare_band, compare_rhombus
 from .surfaces import (CurveData, PantsLamination, PantsShearing, SLOTS,
-                       SurfaceSpec, assemble_surface, boundary_lengths,
-                       develop_pants, leaf_name, validate_shears, _cyclic_pair)
+                       SurfaceSpec, assemble_surface, boundary_lengths, cyclic_pair,
+                       develop_pants, leaf_name, validate_shears)
 from . import bd
 
 DEFAULT_SAMPLES = 200
@@ -55,7 +55,7 @@ class SuiteReport:
         self.cases += 1
         if len(self.failures) < 20:
             self.failures.append(message)
-        else:
+        elif len(self.failures) == 20:
             self.failures.append("...")
 
     def lines(self):
@@ -276,7 +276,7 @@ def lamination_variants():
                     kind="I", spiral_signs={1: s1, 2: s2, 3: s3},
                     leaf_orientations={}))
     for dist in SLOTS:
-        j, k = _cyclic_pair(dist)
+        j, k = cyclic_pair(dist)
         for sd in (1, -1):
             signs = {dist: sd, j: 1, k: 1}
             out.append(PantsLamination(kind="II", spiral_signs=signs,

@@ -13,6 +13,10 @@ whose leading vector is the Veronese image (a X + b Y)^{n-1} and whose level-d
 span is exactly the multiples of (a X + b Y)^{n-d}.  The auxiliary factor
 (b X - a Y) is a uniform choice of complement that is invertible against
 (a X + b Y) for every real [a : b], so the same formula covers 0 and infinity.
+
+Exact flags are expanded in integer arithmetic: the point is written over a
+common denominator D as [A/D : B/D], the rows are expanded at [A : B], and,
+when D != 1, divided by D^(n-1) (the rows are homogeneous of degree n-1).
 """
 from __future__ import annotations
 
@@ -83,9 +87,17 @@ def flag_rows(a, b, n: int, one=1):
 
 
 def veronese_flag(p: ProjPoint, n: int) -> Flag:
-    """The osculating flag of the Veronese curve at a boundary point."""
-    one = 1.0 if p.mode == FLOAT else Fraction(1)
-    return Flag(flag_rows(p.a, p.b, n, one))
+    """The osculating flag of the Veronese curve at a boundary point; an
+    exact point's rows are expanded in integers over its common denominator."""
+    if p.mode == FLOAT:
+        return Flag(flag_rows(p.a, p.b, n, 1.0))
+    d = math.lcm(p.a.denominator, p.b.denominator)
+    rows = flag_rows(p.a.numerator * (d // p.a.denominator),
+                     p.b.numerator * (d // p.b.denominator), n)
+    if d != 1:
+        scale = d ** (n - 1)
+        rows = [[Fraction(x, scale) for x in row] for row in rows]
+    return Flag(rows)
 
 
 def _translation_length(holonomy: Mobius, n: int) -> float:

@@ -32,24 +32,34 @@ def stacked_rows(flags_with_dims):
     return rows
 
 
-def triple_ratio_by_cofactors(E, F, G, p, q, r):
-    """Triple ratio with every wedge factor expanded by cofactors."""
-    n = E.n
-
+def triple_ratio_by(det, E, F, G, p, q, r):
+    """Triple ratio with every wedge factor computed by ``det`` on the
+    stacked basis rows."""
     def w(dp, dq, dr):
-        return cofactor_det(stacked_rows([(E, dp), (F, dq), (G, dr)]))
+        return det(stacked_rows([(E, dp), (F, dq), (G, dr)]))
 
     num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
     den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
     return Fraction(num) / den
 
 
-def double_ratio_by_cofactors(E, F, G, Gp, p):
+def double_ratio_by(det, E, F, G, Gp, p):
+    """Double ratio with every wedge factor computed by ``det`` on the
+    stacked basis rows."""
     n = E.n
 
     def w(dp, dq, last):
-        return cofactor_det(stacked_rows([(E, dp), (F, dq), (last, 1)]))
+        return det(stacked_rows([(E, dp), (F, dq), (last, 1)]))
 
     num = w(p, n - p - 1, G) * w(p - 1, n - p, Gp)
     den = w(p, n - p - 1, Gp) * w(p - 1, n - p, G)
     return -Fraction(num) / den
+
+
+def triple_ratio_by_cofactors(E, F, G, p, q, r):
+    """Triple ratio with every wedge factor expanded by cofactors."""
+    return triple_ratio_by(cofactor_det, E, F, G, p, q, r)
+
+
+def double_ratio_by_cofactors(E, F, G, Gp, p):
+    return double_ratio_by(cofactor_det, E, F, G, Gp, p)

@@ -83,6 +83,36 @@ def test_invariants_malformed_input(tmp_path, capsys):
     assert "P0" in err  # names the offending slot
 
 
+@pytest.mark.parametrize("command, source, section, key", [
+    pytest.param("invariants", SURFACE, "twists", "CX", id="invariants-twists"),
+    pytest.param("invariants", SURFACE, "shears", "PX", id="invariants-shears"),
+    pytest.param("realize", SLICE, "gluing", "CX", id="realize-gluing"),
+    pytest.param("realize", SLICE, "shears", "PX", id="realize-shears"),
+])
+def test_unknown_object_id_exits_2(command, source, section, key, tmp_path, capsys):
+    bad = json.loads(open(source).read())
+    bad[section][key] = dict(bad[section]["P0"]) if section == "shears" else 1.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section} names unknown" in err and repr(key) in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_missing_twist_defaults_to_zero(tmp_path):
+    data = json.loads(open(SURFACE).read())
+    for twists, name in (({"C1": 0.15, "C3": 0.9}, "omitted"),
+                         ({"C1": 0.15, "C2": 0.0, "C3": 0.9}, "zero")):
+        data["twists"] = twists
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        assert main(["invariants", "--input", str(tmp_path / f"{name}.json"), "--n", "3",
+                     "--out", str(tmp_path / f"{name}-out")]) == 0
+    assert ((tmp_path / "omitted-out.json").read_bytes()
+            == (tmp_path / "zero-out.json").read_bytes())
+
+
 def test_realize_command(tmp_path):
     prefix = str(tmp_path / "real")
     assert main(["realize", "--input", SLICE, "--n", "3", "--out", prefix]) == 0
@@ -117,10 +147,13 @@ def test_realize_rejects_length_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize("suite, n, cases, ratio", [
     pytest.param("triple-ratio", 8, 20 * 21, "triple ratio", id="triple-n8"),
     pytest.param("double-ratio", 10, 20 * 9, "double ratio", id="double-n10"),
+    pytest.param("triple-ratio", 10, 20 * 36, "triple ratio", id="triple-n10"),
 ])
 def test_float_suite_breakdown_is_a_failed_case(suite, n, cases, ratio, tmp_path, capsys):
     # seed 1 draws configurations whose float wedge factors fall below the
-    # 1e-12 genericity threshold at these ranks
+    # 1e-12 genericity threshold at these ranks; at n = 10 the triple-ratio
+    # suite fails more than 20 cases, and the report keeps 20 messages and
+    # one "..."
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", suite, "--float", "--n", str(n),
                  "--samples", "20", "--seed", "1", "--out", str(out)]) == 1
@@ -129,6 +162,7 @@ def test_float_suite_breakdown_is_a_failed_case(suite, n, cases, ratio, tmp_path
     assert report["passed"] is False and report["cases"] == cases
     assert any(f.startswith("case ") and f.endswith(f"vanishing wedge factor in {ratio} at n = {n}")
                for f in report["failures"])
+    assert report["failures"][20:] in ([], ["..."])
 
 
 def test_outputs_are_deterministic(tmp_path):

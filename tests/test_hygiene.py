@@ -1,9 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none imports an underscore (module-private) name from another module of
+the package.
 
 The package re-exports its public names from ``__init__.py``, so only the
-other modules are checked.  The check reads the source with ``ast``: a name
+other modules are checked.  The checks read the source with ``ast``: a name
 counts as used when it appears as an identifier anywhere in the module
-(attribute chains such as ``bd.bd_vector`` use ``bd``).
+(attribute chains such as ``bd.bd_vector`` use ``bd``), and an import is
+from the package when it is relative or names ``bdcoords``.
 """
 import ast
 from pathlib import Path
@@ -29,6 +32,15 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def private_imports(source: str) -> list:
+    """(line, name) of every underscore name imported from the package."""
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bdcoords")
+        for alias in node.names if alias.name.startswith("_"))
+
+
 def test_checker_flags_an_unused_import():
     source = "import math\nfrom .surfaces import SLOTS, leaf_name\nprint(leaf_name(1, 2))\n"
     assert unused_imports(source) == [(1, "math"), (2, "SLOTS")]
@@ -37,3 +49,16 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from .multilinear import _det, det\n"
+              "from bdcoords.surfaces import _pair\n"
+              "from os import _exit\n")
+    assert private_imports(source) == [(2, "_det"), (3, "_pair")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
