@@ -12,7 +12,7 @@ from .multilinear import (Matrix, band_det_bruteforce, band_det_formula,
                           rhombus_det_bruteforce, rhombus_det_formula, wedge_coeff)
 from .flags import DegenerateFlagError, Flag, FlagTuple, double_ratio, is_generic, triple_ratio
 from .halfplane import (DegenerateConfigurationError, Mobius, ProjPoint, axis_data,
-                        cross_ratio, is_clockwise, mobius_apply, mobius_to_standard,
+                        cross_ratio, is_clockwise, mobius_to_standard,
                         orientation, shear_from_quadruple, twist_map)
 from .veronese import irrep_n, length_spectrum, veronese_flag
 from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,

@@ -71,9 +71,18 @@ def spec_from_dict(data: dict):
     return spec
 
 
-def _known_ids(section: str, data: dict, known, kind: str) -> dict:
-    """An input section keyed by object id, checked to name only objects of
-    the surface (``known``, the pants or the curves of the spec)."""
+def _json_object(section: str, data) -> dict:
+    """An input section, checked to be a JSON object."""
+    if not isinstance(data, dict):
+        raise SurfaceSpecError(f"{section} must be a JSON object, got {data!r}")
+    return data
+
+
+def _known_ids(section: str, data, known, kind: str) -> dict:
+    """An input section keyed by object id, checked to be a JSON object that
+    names only objects of the surface (``known``, the pants or the curves of
+    the spec)."""
+    _json_object(section, data)
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise SurfaceSpecError(
@@ -82,15 +91,15 @@ def _known_ids(section: str, data: dict, known, kind: str) -> dict:
     return data
 
 
-def shears_from_dict(spec: SurfaceSpec, data: dict) -> dict:
+def shears_section(spec: SurfaceSpec, data) -> dict:
+    """The shears section: for every pants of the surface, a JSON object
+    mapping its leaves to shears."""
     _known_ids("shears", data, spec.pants, "pants")
-    shears = {}
-    for pid, lam in spec.pants.items():
+    for pid in spec.pants:
         if pid not in data:
             raise SurfaceSpecError(f"missing shears for pants {pid!r}")
-        shears[pid] = PantsShearing.for_lamination(
-            lam, {leaf: float(v) for leaf, v in data[pid].items()})
-    return shears
+        _json_object(f"shears of pants {pid!r}", data[pid])
+    return {pid: dict(data[pid]) for pid in spec.pants}
 
 
 def spec_to_dict(spec: SurfaceSpec) -> dict:
@@ -155,7 +164,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
-    shears = shears_from_dict(spec, data.get("shears", {}))
+    shears = {pid: PantsShearing.for_lamination(spec.pants[pid], values)
+              for pid, values in shears_section(spec, data.get("shears", {})).items()}
     twists = {cid: float(v) for cid, v in
               _known_ids("twists", data.get("twists", {}), spec.curves, "curve").items()}
     ds = assemble_surface(spec, shears, twists)
@@ -183,9 +193,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
-    _known_ids("shears", data["shears"], spec.pants, "pants")
+    shears = shears_section(spec, data["shears"])
     _known_ids("gluing", data["gluing"], spec.curves, "curve")
-    shears = {pid: dict(data["shears"][pid]) for pid in spec.pants}
     gluing = {cid: float(data["gluing"][cid]) for cid in spec.curves}
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
     ds = bd.realize_slice(sp, spec)

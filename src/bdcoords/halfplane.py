@@ -184,7 +184,9 @@ class Mobius:
                        [c * e + d * g, c * f + d * h]])
 
     def __call__(self, p: ProjPoint) -> ProjPoint:
-        return mobius_apply(self, p)
+        join_mode(self.mode, p.mode)
+        (a, b), (c, d) = self.m
+        return ProjPoint(a * p.a + b * p.b, c * p.a + d * p.b)
 
     def projectively_equal(self, other: "Mobius", tol: float = 1e-9) -> bool:
         join_mode(self.mode, other.mode)
@@ -199,12 +201,6 @@ class Mobius:
 
     def __repr__(self):
         return f"Mobius({[list(r) for r in self.m]!r})"
-
-
-def mobius_apply(m: Mobius, p: ProjPoint) -> ProjPoint:
-    join_mode(m.mode, p.mode)
-    (a, b), (c, d) = m.m
-    return ProjPoint(a * p.a + b * p.b, c * p.a + d * p.b)
 
 
 def mobius_to_standard(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> Mobius:

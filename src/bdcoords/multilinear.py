@@ -1,7 +1,7 @@
 """Exact and floating-point multilinear algebra.
 
-Determinants (fraction-free Bareiss elimination in exact mode, partial-pivot
-LU via LAPACK in float mode), wedge-product coefficients, extended binomial
+Determinants (fraction-free Bareiss elimination in exact mode, a pure-Python
+partial-pivot LU in float mode), wedge-product coefficients, extended binomial
 coefficients, and two families of binomial determinants together with their
 closed forms:
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
 
@@ -115,7 +113,11 @@ def det_raw(rows, mode: str):
     """Determinant on raw row data; returns a raw Fraction or float.
 
     Exact rows are cleared to integers by :func:`integer_row`, so integer
-    Bareiss elimination serves integral and rational input alike.
+    Bareiss elimination serves integral and rational input alike.  Float rows
+    of size n >= 3 go through LU elimination with partial pivoting: each step
+    takes the row with the largest |a[i][k]| as pivot row, each swap flips
+    the sign, and the determinant is the signed product of the pivots (0.0 as
+    soon as a pivot column is all zero).
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -125,7 +127,23 @@ def det_raw(rows, mode: str):
             return float(rows[0][0])
         if n == 2:
             return float(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-        return float(np.linalg.det(np.array(rows, dtype=float)))
+        a = [[float(x) for x in row] for row in rows]
+        result = 1.0
+        for k in range(n):
+            p = max(range(k, n), key=lambda i: abs(a[i][k]))
+            if a[p][k] == 0.0:
+                return 0.0
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                result = -result
+            row_k = a[k]
+            pivot = row_k[k]
+            result *= pivot
+            for row_i in a[k + 1:]:
+                factor = row_i[k] / pivot
+                for j in range(k + 1, n):
+                    row_i[j] -= factor * row_k[j]
+        return result
     cleared = [integer_row(row) for row in rows]
     return Fraction(det_int([r for r, _ in cleared]), math.prod(s for _, s in cleared))
 

@@ -101,6 +101,30 @@ def test_unknown_object_id_exits_2(command, source, section, key, tmp_path, caps
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, source, section, pants, value", [
+    pytest.param("invariants", SURFACE, "shears", "P0", [0.8, 0.6, 1.1],
+                 id="invariants-shears-entry"),
+    pytest.param("invariants", SURFACE, "shears", None, [0.8], id="invariants-shears"),
+    pytest.param("invariants", SURFACE, "twists", None, [1.0], id="invariants-twists"),
+    pytest.param("realize", SLICE, "shears", "P1", "B12", id="realize-shears-entry"),
+    pytest.param("realize", SLICE, "gluing", None, [1.0], id="realize-gluing"),
+])
+def test_section_that_is_not_an_object_exits_2(command, source, section, pants, value,
+                                               tmp_path, capsys):
+    bad = json.loads(open(source).read())
+    if pants is None:
+        bad[section] = value
+    else:
+        bad[section][pants] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    name = section if pants is None else f"{section} of pants {pants!r}"
+    assert f"error: {name} must be a JSON object, got {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_missing_twist_defaults_to_zero(tmp_path):
     data = json.loads(open(SURFACE).read())
     for twists, name in (({"C1": 0.15, "C3": 0.9}, "omitted"),

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from bdcoords.halfplane import (DegenerateConfigurationError, Mobius, ProjPoint,
                                 axis_data, cross_ratio, fourth_point, is_clockwise,
-                                mobius_apply, mobius_to_standard, orientation,
+                                mobius_to_standard, orientation,
                                 shear_from_quadruple, sort_ccw, twist_map)
 from oracles import affine_cross_ratio
 
@@ -66,22 +66,22 @@ def test_cross_ratio_mobius_invariance():
             if all(q != p for p in pts):
                 pts.append(q)
         expected = cross_ratio(*pts)
-        assert cross_ratio(*(mobius_apply(m, p) for p in pts)) == expected
+        assert cross_ratio(*(m(p) for p in pts)) == expected
 
 
 # -- Moebius maps -----------------------------------------------------------
 
-def test_mobius_apply_identity_and_rotation():
+def test_mobius_call_identity_and_rotation():
     p = pt(7)
-    assert mobius_apply(Mobius.identity(), p) == p
+    assert Mobius.identity()(p) == p
     rot = Mobius([[0, -1], [1, 0]])
-    assert mobius_apply(rot, INF) == pt(0)
+    assert rot(INF) == pt(0)
 
 
 def test_mobius_diagonal_action():
     t = 0.35
     m = Mobius([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
-    image = mobius_apply(m, ProjPoint(1.7, 1.0))
+    image = m(ProjPoint(1.7, 1.0))
     assert image.value() == pytest.approx(math.exp(2 * t) * 1.7)
 
 
@@ -92,15 +92,15 @@ def test_mobius_to_standard_identity():
 
 def test_mobius_to_standard_involution():
     m = mobius_to_standard(pt(0), pt(1), INF)
-    assert mobius_apply(m, pt(0)) == INF
-    assert mobius_apply(m, INF) == pt(0)
+    assert m(pt(0)) == INF
+    assert m(INF) == pt(0)
     assert (m @ m).projectively_equal(Mobius.identity())
 
 
 def test_mobius_to_standard_computes_cross_ratio():
     a, b, c, d = pt(-3), pt(2), pt(5), pt(11)
     m = mobius_to_standard(a, b, c)
-    image = mobius_apply(m, d)
+    image = m(d)
     assert image.value() == cross_ratio(c, b, a, d)
 
 
@@ -116,7 +116,7 @@ def test_mobius_to_standard_round_trip():
             if all(q != p for p in pts):
                 pts.append(q)
         m = mobius_to_standard(*pts)
-        images = [mobius_apply(m, p) for p in pts]
+        images = [m(p) for p in pts]
         again = mobius_to_standard(*images)
         assert again.projectively_equal(Mobius.identity())
 
@@ -206,8 +206,8 @@ def test_axis_data_conjugation_equivariance():
     g = Mobius([[1.0, 2.0], [0.5, 3.0]])
     att, rep, length = axis_data(g @ m @ g.inverse())
     assert length == pytest.approx(l)
-    assert att == mobius_apply(g, INF.to_float())
-    assert rep == mobius_apply(g, ProjPoint(0.0, 1.0))
+    assert att == g(INF.to_float())
+    assert rep == g(ProjPoint(0.0, 1.0))
 
 
 def test_axis_data_rejects_non_hyperbolic():
@@ -222,7 +222,7 @@ def test_twist_map_basics():
     assert twist_map(p, q, 0.0).projectively_equal(Mobius.identity("float"))
     t = 0.6
     m = twist_map(p, q, t)
-    x = mobius_apply(m, ProjPoint(1.2, 1.0))
+    x = m(ProjPoint(1.2, 1.0))
     assert x.value() == pytest.approx(math.exp(2 * t) * 1.2)
 
 

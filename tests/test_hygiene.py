@@ -1,20 +1,24 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none imports an underscore (module-private) name from another module of
-the package.
+none imports an underscore (module-private) name from another module of the
+package, and the package imports nothing outside the standard library.
 
 The package re-exports its public names from ``__init__.py``, so only the
-other modules are checked.  The checks read the source with ``ast``: a name
-counts as used when it appears as an identifier anywhere in the module
+other modules are checked for unused and private imports; every module is
+checked for third-party imports.  The checks read the source with ``ast``: a
+name counts as used when it appears as an identifier anywhere in the module
 (attribute chains such as ``bd.bd_vector`` use ``bd``), and an import is
 from the package when it is relative or names ``bdcoords``.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bdcoords"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+ALLOWED_TOP_LEVEL = sys.stdlib_module_names | {"bdcoords"}
 
 
 def unused_imports(source: str) -> list:
@@ -62,3 +66,35 @@ def test_checker_flags_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def third_party_imports(source: str) -> list:
+    """(line, module) of every absolute import naming a module outside the
+    standard library and the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return sorted(found)
+
+
+def test_checker_flags_a_third_party_import():
+    source = ("from __future__ import annotations\n"
+              "import math, numpy as np\n"
+              "import os.path\n"
+              "from scipy.linalg import det\n"
+              "from . import bd\n"
+              "from .flags import Flag\n"
+              "from bdcoords.surfaces import SLOTS\n")
+    assert third_party_imports(source) == [(2, "numpy"), (4, "scipy.linalg")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_standard_library_only(path):
+    assert third_party_imports(path.read_text()) == []

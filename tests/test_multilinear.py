@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from bdcoords.flags import Flag
 from bdcoords.halfplane import Mobius, ProjPoint, fourth_point, wedge
-from bdcoords.scalars import ScalarModeError
+from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
 from bdcoords.veronese import veronese_flag
 from bdcoords.multilinear import (Matrix, band_det_bruteforce, band_det_formula,
                                   band_matrix, compare_band, compare_rhombus, det,
-                                  ext_binomial, rhombus_det_bruteforce,
+                                  det_raw, ext_binomial, rhombus_det_bruteforce,
                                   rhombus_det_formula, rhombus_matrix, wedge_coeff)
 from oracles import cofactor_det
 
@@ -37,6 +37,45 @@ def test_det_float_partial_pivot():
                              [Fraction(1), Fraction(1, 2), Fraction(-3)],
                              [Fraction(2), Fraction(1), Fraction(1)]])
     assert det(Matrix(rows)) == pytest.approx(float(expected), rel=1e-12)
+
+
+def as_floats(rows):
+    return [[float(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_det_float_lu_matches_exact_on_random_rationals(n):
+    rng = random.Random(100 + n)
+    for _ in range(25):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                for _ in range(n)]
+        exact = float(det_raw(rows, EXACT))
+        assert exact != 0
+        assert det_raw(as_floats(rows), FLOAT) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_det_float_lu_swaps_rows_at_every_step(n):
+    # The rows of an upper-triangular matrix with dominant diagonal (and small
+    # entries below it), cycled by one: at every elimination step the largest
+    # entry of the pivot column sits in the last row, so each step swaps, and
+    # the n - 1 swaps give the sign (-1)^(n-1).
+    upper = [[Fraction(8 * (i + 1) * (-1) ** i) if i == j
+              else Fraction(1, 2 + i + j) if j > i else Fraction(1, 16)
+              for j in range(n)] for i in range(n)]
+    rows = upper[1:] + upper[:1]
+    exact = det_raw(rows, EXACT)
+    assert exact == cofactor_det(rows)
+    assert det_raw(as_floats(rows), FLOAT) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_det_float_lu_zero_pivot_column_gives_zero():
+    zero_column = [[1.0, 2.0, 0.0, 4.0], [3.0, -1.0, 0.0, 2.0],
+                   [0.5, 7.0, 0.0, 1.0], [2.0, 2.0, 0.0, -3.0]]
+    assert det_raw(zero_column, FLOAT) == 0.0
+    # column 1 becomes all zero below the pivot only after the first step
+    dependent = [[1.0, 2.0, 3.0], [2.0, 4.0, 7.0], [1.0, 2.0, 5.0]]
+    assert det_raw(dependent, FLOAT) == 0.0
 
 
 def test_det_requires_square():
