@@ -11,11 +11,14 @@ The invariants are exact at the developed points.  Each point, float or
 rational, is converted to integer homogeneous coordinates of the same
 value (a float is a dyadic rational), and the integer Veronese flag rows
 are built once per distinct point of one computation.  Each triangle and
-each quadruple gets a table of the stacked wedges its ratios need, every
-entry one integer Bareiss determinant checked exactly nonzero; each ratio's
-sign is checked exactly, and only its final quotient is rounded and passed
-to the log.  The float genericity threshold of the flags module plays no
-part here, so a triangle invariant of a developed surface is exactly 0.
+each quadruple gets a table of the stacked wedges its ratios need.  All
+tables of one computation read their entries off one trie of integer
+Bareiss elimination states, so a stack of leading rows shared by many
+wedges is reduced once, and every entry is checked exactly nonzero; each
+ratio's sign is checked exactly, and only its final quotient is rounded
+and passed to the log.  The float genericity threshold of the flags module
+plays no part here, so a triangle invariant of a developed surface is
+exactly 0.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from .scalars import serialize_value
 from .flags import DegenerateFlagError
 from .halfplane import ProjPoint
-from .multilinear import det_int
+from .multilinear import bareiss_append
 from .veronese import flag_rows, length_spectrum
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
@@ -79,54 +82,87 @@ def _integer_point(pt: ProjPoint):
 
 
 class WedgeKernel:
-    """Exact rank-n invariants of Veronese flags at developed points.
+    """Exact rank-n wedges of Veronese flags at developed points.
 
-    Each distinct point gets its integer flag rows once, and each triangle
-    or quadruple gets a :class:`WedgeTable` over those rows.  A kernel holds
-    no state beyond the computation that creates it.
+    Each distinct point gets an index and its integer flag rows once.  Every
+    stacked wedge of the computation is read off one trie of fraction-free
+    elimination states, keyed by the stacked blocks ``((point, level), ...)``
+    in the table's block order, zero-level blocks dropped.  A state is its
+    parent (the same blocks with one row fewer) with the next flag row
+    appended by :func:`~bdcoords.multilinear.bareiss_append`, so a prefix of
+    rows shared by many wedges, in one table or across tables, is reduced
+    once.  A state of n rows is its signed determinant, and a state whose
+    rows are exactly dependent is 0, as is every wedge through it.  The trie
+    lives as long as the kernel, and a kernel serves one computation.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need n >= 2")
         self.n = n
-        self._rows = {}
+        self._points = {}              # integer point -> its index in _rows
+        self._rows = []                # integer flag rows, one list per point
+        self._states = {(): ((), 0)}   # stacked blocks -> elimination state
 
     def table(self, points, what: str) -> "WedgeTable":
         """The wedge table of the flags at ``points``; ``what`` names them."""
-        flags = []
+        ids = []
         for pt in points:
             key = _integer_point(pt)
-            if key not in self._rows:
-                self._rows[key] = flag_rows(*key, self.n)
-            flags.append(self._rows[key])
-        return WedgeTable(flags, self.n, what)
+            if key not in self._points:
+                self._points[key] = len(self._rows)
+                self._rows.append(flag_rows(*key, self.n))
+            ids.append(self._points[key])
+        return WedgeTable(self, tuple(ids), what)
+
+    def state(self, blocks):
+        """The elimination state of the stacked blocks: ``(steps, parity)``
+        below n rows, the signed determinant at n rows, 0 once dependent."""
+        state = self._states.get(blocks)
+        if state is None:
+            point, level = blocks[-1]
+            parent = blocks[:-1] + ((point, level - 1),) if level > 1 else blocks[:-1]
+            state = _append(self.state(parent), self._rows[point][level - 1])
+            self._states[blocks] = state
+        return state
+
+
+def _append(state, row):
+    """The elimination state one integer row below ``state``."""
+    if not state:   # rows that are dependent stay dependent
+        return 0
+    steps, parity = state
+    step = bareiss_append(steps, row)
+    if step is None:
+        return 0
+    index, pivot, rest = step
+    parity ^= index & 1
+    if rest:
+        return steps + (step,), parity
+    return -pivot if parity else pivot
 
 
 class WedgeTable:
-    """Stacked wedges of a tuple of integer flags, each computed once.
+    """Stacked wedges of a tuple of flags of one kernel.
 
     The entry at levels (d_1, ..., d_m), summing to n, is the determinant of
     the first d_1 rows of flag 1, then the first d_2 rows of flag 2, and so
-    on: an exact integer, checked nonzero when first computed.  Ratios are
-    formed from the integer factors, their signs checked exactly, and the
-    log taken of the correctly rounded quotient.
+    on: an exact integer from the kernel's elimination trie, checked nonzero.
+    Ratios are formed from the integer factors, their signs checked exactly,
+    and the log taken of the correctly rounded quotient.
     """
 
-    def __init__(self, flags, n: int, what: str):
-        self.flags, self.n, self.what = flags, n, what
-        self._wedges = {}
+    def __init__(self, kernel: WedgeKernel, points: tuple, what: str):
+        self.kernel, self.points, self.what = kernel, points, what
+        self.n = kernel.n
 
     def wedge(self, *levels) -> int:
-        value = self._wedges.get(levels)
-        if value is None:
-            value = det_int(
-                [row for flag, d in zip(self.flags, levels) for row in flag[:d]])
-            if value == 0:
-                raise DegenerateFlagError(
-                    f"vanishing wedge factor at {self.what}: wedge {levels} "
-                    f"is exactly 0 at n = {self.n}")
-            self._wedges[levels] = value
+        value = self.kernel.state(
+            tuple([(pt, d) for pt, d in zip(self.points, levels) if d]))
+        if value == 0:
+            raise DegenerateFlagError(
+                f"vanishing wedge factor at {self.what}: wedge {levels} "
+                f"is exactly 0 at n = {self.n}")
         return value
 
     def _log_ratio(self, num: int, den: int, name: str) -> float:

@@ -91,6 +91,18 @@ def _known_ids(section: str, data, known, kind: str) -> dict:
     return data
 
 
+def _numbers(section: str, data: dict) -> dict:
+    """The values of an input section, each converted to a float."""
+    out = {}
+    for key, value in data.items():
+        try:
+            out[key] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SurfaceSpecError(
+                f"{section} entry {key!r} must be a number, got {value!r}") from None
+    return out
+
+
 def shears_section(spec: SurfaceSpec, data) -> dict:
     """The shears section: for every pants of the surface, a JSON object
     mapping its leaves to shears."""
@@ -99,7 +111,17 @@ def shears_section(spec: SurfaceSpec, data) -> dict:
         if pid not in data:
             raise SurfaceSpecError(f"missing shears for pants {pid!r}")
         _json_object(f"shears of pants {pid!r}", data[pid])
-    return {pid: dict(data[pid]) for pid in spec.pants}
+    return {pid: _numbers(f"shears of pants {pid!r}", data[pid]) for pid in spec.pants}
+
+
+def gluing_section(spec: SurfaceSpec, data) -> dict:
+    """The gluing section: a JSON object mapping every curve of the surface
+    to its gluing invariant."""
+    _known_ids("gluing", data, spec.curves, "curve")
+    for cid in spec.curves:
+        if cid not in data:
+            raise SurfaceSpecError(f"missing gluing for curve {cid!r}")
+    return _numbers("gluing", {cid: data[cid] for cid in spec.curves})
 
 
 def spec_to_dict(spec: SurfaceSpec) -> dict:
@@ -166,8 +188,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     spec = spec_from_dict(data)
     shears = {pid: PantsShearing.for_lamination(spec.pants[pid], values)
               for pid, values in shears_section(spec, data.get("shears", {})).items()}
-    twists = {cid: float(v) for cid, v in
-              _known_ids("twists", data.get("twists", {}), spec.curves, "curve").items()}
+    twists = _numbers("twists",
+                      _known_ids("twists", data.get("twists", {}), spec.curves, "curve"))
     ds = assemble_surface(spec, shears, twists)
     vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
@@ -193,9 +215,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
-    shears = shears_section(spec, data["shears"])
-    _known_ids("gluing", data["gluing"], spec.curves, "curve")
-    gluing = {cid: float(data["gluing"][cid]) for cid in spec.curves}
+    shears = shears_section(spec, data.get("shears", {}))
+    gluing = gluing_section(spec, data.get("gluing", {}))
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
     ds = bd.realize_slice(sp, spec)
     vec = bd.bd_vector(ds, args.n)
@@ -203,7 +224,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     payload = {
         "surface": spec_to_dict(spec),
         "n": args.n,
-        "shears": {pid: {leaf: serialize_value(float(v)) for leaf, v in sorted(m.items())}
+        "shears": {pid: {leaf: serialize_value(v) for leaf, v in sorted(m.items())}
                    for pid, m in sorted(shears.items())},
         "gluing_targets": {cid: serialize_value(v) for cid, v in sorted(gluing.items())},
         "twists": {cid: serialize_value(ds.twists[cid]) for cid in sorted(ds.twists)},

@@ -99,6 +99,36 @@ def det_int(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def bareiss_append(steps, row):
+    """Append one integer row to a fraction-free (Bareiss) elimination.
+
+    ``steps`` hold the elimination of the rows stacked so far, one step per
+    row: ``(index, pivot, rest)``, the pivot's index among the columns still
+    free before that row, the pivot, and the reduced row over the columns
+    still free after it, in column order.  The new row is reduced through
+    every step by the Bareiss update ``(x * pivot - lead * y) // previous
+    pivot``, whose divisions are exact by Sylvester's identity, and its pivot
+    is the first free column where it is nonzero (column pivoting).  Returns
+    the new step, or None when the row lies in the span of the rows above.
+
+    After n rows of length n the last pivot is the determinant with the
+    columns taken in pivot order, so the determinant is that pivot times
+    (-1) ** (sum of the indices).  A shared prefix of rows is reduced once
+    and extended many times; :func:`det_int` stays the routine for one
+    isolated determinant.
+    """
+    r = list(row)
+    prev = 1
+    for index, pivot, rest in steps:
+        lead = r.pop(index)
+        r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
+        prev = pivot
+    for index, x in enumerate(r):
+        if x:
+            return index, x, r[:index] + r[index + 1:]
+    return None
+
+
 def integer_row(row):
     """An exact row as (integer row, scale), the row being integer row / scale.
 

@@ -155,6 +155,7 @@ class LeafSide:
 @dataclass(frozen=True)
 class LaminationTables:
     corner_slot: dict        # (tri, corner) -> boundary slot
+    spike_slots: dict        # tri -> the slots its corners spike into
     leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B)
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
     leaf_end_slots: dict     # leaf -> (slot of end0, slot of end1)
@@ -196,8 +197,11 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
         side_leaf[(sb.tri, sb.corners)] = (leaf, 1)
         end_slots[leaf] = (corner_slot[(sa.tri, sa.corners[0])],
                            corner_slot[(sa.tri, sa.corners[1])])
-    return LaminationTables(corner_slot=corner_slot, leaf_sides=leaf_sides,
-                            side_leaf=side_leaf, leaf_end_slots=end_slots)
+    spike_slots = {tri: frozenset(s for (t, _), s in corner_slot.items() if t == tri)
+                   for tri in (0, 1)}
+    return LaminationTables(corner_slot=corner_slot, spike_slots=spike_slots,
+                            leaf_sides=leaf_sides, side_leaf=side_leaf,
+                            leaf_end_slots=end_slots)
 
 
 @dataclass(frozen=True)
@@ -520,9 +524,15 @@ class SurfaceSpec:
                         f"pants boundary ({pid}, {slot}) glued by both "
                         f"{used[(pid, slot)]} and {cid}")
                 used[(pid, slot)] = cid
-            for tri, side in ((curve.left_triangle, "left"), (curve.right_triangle, "right")):
+            for (pid, slot), tri, side in zip(curve.ends,
+                                              (curve.left_triangle, curve.right_triangle),
+                                              ("left", "right")):
                 if tri not in (0, 1):
                     raise SurfaceSpecError(f"curve {cid}: {side} triangle must be 0 or 1")
+                if slot not in tables_for(self.pants[pid]).spike_slots[tri]:
+                    raise SurfaceSpecError(
+                        f"curve {cid}: {side} short-arc triangle {tri} of pants {pid} "
+                        f"has no spike at slot {slot}")
         for pid in self.pants:
             for slot in SLOTS:
                 if (pid, slot) not in used:

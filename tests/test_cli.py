@@ -125,6 +125,48 @@ def test_section_that_is_not_an_object_exits_2(command, source, section, pants, 
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, source, section, pants, key, value", [
+    pytest.param("invariants", SURFACE, "shears", "P0", "B12", [0.8], id="invariants-shears"),
+    pytest.param("invariants", SURFACE, "twists", None, "C1", [1.0], id="invariants-twists"),
+    pytest.param("invariants", SURFACE, "twists", None, "C3", 10 ** 400,
+                 id="invariants-twists-overflow"),
+    pytest.param("realize", SLICE, "shears", "P1", "B23", {"x": 1}, id="realize-shears"),
+    pytest.param("realize", SLICE, "gluing", None, "C1", [1.0], id="realize-gluing"),
+    pytest.param("realize", SLICE, "gluing", None, "C2", None, id="realize-gluing-null"),
+])
+def test_section_value_that_is_not_a_number_exits_2(command, source, section, pants, key,
+                                                    value, tmp_path, capsys):
+    bad = json.loads(open(source).read())
+    (bad[section] if pants is None else bad[section][pants])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    name = section if pants is None else f"{section} of pants {pants!r}"
+    assert (f"error: {name} entry {key!r} must be a number, got {value!r}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("drop, message", [
+    pytest.param(("gluing",), "missing gluing for curve 'C1'", id="no-gluing"),
+    pytest.param(("shears",), "missing shears for pants 'P0'", id="no-shears"),
+    pytest.param(("gluing", "C3"), "missing gluing for curve 'C3'", id="no-gluing-entry"),
+])
+def test_realize_names_a_missing_section(drop, message, tmp_path, capsys):
+    bad = json.loads(open(SLICE).read())
+    if len(drop) == 1:
+        del bad[drop[0]]
+    else:
+        del bad[drop[0]][drop[1]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["realize", "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_missing_twist_defaults_to_zero(tmp_path):
     data = json.loads(open(SURFACE).read())
     for twists, name in (({"C1": 0.15, "C3": 0.9}, "omitted"),

@@ -9,8 +9,8 @@ from bdcoords.halfplane import Mobius, ProjPoint, fourth_point, wedge
 from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
 from bdcoords.veronese import veronese_flag
 from bdcoords.multilinear import (Matrix, band_det_bruteforce, band_det_formula,
-                                  band_matrix, compare_band, compare_rhombus, det,
-                                  det_raw, ext_binomial, rhombus_det_bruteforce,
+                                  band_matrix, bareiss_append, compare_band,
+                                  compare_rhombus, det, det_int, det_raw, ext_binomial, rhombus_det_bruteforce,
                                   rhombus_det_formula, rhombus_matrix, wedge_coeff)
 from oracles import cofactor_det
 
@@ -105,6 +105,44 @@ def test_det_matches_cofactor_oracle_random():
         for _ in range(10):
             rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
             assert det(Matrix(rows)) == cofactor_det(rows)
+
+
+def appended_det(rows):
+    """The determinant of square integer rows by appending them one at a
+    time, and the pivot index of every step taken."""
+    steps = []
+    for row in rows:
+        step = bareiss_append(steps, row)
+        if step is None:
+            return 0, [index for index, _, _ in steps]
+        steps.append(step)
+    indices = [index for index, _, _ in steps]
+    return (-1) ** sum(indices) * steps[-1][1], indices
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bareiss_append_matches_det_int(n):
+    rng = random.Random(40 + n)
+    for density in (1.0, 0.5, 0.2):
+        for _ in range(15):
+            rows = [[rng.randint(-50, 50) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(n)]
+            assert appended_det(rows)[0] == det_int(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bareiss_append_pivots_on_columns(n):
+    # the anti-diagonal: each row's first nonzero free column is its last one
+    rows = [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    value, indices = appended_det(rows)
+    assert indices == list(range(n - 1, -1, -1))
+    assert value == det_int(rows) == (-1) ** (n * (n - 1) // 2)
+
+
+def test_bareiss_append_stops_at_a_dependent_row():
+    rows = [[1, 2, 3, 4], [0, 1, 1, 0], [2, 5, 7, 8], [1, 1, 1, 1]]
+    assert appended_det(rows) == (0, [0, 0])
+    assert bareiss_append([], [0, 0, 0]) is None
 
 
 # -- the mode rule ----------------------------------------------------------

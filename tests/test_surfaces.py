@@ -204,6 +204,27 @@ def test_spec_detects_unknown_pants():
         SurfaceSpec(genus=2, pants=pants, curves=curves)
 
 
+@pytest.mark.parametrize("side, curve, triangle, slot", [
+    ("left", "C3", 0, 3),    # kind II triangle 0 has spikes at slots 2, 1, 1
+    ("right", "C2", 1, 2),   # kind II triangle 1 has spikes at slots 3, 1, 1
+])
+def test_spec_detects_short_arc_triangle_without_spike(side, curve, triangle, slot):
+    pants = {"P0": lam_I(), "P1": lam_I()}
+    pants["P0" if side == "left" else "P1"] = lam_II(1)
+    # triangle 0 at slots 1 and 2 and triangle 1 at slot 3 fit either kind
+    curves = {cid: CurveData(ends=(("P0", s), ("P1", s)),
+                             left_triangle=s // 3, right_triangle=s // 3)
+              for cid, s in (("C1", 1), ("C2", 2), ("C3", 3))}
+    SurfaceSpec(genus=2, pants=dict(pants), curves=dict(curves))
+    curves[curve] = CurveData(ends=(("P0", slot), ("P1", slot)),
+                              left_triangle=triangle, right_triangle=triangle)
+    pid = "P0" if side == "left" else "P1"
+    with pytest.raises(SurfaceSpecError,
+                       match=rf"curve {curve}: {side} short-arc triangle {triangle} "
+                             rf"of pants {pid} has no spike at slot {slot}"):
+        SurfaceSpec(genus=2, pants=pants, curves=curves)
+
+
 # -- assembly -----------------------------------------------------------------
 
 def _simple_assembly(twists=None):

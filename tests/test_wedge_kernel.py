@@ -2,12 +2,17 @@
 
 Its values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
-points and to 1e-12 on the float points of a developed surface.
+points and to 1e-12 on the float points of a developed surface.  Its
+stacked wedges, read off the kernel's shared elimination trie, are checked
+against one ``det_int`` of the same integer rows.
 """
+import functools
 import json
 import math
 import os
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,9 +21,10 @@ import bdcoords.flags as flags
 from bdcoords.cli import main
 from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
+from bdcoords.multilinear import det_int
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import sample_genus2, sample_points
-from bdcoords.veronese import veronese_flag
+from bdcoords.veronese import flag_rows, veronese_flag
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -86,7 +92,7 @@ def test_bd_vector_builds_no_flag_objects(monkeypatch):
 def test_sampled_surfaces_at_high_rank(seed):
     spec, shears, twists = sample_genus2(random.Random(seed))
     ds = assemble_surface(spec, shears, twists)
-    for n in range(6, 11):
+    for n in (*range(6, 11), 12):
         vec = bd.bd_vector(ds, n)
         assert all(v == 0.0 for v in vec.tau.values())
         assert bd.closed_leaf_report(vec, ds).max_deviation() <= 1e-9
@@ -126,3 +132,98 @@ def test_kernel_rejects_bad_indices():
         table.log_triple_ratio(0, 2, 2)
     with pytest.raises(ValueError, match="1 <= p <= 3"):
         table.log_double_ratio(4)
+
+
+# -- the shared elimination trie --------------------------------------------
+
+
+rows_at = functools.lru_cache(maxsize=None)(flag_rows)
+
+
+def integer_rows(pt: ProjPoint, n: int):
+    """The integer flag rows at the point's affine value x = a / b, as
+    [numerator : denominator] of x (or [1 : 0] at infinity)."""
+    if pt.b == 0:
+        return rows_at(1, 0, n)
+    x = Fraction(pt.a) / Fraction(pt.b)
+    return rows_at(x.numerator, x.denominator, n)
+
+
+def stacked_wedge(pts, levels, n):
+    return det_int([row for pt, d in zip(pts, levels)
+                    for row in integer_rows(pt, n)[:d]])
+
+
+def level_tuples(n: int, m: int):
+    return [ds for ds in product(range(n + 1), repeat=m) if sum(ds) == n]
+
+
+def random_points(rng: random.Random, count: int, dyadic: bool):
+    points = set()
+    while len(points) < count:
+        if dyadic:
+            x = rng.randint(-2 ** 8, 2 ** 8) / 2 ** rng.randint(0, 6)
+        else:
+            x = Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+        points.add(x)
+    return [ProjPoint(x, 1.0 if dyadic else 1) for x in sorted(points)]
+
+
+@pytest.mark.parametrize("dyadic", (True, False), ids=("dyadic", "rational"))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_every_stacked_wedge_is_det_int_of_its_rows(n, dyadic):
+    rng = random.Random(700 + n + 50 * dyadic)
+    kernel = bd.WedgeKernel(n)
+    for case in range(2 if n <= 8 else 1):
+        pts = random_points(rng, 4, dyadic)
+        rng.shuffle(pts)
+        # four-flag tables have (n + 3 choose 3) entries: keep the oracle's
+        # big determinants to the smaller ranks
+        for table_pts in (pts[:3], pts[1:]) + ((pts,) if n <= 7 else ()):
+            table = kernel.table(table_pts, f"case {case}")
+            for levels in level_tuples(n, len(table_pts)):
+                assert table.wedge(*levels) == stacked_wedge(table_pts, levels, n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_points_at_zero_and_infinity_force_column_pivots(n):
+    zero, inf, one = ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1)
+    # the flag rows at 0 and at infinity are signed unit vectors, in reverse
+    # column order at 0, so the pivot column of nearly every row is not the
+    # first free one
+    assert integer_rows(zero, n)[0] == [0] * (n - 1) + [1]
+    kernel = bd.WedgeKernel(n)
+    for pts in ((zero, inf, one), (inf, zero, one), (one, zero, inf, ProjPoint(-2, 1))):
+        table = kernel.table(pts, "axis")
+        for levels in level_tuples(n, len(pts)):
+            assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
+
+
+def test_tables_sharing_leading_blocks_get_equal_entries():
+    n = 7
+    x, y, zl, zr = random_points(random.Random(5), 4, dyadic=True)
+    kernel = bd.WedgeKernel(n)
+    triangle = kernel.table((x, y, zl), "triangle")
+    quadruple = kernel.table((x, y, zl, zr), "quadruple")
+    other = kernel.table((x, y, zr), "other triangle")
+    alone = bd.WedgeKernel(n).table((x, y, zl, zr), "alone")
+    for a, b, c in level_tuples(n, 3):
+        assert quadruple.wedge(a, b, c, 0) == triangle.wedge(a, b, c)
+        assert quadruple.wedge(a, b, 0, c) == other.wedge(a, b, c)
+    for levels in level_tuples(n, 4):
+        assert quadruple.wedge(*levels) == alone.wedge(*levels)
+
+
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_repeated_point_gives_a_dependent_prefix(n):
+    p, q = ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1)
+    table = bd.WedgeKernel(n).table((p, p, q), "pants P1 triangle 0")
+    for a, b, c in level_tuples(n, 3):
+        if a and b:
+            # the first row of p is stacked twice: the prefix is dependent
+            with pytest.raises(DegenerateFlagError,
+                               match=rf"pants P1 triangle 0: wedge \({a}, {b}, {c}\) "
+                                     rf"is exactly 0 at n = {n}"):
+                table.wedge(a, b, c)
+        else:
+            assert table.wedge(a, b, c) == stacked_wedge((p, p, q), (a, b, c), n) != 0
