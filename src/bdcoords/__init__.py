@@ -22,9 +22,7 @@ from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationErr
                        validate_shears)
 from .bd import (BDVector, ClosedLeafReport, SlicePoint, bd_vector,
                  closed_leaf_report, closed_leaf_sums, dimension_counts,
-                 gluing_invariant, polytope_membership, realize_slice,
-                 shearing_invariant, slice_membership, slice_point_of,
-                 triangle_invariant)
+                 polytope_membership, realize_slice, slice_membership)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

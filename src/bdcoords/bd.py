@@ -11,14 +11,15 @@ The invariants are exact at the developed points.  Each point, float or
 rational, is converted to integer homogeneous coordinates of the same
 value (a float is a dyadic rational), and the integer Veronese flag rows
 are built once per distinct point of one computation.  Each triangle and
-each quadruple gets a table of the stacked wedges its ratios need.  All
-tables of one computation read their entries off one trie of integer
-Bareiss elimination states, so a stack of leading rows shared by many
-wedges is reduced once, and every entry is checked exactly nonzero; each
-ratio's sign is checked exactly, and only its final quotient is rounded
-and passed to the log.  The float genericity threshold of the flags module
-plays no part here, so a triangle invariant of a developed surface is
-exactly 0.
+each quadruple gets a ``flags.WedgeTable`` of the stacked wedges its ratios
+need, and the ratio formulas are that table's.  All tables of one
+computation read their entries off one trie of integer Bareiss elimination
+states, so a stack of leading rows shared by many wedges is reduced once,
+and every entry is checked exactly nonzero; each ratio's sign is checked
+exactly, and only its final quotient is rounded and passed to the log.  The
+float genericity threshold of the flags module plays no part here, so a
+triangle invariant of a developed surface is exactly 0.  The kernel maps the
+points to integer rows and names the object in its errors.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
@@ -34,9 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .scalars import serialize_value
-from .flags import DegenerateFlagError
+from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
-from .multilinear import bareiss_append
 from .veronese import flag_rows, length_spectrum
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
@@ -81,155 +81,53 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
-class WedgeKernel:
+class WedgeKernel(WedgeTrie):
     """Exact rank-n wedges of Veronese flags at developed points.
 
-    Each distinct point gets an index and its integer flag rows once.  Every
-    stacked wedge of the computation is read off one trie of fraction-free
-    elimination states, keyed by the stacked blocks ``((point, level), ...)``
-    in the table's block order, zero-level blocks dropped.  A state is its
-    parent (the same blocks with one row fewer) with the next flag row
-    appended by :func:`~bdcoords.multilinear.bareiss_append`, so a prefix of
-    rows shared by many wedges, in one table or across tables, is reduced
-    once.  A state of n rows is its signed determinant, and a state whose
-    rows are exactly dependent is 0, as is every wedge through it.  The trie
-    lives as long as the kernel, and a kernel serves one computation.
+    The kernel is a :class:`~bdcoords.flags.WedgeTrie` whose flags are the
+    distinct points of one computation: each point gets its integer flag
+    rows once, and every table of the computation reads its wedges off this
+    one trie, so a prefix of rows shared by many wedges, in one table or
+    across tables, is reduced once.  The trie lives as long as the kernel,
+    and a kernel serves one computation.
     """
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("need n >= 2")
-        self.n = n
-        self._points = {}              # integer point -> its index in _rows
-        self._rows = []                # integer flag rows, one list per point
-        self._states = {(): ((), 0)}   # stacked blocks -> elimination state
+        super().__init__(n)
+        self._points = {}              # integer point -> its key in the trie
 
-    def table(self, points, what: str) -> "WedgeTable":
+    def table(self, points, what: str) -> "InvariantTable":
         """The wedge table of the flags at ``points``; ``what`` names them."""
-        ids = []
+        keys = []
         for pt in points:
             key = _integer_point(pt)
             if key not in self._points:
-                self._points[key] = len(self._rows)
-                self._rows.append(flag_rows(*key, self.n))
-            ids.append(self._points[key])
-        return WedgeTable(self, tuple(ids), what)
-
-    def state(self, blocks):
-        """The elimination state of the stacked blocks: ``(steps, parity)``
-        below n rows, the signed determinant at n rows, 0 once dependent."""
-        state = self._states.get(blocks)
-        if state is None:
-            point, level = blocks[-1]
-            parent = blocks[:-1] + ((point, level - 1),) if level > 1 else blocks[:-1]
-            state = _append(self.state(parent), self._rows[point][level - 1])
-            self._states[blocks] = state
-        return state
+                self._points[key] = self.add(flag_rows(*key, self.n))
+            keys.append(self._points[key])
+        return InvariantTable(self, keys, f"at {what}")
 
 
-def _append(state, row):
-    """The elimination state one integer row below ``state``."""
-    if not state:   # rows that are dependent stay dependent
-        return 0
-    steps, parity = state
-    step = bareiss_append(steps, row)
-    if step is None:
-        return 0
-    index, pivot, rest = step
-    parity ^= index & 1
-    if rest:
-        return steps + (step,), parity
-    return -pivot if parity else pivot
-
-
-class WedgeTable:
-    """Stacked wedges of a tuple of flags of one kernel.
-
-    The entry at levels (d_1, ..., d_m), summing to n, is the determinant of
-    the first d_1 rows of flag 1, then the first d_2 rows of flag 2, and so
-    on: an exact integer from the kernel's elimination trie, checked nonzero.
-    Ratios are formed from the integer factors, their signs checked exactly,
-    and the log taken of the correctly rounded quotient.
-    """
-
-    def __init__(self, kernel: WedgeKernel, points: tuple, what: str):
-        self.kernel, self.points, self.what = kernel, points, what
-        self.n = kernel.n
-
-    def wedge(self, *levels) -> int:
-        value = self.kernel.state(
-            tuple([(pt, d) for pt, d in zip(self.points, levels) if d]))
-        if value == 0:
-            raise DegenerateFlagError(
-                f"vanishing wedge factor at {self.what}: wedge {levels} "
-                f"is exactly 0 at n = {self.n}")
-        return value
+class InvariantTable(WedgeTable):
+    """A kernel's wedge table whose ratios go into invariants: each ratio's
+    sign is checked exactly, and the log taken of the correctly rounded
+    quotient of its integers."""
 
     def _log_ratio(self, num: int, den: int, name: str) -> float:
         if (num > 0) != (den > 0):
             raise AssemblyError(
-                f"{name} at {self.what} is not positive: {num / den:.6g} "
+                f"{name} {self.where} is not positive: {num / den:.6g} "
                 f"at n = {self.n}")
         return math.log(num / den)
 
     def log_triple_ratio(self, p: int, q: int, r: int) -> float:
-        """log T_pqr of the first three flags (see ``flags.triple_ratio``)."""
-        if min(p, q, r) < 1 or p + q + r != self.n:
-            raise ValueError(f"need p, q, r >= 1 with p + q + r = {self.n}, "
-                             f"got {(p, q, r)} at {self.what}")
-        w = self.wedge
-        num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
-        den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
-        return self._log_ratio(num, den, f"triple ratio T_{(p, q, r)}")
+        """log T_pqr of the first three flags."""
+        return self._log_ratio(*self.triple_ratio(p, q, r), f"triple ratio T_{(p, q, r)}")
 
     def log_double_ratio(self, p: int) -> float:
-        """log D_p of the flag quadruple (see ``flags.double_ratio``)."""
-        n = self.n
-        if not 1 <= p <= n - 1:
-            raise ValueError(f"need 1 <= p <= {n - 1}, got {p} at {self.what}")
-        w = self.wedge
-        num = w(p, n - p - 1, 1, 0) * w(p - 1, n - p, 0, 1)
-        den = w(p, n - p - 1, 0, 1) * w(p - 1, n - p, 1, 0)
-        return self._log_ratio(-num, den, f"double ratio D_{p}")
-
-
-def _triangle_table(kernel: WedgeKernel, ds: DevelopedSurface, pants_id: str,
-                    tri: int, vertex: int) -> WedgeTable:
-    placed = ds.pants[pants_id].triangles[tri]
-    # rotate the fixed clockwise cycle to start at the chosen vertex
-    k = _CW_ORDER.index(vertex)
-    pts = [placed.pts[_CW_ORDER[(k + m) % 3]] for m in range(3)]
-    return kernel.table(pts, f"pants {pants_id} triangle {tri}")
-
-
-def _leaf_table(kernel: WedgeKernel, ds: DevelopedSurface, pants_id: str,
-                leaf: str) -> WedgeTable:
-    q = ds.pants[pants_id].leaf_quadruples[leaf]
-    return kernel.table((q.x, q.y, q.zl, q.zr), f"pants {pants_id} leaf {leaf}")
-
-
-def _curve_table(kernel: WedgeKernel, ds: DevelopedSurface, curve_id: str) -> WedgeTable:
-    c = ds.curves[curve_id]
-    return kernel.table((c.x, c.y, c.zl, c.zr), f"curve {curve_id}")
-
-
-def triangle_invariant(ds: DevelopedSurface, pants_id: str, tri: int,
-                       vertex: int, p: int, q: int, r: int, n: int) -> float:
-    """log of the (p, q, r) triple ratio at an ideal triangle's flags,
-    vertices taken clockwise from the chosen one."""
-    table = _triangle_table(WedgeKernel(n), ds, pants_id, tri, vertex)
-    return table.log_triple_ratio(p, q, r)
-
-
-def shearing_invariant(ds: DevelopedSurface, pants_id: str, leaf: str,
-                       p: int, n: int) -> float:
-    """log D_p at the leaf quadruple (x, y, z_left, z_right)."""
-    return _leaf_table(WedgeKernel(n), ds, pants_id, leaf).log_double_ratio(p)
-
-
-def gluing_invariant(ds: DevelopedSurface, curve_id: str, p: int, n: int) -> float:
-    """log D_p at the curve's short-arc quadruple (x, y, z_left, z_right)."""
-    return _curve_table(WedgeKernel(n), ds, curve_id).log_double_ratio(p)
+        """log D_p of the flag quadruple."""
+        return self._log_ratio(*self.double_ratio(p), f"double ratio D_{p}")
 
 
 @dataclass(frozen=True)
@@ -293,15 +191,17 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     theta = {}
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
-            table = _triangle_table(kernel, ds, pid, tri, 0)
+            pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
+            table = kernel.table([pts[c] for c in _CW_ORDER], f"pants {pid} triangle {tri}")
             for pqr in triple_indices(n):
                 tau[(pid, tri, pqr)] = table.log_triple_ratio(*pqr)
         for leaf in dev.lam.leaves():
-            table = _leaf_table(kernel, ds, pid, leaf)
+            q = dev.leaf_quadruples[leaf]
+            table = kernel.table((q.x, q.y, q.zl, q.zr), f"pants {pid} leaf {leaf}")
             for p in range(1, n):
                 sigma[(pid, leaf, p)] = table.log_double_ratio(p)
-    for cid in ds.curves:
-        table = _curve_table(kernel, ds, cid)
+    for cid, c in ds.curves.items():
+        table = kernel.table((c.x, c.y, c.zl, c.zr), f"curve {cid}")
         for p in range(1, n):
             theta[(cid, p)] = table.log_double_ratio(p)
     vec = BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
@@ -461,26 +361,6 @@ class SlicePoint:
 
     shears: dict   # pants_id -> {leaf: float}
     gluing: dict   # curve_id -> float
-
-
-def slice_point_of(v: BDVector, spec: SurfaceSpec) -> SlicePoint:
-    """Read a slice point off an invariant vector (p-averaged blocks)."""
-    shears = {pid: {} for pid in spec.pants}
-    counts = {}
-    for (pid, leaf, _p), x in v.sigma.items():
-        shears[pid][leaf] = shears[pid].get(leaf, 0.0) + x
-        counts[(pid, leaf)] = counts.get((pid, leaf), 0) + 1
-    for pid in shears:
-        for leaf in shears[pid]:
-            shears[pid][leaf] /= counts[(pid, leaf)]
-    gluing = {}
-    gcounts = {}
-    for (cid, _p), x in v.theta.items():
-        gluing[cid] = gluing.get(cid, 0.0) + x
-        gcounts[cid] = gcounts.get(cid, 0) + 1
-    for cid in gluing:
-        gluing[cid] /= gcounts[cid]
-    return SlicePoint(shears=shears, gluing=gluing)
 
 
 def roundtrip_deviation(v: BDVector, sp: SlicePoint) -> float:

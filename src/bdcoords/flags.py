@@ -13,12 +13,18 @@ Both are invariant under the projective linear action and under rescaling
 each flag's basis vectors; the identification of the top wedge power with the
 scalars is fixed once and for all as the standard-basis determinant.
 
-An exact flag clears each basis row to integers once, when it is built, as
-an integer row over a positive scale.  Every stacked wedge of exact flags is
-then one integer Bareiss determinant (``multilinear.det_int``) over the
-product of the stacked rows' scales, checked exactly nonzero.  Nothing is
-shared between calls: each ratio computes its own wedges from its own flags.
-Float flags use ``multilinear.det_raw`` and a relative genericity threshold.
+Both ratios are read off a :class:`WedgeTable` of the flags' stacked wedges,
+the only copy of the two formulas, as a pair (num, den).  An exact flag
+keeps its basis rows as integer rows over positive scales; each flag puts
+the same rows into a ratio's numerator and denominator, so the scales cancel
+and the pair is two integer products of wedges.  An exact table reads each
+wedge off a :class:`WedgeTrie` of Bareiss elimination states, so leading
+rows shared by several wedges are reduced once, and checks it exactly
+nonzero.  A float table computes each wedge once with
+``multilinear.det_raw`` against a relative genericity threshold.
+:func:`triple_ratio` and :func:`double_ratio` build a fresh table per call;
+the identity suites build one per sampled case, and the bd module one trie
+per surface.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
-from .multilinear import det_int, det_raw, integer_row
+from .multilinear import bareiss_append, det_int, det_raw, integer_row
 
 _FLOAT_RANK_TOL = 1e-12  # |det| > tol * (product of row norms) counts as nonzero
 
@@ -36,10 +42,13 @@ class DegenerateFlagError(ValueError):
 
 
 class Flag:
-    """A complete flag given by an ordered basis of R^n; an exact flag also
-    keeps each row as (integer row, scale), see ``multilinear.integer_row``."""
+    """A complete flag given by an ordered basis of R^n.
 
-    __slots__ = ("n", "basis", "mode", "_int_rows", "_scales")
+    An exact flag keeps each row as (integer row, scale), see
+    ``multilinear.integer_row``, and derives its basis from them when read.
+    """
+
+    __slots__ = ("n", "mode", "_basis", "_int_rows", "_scales")
 
     def __init__(self, basis):
         rows = [tuple(row) for row in basis]
@@ -47,16 +56,37 @@ class Flag:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("flag basis must be n vectors of length n")
         self.mode = infer_mode(x for row in rows for x in row)
-        self.n = n
-        if self.mode == FLOAT:
-            self.basis = tuple(tuple(float(x) for x in row) for row in rows)
-        else:
-            self.basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        if self.mode == EXACT:
             cleared = [integer_row(row) for row in rows]
-            self._int_rows = tuple(r for r, _ in cleared)
-            self._scales = tuple(s for _, s in cleared)
-        if not _wedge([(self, n)], self.mode)[1]:
+            self._set_integer_rows([r for r, _ in cleared], [s for _, s in cleared])
+            return
+        self.n = n
+        self._basis = tuple(tuple(float(x) for x in row) for row in rows)
+        if not _float_wedge(self._basis)[1]:
             raise DegenerateFlagError("flag basis is not linearly independent")
+
+    @classmethod
+    def from_integer_rows(cls, rows, scale: int) -> "Flag":
+        """The exact flag whose basis rows are n integer rows of length n,
+        each divided by the positive ``scale``."""
+        flag = cls.__new__(cls)
+        flag.mode = EXACT
+        flag._set_integer_rows(rows, [scale] * len(rows))
+        return flag
+
+    def _set_integer_rows(self, rows, scales):   # and check independence
+        self.n = len(rows)
+        self._int_rows = tuple(tuple(row) for row in rows)
+        self._scales = tuple(scales)
+        if det_int(self._int_rows) == 0:
+            raise DegenerateFlagError("flag basis is not linearly independent")
+
+    @property
+    def basis(self):
+        if self.mode == FLOAT:
+            return self._basis
+        return tuple(tuple(Fraction(x, s) for x in row)
+                     for row, s in zip(self._int_rows, self._scales))
 
     def level(self, d: int):
         """The first d basis vectors (spanning the d-dimensional level)."""
@@ -100,26 +130,153 @@ class FlagTuple:
         return len(self.flags)
 
 
-def _wedge(levels, mode):
-    """The stacked wedge of ``levels``, pairs (flag, d) taking the first d
-    basis vectors of each flag, and whether it counts as nonzero.
-
-    Exact flags stack their integer rows for one integer Bareiss
-    determinant, divided by the product of the row scales, and the zero
-    check is exact.  Float flags use ``det_raw`` and count as nonzero when
-    |det| exceeds _FLOAT_RANK_TOL times the product of the row norms.
-    """
-    if mode == EXACT:
-        rows, scale = [], 1
-        for flag, d in levels:
-            rows.extend(flag._int_rows[:d])
-            scale *= math.prod(flag._scales[:d])
-        value = det_int(rows)
-        return Fraction(value, scale), value != 0
-    rows = [row for flag, d in levels for row in flag.basis[:d]]
-    value = det_raw(rows, mode)
+def _float_wedge(rows):
+    """``det_raw`` of float rows, and whether it counts as nonzero: |det|
+    above _FLOAT_RANK_TOL times the product of the row norms."""
+    value = det_raw(rows, FLOAT)
     norms = math.prod(math.sqrt(sum(x * x for x in row)) for row in rows)
     return value, abs(value) > _FLOAT_RANK_TOL * norms
+
+
+class WedgeTrie:
+    """Fraction-free elimination states of stacked integer flag rows.
+
+    Each added flag gets a key.  A state, keyed by the stacked blocks
+    ``((key, level), ...)`` with zero levels dropped, is its parent (one row
+    fewer) with the next row appended by ``multilinear.bareiss_append``, so
+    rows shared by many wedges, in one table or across tables, are reduced
+    once.  A state of n rows is its signed determinant; an exactly
+    dependent one is 0, as is every state below it.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = []                 # integer rows of each added flag, by key
+        self._states = {(): ((), 0)}   # stacked blocks -> elimination state
+
+    def add(self, rows) -> int:
+        """The key of a new flag with these integer rows."""
+        self.rows.append(rows)
+        return len(self.rows) - 1
+
+    def state(self, blocks):
+        """The elimination state of the stacked blocks: ``(steps, parity)``
+        below n rows, the signed determinant at n rows, 0 once dependent."""
+        state = self._states.get(blocks)
+        if state is None:
+            key, level = blocks[-1]
+            parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
+            state = _append(self.state(parent), self.rows[key][level - 1])
+            self._states[blocks] = state
+        return state
+
+
+def _append(state, row):
+    """The elimination state one integer row below ``state``."""
+    if not state:   # rows that are dependent stay dependent
+        return 0
+    steps, parity = state
+    step = bareiss_append(steps, row)
+    if step is None:
+        return 0
+    index, pivot, rest = step
+    parity ^= index & 1
+    if rest:
+        return steps + (step,), parity
+    return -pivot if parity else pivot
+
+
+class WedgeTable:
+    """The stacked wedges of a tuple of flags, and the two ratios read off them.
+
+    The entry at levels (d_1, ..., d_m), summing to n, is the determinant of
+    the first d_1 rows of flag 1, then the first d_2 rows of flag 2, and so
+    on: here an integer read off a trie that holds the flags under ``keys``.
+    ``where`` places the table in errors ("at pants P0 triangle 1").
+    """
+
+    def __init__(self, trie: WedgeTrie, keys, where: str):
+        self.trie, self.keys, self.where = trie, tuple(keys), where
+        self.n = trie.n
+
+    def wedge(self, *levels):
+        """The entry at ``levels``; DegenerateFlagError when it vanishes."""
+        value = self.trie.state(
+            tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
+        if value == 0:
+            raise DegenerateFlagError(
+                f"vanishing wedge factor {self.where}: wedge {levels} "
+                f"is exactly 0 at n = {self.n}")
+        return value
+
+    @staticmethod
+    def quotient(num, den):
+        """The value of a ratio given as (num, den)."""
+        return Fraction(num, den)
+
+    def triple_ratio(self, p: int, q: int, r: int):
+        """The (p, q, r) triple ratio of the first three flags (E, F, G) as (num, den).
+
+        T_pqr = (e^{p+1} f^q g^{r-1} * e^p f^{q-1} g^{r+1} * e^{p-1} f^{q+1} g^r)
+              / (e^{p-1} f^q g^{r+1} * e^p f^{q+1} g^{r-1} * e^{p+1} f^{q-1} g^r)
+
+        where e^d is the wedge of the first d basis vectors of E, etc., and
+        each product of total degree n is read off as a determinant.
+        """
+        if min(p, q, r) < 1 or p + q + r != self.n:
+            raise ValueError(f"need p, q, r >= 1 with p + q + r = {self.n}, "
+                             f"got {(p, q, r)} {self.where}")
+        w = self.wedge
+        num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
+        den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
+        return num, den
+
+    def double_ratio(self, p: int):
+        """The p-th double ratio of the flags (E, F, G, G') as (num, den).
+
+        D_p = - (e^p f^{n-p-1} g^1 * e^{p-1} f^{n-p} g'^1)
+              / (e^p f^{n-p-1} g'^1 * e^{p-1} f^{n-p} g^1)
+        """
+        n = self.n
+        if not 1 <= p <= n - 1:
+            raise ValueError(f"need 1 <= p <= {n - 1}, got {p} {self.where}")
+        w = self.wedge
+        num = w(p, n - p - 1, 1, 0) * w(p - 1, n - p, 0, 1)
+        den = w(p, n - p - 1, 0, 1) * w(p - 1, n - p, 1, 0)
+        return -num, den
+
+
+class _FloatWedgeTable(WedgeTable):
+    """A table of float flags: each entry is ``det_raw`` of the stacked
+    rows, computed once per level tuple, and it vanishes below the relative
+    genericity threshold."""
+
+    def __init__(self, flags: FlagTuple, where: str):
+        self.rows, self.n, self.where = tuple(f.basis for f in flags), flags.n, where
+        self._entries = {}
+
+    def wedge(self, *levels):
+        entry = self._entries.get(levels)
+        if entry is None:
+            entry = self._entries[levels] = _float_wedge(
+                [row for basis, d in zip(self.rows, levels) for row in basis[:d]])
+        value, nonzero = entry
+        if not nonzero:
+            raise DegenerateFlagError(f"vanishing wedge factor {self.where}")
+        return value
+
+    @staticmethod
+    def quotient(num, den):
+        return num / den
+
+
+def wedge_table(flags, where: str) -> WedgeTable:
+    """A fresh table of the flags, exact or float by their common mode."""
+    t = FlagTuple(flags)
+    if t.mode == FLOAT:
+        return _FloatWedgeTable(t, where)
+    trie = WedgeTrie(t.n)
+    return WedgeTable(trie, [trie.add(f._int_rows) for f in t], where)
 
 
 def _compositions(n: int, k: int):
@@ -136,60 +293,26 @@ def is_generic(t: FlagTuple) -> bool:
     """Whether every selection of leading blocks of total dimension n is direct.
 
     For each composition (n_1, ..., n_k) of n, the wedge of the first n_1
-    vectors of flag 1, first n_2 of flag 2, ... must be nonzero.
+    vectors of flag 1, first n_2 of flag 2, ... must be nonzero (one table).
     """
-    return all(_wedge(zip(t, comp), t.mode)[1]
-               for comp in _compositions(t.n, len(t)))
-
-
-def _guarded_wedge(levels, mode, what: str):
-    value, nonzero = _wedge(levels, mode)
-    if not nonzero:
-        raise DegenerateFlagError(f"vanishing wedge factor in {what}")
-    return value
+    table = wedge_table(t, "in a flag tuple")
+    try:
+        for comp in _compositions(t.n, len(t)):
+            table.wedge(*comp)
+    except DegenerateFlagError:
+        return False
+    return True
 
 
 def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int):
-    """The (p, q, r) triple ratio of a generic flag triple.
-
-    T_pqr = (e^{p+1} f^q g^{r-1} * e^p f^{q-1} g^{r+1} * e^{p-1} f^{q+1} g^r)
-          / (e^{p-1} f^q g^{r+1} * e^p f^{q+1} g^{r-1} * e^{p+1} f^{q-1} g^r)
-
-    where e^d is the wedge of the first d basis vectors of E, etc., and each
-    product of total degree n is read off as a determinant.  Independent of
-    the basis choices within each flag.
-    """
-    n = E.n
-    mode = join_mode(join_mode(E.mode, F.mode), G.mode)
-    if F.n != n or G.n != n:
-        raise ValueError("flags of different dimensions")
-    if min(p, q, r) < 1 or p + q + r != n:
-        raise ValueError(f"need p, q, r >= 1 with p + q + r = {n}, got {(p, q, r)}")
-
-    def w(dp, dq, dr):
-        return _guarded_wedge([(E, dp), (F, dq), (G, dr)], mode, "triple ratio")
-
-    num = w(p + 1, q, r - 1) * w(p, q - 1, r + 1) * w(p - 1, q + 1, r)
-    den = w(p - 1, q, r + 1) * w(p, q + 1, r - 1) * w(p + 1, q - 1, r)
-    return num / den
+    """The (p, q, r) triple ratio of a generic flag triple, a Fraction or a
+    float by the flags' mode (see :meth:`WedgeTable.triple_ratio`)."""
+    table = wedge_table((E, F, G), "in triple ratio")
+    return table.quotient(*table.triple_ratio(p, q, r))
 
 
 def double_ratio(E: Flag, F: Flag, G: Flag, Gp: Flag, p: int):
-    """The p-th double ratio of a generic flag quadruple (E, F, G, G').
-
-    D_p = - (e^p f^{n-p-1} g^1 * e^{p-1} f^{n-p} g'^1)
-          / (e^p f^{n-p-1} g'^1 * e^{p-1} f^{n-p} g^1)
-    """
-    n = E.n
-    mode = join_mode(join_mode(E.mode, F.mode), join_mode(G.mode, Gp.mode))
-    if F.n != n or G.n != n or Gp.n != n:
-        raise ValueError("flags of different dimensions")
-    if not 1 <= p <= n - 1:
-        raise ValueError(f"need 1 <= p <= {n - 1}, got {p}")
-
-    def w(dp, dq, last: Flag):
-        return _guarded_wedge([(E, dp), (F, dq), (last, 1)], mode, "double ratio")
-
-    num = w(p, n - p - 1, G) * w(p - 1, n - p, Gp)
-    den = w(p, n - p - 1, Gp) * w(p - 1, n - p, G)
-    return -num / den
+    """The p-th double ratio of a generic flag quadruple (E, F, G, G'), see
+    :meth:`WedgeTable.double_ratio`."""
+    table = wedge_table((E, F, G, Gp), "in double ratio")
+    return table.quotient(*table.double_ratio(p))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flags import (DegenerateFlagError, Flag, FlagTuple, is_generic, triple_ratio,
-                    double_ratio)
+                    wedge_table)
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
 from .veronese import veronese_flag
 from .multilinear import compare_band, compare_rhombus
@@ -121,19 +121,6 @@ def sample_float(rng: random.Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.randint(0, 10 ** 9) / 10 ** 9
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> list:
-    """Random integer matrix of determinant 1, via elementary shears."""
-    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
-        if i == j:
-            continue
-        c = rng.randint(-3, 3)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return m
-
-
 def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
     """Random exact flags forming a generic tuple (rejection sampled)."""
     for _ in range(200):
@@ -156,7 +143,9 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
 
 def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                      mode: str = "exact", tol: float = 1e-9) -> SuiteReport:
-    """Triple ratios of Veronese flags at clockwise triples all equal 1."""
+    """Triple ratios of Veronese flags at clockwise triples all equal 1.
+
+    Every index of a case is read off one wedge table of its three flags."""
     rng = random.Random(seed)
     report = SuiteReport("triple-ratio", dict(n=n, samples=samples, seed=seed, mode=mode))
     min_sep = 0.2 if mode == "float" else 0.0
@@ -168,10 +157,10 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         assert is_clockwise(*triple)
         if mode == "float":
             triple = tuple(p.to_float() for p in triple)
-        flags = [veronese_flag(p, n) for p in triple]
+        table = wedge_table([veronese_flag(p, n) for p in triple], "in triple ratio")
         for p, q, r in bd.triple_indices(n):
             try:
-                value = triple_ratio(*flags, p, q, r)
+                value = table.quotient(*table.triple_ratio(p, q, r))
             except DegenerateFlagError as exc:
                 report.record_failure(f"case {case} T_{p}{q}{r}: {exc} at n = {n}")
                 continue
@@ -185,7 +174,8 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
 
 def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                      mode: str = "exact", tol: float = 1e-9) -> SuiteReport:
-    """Double ratios of Veronese flags against -1/(cross ratio)."""
+    """Double ratios of Veronese flags against -1/(cross ratio), every
+    index of a case read off one wedge table of its four flags."""
     rng = random.Random(seed)
     report = SuiteReport("double-ratio", dict(n=n, samples=samples, seed=seed, mode=mode))
     min_sep = 0.2 if mode == "float" else 0.0
@@ -197,10 +187,10 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         expected = -1 / z
         if mode == "float":
             a, b, c, d = (p.to_float() for p in (a, b, c, d))
-        fa, fb, fc, fd = (veronese_flag(p, n) for p in (a, b, c, d))
+        table = wedge_table([veronese_flag(p, n) for p in (a, c, b, d)], "in double ratio")
         for p in range(1, n):
             try:
-                value = double_ratio(fa, fc, fb, fd, p)
+                value = table.quotient(*table.double_ratio(p))
             except DegenerateFlagError as exc:
                 report.record_failure(f"case {case} D_{p}: {exc} at n = {n}")
                 continue

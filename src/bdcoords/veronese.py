@@ -88,16 +88,14 @@ def flag_rows(a, b, n: int, one=1):
 
 def veronese_flag(p: ProjPoint, n: int) -> Flag:
     """The osculating flag of the Veronese curve at a boundary point; an
-    exact point's rows are expanded in integers over its common denominator."""
+    exact point's rows are expanded in integers over its common denominator
+    D and passed to the flag with the scale D^(n-1)."""
     if p.mode == FLOAT:
         return Flag(flag_rows(p.a, p.b, n, 1.0))
     d = math.lcm(p.a.denominator, p.b.denominator)
     rows = flag_rows(p.a.numerator * (d // p.a.denominator),
                      p.b.numerator * (d // p.b.denominator), n)
-    if d != 1:
-        scale = d ** (n - 1)
-        rows = [[Fraction(x, scale) for x in row] for row in rows]
-    return Flag(rows)
+    return Flag.from_integer_rows(rows, d ** (n - 1))
 
 
 def _translation_length(holonomy: Mobius, n: int) -> float:

@@ -11,6 +11,7 @@ from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
 from bdcoords.veronese import veronese_flag
 from bdcoords import verification
 from bdcoords.verification import sample_genus2
+from oracles import slice_point_of, triangle_invariant
 
 SHEARS = {"P0": {"B12": 0.8, "B13": 0.6, "B23": 1.1},
           "P1": {"B12": 0.8, "B13": 0.6, "B23": 1.1}}
@@ -29,20 +30,23 @@ def ds():
 
 def test_triangle_invariants_vanish(ds):
     for n in (3, 4, 5, 6):
-        for pid in ("P0", "P1"):
-            for tri in (0, 1):
-                for pqr in bd.triple_indices(n):
-                    tau = bd.triangle_invariant(ds, pid, tri, 0, *pqr, n)
-                    assert abs(tau) < 1e-9
+        tau = bd.bd_vector(ds, n).tau
+        assert len(tau) == 2 * 2 * len(bd.triple_indices(n))
+        for value in tau.values():
+            assert abs(value) < 1e-9
 
 
 def test_triangle_invariant_vertex_rotation(ds):
     # rotating the starting vertex permutes the indices cyclically
     n = 5
+    vec = bd.bd_vector(ds, n)
     for (p, q, r) in bd.triple_indices(n):
-        t0 = bd.triangle_invariant(ds, "P0", 0, 0, p, q, r, n)
-        t1 = bd.triangle_invariant(ds, "P0", 0, 2, q, r, p, n)  # next clockwise
+        t0 = triangle_invariant(ds, "P0", 0, 0, p, q, r, n)
+        t1 = triangle_invariant(ds, "P0", 0, 2, q, r, p, n)  # next clockwise
         assert t0 == pytest.approx(t1, abs=1e-12)
+        for vertex in (0, 1, 2):
+            assert vec.tau_at("P0", 0, vertex, (p, q, r)) == pytest.approx(
+                triangle_invariant(ds, "P0", 0, vertex, p, q, r, n), abs=1e-12)
 
 
 def test_triangle_invariant_exact_log_argument():
@@ -58,20 +62,20 @@ def test_triangle_invariant_exact_log_argument():
 
 def test_shearing_invariant_recovers_shear(ds):
     for n in (2, 3, 4, 5):
+        vec = bd.bd_vector(ds, n)
         for pid in ("P0", "P1"):
             for leaf, value in SHEARS[pid].items():
                 for p in range(1, n):
-                    sigma = bd.shearing_invariant(ds, pid, leaf, p, n)
-                    assert sigma == pytest.approx(value, abs=1e-9)
+                    assert vec.sigma[(pid, leaf, p)] == pytest.approx(value, abs=1e-9)
 
 
 def test_shearing_invariant_n2_reduces_to_classical(ds):
+    vec = bd.bd_vector(ds, 2)
     for pid in ("P0", "P1"):
         for leaf in SHEARS[pid]:
             q = ds.pants[pid].leaf_quadruples[leaf]
             classical = shear_from_quadruple(q.y, q.zr, q.x, q.zl)
-            sigma = bd.shearing_invariant(ds, pid, leaf, 1, 2)
-            assert sigma == pytest.approx(classical, abs=1e-12)
+            assert vec.sigma[(pid, leaf, 1)] == pytest.approx(classical, abs=1e-12)
 
 
 # -- gluing invariants --------------------------------------------------------
@@ -80,17 +84,17 @@ def test_gluing_invariant_is_twice_the_twist(ds):
     # with the shipped normalization the twist-0 marking has vanishing
     # gluing invariant and the twist enters with translation weight 2
     for n in (2, 3, 4):
+        vec = bd.bd_vector(ds, n)
         for cid, t in ds.twists.items():
             for p in range(1, n):
-                theta = bd.gluing_invariant(ds, cid, p, n)
-                assert theta == pytest.approx(2 * t, abs=1e-9)
+                assert vec.theta[(cid, p)] == pytest.approx(2 * t, abs=1e-9)
 
 
 def test_gluing_invariant_n2_matches_cross_ratio(ds):
+    vec = bd.bd_vector(ds, 2)
     for cid, chart in ds.curves.items():
         z = chart.gluing_cross_ratio()
-        theta = bd.gluing_invariant(ds, cid, 1, 2)
-        assert theta == pytest.approx(math.log(-1.0 / z), abs=1e-12)
+        assert vec.theta[(cid, 1)] == pytest.approx(math.log(-1.0 / z), abs=1e-12)
 
 
 # -- the vector ---------------------------------------------------------------
@@ -209,7 +213,7 @@ def test_realize_slice_round_trip_from_assembly():
     ds = assemble_surface(spec, shears, twists)
     n = 4
     vec = bd.bd_vector(ds, n)
-    sp = bd.slice_point_of(vec, spec)
+    sp = slice_point_of(vec, spec)
     ds2 = bd.realize_slice(sp, spec)
     vec2 = bd.bd_vector(ds2, n)
     for key in vec.sigma:
@@ -315,7 +319,7 @@ def test_self_glued_handle_decomposition():
         ok, problems = bd.polytope_membership(report)
         assert ok, problems
         assert report.max_deviation() < 1e-9
-    sp = bd.slice_point_of(bd.bd_vector(ds, 3), spec)
+    sp = slice_point_of(bd.bd_vector(ds, 3), spec)
     ds2 = bd.realize_slice(sp, spec)
     vec2 = bd.bd_vector(ds2, 3)
     for key, v in bd.bd_vector(ds, 3).theta.items():

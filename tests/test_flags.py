@@ -1,17 +1,20 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from bdcoords.flags import (DegenerateFlagError, Flag, FlagTuple, _wedge, double_ratio,
-                            is_generic, triple_ratio)
-from bdcoords.halfplane import ProjPoint
-from bdcoords.multilinear import det_raw
+from bdcoords import bd
+from bdcoords.flags import (DegenerateFlagError, Flag, FlagTuple, double_ratio, is_generic,
+                            triple_ratio, wedge_table)
+from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
+from bdcoords.multilinear import det_raw, integer_row
 from bdcoords.veronese import flag_rows, veronese_flag
-from bdcoords.verification import random_generic_flags, random_unimodular
-from oracles import (double_ratio_by, double_ratio_by_cofactors, stacked_rows,
-                     triple_ratio_by, triple_ratio_by_cofactors)
+from bdcoords.verification import random_generic_flags, sample_points
+from oracles import (double_ratio_by, double_ratio_by_cofactors, random_unimodular,
+                     stacked_rows, triple_ratio_by, triple_ratio_by_cofactors)
 
 INF = ProjPoint(1, 0)
 
@@ -171,6 +174,18 @@ def exact_det(rows):
     return det_raw(rows, "exact")
 
 
+def integer_wedge(flags, levels):
+    """The stacked wedge of flags built from their basis, as an exact table
+    holds it: ``det_raw`` of the stacked rows cleared to integers by
+    ``integer_row``, which is ``det_raw`` of the rows themselves times the
+    product of the row scales."""
+    rows = stacked_rows(zip(flags, levels))
+    cleared = [integer_row(row) for row in rows]
+    value = exact_det([r for r, _ in cleared])
+    assert value == exact_det(rows) * math.prod(scale for _, scale in cleared)
+    return value
+
+
 def is_generic_by_det_raw(flags):
     n = flags[0].n
     return all(exact_det(stacked_rows(zip(flags, comp))) != 0
@@ -207,8 +222,10 @@ def test_flag_rows_with_different_denominators():
     assert E.basis[1] == (Fraction(0), Fraction(2, 5), Fraction(7))
     F, G, Gp = (veronese_flag(p, 3) for p in RATIONAL_POINTS[:3])
     # the ratios cancel every row scale, so check the stacked wedges themselves
-    for levels in (((E, 3),), ((E, 2), (F, 1)), ((G, 1), (E, 1), (F, 1)), ((F, 2), (E, 1))):
-        assert _wedge(levels, "exact") == (exact_det(stacked_rows(levels)), True)
+    flags = [E, Flag(F.basis), Flag(G.basis)]
+    table = wedge_table(flags, "in a test")
+    for levels in ((3, 0, 0), (2, 1, 0), (1, 1, 1), (1, 2, 0), (0, 1, 2)):
+        assert table.wedge(*levels) == integer_wedge(flags, levels)
     assert triple_ratio(E, F, G, 1, 1, 1) == triple_ratio_by(exact_det, E, F, G, 1, 1, 1)
     for p in (1, 2):
         assert double_ratio(E, F, G, Gp, p) == double_ratio_by(exact_det, E, F, G, Gp, p)
@@ -228,3 +245,127 @@ def test_rescaled_rational_flag():
     for p in (1, 2, 3):
         assert double_ratio(scaled, F, G, Gp, p) == double_ratio(E, F, G, Gp, p)
         assert double_ratio(F, G, scaled, Gp, p) == double_ratio_by(exact_det, F, G, scaled, Gp, p)
+
+
+# ---------------------------------------------------------------------------
+# wedge tables
+
+
+def level_tuples(n, m):
+    return [ds for ds in itertools.product(range(n + 1), repeat=m) if sum(ds) == n]
+
+
+def rational_flag(rng, n):
+    """A flag whose rows have entries over different denominators."""
+    while True:
+        try:
+            return Flag([[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                         for _ in range(n)])
+        except DegenerateFlagError:
+            continue
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_stacked_wedge_of_rational_flags_is_det_raw_of_its_rows(n):
+    rng = random.Random(900 + n)
+    flags = [rational_flag(rng, n) for _ in range(4)]
+    assert any(x.denominator > 1 for f in flags for row in f.basis for x in row)
+    # four-flag tables have (n + 3 choose 3) entries: keep the oracle's big
+    # determinants to the smaller ranks
+    for t in (flags[:3], flags[1:]) + ((flags,) if n <= 6 else ()):
+        table = wedge_table(t, "in a test")
+        for levels in level_tuples(n, len(t)):
+            expected = integer_wedge(t, levels)
+            if expected:
+                assert table.wedge(*levels) == expected
+            else:
+                with pytest.raises(DegenerateFlagError):
+                    table.wedge(*levels)
+
+
+def suite_cases(n, samples, seed, count, mode):
+    """The counterclockwise point tuples the identity suites draw: ``count``
+    points a case, infinity in every 7th triple and every 5th quadruple, and
+    in float mode a chordal gap of 0.2 between the points."""
+    rng = random.Random(seed)
+    every = 7 if count == 3 else 5
+    cases = [sort_ccw(sample_points(rng, count, with_infinity=(case % every == 0),
+                                    min_separation=0.2 if mode == "float" else 0.0))
+             for case in range(samples)]
+    if mode == "float":
+        return [tuple(p.to_float() for p in pts) for pts in cases]
+    return cases
+
+
+def outcome(ratio, *args):
+    """A ratio's value, or the message of the DegenerateFlagError it raised
+    (float wedges below the genericity threshold)."""
+    try:
+        return ratio(*args)
+    except DegenerateFlagError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_one_table_per_case_gives_the_per_call_ratios(n, mode):
+    value_type = Fraction if mode == "exact" else float
+    for a, b, c in suite_cases(n, 10, n, 3, mode):
+        assert is_clockwise(c, b, a)
+        flags = [veronese_flag(p, n) for p in (c, b, a)]
+        table = wedge_table(flags, "in triple ratio")
+        for pqr in bd.triple_indices(n):
+            value = outcome(lambda: table.quotient(*table.triple_ratio(*pqr)))
+            assert value == outcome(triple_ratio, *flags, *pqr)
+            assert type(value) in (value_type, str)
+            assert mode == "float" or value == 1
+    for a, b, c, d in suite_cases(n, 10, n, 4, mode):
+        flags = [veronese_flag(p, n) for p in (a, c, b, d)]
+        table = wedge_table(flags, "in double ratio")
+        for p in range(1, n):
+            value = outcome(lambda: table.quotient(*table.double_ratio(p)))
+            assert value == outcome(double_ratio, *flags, p)
+            assert type(value) in (value_type, str)
+            assert mode == "float" or value == -1 / cross_ratio(c, d, a, b)
+
+
+def float_det(rows):
+    return det_raw(rows, "float")
+
+
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_float_table_ratios_are_the_det_raw_oracle(n):
+    rng = random.Random(40 + n)
+    pts = sample_points(rng, 4, min_separation=0.2)
+    flags = [veronese_flag(p.to_float(), n) for p in pts]
+    flags[3] = Flag([[x * (1 + 0.25 * i) for x in row] for i, row in enumerate(flags[3].basis)])
+    table = wedge_table(flags, "in a test")
+    for pqr in bd.triple_indices(n):
+        assert table.quotient(*table.triple_ratio(*pqr)) == \
+            triple_ratio_by(float_det, *flags[:3], *pqr)
+    for p in range(1, n):
+        assert table.quotient(*table.double_ratio(p)) == double_ratio_by(float_det, *flags, p)
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_repeated_flag_raises_on_every_ratio_through_it(n, mode):
+    pts = (ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1), ProjPoint(5, 2))
+    if mode == "float":
+        pts = tuple(p.to_float() for p in pts)
+    E, F, G = (veronese_flag(p, n) for p in pts)
+    # the table's fourth flag repeats the first: triple ratios of (E, F, G)
+    # never stack it, every double ratio of (E, F, G, E) does
+    table = wedge_table([E, F, G, E], "in a case")
+    for pqr in bd.triple_indices(n):
+        assert table.quotient(*table.triple_ratio(*pqr)) == triple_ratio(E, F, G, *pqr)
+    for p in range(1, n):
+        # the first dependent factor: e^{p-1} f^{n-p} e^1, or e^1 f^{n-2} e^1
+        levels = (p - 1, n - p, 0, 1) if p > 1 else (1, n - 2, 0, 1)
+        message = (f"vanishing wedge factor in a case: wedge {re.escape(str(levels))} "
+                   f"is exactly 0 at n = {n}$" if mode == "exact"
+                   else "^vanishing wedge factor in a case$")
+        with pytest.raises(DegenerateFlagError, match=message):
+            table.double_ratio(p)
+        with pytest.raises(DegenerateFlagError):
+            double_ratio(E, F, G, E, p)

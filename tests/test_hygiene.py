@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports an underscore (module-private) name from another module of the
-package, and the package imports nothing outside the standard library.
+package, the package imports nothing outside the standard library, and each
+ratio formula of the flags module is written in one function only.
 
 The package re-exports its public names from ``__init__.py``, so only the
 other modules are checked for unused and private imports; every module is
@@ -98,3 +99,49 @@ def test_checker_flags_a_third_party_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_standard_library_only(path):
     assert third_party_imports(path.read_text()) == []
+
+
+# the leading wedge levels of each ratio formula (see ``flags.WedgeTable``)
+RATIO_PATTERNS = {"triple ratio": "(p + 1, q, r - 1)", "double ratio": "(p, n - p - 1)"}
+
+
+def pattern_sites(source: str, pattern: str) -> list:
+    """Names of the innermost functions holding a call or a tuple whose
+    leading elements are the elements of ``pattern``, as written there."""
+    want = [ast.dump(e) for e in ast.parse(pattern, mode="eval").body.elts]
+    sites = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elts = (node.args if isinstance(node, ast.Call)
+                else node.elts if isinstance(node, (ast.Tuple, ast.List)) else [])
+        if [ast.dump(e) for e in elts[:len(want)]] == want:
+            sites.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(sites)
+
+
+def test_checker_finds_each_copy_of_a_ratio_pattern():
+    source = ("def triple(E, F, G, p, q, r):\n"
+              "    def w(a, b, c):\n"
+              "        return (a, b, c)\n"
+              "    return w(p + 1, q, r - 1) * w(p - 1, q + 1, r)\n"
+              "class Table:\n"
+              "    def log_triple(self, p, q, r):\n"
+              "        levels = [(p + 1, q, r - 1), (p, q - 1, r + 1)]\n"
+              "        return self.wedge(p + 1, q, r - 1, 0)\n"
+              "    def double(self, p, n):\n"
+              "        return self.wedge(p, n - p - 1, 1, 0), (p + 1, q, r)\n")
+    assert pattern_sites(source, RATIO_PATTERNS["triple ratio"]) == ["log_triple", "triple"]
+    assert pattern_sites(source, RATIO_PATTERNS["double ratio"]) == ["double"]
+
+
+@pytest.mark.parametrize("ratio", sorted(RATIO_PATTERNS))
+def test_each_ratio_formula_has_one_copy(ratio):
+    sites = [(path.name, name) for path in ALL_MODULES
+             for name in pattern_sites(path.read_text(), RATIO_PATTERNS[ratio])]
+    assert sites == [("flags.py", ratio.replace(" ", "_"))]
