@@ -7,14 +7,14 @@ structures.
 """
 
 from .scalars import EXACT, FLOAT, ScalarModeError
-from .multilinear import (Matrix, band_det_bruteforce, band_det_formula,
-                          compare_band, compare_rhombus, det, ext_binomial,
-                          rhombus_det_bruteforce, rhombus_det_formula, wedge_coeff)
-from .flags import DegenerateFlagError, Flag, FlagTuple, double_ratio, is_generic, triple_ratio
+from .multilinear import (band_det_bruteforce, band_det_formula, compare_band,
+                          compare_rhombus, ext_binomial, rhombus_det_bruteforce,
+                          rhombus_det_formula)
+from .flags import DegenerateFlagError, Flag, double_ratio, is_generic, triple_ratio
 from .halfplane import (DegenerateConfigurationError, Mobius, ProjPoint, axis_data,
                         cross_ratio, is_clockwise, mobius_to_standard,
                         orientation, shear_from_quadruple, twist_map)
-from .veronese import irrep_n, length_spectrum, veronese_flag
+from .veronese import veronese_flag
 from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,
                        PantsLamination, PantsShearing, SurfaceSpec, SurfaceSpecError,
                        UnreachableTwistError, assemble_surface, boundary_lengths,

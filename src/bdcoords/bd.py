@@ -23,7 +23,9 @@ points to integer rows and names the object in its errors.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
-p-th eigenvalue-gap length of the curve's holonomy.  The slice of the
+p-th eigenvalue-gap length of the curve's holonomy.  On the Fuchsian
+locus every such length is the curve's hyperbolic length, which the
+developed surface carries for each curve.  The slice of the
 parameter polytope carved out by vanishing triangle invariants and
 index-independent shearing/gluing invariants is exactly the image of the
 hyperbolic structures, and ``realize_slice`` constructs the hyperbolic
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from .scalars import serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
-from .veronese import flag_rows, length_spectrum
+from .veronese import flag_rows
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
@@ -302,18 +304,25 @@ class ClosedLeafReport:
 
 def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
                        vertex_rule: str = "verbatim") -> ClosedLeafReport:
-    """R_p, L_p and the symmetric-power length l_p for every curve and p."""
+    """R_p, L_p and the length l_p for every curve and p.
+
+    The symmetric power of a hyperbolic element with eigenvalues
+    lambda^(+-1) has eigenvalues lambda^(n-1), lambda^(n-3), ...,
+    lambda^(1-n), so every eigenvalue-gap length l_p is the curve's
+    hyperbolic length: the translation length of its left fan's developed
+    deck map, which ``assemble_surface`` checks against the right fan.
+    """
     if v.size() != expected_size(ds.spec, v.n):
         raise ValueError(
             f"invariant vector has {v.size()} coordinates, surface needs "
             f"{expected_size(ds.spec, v.n)} at n = {v.n}")
     entries = []
     for cid in sorted(ds.curves):
-        spectrum = length_spectrum(ds.curves[cid].holonomy, v.n)
+        length = ds.curves[cid].length
         for p in range(1, v.n):
             r = closed_leaf_sums(v, ds.spec, cid, p, "right", vertex_rule)
             l = closed_leaf_sums(v, ds.spec, cid, p, "left", vertex_rule)
-            entries.append((cid, p, r, l, spectrum[p - 1]))
+            entries.append((cid, p, r, l, length))
     return ClosedLeafReport(n=v.n, entries=tuple(entries))
 
 

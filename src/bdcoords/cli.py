@@ -286,9 +286,17 @@ def main(argv=None) -> int:
     if args.n < 2:
         print(f"error: need n >= 2, got --n {args.n}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "verify" and args.samples < 1:
-        print(f"error: need samples >= 1, got --samples {args.samples}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.command == "verify":
+        if args.samples < 1:
+            print(f"error: need samples >= 1, got --samples {args.samples}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        if args.max_index < 1:
+            print(f"error: need max >= 1, got --max {args.max_index}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        if args.n < 3 and args.suite in ("triple-ratio", "permutation", "all"):
+            print(f"error: suite {args.suite} needs n >= 3 for its triple ratios, "
+                  f"got --n {args.n}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -88,46 +88,8 @@ class Flag:
         return tuple(tuple(Fraction(x, s) for x in row)
                      for row, s in zip(self._int_rows, self._scales))
 
-    def level(self, d: int):
-        """The first d basis vectors (spanning the d-dimensional level)."""
-        if not 0 <= d <= self.n:
-            raise ValueError(f"level {d} out of range for dimension {self.n}")
-        return self.basis[:d]
-
-    def rescaled(self, scales) -> "Flag":
-        """Same flag with basis vector i multiplied by scales[i] (all nonzero,
-        in the flag's mode or plain ints)."""
-        infer_mode(scales, requested=self.mode)
-        if any(s == 0 for s in scales):
-            raise ValueError("rescaling by zero")
-        return Flag([[s * x for x in row] for s, row in zip(scales, self.basis)])
-
     def __repr__(self):
         return f"Flag(n={self.n}, mode={self.mode})"
-
-
-class FlagTuple:
-    """An ordered tuple of flags of a common dimension."""
-
-    __slots__ = ("flags", "n", "mode")
-
-    def __init__(self, flags):
-        flags = tuple(flags)
-        if not flags:
-            raise ValueError("empty flag tuple")
-        n = flags[0].n
-        mode = flags[0].mode
-        for f in flags[1:]:
-            if f.n != n:
-                raise ValueError("flags of different dimensions")
-            join_mode(mode, f.mode)
-        self.flags, self.n, self.mode = flags, n, mode
-
-    def __iter__(self):
-        return iter(self.flags)
-
-    def __len__(self):
-        return len(self.flags)
 
 
 def _float_wedge(rows):
@@ -251,8 +213,8 @@ class _FloatWedgeTable(WedgeTable):
     rows, computed once per level tuple, and it vanishes below the relative
     genericity threshold."""
 
-    def __init__(self, flags: FlagTuple, where: str):
-        self.rows, self.n, self.where = tuple(f.basis for f in flags), flags.n, where
+    def __init__(self, flags, where: str):
+        self.rows, self.n, self.where = tuple(f.basis for f in flags), flags[0].n, where
         self._entries = {}
 
     def wedge(self, *levels):
@@ -271,12 +233,20 @@ class _FloatWedgeTable(WedgeTable):
 
 
 def wedge_table(flags, where: str) -> WedgeTable:
-    """A fresh table of the flags, exact or float by their common mode."""
-    t = FlagTuple(flags)
-    if t.mode == FLOAT:
-        return _FloatWedgeTable(t, where)
-    trie = WedgeTrie(t.n)
-    return WedgeTable(trie, [trie.add(f._int_rows) for f in t], where)
+    """A fresh table of a nonempty sequence of flags of one dimension, exact
+    or float by their common mode."""
+    flags = tuple(flags)
+    if not flags:
+        raise ValueError("empty flag tuple")
+    n, mode = flags[0].n, flags[0].mode
+    for f in flags[1:]:
+        if f.n != n:
+            raise ValueError("flags of different dimensions")
+        join_mode(mode, f.mode)
+    if mode == FLOAT:
+        return _FloatWedgeTable(flags, where)
+    trie = WedgeTrie(n)
+    return WedgeTable(trie, [trie.add(f._int_rows) for f in flags], where)
 
 
 def _compositions(n: int, k: int):
@@ -289,15 +259,15 @@ def _compositions(n: int, k: int):
             yield (head,) + rest
 
 
-def is_generic(t: FlagTuple) -> bool:
+def is_generic(flags) -> bool:
     """Whether every selection of leading blocks of total dimension n is direct.
 
     For each composition (n_1, ..., n_k) of n, the wedge of the first n_1
     vectors of flag 1, first n_2 of flag 2, ... must be nonzero (one table).
     """
-    table = wedge_table(t, "in a flag tuple")
+    table = wedge_table(flags, "in a flag tuple")
     try:
-        for comp in _compositions(t.n, len(t)):
+        for comp in _compositions(table.n, len(flags)):
             table.wedge(*comp)
     except DegenerateFlagError:
         return False

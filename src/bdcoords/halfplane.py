@@ -45,23 +45,12 @@ class ProjPoint:
     def infinity(cls, mode: str = EXACT) -> "ProjPoint":
         return cls(1.0, 0.0) if mode == FLOAT else cls(1, 0)
 
-    @classmethod
-    def of(cls, x) -> "ProjPoint":
-        """Finite point x as [x : 1] (mode follows the value)."""
-        return cls(x, 1.0 if isinstance(x, float) else 1)
-
     @property
     def is_infinity(self) -> bool:
         return self.b == 0
 
     def to_float(self) -> "ProjPoint":
         return ProjPoint(float(self.a), float(self.b))
-
-    def value(self):
-        """Affine coordinate a/b; raises at infinity."""
-        if self.b == 0:
-            raise ZeroDivisionError("point at infinity has no affine value")
-        return self.a / self.b
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -150,19 +139,11 @@ class Mobius:
         self.mode = mode
 
     @classmethod
-    def identity(cls, mode: str = EXACT) -> "Mobius":
-        return cls([[1.0, 0.0], [0.0, 1.0]]) if mode == FLOAT else cls([[1, 0], [0, 1]])
-
-    @classmethod
     def scaling(cls, factor: float) -> "Mobius":
         """z -> factor * z for factor > 0 (float mode)."""
         if factor <= 0:
             raise ValueError("scaling factor must be positive")
         return cls([[float(factor), 0.0], [0.0, 1.0]])
-
-    def det(self):
-        (a, b), (c, d) = self.m
-        return a * d - b * c
 
     def trace_normalized(self) -> float:
         """tr(M / sqrt(det M)) up to sign; requires det > 0."""
@@ -187,17 +168,6 @@ class Mobius:
         join_mode(self.mode, p.mode)
         (a, b), (c, d) = self.m
         return ProjPoint(a * p.a + b * p.b, c * p.a + d * p.b)
-
-    def projectively_equal(self, other: "Mobius", tol: float = 1e-9) -> bool:
-        join_mode(self.mode, other.mode)
-        xs = [x for row in self.m for x in row]
-        ys = [x for row in other.m for x in row]
-        if self.mode == EXACT:
-            return all(xs[i] * ys[j] == xs[j] * ys[i]
-                       for i in range(4) for j in range(i + 1, 4))
-        i0 = max(range(4), key=lambda i: abs(ys[i]))
-        scale = xs[i0] / ys[i0]
-        return all(abs(xs[i] - scale * ys[i]) <= tol for i in range(4))
 
     def __repr__(self):
         return f"Mobius({[list(r) for r in self.m]!r})"

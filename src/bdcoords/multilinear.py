@@ -1,9 +1,8 @@
 """Exact and floating-point multilinear algebra.
 
 Determinants (fraction-free Bareiss elimination in exact mode, a pure-Python
-partial-pivot LU in float mode), wedge-product coefficients, extended binomial
-coefficients, and two families of binomial determinants together with their
-closed forms:
+partial-pivot LU in float mode), extended binomial coefficients, and two
+families of integer binomial determinants together with their closed forms:
 
 * the "band" determinant: the q x q matrix whose row i, column j entry is
   ``ext_binomial(p + r, p + i - j)`` (0-indexed),
@@ -23,54 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, infer_mode, join_mode
-
-
-class Matrix:
-    """A dense rows x cols matrix with uniform-mode entries, row-major."""
-
-    __slots__ = ("rows", "cols", "mode", "_rows")
-
-    def __init__(self, rows_data, mode=None):
-        data = [list(row) for row in rows_data]
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and column")
-        ncols = len(data[0])
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        self.rows = len(data)
-        self.cols = ncols
-        self.mode = infer_mode(
-            (x for row in data for x in row), default=EXACT, requested=mode)
-        conv = float if self.mode == FLOAT else Fraction
-        self._rows = tuple(tuple(conv(x) for x in row) for row in data)
-
-    @classmethod
-    def identity(cls, n: int, mode: str = EXACT) -> "Matrix":
-        one, zero = (1.0, 0.0) if mode == FLOAT else (Fraction(1), Fraction(0))
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def raw_rows(self):
-        return self._rows
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        join_mode(self.mode, other.mode)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        b = other._rows
-        return Matrix([[sum(self._rows[i][k] * b[k][j] for k in range(self.cols))
-                        for j in range(other.cols)] for i in range(self.rows)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.mode == other.mode and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"Matrix({[list(r) for r in self._rows]!r})"
+from .scalars import FLOAT
 
 
 def det_int(rows) -> int:
@@ -178,53 +130,24 @@ def det_raw(rows, mode: str):
     return Fraction(det_int([r for r, _ in cleared]), math.prod(s for _, s in cleared))
 
 
-def det(m: Matrix):
-    """Determinant of a square matrix, in the matrix's own mode."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant of a {m.rows} x {m.cols} matrix")
-    return det_raw(m._rows, m.mode)
-
-
-def ext_binomial(n: int, p: int) -> Fraction:
+def ext_binomial(n: int, p: int) -> int:
     """Binomial coefficient extended by 0 outside the range 0 <= p <= n."""
-    if 0 <= p <= n:
-        return Fraction(math.comb(n, p))
-    return Fraction(0)
-
-
-def wedge_coeff(vectors, basis):
-    """The scalar c with v_1 ^ ... ^ v_n = c * (b_1 ^ ... ^ b_n).
-
-    Both arguments are sequences of n coordinate vectors in the same
-    n-dimensional coordinate system; ``basis`` must be invertible.  The
-    coefficient is Det(V) / Det(B) for the stacked row matrices.
-    """
-    n = len(basis)
-    if len(vectors) != n or any(len(v) != n for v in list(vectors) + list(basis)):
-        raise ValueError("wedge_coeff needs n vectors of length n and an n-vector basis")
-    vm = Matrix(vectors)
-    bm = Matrix(basis)
-    join_mode(vm.mode, bm.mode)
-    db = det(bm)
-    if not db:
-        raise ValueError("singular basis in wedge_coeff")
-    return det(vm) / db
+    return math.comb(n, p) if 0 <= p <= n else 0
 
 
 # ---------------------------------------------------------------------------
 # binomial determinants
 
 
-def band_matrix(p: int, q: int, r: int) -> Matrix:
-    """q x q matrix, entry (i, j) = ext_binomial(p + r, p + i - j), 0-indexed."""
+def band_matrix(p: int, q: int, r: int):
+    """q x q integer rows, entry (i, j) = ext_binomial(p + r, p + i - j), 0-indexed."""
     if p < 0 or q < 1 or r < 0:
         raise ValueError("band determinant needs p, r >= 0 and q >= 1")
-    return Matrix([[ext_binomial(p + r, p + i - j) for j in range(q)]
-                   for i in range(q)])
+    return [[ext_binomial(p + r, p + i - j) for j in range(q)] for i in range(q)]
 
 
-def band_det_bruteforce(p: int, q: int, r: int) -> Fraction:
-    return det(band_matrix(p, q, r))
+def band_det_bruteforce(p: int, q: int, r: int) -> int:
+    return det_int(band_matrix(p, q, r))
 
 
 def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
@@ -254,18 +177,17 @@ def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
     return Fraction(sign * num, den)
 
 
-def rhombus_matrix(n: int, k: int, l: int) -> Matrix:
-    """(l+1) x (l+1) matrix, entry (i, j) = ext_binomial(n + i + j, k + j)."""
+def rhombus_matrix(n: int, k: int, l: int):
+    """(l+1) x (l+1) integer rows, entry (i, j) = ext_binomial(n + i + j, k + j)."""
     if n < 0 or l < 0:
         raise ValueError("rhombus determinant needs n, l >= 0")
     if not 0 <= k <= n:
         raise ValueError(f"rhombus determinant needs 0 <= k <= n, got k={k}, n={n}")
-    return Matrix([[ext_binomial(n + i + j, k + j) for j in range(l + 1)]
-                   for i in range(l + 1)])
+    return [[ext_binomial(n + i + j, k + j) for j in range(l + 1)] for i in range(l + 1)]
 
 
-def rhombus_det_bruteforce(n: int, k: int, l: int) -> Fraction:
-    return det(rhombus_matrix(n, k, l))
+def rhombus_det_bruteforce(n: int, k: int, l: int) -> int:
+    return det_int(rhombus_matrix(n, k, l))
 
 
 def rhombus_det_formula(n: int, k: int, l: int) -> Fraction:

@@ -3,11 +3,13 @@
 Every quantity in this package is either *exact* (an arbitrary-precision
 ``fractions.Fraction``) or *float* (IEEE double), and numeric functions
 return these raw values.  The two modes never mix silently: the
-constructors of ``Matrix``, ``Flag``, ``ProjPoint`` and ``Mobius`` settle
-the common mode of their entries with :func:`infer_mode`, and operations on
-two objects check theirs with :func:`join_mode`; both raise
-:class:`ScalarModeError` on a clash.  Plain python ``int`` values are
-mode-agnostic and lift into whichever mode the other values carry.
+constructors of ``Flag``, ``ProjPoint`` and ``Mobius`` settle the common
+mode of their entries with :func:`infer_mode`, and operations on two objects
+check theirs with :func:`join_mode`; both raise :class:`ScalarModeError` on
+a clash.  Plain python ``int`` values are mode-agnostic and lift into
+whichever mode the other values carry; the integer determinants of the
+multilinear module (``det_int``, the brute-force binomial determinants)
+return them, and ``det_raw`` takes its mode as an argument.
 """
 from __future__ import annotations
 

@@ -565,7 +565,6 @@ class CurveChart:
     y: ProjPoint
     zl: ProjPoint
     zr: ProjPoint
-    holonomy: Mobius
 
     def gluing_cross_ratio(self) -> float:
         return cross_ratio(self.y, self.zr, self.x, self.zl)
@@ -655,12 +654,10 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
         left_map = twist_map(ProjPoint.infinity("float"), ProjPoint(0.0, 1.0), t) @ maps["left"]
         zl = left_map(raw_vertex["left"])
         zr = maps["right"](raw_vertex["right"])
-        half = math.exp(length / 2.0)
         charts[cid] = CurveChart(
             curve_id=cid, length=length, twist=t,
             x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
-            zl=zl, zr=zr,
-            holonomy=Mobius([[half, 0.0], [0.0, 1.0 / half]]))
+            zl=zl, zr=zr)
 
     return DevelopedSurface(spec=spec, twists=twists, pants=developed, curves=charts)
 

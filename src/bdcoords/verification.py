@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .flags import (DegenerateFlagError, Flag, FlagTuple, is_generic, triple_ratio,
-                    wedge_table)
+from .flags import DegenerateFlagError, Flag, is_generic, triple_ratio, wedge_table
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
 from .veronese import veronese_flag
 from .multilinear import compare_band, compare_rhombus
@@ -132,7 +131,7 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
                 flags.append(Flag(basis))
         except ValueError:
             continue
-        if is_generic(FlagTuple(flags)):
+        if is_generic(flags):
             return flags
     raise RuntimeError("generic flag sampling stalled")
 

@@ -1,7 +1,8 @@
 """Independent oracles: deliberately naive implementations used only to
 cross-check the library (cofactor expansion instead of elimination, affine
-cross ratios instead of projective ones), and one-off invariant values read
-off a wedge kernel of their own."""
+cross ratios instead of projective ones, the symmetric-power representation
+as plain rows), and one-off invariant values read off a wedge kernel of
+their own."""
 from fractions import Fraction
 
 import bdcoords.bd as bd
@@ -107,3 +108,50 @@ def random_unimodular(rng, n, steps=12):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return m
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def irrep_n(A, n):
+    """The symmetric-power image of a Moebius map's matrix, as rows in the
+    monomial basis X^{n-1}, X^{n-2} Y, ..., Y^{n-1}.
+
+    Column j holds the coefficients of (a11 X + a21 Y)^{n-j} (a12 X + a22 Y)^{j-1},
+    so that the Veronese curve is equivariant:
+    irrep_n(A, n) . veronese(p) = veronese(A . p) projectively.
+    """
+    (a, b), (c, d) = A.m
+    cols = []
+    for j in range(1, n + 1):
+        poly = [1]
+        for factor, power in (([a, c], n - j), ([b, d], j - 1)):
+            for _ in range(power):
+                poly = _poly_mul(poly, factor)
+        cols.append(poly)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    """The product of two matrices given as rows."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def projectively_equal(m, other, tol=1e-9):
+    """Whether two Moebius maps have proportional matrices: exactly for exact
+    maps, and entrywise within ``tol`` after scaling for float ones."""
+    assert m.mode == other.mode
+    xs = [x for row in m.m for x in row]
+    ys = [x for row in other.m for x in row]
+    if m.mode == "exact":
+        return all(xs[i] * ys[j] == xs[j] * ys[i]
+                   for i in range(4) for j in range(i + 1, 4))
+    i0 = max(range(4), key=lambda i: abs(ys[i]))
+    scale = xs[i0] / ys[i0]
+    return all(abs(xs[i] - scale * ys[i]) <= tol for i in range(4))

@@ -5,7 +5,7 @@ import pytest
 
 import bdcoords.bd as bd
 from bdcoords.flags import triple_ratio
-from bdcoords.halfplane import ProjPoint, shear_from_quadruple
+from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
 from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
                                AssemblyError)
 from bdcoords.veronese import veronese_flag
@@ -146,12 +146,24 @@ def test_closed_leaf_sums_both_vertex_rules_agree_on_fuchsian(ds):
                 assert a == pytest.approx(b, abs=1e-9)
 
 
+def deck_length(surface, cid, side):
+    """Translation length of the developed deck map of one side's fan."""
+    pid, slot, _ = surface.spec.side(cid, side)
+    return axis_data(surface.pants[pid].fans[slot].deck)[2]
+
+
 def test_closed_leaf_length_spectrum(ds):
-    # l_p computed through the symmetric power equals the hyperbolic length
-    vec = bd.bd_vector(ds, 5)
-    report = bd.closed_leaf_report(vec, ds)
-    for cid, p, r, l, lp in report.entries:
-        assert lp == pytest.approx(ds.curves[cid].length, abs=1e-9)
+    # every l_p is the curve's hyperbolic length: the translation length of
+    # its left fan's developed deck map, which the right fan matches
+    rng = random.Random(31)
+    surfaces = [ds] + [assemble_surface(*sample_genus2(rng)) for _ in range(8)]
+    for surface in surfaces:
+        for n in (3, 5):
+            report = bd.closed_leaf_report(bd.bd_vector(surface, n), surface)
+            assert len(report.entries) == 3 * (n - 1)
+            for cid, p, r, l, lp in report.entries:
+                assert lp == deck_length(surface, cid, "left")
+                assert lp == pytest.approx(deck_length(surface, cid, "right"), rel=1e-9)
 
 
 # -- membership ---------------------------------------------------------------

@@ -41,6 +41,13 @@ def test_verify_unknown_suite():
     pytest.param(["verify", "--suite", "pants", "--n", "1"], "--n 1", id="verify-n"),
     pytest.param(["verify", "--suite", "pants", "--samples", "0"], "--samples 0",
                  id="verify-samples"),
+    pytest.param(["verify", "--suite", "band", "--max", "0"], "--max 0", id="verify-max-0"),
+    pytest.param(["verify", "--suite", "rhombus", "--max", "-1"], "--max -1",
+                 id="verify-max-negative"),
+    *(pytest.param(["verify", "--suite", suite, "--n", "2"],
+                   f"suite {suite} needs n >= 3 for its triple ratios, got --n 2",
+                   id=f"verify-{suite}-n2")
+      for suite in ("triple-ratio", "permutation", "all")),
 ])
 def test_out_of_range_arguments_exit_2(argv, bad, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from bdcoords import bd
-from bdcoords.flags import (DegenerateFlagError, Flag, FlagTuple, double_ratio, is_generic,
+from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
 from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
 from bdcoords.multilinear import det_raw, integer_row
+from bdcoords.scalars import ScalarModeError
 from bdcoords.veronese import flag_rows, veronese_flag
 from bdcoords.verification import random_generic_flags, sample_points
 from oracles import (double_ratio_by, double_ratio_by_cofactors, random_unimodular,
@@ -27,6 +28,11 @@ def reversed_flag(n):
     return Flag([[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
 
 
+def rescaled(flag, scales):
+    """The same flag with basis vector i multiplied by scales[i]."""
+    return Flag([[s * x for x in row] for s, row in zip(scales, flag.basis)])
+
+
 def apply_matrix(m, flag):
     rows = [[sum(m[i][k] * v[k] for k in range(flag.n)) for i in range(flag.n)]
             for v in flag.basis]
@@ -39,18 +45,38 @@ def test_flag_requires_independent_basis():
 
 
 def test_is_generic_examples():
-    assert is_generic(FlagTuple([standard_flag(3), reversed_flag(3)]))
-    assert not is_generic(FlagTuple([standard_flag(3), standard_flag(3)]))
+    assert is_generic([standard_flag(3), reversed_flag(3)])
+    assert not is_generic([standard_flag(3), standard_flag(3)])
+
+
+# wedge_table checks its flags for every table, is_generic's included
+FLAG_TUPLE_CHECKS = (lambda flags: wedge_table(flags, "in a test"), is_generic)
 
 
 def test_flag_tuple_dimension_mismatch():
-    with pytest.raises(ValueError):
-        FlagTuple([standard_flag(3), standard_flag(4)])
+    for check in FLAG_TUPLE_CHECKS:
+        with pytest.raises(ValueError, match="different dimensions"):
+            check([standard_flag(3), standard_flag(4)])
+
+
+def test_empty_flag_tuple_is_rejected():
+    for check in FLAG_TUPLE_CHECKS:
+        with pytest.raises(ValueError, match="empty"):
+            check([])
+
+
+def test_flag_tuple_of_exact_and_float_flags_is_rejected():
+    float_flag = Flag([[float(x) for x in row] for row in standard_flag(3).basis])
+    for check in FLAG_TUPLE_CHECKS:
+        with pytest.raises(ScalarModeError):
+            check([standard_flag(3), float_flag])
+        with pytest.raises(ScalarModeError):
+            check([float_flag, standard_flag(3)])
 
 
 def test_is_generic_veronese_triples():
     flags = [veronese_flag(p, 4) for p in (INF, ProjPoint(1, 1), ProjPoint(0, 1))]
-    assert is_generic(FlagTuple(flags))
+    assert is_generic(flags)
 
 
 def test_triple_ratio_veronese_normalized_triple():
@@ -115,7 +141,7 @@ def test_projective_invariance():
 def test_scaling_independence():
     rng = random.Random(15)
     E, F, G = random_generic_flags(rng, 4, 3)
-    scaled = E.rescaled([Fraction(3), Fraction(-1, 2), Fraction(5), Fraction(2, 7)])
+    scaled = rescaled(E, [Fraction(3), Fraction(-1, 2), Fraction(5), Fraction(2, 7)])
     for pqr in ((1, 1, 2), (2, 1, 1)):
         assert triple_ratio(E, F, G, *pqr) == triple_ratio(scaled, F, G, *pqr)
 
@@ -211,8 +237,8 @@ def test_ratios_at_rational_points_match_det_raw(n):
     for p in range(1, n):
         assert double_ratio(*flags, p) == double_ratio_by(exact_det, *flags, p)
     for t in (flags[:3], flags, flags[:2] + flags[:1]):
-        assert is_generic(FlagTuple(t)) == is_generic_by_det_raw(t)
-    assert not is_generic(FlagTuple(flags[:2] + flags[:1]))
+        assert is_generic(t) == is_generic_by_det_raw(t)
+    assert not is_generic(flags[:2] + flags[:1])
 
 
 def test_flag_rows_with_different_denominators():
@@ -229,7 +255,7 @@ def test_flag_rows_with_different_denominators():
     assert triple_ratio(E, F, G, 1, 1, 1) == triple_ratio_by(exact_det, E, F, G, 1, 1, 1)
     for p in (1, 2):
         assert double_ratio(E, F, G, Gp, p) == double_ratio_by(exact_det, E, F, G, Gp, p)
-    assert is_generic(FlagTuple([E, F, G])) == is_generic_by_det_raw([E, F, G])
+    assert is_generic([E, F, G]) == is_generic_by_det_raw([E, F, G])
     with pytest.raises(DegenerateFlagError):
         Flag([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
 
@@ -237,7 +263,7 @@ def test_flag_rows_with_different_denominators():
 def test_rescaled_rational_flag():
     E, F, G, Gp = (veronese_flag(p, 4) for p in RATIONAL_POINTS)
     scales = [Fraction(3, 5), Fraction(-7, 2), 4, Fraction(1, 9)]
-    scaled = E.rescaled(scales)
+    scaled = rescaled(E, scales)
     assert scaled.basis == tuple(tuple(s * x for x in row) for s, row in zip(scales, E.basis))
     for pqr in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
         assert triple_ratio(scaled, F, G, *pqr) == triple_ratio(E, F, G, *pqr)

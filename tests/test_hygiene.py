@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports an underscore (module-private) name from another module of the
-package, the package imports nothing outside the standard library, and each
-ratio formula of the flags module is written in one function only.
+package, the package imports nothing outside the standard library, each
+ratio formula of the flags module is written in one function only, and
+every function, class and method of the package is read by the package, a
+script or the benchmark, not by tests alone.
 
 The package re-exports its public names from ``__init__.py``, so only the
 other modules are checked for unused and private imports; every module is
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bdcoords"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bdcoords"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 ALLOWED_TOP_LEVEL = sys.stdlib_module_names | {"bdcoords"}
@@ -145,3 +148,64 @@ def test_each_ratio_formula_has_one_copy(ratio):
     sites = [(path.name, name) for path in ALL_MODULES
              for name in pattern_sites(path.read_text(), RATIO_PATTERNS[ratio])]
     assert sites == [("flags.py", ratio.replace(" ", "_"))]
+
+
+def defined_names(source: str) -> list:
+    """(line, name) of every function and class at the top of a module and
+    every method of those classes, dunder methods left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(sub.lineno, sub.name) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+    return found
+
+
+def read_names(source: str) -> set:
+    """Every identifier, attribute name and string constant in the source:
+    the benchmark's tracer names the functions it wraps by string."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_checker_finds_a_name_only_its_definition_mentions():
+    source = ("class Table:\n"
+              "    def __init__(self):\n"
+              "        self.rows = []\n"
+              "    def read(self):\n"
+              "        return self.rows\n"
+              "    def unread(self):\n"
+              "        return None\n"
+              "def helper():\n"
+              "    return Table().read()\n"
+              "def orphan():\n"
+              "    return 'helper'\n")
+    unread = [(line, name) for line, name in defined_names(source)
+              if name not in read_names(source)]
+    assert unread == [(6, "unread"), (10, "orphan")]
+
+
+# criterion 8's dimension bookkeeping, which the acceptance suite reads
+READ_BY_TESTS_ONLY = {"dimension_counts"}
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # a name counts as reached when any module of the package other than
+    # __init__.py, any script or any benchmark file mentions it, so an
+    # unrelated identifier of the same name hides a dead definition
+    readers = [*MODULES, *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "bench").glob("*.py"))]
+    reached = set().union(*(read_names(path.read_text()) for path in readers))
+    unreached = [(path.name, line, name) for path in MODULES
+                 for line, name in defined_names(path.read_text())
+                 if name not in reached and name not in READ_BY_TESTS_ONLY]
+    assert unreached == []

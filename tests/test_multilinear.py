@@ -7,28 +7,32 @@ from hypothesis import given, strategies as st
 from bdcoords.flags import Flag
 from bdcoords.halfplane import Mobius, ProjPoint, fourth_point, wedge
 from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
-from bdcoords.veronese import veronese_flag
-from bdcoords.multilinear import (Matrix, band_det_bruteforce, band_det_formula,
-                                  band_matrix, bareiss_append, compare_band,
-                                  compare_rhombus, det, det_int, det_raw, ext_binomial, rhombus_det_bruteforce,
-                                  rhombus_det_formula, rhombus_matrix, wedge_coeff)
-from oracles import cofactor_det
+from bdcoords.multilinear import (band_det_bruteforce, band_det_formula, band_matrix,
+                                  bareiss_append, compare_band, compare_rhombus, det_int,
+                                  det_raw, ext_binomial, rhombus_det_bruteforce,
+                                  rhombus_det_formula, rhombus_matrix)
+from oracles import cofactor_det, matmul
 
 
 # -- determinants -----------------------------------------------------------
 
 def test_det_identity():
-    assert det(Matrix.identity(4)) == 1
+    basis = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    for mode in (EXACT, FLOAT):
+        assert det_raw(basis, mode) == 1
+        # swapping two rows flips the sign
+        assert det_raw([basis[1], basis[0], *basis[2:]], mode) == -1
 
 
 def test_det_2x2_against_cofactor_oracle():
     rows = [[1, 2], [3, 4]]
     assert cofactor_det(rows) == -2
-    assert det(Matrix(rows)) == -2
+    assert det_raw(rows, EXACT) == -2
+    assert det_int(rows) == -2
 
 
 def test_det_rhombus_2x2_case():
-    assert det(Matrix([[2, 3], [3, 6]])) == 3
+    assert det_raw([[2, 3], [3, 6]], EXACT) == 3
 
 
 def test_det_float_partial_pivot():
@@ -36,7 +40,7 @@ def test_det_float_partial_pivot():
     expected = cofactor_det([[Fraction(0), Fraction(2), Fraction(1)],
                              [Fraction(1), Fraction(1, 2), Fraction(-3)],
                              [Fraction(2), Fraction(1), Fraction(1)]])
-    assert det(Matrix(rows)) == pytest.approx(float(expected), rel=1e-12)
+    assert det_raw(rows, FLOAT) == pytest.approx(float(expected), rel=1e-12)
 
 
 def as_floats(rows):
@@ -79,24 +83,20 @@ def test_det_float_lu_zero_pivot_column_gives_zero():
 
 
 def test_det_requires_square():
-    with pytest.raises(ValueError):
-        det(Matrix([[1, 2, 3], [4, 5, 6]]))
-
-
-def test_matrix_rejects_mixed_modes():
-    with pytest.raises(ScalarModeError):
-        Matrix([[Fraction(1, 2), 0.5]])
+    for mode in (EXACT, FLOAT):
+        with pytest.raises(ValueError):
+            det_raw([[1, 2, 3], [4, 5, 6]], mode)
 
 
 def test_det_multiplicative_on_random_exact_matrices():
     rng = random.Random(5)
     for n in range(2, 6):
         for _ in range(20):
-            a = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                         for _ in range(n)] for _ in range(n)])
-            b = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                         for _ in range(n)] for _ in range(n)])
-            assert det(a @ b) == det(a) * det(b)
+            a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+            b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+            assert det_raw(matmul(a, b), EXACT) == det_raw(a, EXACT) * det_raw(b, EXACT)
 
 
 def test_det_matches_cofactor_oracle_random():
@@ -104,7 +104,7 @@ def test_det_matches_cofactor_oracle_random():
     for n in range(1, 6):
         for _ in range(10):
             rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-            assert det(Matrix(rows)) == cofactor_det(rows)
+            assert det_raw(rows, EXACT) == det_int(rows) == cofactor_det(rows)
 
 
 def appended_det(rows):
@@ -150,14 +150,12 @@ def test_bareiss_append_stops_at_a_dependent_row():
 # Each case combines operands in the mode of u with the value v; v is a
 # scalar entry or argument, except for wedge, whose v is a second point.
 MODE_CASES = {
-    "Matrix": lambda u, v: Matrix([[u, v], [1, 2]]),
     "Flag": lambda u, v: Flag([[u, v], [0, 1]]),
     "ProjPoint": lambda u, v: ProjPoint(u, v),
     "Mobius": lambda u, v: Mobius([[u, v], [0, 1]]),
     "wedge": lambda u, v: wedge(ProjPoint(u, 1), ProjPoint(v, 1)),
     "fourth_point": lambda u, v: fourth_point(ProjPoint(u, 1), ProjPoint(1, u),
                                               ProjPoint(-u, 1), v),
-    "Flag.rescaled": lambda u, v: veronese_flag(ProjPoint(u, 1), 3).rescaled([v, v, v]),
 }
 
 
@@ -192,26 +190,6 @@ def test_ext_binomial_pascal(n, p):
     assert ext_binomial(n, p) + ext_binomial(n, p + 1) == ext_binomial(n + 1, p + 1)
 
 
-# -- wedge coefficients -----------------------------------------------------
-
-def test_wedge_coeff_identity_and_antisymmetry():
-    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert wedge_coeff(basis, basis) == 1
-    swapped = [basis[1], basis[0], basis[2]]
-    assert wedge_coeff(swapped, basis) == -1
-
-
-def test_wedge_coeff_det_oracle():
-    assert wedge_coeff([[1, 2], [3, 4]], [[1, 0], [0, 1]]) == -2
-
-
-def test_wedge_coeff_errors():
-    with pytest.raises(ValueError):
-        wedge_coeff([[1, 2]], [[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        wedge_coeff([[1, 0], [0, 1]], [[1, 1], [1, 1]])
-
-
 # -- rhombus determinants ---------------------------------------------------
 
 def test_rhombus_1x1_is_binomial():
@@ -227,7 +205,7 @@ def test_rhombus_2x2_documented_sign_mismatch():
 
 
 def test_rhombus_3x3_against_cofactor_oracle():
-    rows = rhombus_matrix(3, 1, 2).raw_rows()
+    rows = rhombus_matrix(3, 1, 2)
     assert rhombus_det_bruteforce(3, 1, 2) == cofactor_det(rows)
     assert abs(rhombus_det_formula(3, 1, 2)) == abs(cofactor_det(rows))
 
@@ -283,7 +261,7 @@ def test_band_bruteforce_matches_cofactor_oracle():
     rng = random.Random(3)
     for _ in range(25):
         p, q, r = rng.randint(0, 6), rng.randint(1, 6), rng.randint(0, 6)
-        rows = band_matrix(p, q, r).raw_rows()
+        rows = band_matrix(p, q, r)
         assert band_det_bruteforce(p, q, r) == cofactor_det(rows)
 
 

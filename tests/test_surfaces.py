@@ -238,8 +238,10 @@ def test_assembly_lengths_match_both_sides():
     ds = _simple_assembly()
     for cid, chart in ds.curves.items():
         assert chart.length > 0
-        att, rep, length = axis_data(chart.holonomy)
-        assert length == pytest.approx(chart.length)
+        for side in ("left", "right"):
+            pid, slot, _ = ds.spec.side(cid, side)
+            att, rep, length = axis_data(ds.pants[pid].fans[slot].deck)
+            assert length == pytest.approx(chart.length, rel=1e-9)
 
 
 def test_assembly_rejects_length_mismatch():

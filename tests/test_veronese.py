@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from bdcoords.flags import FlagTuple, is_generic
+from bdcoords.flags import is_generic
 from bdcoords.halfplane import Mobius, ProjPoint
-from bdcoords.multilinear import Matrix, det, ext_binomial, wedge_coeff
-from bdcoords.veronese import (irrep_n, length_spectrum, sym_eigenvalues,
-                               veronese_flag, veronese_point)
+from bdcoords.multilinear import det_raw, ext_binomial
+from bdcoords.veronese import veronese_flag
+from oracles import irrep_n, matmul
 
 INF = ProjPoint(1, 0)
 
@@ -29,21 +29,20 @@ def random_sl2(rng):
 
 def test_irrep_n2_is_identity_map():
     m = Mobius([[3, 2], [1, 1]])
-    assert irrep_n(m, 2) == Matrix([[3, 2], [1, 1]])
+    assert irrep_n(m, 2) == [[3, 2], [1, 1]]
 
 
 def test_irrep_diagonal_n3():
     lam = Fraction(5, 2)
     rep = irrep_n(Mobius([[lam, 0], [0, 1 / lam]]), 3)
-    assert rep == Matrix([[lam ** 2, 0, 0], [0, 1, 0], [0, 0, lam ** -2]])
+    assert rep == [[lam ** 2, 0, 0], [0, 1, 0], [0, 0, lam ** -2]]
 
 
 def test_irrep_determinant_is_one():
     rng = random.Random(3)
     for n in (2, 3, 4, 5):
         rep = irrep_n(random_sl2(rng), n)
-        assert det(rep) in (1, -1)
-        assert det(rep) == 1  # symmetric power of SL2 lands in SL(n)
+        assert det_raw(rep, "exact") == 1  # symmetric power of SL2 lands in SL(n)
 
 
 def test_irrep_homomorphism():
@@ -51,7 +50,7 @@ def test_irrep_homomorphism():
     for n in (3, 4, 5):
         a, b = random_sl2(rng), random_sl2(rng)
         lhs = irrep_n(a @ b, n)
-        rhs = irrep_n(a, n) @ irrep_n(b, n)
+        rhs = matmul(irrep_n(a, n), irrep_n(b, n))
         assert lhs == rhs
 
 
@@ -59,8 +58,8 @@ def test_irrep_inverse():
     rng = random.Random(7)
     for n in (3, 4):
         a = random_sl2(rng)
-        prod = irrep_n(a, n) @ irrep_n(a.inverse(), n)
-        assert prod == Matrix.identity(n)
+        prod = matmul(irrep_n(a, n), irrep_n(a.inverse(), n))
+        assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_veronese_levels_at_zero_and_infinity():
@@ -70,16 +69,15 @@ def test_veronese_levels_at_zero_and_infinity():
     f0 = veronese_flag(ProjPoint(0, 1), n)
     finf = veronese_flag(INF, n)
     for d in range(1, n + 1):
-        for vec in f0.level(d):
+        for vec in f0.basis[:d]:
             assert all(vec[i] == 0 for i in range(n - d))
-        for vec in finf.level(d):
+        for vec in finf.basis[:d]:
             assert all(vec[i] == 0 for i in range(d, n))
 
 
 def test_veronese_leading_vector_is_the_curve():
     p = ProjPoint(3, 2)
     f = veronese_flag(p, 4)
-    assert tuple(f.basis[0]) == veronese_point(p, 4)
     assert tuple(f.basis[0]) == (27, 18 * 3, 12 * 3, 8)  # (3X + 2Y)^3
 
 
@@ -107,47 +105,28 @@ def test_veronese_equivariance():
         for x in (ProjPoint(0, 1), ProjPoint(1, 1), INF, ProjPoint(-2, 3)):
             moved = veronese_flag(a(x), n)
             # the basis vectors are the columns of B^T, pushed as columns of A B^T
-            basis_t = Matrix(list(zip(*veronese_flag(x, n).basis)))
-            pushed = list(zip(*(irrep_n(a, n) @ basis_t).raw_rows()))
+            basis_t = [list(col) for col in zip(*veronese_flag(x, n).basis)]
+            pushed = list(zip(*matmul(irrep_n(a, n), basis_t)))
             for d in range(1, n + 1):
-                assert subspace_equal(pushed[:d], [list(r) for r in moved.level(d)], n)
-
-
-def test_length_spectrum_diagonal():
-    l = 1.7
-    m = Mobius([[math.exp(l / 2), 0.0], [0.0, math.exp(-l / 2)]])
-    spec = length_spectrum(m, 4)
-    assert len(spec) == 3
-    for v in spec:
-        assert v == pytest.approx(l)
-    assert len(length_spectrum(m, 2)) == 1
-
-
-def test_length_spectrum_conjugation_invariant():
-    l = 0.8
-    m = Mobius([[math.exp(l / 2), 0.0], [0.0, math.exp(-l / 2)]])
-    g = Mobius([[2.0, 1.0], [1.0, 1.0]])
-    spec = length_spectrum(g @ m @ g.inverse(), 5)
-    for v in spec:
-        assert v == pytest.approx(l)
-
-
-def test_length_spectrum_rejects_non_hyperbolic():
-    with pytest.raises(ValueError):
-        length_spectrum(Mobius([[1.0, 1.0], [0.0, 1.0]]), 3)
+                assert subspace_equal(pushed[:d], [list(r) for r in moved.basis[:d]], n)
 
 
 def test_sym_eigenvalues_pattern():
+    # the symmetric power of diag(lam, 1/lam) is diag(lam^(n-1), lam^(n-3),
+    # ..., lam^(1-n)): every eigenvalue gap is lam^2, so every l_p of the
+    # closed leaf condition is the hyperbolic length 2 log lam
     l = 1.1
     m = Mobius([[math.exp(l / 2), 0.0], [0.0, math.exp(-l / 2)]])
-    eig = sym_eigenvalues(m, 4)
+    rep = irrep_n(m, 4)
     lam = math.exp(l / 2)
-    assert eig == pytest.approx([lam ** 3, lam, lam ** -1, lam ** -3])
+    assert [rep[i][j] for i in range(4) for j in range(4) if i != j] == [0.0] * 12
+    assert [rep[i][i] for i in range(4)] == pytest.approx([lam ** 3, lam, lam ** -1, lam ** -3])
 
 
 def test_wedge_pairing_identity():
     # the pairing of leading blocks at infinity and zero with the Veronese
-    # vector at z: always (-1)^(n-p-1) * binom(n-1, p) * z^(n-p-1)
+    # vector at z: always (-1)^(n-p-1) * binom(n-1, p) * z^(n-p-1), the
+    # determinant of the stacked rows in the standard basis
     std = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for n in range(2, 9):
         basis = std(n)
@@ -157,7 +136,7 @@ def test_wedge_pairing_identity():
                 if n - p - 1 < 0:
                     continue
                 vectors = basis[:p] + basis[n - (n - p - 1):] + [s_z]
-                got = wedge_coeff(vectors, basis)
+                got = det_raw(vectors, "exact")
                 expected = (Fraction(-1) ** (n - p - 1)) * ext_binomial(n - 1, p) \
                     * z ** (n - p - 1)
                 assert got == expected, (n, p, z)
@@ -167,4 +146,4 @@ def test_veronese_triples_generic():
     for n in (3, 5):
         flags = [veronese_flag(p, n)
                  for p in (ProjPoint(-1, 1), ProjPoint(2, 1), INF)]
-        assert is_generic(FlagTuple(flags))
+        assert is_generic(flags)
