@@ -8,18 +8,23 @@ quadruples, gluing invariants are logs of double ratios at the short-arc
 quadruples of the decomposing curves.
 
 The invariants are exact at the developed points.  Each point, float or
-rational, is converted to integer homogeneous coordinates of the same
-value (a float is a dyadic rational), and the integer Veronese flag rows
-are built once per distinct point of one computation.  Each triangle and
-each quadruple gets a ``flags.WedgeTable`` of the stacked wedges its ratios
+rational, is converted to integer homogeneous coordinates of the same value
+(a float is a dyadic rational), and the integer Veronese flag rows are
+built once per distinct point of one computation.  Each triangle and each
+quadruple gets a ``flags.WedgeTable`` of the stacked wedges its ratios
 need, and the ratio formulas are that table's.  All tables of one
 computation read their entries off one trie of integer Bareiss elimination
 states, so a stack of leading rows shared by many wedges is reduced once,
-and every entry is checked exactly nonzero; each ratio's sign is checked
-exactly, and only its final quotient is rounded and passed to the log.  The
-float genericity threshold of the flags module plays no part here, so a
-triangle invariant of a developed surface is exactly 0.  The kernel maps the
-points to integer rows and names the object in its errors.
+and every entry is checked exactly nonzero.  On the default base chart
+every table holds the flag at 0 (the base triangle is (0, 1, infinity) and
+each curve chart has its repelling point at 0): the trie reads a wedge
+through it off the last pivot of the other blocks, their leading minor, and
+appends that flag's rows only when the other blocks pivoted out of order or
+are dependent.  Each ratio's sign is checked exactly, and only its final
+quotient is rounded and passed to the log.  The float genericity threshold
+of the flags module plays no part here, so a triangle invariant of a
+developed surface is exactly 0.  The kernel maps the points to integer rows
+and names the object in its errors.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the

@@ -30,6 +30,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+DEFAULT_VERIFY_N = 3
+
 
 # ---------------------------------------------------------------------------
 # JSON codecs
@@ -257,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a seeded identity suite")
     p_verify.add_argument("--suite", required=True,
                           help=f"one of {', '.join(sorted(verification.SUITES))}, or all")
-    p_verify.add_argument("--n", type=int, default=3)
+    p_verify.add_argument("--n", type=int,
+                          help="rank of the triple-ratio, double-ratio and "
+                               f"permutation suites (default {DEFAULT_VERIFY_N})")
     p_verify.add_argument("--samples", type=int, default=verification.DEFAULT_SAMPLES)
     p_verify.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
     p_verify.add_argument("--max", dest="max_index", type=int, default=10,
@@ -283,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    n_given = args.n is not None
+    if not n_given:   # only verify has an optional --n
+        args.n = DEFAULT_VERIFY_N
     if args.n < 2:
         print(f"error: need n >= 2, got --n {args.n}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -296,6 +303,10 @@ def main(argv=None) -> int:
         if args.n < 3 and args.suite in ("triple-ratio", "permutation", "all"):
             print(f"error: suite {args.suite} needs n >= 3 for its triple ratios, "
                   f"got --n {args.n}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        if n_given and args.suite in verification.FIXED_RANKS:
+            print(f"error: suite {args.suite} does not read --n, got --n {args.n}; "
+                  f"it runs {verification.FIXED_RANKS[args.suite]}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     try:
         if args.command == "verify":

@@ -20,7 +20,10 @@ the same rows into a ratio's numerator and denominator, so the scales cancel
 and the pair is two integer products of wedges.  An exact table reads each
 wedge off a :class:`WedgeTrie` of Bareiss elimination states, so leading
 rows shared by several wedges are reduced once, and checks it exactly
-nonzero.  A float table computes each wedge once with
+nonzero.  A wedge through the flag at 0, whose rows are unit rows, is read
+off the last pivot of the other blocks when they pivoted in order (the
+leading minor, by Bareiss), so that flag's rows are not appended; otherwise
+all rows are stacked.  A float table computes each wedge once with
 ``multilinear.det_raw`` against a relative genericity threshold.
 :func:`triple_ratio` and :func:`double_ratio` build a fresh table per call;
 the identity suites build one per sampled case, and the bd module one trie
@@ -109,26 +112,69 @@ class WedgeTrie:
     rows shared by many wedges, in one table or across tables, are reduced
     once.  A state of n rows is its signed determinant; an exactly
     dependent one is 0, as is every state below it.
+
+    A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
+    at 0 = [0 : 1]) is recognised by those rows when it is added, and
+    :meth:`wedge` does not stack its first block: see there.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows = []                 # integer rows of each added flag, by key
         self._states = {(): ((), 0)}   # stacked blocks -> elimination state
+        self._at_zero = set()          # keys of the flags with rows e_n, e_{n-1}, ...
+        self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
 
     def add(self, rows) -> int:
         """The key of a new flag with these integer rows."""
         self.rows.append(rows)
-        return len(self.rows) - 1
+        key = len(self.rows) - 1
+        if [list(row) for row in rows] == self._zero_rows:
+            self._at_zero.add(key)
+        return key
 
-    def state(self, blocks):
-        """The elimination state of the stacked blocks: ``(steps, parity)``
-        below n rows, the signed determinant at n rows, 0 once dependent."""
+    def wedge(self, blocks):
+        """The signed determinant of stacked blocks of n rows in all, 0 when
+        they are dependent; memoised like every state.
+
+        The first block of a flag at 0, at level a with m rows stacked after
+        it, spans the last a columns, so the wedge is
+        (-1)^(a(a-1)/2 + a m) times the leading (n - a)-minor of the other
+        blocks.  When every step of their state pivoted in the next free
+        column, that minor is its last pivot (Bareiss: the k-th pivot of an
+        elimination without column swaps is the leading k x k minor; 1 for
+        the empty stack), and the block's rows are never appended.  When the
+        other blocks are dependent or pivoted out of order, all rows are
+        stacked as for any other wedge.
+        """
+        value = self._states.get(blocks)
+        if value is not None:
+            return value
+        stacked = 0   # rows in the blocks before the current one
+        for i, (key, level) in enumerate(blocks):
+            if key in self._at_zero:
+                state = self._state(blocks[:i] + blocks[i + 1:])
+                if state and not state[1]:   # independent, pivoted in order
+                    value = state[0][-1][1] if state[0] else 1
+                    if (level * (level - 1) // 2 + level * (self.n - stacked - level)) & 1:
+                        value = -value
+                    self._states[blocks] = value
+                    return value
+                break
+            stacked += level
+        return self._state(blocks)
+
+    def _state(self, blocks):
+        """The elimination state of the stacked blocks: ``(steps, skipped)``
+        below n rows, the signed determinant at n rows, 0 once dependent.
+        ``skipped`` counts the free columns the pivots passed over: its
+        parity is the sign of the column order, and it is 0 exactly when
+        every step pivoted in the next free column."""
         state = self._states.get(blocks)
         if state is None:
             key, level = blocks[-1]
             parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
-            state = _append(self.state(parent), self.rows[key][level - 1])
+            state = _append(self._state(parent), self.rows[key][level - 1])
             self._states[blocks] = state
         return state
 
@@ -137,15 +183,15 @@ def _append(state, row):
     """The elimination state one integer row below ``state``."""
     if not state:   # rows that are dependent stay dependent
         return 0
-    steps, parity = state
+    steps, skipped = state
     step = bareiss_append(steps, row)
     if step is None:
         return 0
     index, pivot, rest = step
-    parity ^= index & 1
+    skipped += index
     if rest:
-        return steps + (step,), parity
-    return -pivot if parity else pivot
+        return steps + (step,), skipped
+    return -pivot if skipped & 1 else pivot
 
 
 class WedgeTable:
@@ -163,7 +209,7 @@ class WedgeTable:
 
     def wedge(self, *levels):
         """The entry at ``levels``; DegenerateFlagError when it vanishes."""
-        value = self.trie.state(
+        value = self.trie.wedge(
             tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
         if value == 0:
             raise DegenerateFlagError(

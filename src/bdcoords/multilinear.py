@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import FLOAT
+from .scalars import FLOAT, infer_mode
 
 
 def det_int(rows) -> int:
@@ -92,7 +92,9 @@ def integer_row(row):
 
 
 def det_raw(rows, mode: str):
-    """Determinant on raw row data; returns a raw Fraction or float.
+    """Determinant on raw row data in the given mode; returns a raw Fraction
+    or float.  The entries must be of that mode or plain ints (the mode rule
+    of ``scalars.infer_mode``): ScalarModeError otherwise.
 
     Exact rows are cleared to integers by :func:`integer_row`, so integer
     Bareiss elimination serves integral and rational input alike.  Float rows
@@ -104,7 +106,7 @@ def det_raw(rows, mode: str):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if mode == FLOAT:
+    if infer_mode((x for row in rows for x in row), requested=mode) == FLOAT:
         if n == 1:
             return float(rows[0][0])
         if n == 2:

@@ -26,6 +26,7 @@ from . import bd
 
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 1
+GENUS2_RANKS = (3, 4, 5)   # the ranks of the genus2 and roundtrip suites
 
 
 @dataclass
@@ -360,7 +361,7 @@ def sample_genus2(rng: random.Random, twist_span: float = 1.5):
     return spec, shears, twists
 
 
-def run_genus2_invariants(n_values=(3, 4, 5), seeds: int = 50,
+def run_genus2_invariants(n_values=GENUS2_RANKS, seeds: int = 50,
                           seed: int = DEFAULT_SEED, tol: float = 1e-9) -> SuiteReport:
     """Vanishing triangle block, index independence, shear recovery, and the
     closed leaf condition on random genus-2 assemblies."""
@@ -397,7 +398,7 @@ def run_genus2_invariants(n_values=(3, 4, 5), seeds: int = 50,
     return report
 
 
-def run_roundtrip(n_values=(3, 4, 5), seeds: int = 50, seed: int = DEFAULT_SEED,
+def run_roundtrip(n_values=GENUS2_RANKS, seeds: int = 50, seed: int = DEFAULT_SEED,
                   tol: float = 1e-9) -> SuiteReport:
     """Slice realization round trip: realize a random slice point once,
     compute its invariants at every n on that surface and compare them
@@ -428,4 +429,13 @@ SUITES = {
     "pants": lambda args: run_pants(args.samples, args.seed),
     "genus2": lambda args: run_genus2_invariants(seeds=args.samples, seed=args.seed),
     "roundtrip": lambda args: run_roundtrip(seeds=args.samples, seed=args.seed),
+}
+
+# the suites that do not read ``--n``, and the ranks each runs instead
+FIXED_RANKS = {
+    "rhombus": "the ranks set by --max",
+    "band": "the ranks set by --max",
+    "pants": "no rank (it checks hyperbolic pants)",
+    "genus2": "n = " + ", ".join(map(str, GENUS2_RANKS)),
+    "roundtrip": "n = " + ", ".join(map(str, GENUS2_RANKS)),
 }

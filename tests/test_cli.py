@@ -48,11 +48,32 @@ def test_verify_unknown_suite():
                    f"suite {suite} needs n >= 3 for its triple ratios, got --n 2",
                    id=f"verify-{suite}-n2")
       for suite in ("triple-ratio", "permutation", "all")),
+    *(pytest.param(["verify", "--suite", suite, "--n", "8", "--samples", "1"],
+                   f"suite {suite} does not read --n, got --n 8; it runs {ranks}",
+                   id=f"verify-{suite}-fixed-ranks")
+      for suite, ranks in (("genus2", "n = 3, 4, 5"), ("roundtrip", "n = 3, 4, 5"),
+                           ("pants", "no rank"), ("rhombus", "the ranks set by --max"),
+                           ("band", "the ranks set by --max"))),
 ])
 def test_out_of_range_arguments_exit_2(argv, bad, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert bad in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite", ("triple-ratio", "double-ratio", "permutation"))
+def test_rank_suites_read_n_and_default_to_3(suite, tmp_path):
+    out = tmp_path / "report.json"
+    for argv, n in (([], 3), (["--n", "5"], 5)):
+        assert main(["verify", "--suite", suite, "--samples", "2", *argv,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["params"]["n"] == n
+
+
+def test_genus2_suite_without_n_runs_its_ranks(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "genus2", "--samples", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[0]["params"]["n_values"] == [3, 4, 5]
 
 
 def test_invariants_command(tmp_path, capsys):

@@ -10,7 +10,7 @@ from bdcoords import bd
 from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
 from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
-from bdcoords.multilinear import det_raw, integer_row
+from bdcoords.multilinear import det_int, det_raw, integer_row
 from bdcoords.scalars import ScalarModeError
 from bdcoords.veronese import flag_rows, veronese_flag
 from bdcoords.verification import random_generic_flags, sample_points
@@ -307,6 +307,54 @@ def test_every_stacked_wedge_of_rational_flags_is_det_raw_of_its_rows(n):
             else:
                 with pytest.raises(DegenerateFlagError):
                     table.wedge(*levels)
+
+
+def integer_flag(rng, n, first=None):
+    """An integer flag, with the given first row if any, whose first row
+    is 0 in column 1 and whose leading 2-minor is nonzero: a stack that
+    starts with it pivots out of order, and its wedge with the flag at 0
+    at level n - 2 is nonzero."""
+    while True:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        rows[0] = list(first) if first else [0] + rows[0][1:]
+        if rows[0][1] * rows[1][0] and det_int(rows):
+            return Flag(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_flag_at_zero_beside_blocks_that_pivot_out_of_order(n):
+    rng = random.Random(300 + n)
+    zero = reversed_flag(n)    # the rows e_n, e_{n-1}, ... of the flag at 0
+    E, F = integer_flag(rng, n), rational_flag(rng, n)
+    tables = [(E, zero), (zero, E), (E, F, zero), (E, zero, F), (zero, E, F), (E, zero, zero)]
+    for t in tables:
+        table = wedge_table(t, "in a test")
+        for levels in level_tuples(n, len(t)):
+            expected = integer_wedge(t, levels)
+            if expected:
+                assert table.wedge(*levels) == expected
+            else:
+                with pytest.raises(DegenerateFlagError):
+                    table.wedge(*levels)
+    if n > 2:
+        # E's first row pivots in column 2, yet the wedge is E's leading
+        # 2-minor times the sign of reversing the n - 2 unit rows
+        a = n - 2
+        assert wedge_table((E, zero), "in a test").wedge(2, a) == integer_wedge(
+            (E, zero), (2, a)) == -E.basis[0][1] * E.basis[1][0] * (-1) ** (a * (a - 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dependent_stack_beside_the_flag_at_zero_raises(n):
+    rng = random.Random(400 + n)
+    E = integer_flag(rng, n)
+    F = integer_flag(rng, n, first=[2 * x for x in E.basis[0]])
+    levels = (1, 1, n - 2)
+    table = wedge_table((E, F, reversed_flag(n)), "in a case")
+    with pytest.raises(DegenerateFlagError,
+                       match=rf"in a case: wedge {re.escape(str(levels))} is exactly 0 "
+                             rf"at n = {n}$"):
+        table.wedge(*levels)
 
 
 def suite_cases(n, samples, seed, count, mode):

@@ -171,6 +171,17 @@ def test_exact_and_float_never_mix(case):
         build(0.5, 3)
 
 
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_det_raw_applies_the_mode_rule(mode):
+    with pytest.raises(ScalarModeError):
+        det_raw([[Fraction(1, 3), 2], [1, 0.5]], mode)
+    other = Fraction(1, 2) if mode == FLOAT else 0.5
+    with pytest.raises(ScalarModeError):
+        det_raw([[other, 2], [1, 3]], mode)
+    # plain ints lift into the requested mode
+    assert det_raw([[1, 2], [3, 4]], mode) == -2
+
+
 # -- extended binomials -----------------------------------------------------
 
 def test_ext_binomial_values():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bdcoords import bd
 from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
 from bdcoords.surfaces import (AssemblyError, CurveData, LaminationError,
                                PantsLamination, PantsShearing, SurfaceSpec,
@@ -342,3 +343,16 @@ def test_assembly_equivariant_under_base_chart_change():
             s1 = shear_from_quadruple(q1.y, q1.zr, q1.x, q1.zl)
             s2 = shear_from_quadruple(q2.y, q2.zr, q2.x, q2.zl)
             assert s1 == pytest.approx(s2, abs=1e-10)
+    # the invariant vector on both charts: the moved P0 tables lack the
+    # point 0, so their wedges take the appended-row route, while the
+    # default chart reads every wedge through the flag at 0 off a pivot
+    moved = ds2.pants["P0"]
+    assert not any(p.a == 0 for tri in (0, 1) for p in moved.triangles[tri].pts)
+    for n in (3, 5, 8):
+        v1, v2 = bd.bd_vector(ds1, n), bd.bd_vector(ds2, n)
+        assert set(v1.tau.values()) == set(v2.tau.values()) == {0.0}
+        for block in ("sigma", "theta"):
+            b1, b2 = getattr(v1, block), getattr(v2, block)
+            assert b1.keys() == b2.keys()
+            for key, value in b1.items():
+                assert abs(value - b2[key]) <= 1e-9

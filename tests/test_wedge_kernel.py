@@ -11,6 +11,7 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,7 @@ import bdcoords.flags as flags
 from bdcoords.cli import main
 from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
-from bdcoords.multilinear import det_int
+from bdcoords.multilinear import bareiss_append, det_int
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import sample_genus2, sample_points
 from bdcoords.veronese import flag_rows, veronese_flag
@@ -227,3 +228,66 @@ def test_repeated_point_gives_a_dependent_prefix(n):
                 table.wedge(a, b, c)
         else:
             assert table.wedge(a, b, c) == stacked_wedge((p, p, q), (a, b, c), n) != 0
+
+
+# -- the flag at 0, read off the pivot of the other blocks ------------------
+
+
+def check_every_entry(table, pts, n):
+    """Every entry of the table is det_int of its stacked rows, sign
+    included; an entry that is 0 raises the named error."""
+    for levels in level_tuples(n, len(pts)):
+        expected = stacked_wedge(pts, levels, n)
+        if expected:
+            assert table.wedge(*levels) == expected
+        else:
+            with pytest.raises(DegenerateFlagError,
+                               match=rf"wedge {re.escape(str(levels))} is exactly 0 "
+                                     rf"at n = {n}$"):
+                table.wedge(*levels)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_flag_at_zero_in_every_position(n):
+    zero = ProjPoint(0, 1)
+    rng = random.Random(800 + n)
+    x, y, z = [p for p in random_points(rng, 4, dyadic=n % 2 == 0) if p.a != 0][:3]
+    kernel = bd.WedgeKernel(n)
+    tables = [(zero, x, y), (x, zero, y), (x, y, zero), (zero, x, zero), (y, zero, zero)]
+    if n <= 7:   # the oracle's four-flag tables, as above
+        tables += [(x, zero, y, z), (x, y, z, zero), (zero, x, y, zero)]
+    for pts in tables:
+        check_every_entry(kernel.table(pts, "axis"), pts, n)
+
+
+def count_appends(monkeypatch):
+    """The rows ``flags`` appends from now on, in order."""
+    calls = []
+
+    def counting(steps, row):
+        calls.append(row)
+        return bareiss_append(steps, row)
+
+    monkeypatch.setattr(flags, "bareiss_append", counting)
+    return calls
+
+
+def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
+    n = 8
+    calls = count_appends(monkeypatch)
+    pts = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-2.5, 1.0))
+    table = bd.WedgeKernel(n).table(pts, "pants P0 triangle 0")
+    for levels in level_tuples(n, 3):
+        assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
+    # one append per state of the flags at 1 and at -2.5: the rows of the
+    # flag at 0 are never appended
+    assert len(calls) <= n * (n + 1) // 2 + n
+    assert [0] * (n - 1) + [1] not in calls
+
+
+def test_sampled_surface_appends_at_rank_8(monkeypatch):
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    calls = count_appends(monkeypatch)
+    bd.bd_vector(ds, 8)
+    # 493 appends when every row of the flag at 0 was stacked
+    assert len(calls) <= 210
