@@ -9,10 +9,11 @@ quadruples of the decomposing curves.
 
 The invariants are exact at the developed points.  Each point, float or
 rational, is converted to integer homogeneous coordinates of the same value
-(a float is a dyadic rational), and the integer Veronese flag rows are
-built once per distinct point of one computation.  Each triangle and each
-quadruple gets a ``flags.WedgeTable`` of the stacked wedges its ratios
-need, and the ratio formulas are that table's.  All tables of one
+(a float is a dyadic rational), and the triangular integer Veronese flag
+rows (``veronese.exact_flag_rows``) are built once per distinct point of
+one computation.  Each triangle and each quadruple gets a
+``flags.WedgeTable`` of the stacked wedges its ratios need, and the ratio
+formulas are that table's.  All tables of one
 computation read their entries off one trie of integer Bareiss elimination
 states, so a stack of leading rows shared by many wedges is reduced once,
 and every entry is checked exactly nonzero.  On the default base chart
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from .scalars import serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
-from .veronese import flag_rows
+from .veronese import exact_flag_rows
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
@@ -111,7 +112,7 @@ class WedgeKernel(WedgeTrie):
         for pt in points:
             key = _integer_point(pt)
             if key not in self._points:
-                self._points[key] = self.add(flag_rows(*key, self.n))
+                self._points[key] = self.add(exact_flag_rows(*key, self.n))
             keys.append(self._points[key])
         return InvariantTable(self, keys, f"at {what}")
 

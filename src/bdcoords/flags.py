@@ -61,7 +61,10 @@ class Flag:
         self.mode = infer_mode(x for row in rows for x in row)
         if self.mode == EXACT:
             cleared = [integer_row(row) for row in rows]
-            self._set_integer_rows([r for r, _ in cleared], [s for _, s in cleared])
+            int_rows = [r for r, _ in cleared]
+            if det_int(int_rows) == 0:
+                raise DegenerateFlagError("flag basis is not linearly independent")
+            self._set_integer_rows(int_rows, [s for _, s in cleared])
             return
         self.n = n
         self._basis = tuple(tuple(float(x) for x in row) for row in rows)
@@ -69,20 +72,20 @@ class Flag:
             raise DegenerateFlagError("flag basis is not linearly independent")
 
     @classmethod
-    def from_integer_rows(cls, rows, scale: int) -> "Flag":
+    def from_integer_rows(cls, rows, scales) -> "Flag":
         """The exact flag whose basis rows are n integer rows of length n,
-        each divided by the positive ``scale``."""
+        row i divided by the positive ``scales[i]``.  The rows must be
+        independent, as the Veronese rows are by construction: unlike the
+        constructor, this does not check them."""
         flag = cls.__new__(cls)
         flag.mode = EXACT
-        flag._set_integer_rows(rows, [scale] * len(rows))
+        flag._set_integer_rows(rows, scales)
         return flag
 
-    def _set_integer_rows(self, rows, scales):   # and check independence
+    def _set_integer_rows(self, rows, scales):
         self.n = len(rows)
         self._int_rows = tuple(tuple(row) for row in rows)
         self._scales = tuple(scales)
-        if det_int(self._int_rows) == 0:
-            raise DegenerateFlagError("flag basis is not linearly independent")
 
     @property
     def basis(self):

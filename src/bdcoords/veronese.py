@@ -5,18 +5,31 @@ the fixed monomial basis b_1 = X^{n-1}, b_2 = X^{n-2} Y, ..., b_n = Y^{n-1}.
 A 2x2 matrix acts by substitution on (X, Y), giving the (projectivized)
 irreducible representation into PSL(n, R), and the curve is equivariant under
 it; the boundary point [a : b] maps to the osculating flag of the rational
-normal curve, realized concretely by the basis
+normal curve, whose leading vector is the Veronese image (a X + b Y)^{n-1}
+and whose level-d span is exactly the multiples of (a X + b Y)^{n-d}.  A
+basis adapted to that flag is (a X + b Y)^{n-d} M^{d-1}, d = 1, ..., n, for
+any linear form M independent of a X + b Y.  Two choices of M are used:
 
-    v_d = (a X + b Y)^{n-d} (b X - a Y)^{d-1},      d = 1, ..., n,
+* float flags take M = b X - a Y, a uniform complement that is invertible
+  against (a X + b Y) for every real [a : b] and keeps the rows well
+  conditioned (:func:`flag_rows`);
+* exact flags take M = Y, or M = X at a = 0 (:func:`exact_flag_rows`).
+  Row d, column k is C(n-d, k-d) a^(n-k) b^(k-d) for k >= d and 0 before:
+  the rows are upper triangular with diagonal a^(n-d), or at a = 0 the
+  anti-diagonal rows b^(n-d) e_{n-d+1}, so they are independent by
+  construction.  The flag at 0 = [0 : 1] is e_n, e_{n-1}, ... and the flag
+  at infinity e_1, e_2, ....
 
-whose leading vector is the Veronese image (a X + b Y)^{n-1} and whose level-d
-span is exactly the multiples of (a X + b Y)^{n-d}.  The auxiliary factor
-(b X - a Y) is a uniform choice of complement that is invertible against
-(a X + b Y) for every real [a : b], so the same formula covers 0 and infinity.
+The two bases span the same flag, so every ratio of wedges is the same
+rational in either.  A stacked wedge differs by c^C(d, 2) for each block of
+d rows of a flag, with c = -(a^2 + b^2)/a (c = b at a = 0): exact
+arithmetic has no use for that factor's bits, while the float path needs the
+complement's conditioning against the genericity threshold of the flags
+module.
 
 Exact flags are expanded in integer arithmetic: the point is written over a
 common denominator D as [A/D : B/D], the rows are expanded at [A : B], and,
-when D != 1, divided by D^(n-1) (the rows are homogeneous of degree n-1).
+when D != 1, row d is divided by D^(n-d) (it is homogeneous of degree n-d).
 """
 from __future__ import annotations
 
@@ -37,28 +50,44 @@ def _poly_mul(p, q):
     return out
 
 
-def flag_rows(a, b, n: int, one=1):
-    """Raw basis rows v_1, ..., v_n of the Veronese flag at [a : b].
-
-    The coefficients live in the ring of a, b and ``one``: plain ints give
-    the exact integer rows the invariant kernel of the bd module stacks.
-    """
+def flag_rows(a, b, n: int):
+    """The rows (a X + b Y)^{n-d} (b X - a Y)^{d-1}, d = 1, ..., n, of the
+    Veronese flag at [a : b], with coefficients in the ring of a and b: the
+    basis of float flags."""
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
-    lead, aux = [[one]], [[one]]
+    lead, aux = [[1]], [[1]]
     for _ in range(n - 1):   # the powers (a X + b Y)^k and (b X - a Y)^k
         lead.append(_poly_mul(lead[-1], [a, b]))
         aux.append(_poly_mul(aux[-1], [b, -a]))
     return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
 
 
+def exact_flag_rows(a, b, n: int):
+    """The rows (a X + b Y)^{n-d} Y^{d-1}, d = 1, ..., n, of the Veronese
+    flag at [a : b] (X^{d-1} in place of Y^{d-1} at a = 0), read off the
+    powers of a and b: the basis of exact flags, triangular as the module
+    docstring says."""
+    if n < 2:
+        raise ValueError("veronese flags need n >= 2")
+    pa, pb = [1], [1]
+    for _ in range(n - 1):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    if a == 0:
+        return [[pb[n - d] if k == n - d else 0 for k in range(n)]
+                for d in range(1, n + 1)]
+    return [[0] * (n - 1 - m) + [math.comb(m, j) * pa[m - j] * pb[j] for j in range(m + 1)]
+            for m in range(n - 1, -1, -1)]   # m = n - d
+
+
 def veronese_flag(p: ProjPoint, n: int) -> Flag:
     """The osculating flag of the Veronese curve at a boundary point; an
     exact point's rows are expanded in integers over its common denominator
-    D and passed to the flag with the scale D^(n-1)."""
+    D and passed to the flag with the scales D^(n-d)."""
     if p.mode == FLOAT:
-        return Flag(flag_rows(p.a, p.b, n, 1.0))
+        return Flag(flag_rows(p.a, p.b, n))
     d = math.lcm(p.a.denominator, p.b.denominator)
-    rows = flag_rows(p.a.numerator * (d // p.a.denominator),
-                     p.b.numerator * (d // p.b.denominator), n)
-    return Flag.from_integer_rows(rows, d ** (n - 1))
+    rows = exact_flag_rows(p.a.numerator * (d // p.a.denominator),
+                           p.b.numerator * (d // p.b.denominator), n)
+    return Flag.from_integer_rows(rows, [d ** (n - k) for k in range(1, n + 1)])

@@ -1,11 +1,13 @@
 """Independent oracles: deliberately naive implementations used only to
 cross-check the library (cofactor expansion instead of elimination, affine
 cross ratios instead of projective ones, the symmetric-power representation
-as plain rows), and one-off invariant values read off a wedge kernel of
-their own."""
+as plain rows, a kernel of one-shot determinants in the other Veronese
+basis), and one-off invariant values read off a wedge kernel of their own."""
 from fractions import Fraction
 
 import bdcoords.bd as bd
+from bdcoords.multilinear import det_int
+from bdcoords.veronese import flag_rows
 
 CLOCKWISE = (0, 2, 1)   # corners of a placed triangle, clockwise from corner 0
 
@@ -79,6 +81,39 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
     table = bd.WedgeKernel(n).table([pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
                                     f"pants {pants_id} triangle {tri}")
     return table.log_triple_ratio(p, q, r)
+
+
+def complement_factor(a, b):
+    """The factor c such that a block of d rows of the Veronese flag at
+    [a : b] has wedge c^C(d, 2) times larger in the complement basis
+    (b X - a Y) than in the triangular exact basis: b X - a Y is
+    c Y + (b / a)(a X + b Y) with c = -(a^2 + b^2) / a, and b X itself
+    at a = 0."""
+    return Fraction(b) if a == 0 else Fraction(-(a * a + b * b), a)
+
+
+def integer_coordinates(pt):
+    """[numerator : denominator] of a point's affine value a / b, or
+    [1 : 0] at infinity."""
+    if pt.b == 0:
+        return 1, 0
+    x = Fraction(pt.a) / Fraction(pt.b)
+    return x.numerator, x.denominator
+
+
+class ComplementKernel(bd.WedgeKernel):
+    """A wedge kernel whose flags are the integer rows of the complement
+    basis (b X - a Y) and whose every wedge is one ``det_int`` of the
+    stacked rows: no trie, no shared prefix, no pivot read.  Passed for
+    ``bd.WedgeKernel``, it gives the invariants of the float basis in exact
+    arithmetic."""
+
+    def table(self, points, what):
+        keys = [self.add(flag_rows(*integer_coordinates(pt), self.n)) for pt in points]
+        return bd.InvariantTable(self, keys, f"at {what}")
+
+    def wedge(self, blocks):
+        return det_int([row for key, d in blocks for row in self.rows[key][:d]])
 
 
 def slice_point_of(v, spec):

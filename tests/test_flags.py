@@ -12,7 +12,7 @@ from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
 from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
 from bdcoords.multilinear import det_int, det_raw, integer_row
 from bdcoords.scalars import ScalarModeError
-from bdcoords.veronese import flag_rows, veronese_flag
+from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
 from bdcoords.verification import random_generic_flags, sample_points
 from oracles import (double_ratio_by, double_ratio_by_cofactors, random_unimodular,
                      stacked_rows, triple_ratio_by, triple_ratio_by_cofactors)
@@ -221,8 +221,8 @@ def is_generic_by_det_raw(flags):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_veronese_flag_at_rational_points(n):
-    for p in RATIONAL_POINTS + (INF,):
-        expected = flag_rows(p.a, p.b, n, Fraction(1))
+    for p in RATIONAL_POINTS + (INF, ProjPoint(0, Fraction(-3, 2))):
+        expected = exact_flag_rows(p.a, p.b, n)
         assert [list(row) for row in veronese_flag(p, n).basis] == expected
 
 
@@ -239,6 +239,25 @@ def test_ratios_at_rational_points_match_det_raw(n):
     for t in (flags[:3], flags, flags[:2] + flags[:1]):
         assert is_generic(t) == is_generic_by_det_raw(t)
     assert not is_generic(flags[:2] + flags[:1])
+
+
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
+    # the values the exact identity suites compute, from the triangular
+    # rows, equal the ratios of det_int wedges of the (b X - a Y) rows
+    def complement_flag(p):
+        return Flag(flag_rows(p.a, p.b, n))
+
+    for a, b, c in suite_cases(n, 6, n, 3, "exact"):
+        pts = (c, b, a)
+        flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
+        for pqr in bd.triple_indices(n):
+            assert triple_ratio(*flags, *pqr) == triple_ratio_by(exact_det, *old, *pqr)
+    for a, b, c, d in suite_cases(n, 6, n, 4, "exact"):
+        pts = (a, c, b, d)
+        flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
+        for p in range(1, n):
+            assert double_ratio(*flags, p) == double_ratio_by(exact_det, *old, p)
 
 
 def test_flag_rows_with_different_denominators():

@@ -1,14 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from bdcoords.flags import is_generic
 from bdcoords.halfplane import Mobius, ProjPoint
-from bdcoords.multilinear import det_raw, ext_binomial
-from bdcoords.veronese import veronese_flag
-from oracles import irrep_n, matmul
+from bdcoords.multilinear import det_int, det_raw, ext_binomial
+from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
+from oracles import complement_factor, irrep_n, matmul
 
 INF = ProjPoint(1, 0)
 
@@ -147,3 +148,56 @@ def test_veronese_triples_generic():
         flags = [veronese_flag(p, n)
                  for p in (ProjPoint(-1, 1), ProjPoint(2, 1), INF)]
         assert is_generic(flags)
+
+
+def seeded_coordinates(rng, count):
+    """[a : b] pairs: 0, infinity, [0 : b] and [a : 0] off the unit
+    coordinates, and random ones of either sign."""
+    pairs = [(0, 1), (1, 0), (0, -3), (0, 5), (-2, 0)]
+    while len(pairs) < count:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        if (a, b) != (0, 0):
+            pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_exact_rows_are_triangular_with_nonzero_diagonal(n):
+    rng = random.Random(20 + n)
+    pairs = seeded_coordinates(rng, 12) + [(Fraction(-3, 4), Fraction(5, 6))]
+    for a, b in pairs:
+        rows = exact_flag_rows(a, b, n)
+        for d, row in enumerate(rows, start=1):
+            if a == 0:
+                # anti-triangular: row d is b^(n-d) e_{n-d+1}
+                assert row == [b ** (n - d) if k == n - d + 1 else 0
+                               for k in range(1, n + 1)]
+            else:
+                assert row[:d - 1] == [0] * (d - 1)
+                assert row[d - 1] == a ** (n - d) != 0
+        sign = (-1) ** (n * (n - 1) // 2) if a == 0 else 1
+        assert det_raw(rows, "exact") == sign * (b if a == 0 else a) ** (n * (n - 1) // 2)
+    assert exact_flag_rows(0, 1, n) == [[int(k == n - d + 1) for k in range(1, n + 1)]
+                                        for d in range(1, n + 1)]
+    assert exact_flag_rows(1, 0, n) == [[int(k == d) for k in range(1, n + 1)]
+                                        for d in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_complement_basis_wedge_is_the_exact_wedge_times_its_factors(n):
+    # every level tuple of 2-4 flags: the (b X - a Y) rows of the float
+    # path and the triangular exact rows differ by c^C(d, 2) per block
+    rng = random.Random(60 + n)
+    pairs = seeded_coordinates(rng, 9)
+    rows = {p: (flag_rows(*p, n), exact_flag_rows(*p, n)) for p in pairs}
+    tuples = [pairs[:2], pairs[1:4], [pairs[0], pairs[5], pairs[2], pairs[6]]]
+    tuples += [rng.sample(pairs, m) for m in (2, 3, 4) for _ in range(8)]
+    for pts in tuples:
+        for levels in product(range(n + 1), repeat=len(pts)):
+            if sum(levels) != n:
+                continue
+            old, new = ([row for p, d in zip(pts, levels) for row in rows[p][i][:d]]
+                        for i in (0, 1))
+            factor = math.prod(complement_factor(*p) ** math.comb(d, 2)
+                               for p, d in zip(pts, levels))
+            assert det_int(old) == det_int(new) * factor

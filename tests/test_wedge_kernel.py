@@ -25,7 +25,8 @@ from bdcoords.halfplane import ProjPoint, sort_ccw
 from bdcoords.multilinear import bareiss_append, det_int
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import sample_genus2, sample_points
-from bdcoords.veronese import flag_rows, veronese_flag
+from bdcoords.veronese import exact_flag_rows, veronese_flag
+from oracles import ComplementKernel, integer_coordinates
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -117,6 +118,22 @@ def test_vanishing_wedge_names_object_index_and_rank():
         table.log_triple_ratio(1, 1, 1)
 
 
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch):
+    # the same invariants, value for value, from one det_int per wedge of
+    # the (b X - a Y) rows the float flags use: the basis and the trie
+    # change no ratio, so not even the last bit of a log
+    for seed in (1, 2, 3):
+        ds = assemble_surface(*sample_genus2(random.Random(seed)))
+        vec = bd.bd_vector(ds, n)
+        with monkeypatch.context() as m:
+            m.setattr(bd, "WedgeKernel", ComplementKernel)
+            expected = bd.bd_vector(ds, n)
+        assert vec.tau == expected.tau
+        assert vec.sigma == expected.sigma
+        assert vec.theta == expected.theta
+
+
 def test_negative_double_ratio_names_object_and_rank():
     # (x, y, zl, zr) with zl and zr on the same side of the axis (0, oo)
     pts = (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), ProjPoint(2, 1))
@@ -138,16 +155,13 @@ def test_kernel_rejects_bad_indices():
 # -- the shared elimination trie --------------------------------------------
 
 
-rows_at = functools.lru_cache(maxsize=None)(flag_rows)
+rows_at = functools.lru_cache(maxsize=None)(exact_flag_rows)
 
 
 def integer_rows(pt: ProjPoint, n: int):
     """The integer flag rows at the point's affine value x = a / b, as
     [numerator : denominator] of x (or [1 : 0] at infinity)."""
-    if pt.b == 0:
-        return rows_at(1, 0, n)
-    x = Fraction(pt.a) / Fraction(pt.b)
-    return rows_at(x.numerator, x.denominator, n)
+    return rows_at(*integer_coordinates(pt), n)
 
 
 def stacked_wedge(pts, levels, n):
@@ -280,9 +294,12 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     for levels in level_tuples(n, 3):
         assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
     # one append per state of the flags at 1 and at -2.5: the rows of the
-    # flag at 0 are never appended
+    # flag at 0 are never appended (by identity, since the last row of every
+    # flag at a finite point is the unit row e_n too)
     assert len(calls) <= n * (n + 1) // 2 + n
-    assert [0] * (n - 1) + [1] not in calls
+    zero_rows = table.trie.rows[table.keys[0]]
+    assert zero_rows[0] == [0] * (n - 1) + [1]
+    assert not any(call is row for call in calls for row in zero_rows)
 
 
 def test_sampled_surface_appends_at_rank_8(monkeypatch):
