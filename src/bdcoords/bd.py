@@ -47,7 +47,8 @@ from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows
 from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
-                       UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
+                       UnreachableTwistError, assemble_surface, fan_cycle, reglue,
+                       solve_twist)
 
 DEFAULT_TOL = 1e-9
 
@@ -316,7 +317,7 @@ def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
     lambda^(+-1) has eigenvalues lambda^(n-1), lambda^(n-3), ...,
     lambda^(1-n), so every eigenvalue-gap length l_p is the curve's
     hyperbolic length: the translation length of its left fan's developed
-    deck map, which ``assemble_surface`` checks against the right fan.
+    deck map, which every gluing checks against the right fan.
     """
     if v.size() != expected_size(ds.spec, v.n):
         raise ValueError(
@@ -395,19 +396,20 @@ def realize_slice(sp: SlicePoint, spec: SurfaceSpec) -> DevelopedSurface:
     """Construct the hyperbolic surface realizing the slice point sp.
 
     The surface does not depend on a rank: its invariants realize sp at
-    every n.  Each pants gets the hyperbolic structure with the prescribed
-    shears, and each curve's twist is then solved so the gluing invariant
-    hits the prescribed value.  Every fact is checked once, by the code that
+    every n.  Each pants is developed once, with the prescribed shears, and
+    glued twice: at twist 0, where ``solve_twist`` reads each curve's twist
+    off the chart, and with the solved twists (``reglue``), since gluing
+    never touches the pants.  Every fact is checked once, by the code that
     computes it: ``develop_pants`` checks each pants' shear range (the error
-    names the pants and its signed spiral sums), ``assemble_surface`` checks
-    that the boundary lengths match across each curve (the error names the
-    curve), and, since a curve's chart depends only on its own twist, every
-    twist solve is checked on the returned surface: its gluing cross ratio
-    must be -exp(-gluing) to 1e-9 (relative).
+    names the pants and its signed spiral sums), each gluing checks that the
+    boundary lengths match across each curve (the error names the curve),
+    and, since a curve's chart depends only on its own twist, every twist
+    solve is checked on the returned surface: its gluing cross ratio must be
+    -exp(-gluing) to 1e-9 (relative).
     """
     base = assemble_surface(spec, sp.shears, {cid: 0.0 for cid in spec.curves})
     twists = {cid: solve_twist(base, cid, sp.gluing[cid]) for cid in spec.curves}
-    ds = assemble_surface(spec, sp.shears, twists)
+    ds = reglue(base, twists)
     for cid, chart in ds.curves.items():
         r = -math.exp(-float(sp.gluing[cid]))
         residual = abs(chart.gluing_cross_ratio() - r)

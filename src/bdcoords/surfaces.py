@@ -159,6 +159,7 @@ class LaminationTables:
     leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B)
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
     leaf_end_slots: dict     # leaf -> (slot of end0, slot of end1)
+    fans: dict               # slot -> tuple of FanSteps, see fan_cycle
 
 
 _TABLES_CACHE: dict = {}
@@ -199,9 +200,11 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
                            corner_slot[(sa.tri, sa.corners[1])])
     spike_slots = {tri: frozenset(s for (t, _), s in corner_slot.items() if t == tri)
                    for tri in (0, 1)}
+    fans = {slot: _walk_fan(corner_slot, leaf_sides, side_leaf, slot)
+            for slot in (1, 2, 3)}
     return LaminationTables(corner_slot=corner_slot, spike_slots=spike_slots,
                             leaf_sides=leaf_sides, side_leaf=side_leaf,
-                            leaf_end_slots=end_slots)
+                            leaf_end_slots=end_slots, fans=fans)
 
 
 @dataclass(frozen=True)
@@ -215,14 +218,19 @@ class FanStep:
     fan_end: int    # which end of the crossed leaf sits at the spike
 
 
-def fan_cycle(lam: PantsLamination, slot: int) -> list[FanStep]:
+def fan_cycle(lam: PantsLamination, slot: int) -> tuple:
     """The period of spike corners around a boundary, in counterclockwise order.
 
     At each corner the traversal crosses the triangle side that ends at the
-    corner; the glue tables carry it to the next spike corner.
+    corner; the glue tables carry it to the next spike corner.  The walk is
+    made once per lamination kind, with its tables, as a tuple of FanSteps.
     """
-    tables = tables_for(lam)
-    corners = sorted(c for c, s in tables.corner_slot.items() if s == slot)
+    return tables_for(lam).fans[slot]
+
+
+def _walk_fan(corner_slot: dict, leaf_sides: dict, side_leaf: dict,
+              slot: int) -> tuple:
+    corners = sorted(c for c, s in corner_slot.items() if s == slot)
     if not corners:
         raise LaminationError(f"no spikes at boundary {slot}")
     start = corners[0]
@@ -231,18 +239,18 @@ def fan_cycle(lam: PantsLamination, slot: int) -> list[FanStep]:
     while True:
         tri, c = cur
         side = ((c + 2) % 3, c)
-        leaf, which = tables.side_leaf[(tri, side)]
-        other = tables.leaf_sides[leaf][1 - which]
+        leaf, which = side_leaf[(tri, side)]
+        other = leaf_sides[leaf][1 - which]
         steps.append(FanStep(tri=tri, corner=c, leaf=leaf, side=side,
                              fan_end=1 - which))
         cur = (other.tri, other.corners[0])
         if cur == start:
             break
-        if len(steps) > len(tables.corner_slot):
+        if len(steps) > len(corner_slot):
             raise LaminationError("fan traversal does not close up")
     if len(steps) != len(corners):
         raise LaminationError("fan traversal missed spike corners")
-    return steps
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +474,7 @@ def develop_pants(lam: PantsLamination, s: PantsShearing,
             raise AssemblyError(
                 f"developed length {length} of boundary {slot} "
                 f"does not match shear sum {shear_sum}")
-        fans[slot] = FanData(slot=slot, steps=tuple(steps), placed=tuple(placed),
+        fans[slot] = FanData(slot=slot, steps=steps, placed=tuple(placed),
                              deck=deck, attracting=att, repelling=rep,
                              length=length, shear_sum=shear_sum)
     return DevelopedPants(lam=lam, triangles=triangles,
@@ -604,11 +612,12 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
     length check, and its error names the curve.  Per curve, both sides are
     normalized onto the axis (0, oo) with matching translation direction and
     the left side is post-composed with the twist along the axis.
+    ``reglue`` runs the same gluing, with the same checks, on pants that are
+    already developed.
 
     base_points optionally places each pants' base triangle elsewhere; all
     invariants are unchanged (the per-curve normalization eats the chart).
     """
-    twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     base_points = base_points or {}
     developed = {}
     for pid, lam in spec.pants.items():
@@ -617,7 +626,22 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
             developed[pid] = develop_pants(lam, s, base_points=base_points.get(pid))
         except (LaminationError, AssemblyError) as exc:
             raise type(exc)(f"pants {pid}: {exc}") from exc
+    return _glue(spec, developed, twists)
 
+
+def reglue(ds: DevelopedSurface, twists: dict) -> DevelopedSurface:
+    """The surface of ``ds``'s developed pants glued with other twists.
+
+    Gluing never touches the pants, so this equals ``assemble_surface``
+    with ``ds``'s shears and base points and the new twists, without
+    developing the pants again; every check of the gluing runs again.
+    """
+    return _glue(ds.spec, ds.pants, twists)
+
+
+def _glue(spec: SurfaceSpec, developed: dict, twists: dict) -> DevelopedSurface:
+    """The gluing half of ``assemble_surface``, and all of ``reglue``."""
+    twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     charts = {}
     for cid in spec.curves:
         (pid_l, slot_l, tri_l) = spec.side(cid, "left")
@@ -667,12 +691,12 @@ def solve_twist(ds: DevelopedSurface, curve_id: str, target_w) -> float:
     -exp(-target_w).
 
     In the normalized chart the cross ratio is a strictly monotone Moebius
-    function of exp(2t), so the solve is closed-form: re-gluing with the
-    curve's twist raised by t0 (``assemble_surface`` with the new twists)
-    reaches the target.  The solve does not re-glue to check itself;
+    function of exp(2t), so the solve is closed-form: ``reglue`` with the
+    curve's twist raised by t0 reaches the target.  A curve's chart depends
+    only on its own twist, so the increments of several curves can be
+    applied in one gluing.  The solve does not glue to check itself;
     ``bd.realize_slice`` checks the gluing cross ratio of every curve on the
-    surface it assembles.  A curve's chart depends only on its own twist, so
-    the increments of several curves can be applied together.
+    surface it returns.
     """
     if curve_id not in ds.curves:
         raise KeyError(f"unknown curve {curve_id!r}")

@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import bdcoords.bd as bd
+import bdcoords.surfaces
 from bdcoords.flags import triple_ratio
 from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
 from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
@@ -261,6 +263,36 @@ def test_roundtrip_suite_realizes_once_per_case(monkeypatch):
     assert report.passed, report.failures
     assert len(realized) == 3
     assert report.cases == 3 * 3 * 2   # seeds x len(n_values) x (round trip, residual)
+
+
+def test_realize_slice_develops_each_pants_once(monkeypatch):
+    rng = random.Random(11)
+    spec, shears, twists = sample_genus2(rng)
+    sp = slice_point_of(bd.bd_vector(assemble_surface(spec, shears, twists), 3), spec)
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(bdcoords.surfaces, "develop_pants")
+    count(bd, "assemble_surface")
+    ds = bd.realize_slice(sp, spec)
+    assert calls == {"develop_pants": len(spec.pants), "assemble_surface": 1}
+    monkeypatch.undo()
+    # the same point assembled from scratch at the solved twists
+    rebuilt = assemble_surface(spec, sp.shears, ds.twists)
+    assert ds.curves.keys() == rebuilt.curves.keys()
+    for cid, chart in ds.curves.items():
+        other = rebuilt.curves[cid]
+        assert (chart.length, chart.twist) == (other.length, other.twist)
+        for p, q in ((chart.zl, other.zl), (chart.zr, other.zr)):
+            assert (p.a, p.b, p.mode) == (q.a, q.b, q.mode)
+    assert bd.bd_vector(ds, 5).rows() == bd.bd_vector(rebuilt, 5).rows()
 
 
 # -- dimension bookkeeping ----------------------------------------------------

@@ -9,6 +9,7 @@ from bdcoords.halfplane import (DegenerateConfigurationError, Mobius, ProjPoint,
                                 axis_data, cross_ratio, fourth_point, is_clockwise,
                                 mobius_to_standard, orientation,
                                 shear_from_quadruple, sort_ccw, twist_map)
+from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
 from oracles import affine_cross_ratio, projectively_equal
 
 INF = ProjPoint(1, 0)
@@ -249,3 +250,64 @@ def test_twist_map_group_law():
 def test_twist_map_rejects_coincident_axis():
     with pytest.raises(DegenerateConfigurationError):
         twist_map(ProjPoint(1.0, 1.0), ProjPoint(2.0, 2.0), 1.0)
+
+
+# -- the mode rule in the constructors --------------------------------------
+
+@pytest.mark.parametrize("coords, error", [
+    ((Fraction(1, 3), 0.5), ScalarModeError),
+    ((0.5, Fraction(1, 3)), ScalarModeError),
+    ((True, 1.0), TypeError),
+    ((1.0, True), TypeError),
+    (("1", 1.0), TypeError),
+    ((0.0, 0.0), ValueError),
+    ((0, 0.0), ValueError),
+    ((0, 0), ValueError),
+])
+def test_projpoint_rejects_mixed_and_degenerate_coordinates(coords, error):
+    with pytest.raises(error) as info:
+        ProjPoint(*coords)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("coords, expected, mode", [
+    ((0.25, 0.5), (0.5, 1.0), FLOAT),
+    ((-3.0, 0.75), (-1.0, 0.25), FLOAT),
+    ((2, 4.0), (0.5, 1.0), FLOAT),
+    ((-3.0, 1), (-1.0, 1 / 3), FLOAT),
+    ((3, 6), (Fraction(3), Fraction(6)), EXACT),
+    ((Fraction(1, 2), 3), (Fraction(1, 2), Fraction(3)), EXACT),
+])
+def test_projpoint_settles_its_mode(coords, expected, mode):
+    p = ProjPoint(*coords)
+    assert (p.a, p.b, p.mode) == (*expected, mode)
+    assert {type(p.a), type(p.b)} == {float if mode == FLOAT else Fraction}
+    if mode == FLOAT:
+        assert max(abs(p.a), abs(p.b)) == 1.0
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[Fraction(1), 0.5], [0.0, 1.0]], ScalarModeError),
+    ([[1.0, 0.0], [0.0, Fraction(1)]], ScalarModeError),
+    ([[True, 1.0], [0.0, 1.0]], TypeError),
+    ([[1.0, 0.0], [0.0, False]], TypeError),
+    ([[0.0, 0.0], [0.0, 0.0]], ValueError),
+    ([[1.0, 2.0], [2.0, 4.0]], ValueError),
+    ([[1, 2.0], [2, 4]], ValueError),
+])
+def test_mobius_rejects_mixed_and_singular_entries(rows, error):
+    with pytest.raises(error) as info:
+        Mobius(rows)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("rows, expected, mode", [
+    ([[4.0, 0.0], [0.0, 1.0]], ((2.0, 0.0), (0.0, 0.5)), FLOAT),
+    ([[0.0, -2.0], [2.0, 0.0]], ((0.0, -1.0), (1.0, 0.0)), FLOAT),
+    ([[2, 0.0], [0.0, 2]], ((1.0, 0.0), (0.0, 1.0)), FLOAT),
+    ([[1, 2], [3, 4]], ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))), EXACT),
+])
+def test_mobius_settles_its_mode(rows, expected, mode):
+    m = Mobius(rows)
+    assert (m.m, m.mode) == (expected, mode)
+    assert {type(x) for row in m.m for x in row} == {float if mode == FLOAT else Fraction}

@@ -43,6 +43,9 @@ def test_fan_cycles_type_I():
     assert [s.leaf for s in fan_cycle(lam, 1)] == ["B13", "B12"]
     assert [s.leaf for s in fan_cycle(lam, 2)] == ["B12", "B23"]
     assert [s.leaf for s in fan_cycle(lam, 3)] == ["B23", "B13"]
+    # walked once with the tables of the kind, shared and immutable
+    assert type(fan_cycle(lam, 1)) is tuple
+    assert fan_cycle(lam, 1) is fan_cycle(lam_I(-1, 1, -1), 1)
 
 
 def test_fan_cycles_type_II():
