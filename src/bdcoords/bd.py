@@ -91,14 +91,15 @@ def _integer_point(pt: ProjPoint):
 
 
 class WedgeKernel(WedgeTrie):
-    """Exact rank-n wedges of Veronese flags at developed points.
+    """Exact rank-n wedges of Veronese flags at boundary points.
 
     The kernel is a :class:`~bdcoords.flags.WedgeTrie` whose flags are the
     distinct points of one computation: each point gets its integer flag
     rows once, and every table of the computation reads its wedges off this
     one trie, so a prefix of rows shared by many wedges, in one table or
     across tables, is reduced once.  The trie lives as long as the kernel,
-    and a kernel serves one computation.
+    and a kernel serves one computation: one :func:`bd_vector`, or one case
+    of the exact triple- and double-ratio suites of the verification module.
     """
 
     def __init__(self, n: int):
@@ -107,15 +108,16 @@ class WedgeKernel(WedgeTrie):
         super().__init__(n)
         self._points = {}              # integer point -> its key in the trie
 
-    def table(self, points, what: str) -> "InvariantTable":
-        """The wedge table of the flags at ``points``; ``what`` names them."""
+    def table(self, points, where: str) -> "InvariantTable":
+        """The wedge table of the flags at ``points``; ``where`` places it in
+        errors ("at pants P0 triangle 1")."""
         keys = []
         for pt in points:
             key = _integer_point(pt)
             if key not in self._points:
                 self._points[key] = self.add(exact_flag_rows(*key, self.n))
             keys.append(self._points[key])
-        return InvariantTable(self, keys, f"at {what}")
+        return InvariantTable(self, keys, where)
 
 
 class InvariantTable(WedgeTable):
@@ -201,16 +203,16 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
-            table = kernel.table([pts[c] for c in _CW_ORDER], f"pants {pid} triangle {tri}")
+            table = kernel.table([pts[c] for c in _CW_ORDER], f"at pants {pid} triangle {tri}")
             for pqr in triple_indices(n):
                 tau[(pid, tri, pqr)] = table.log_triple_ratio(*pqr)
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
-            table = kernel.table((q.x, q.y, q.zl, q.zr), f"pants {pid} leaf {leaf}")
+            table = kernel.table((q.x, q.y, q.zl, q.zr), f"at pants {pid} leaf {leaf}")
             for p in range(1, n):
                 sigma[(pid, leaf, p)] = table.log_double_ratio(p)
     for cid, c in ds.curves.items():
-        table = kernel.table((c.x, c.y, c.zl, c.zr), f"curve {cid}")
+        table = kernel.table((c.x, c.y, c.zl, c.zr), f"at curve {cid}")
         for p in range(1, n):
             theta[(cid, p)] = table.log_double_ratio(p)
     vec = BDVector(n=n, tau=tau, sigma=sigma, theta=theta)

@@ -20,7 +20,7 @@ import json
 import sys
 
 from .scalars import serialize_value
-from .surfaces import (CurveData, LaminationError, PantsLamination, PantsShearing,
+from .surfaces import (CurveData, LaminationError, PantsLamination,
                        AssemblyError, SurfaceSpec, SurfaceSpecError, SLOTS,
                        assemble_surface)
 from . import bd
@@ -188,8 +188,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     spec = spec_from_dict(data)
-    shears = {pid: PantsShearing.for_lamination(spec.pants[pid], values)
-              for pid, values in shears_section(spec, data.get("shears", {})).items()}
+    shears = shears_section(spec, data.get("shears", {}))
     twists = _numbers("twists",
                       _known_ids("twists", data.get("twists", {}), spec.curves, "curve"))
     ds = assemble_surface(spec, shears, twists)

@@ -14,16 +14,17 @@ each flag's basis vectors; the identification of the top wedge power with the
 scalars is fixed once and for all as the standard-basis determinant.
 
 Both ratios are read off a :class:`WedgeTable` of the flags' stacked wedges,
-the only copy of the two formulas, as a pair (num, den).  An exact flag
-keeps its basis rows as integer rows over positive scales; each flag puts
-the same rows into a ratio's numerator and denominator, so the scales cancel
-and the pair is two integer products of wedges.  An exact table reads each
-wedge off a :class:`WedgeTrie` of Bareiss elimination states, so leading
-rows shared by several wedges are reduced once, and checks it exactly
-nonzero.  A wedge through the flag at 0, whose rows are unit rows, is read
-off the last pivot of the other blocks when they pivoted in order (the
-leading minor, by Bareiss), so that flag's rows are not appended; otherwise
-all rows are stacked.  A float table computes each wedge once with
+the only copy of the two formulas, as a pair (num, den).  An exact table
+stacks integer rows: an exact flag's basis rows, each cleared to integers by
+a positive factor that the ratios do not see, or the integer Veronese rows
+that the bd module's kernel builds for ``bd_vector`` and the exact identity
+suites.  So the pair is two integer products of wedges.  An exact table
+reads each wedge off a :class:`WedgeTrie` of Bareiss elimination states, so
+leading rows shared by several wedges are reduced once, and checks it
+exactly nonzero.  A wedge through the flag at 0, whose rows are unit rows,
+is read off the last pivot of the other blocks when they pivoted in order
+(the leading minor, by Bareiss), so that flag's rows are not appended;
+otherwise all rows are stacked.  A float table computes each wedge once with
 ``multilinear.det_raw`` against a relative genericity threshold.
 :func:`triple_ratio` and :func:`double_ratio` build a fresh table per call;
 the identity suites build one per sampled case, and the bd module one trie
@@ -47,52 +48,29 @@ class DegenerateFlagError(ValueError):
 class Flag:
     """A complete flag given by an ordered basis of R^n.
 
-    An exact flag keeps each row as (integer row, scale), see
-    ``multilinear.integer_row``, and derives its basis from them when read.
+    ``basis`` holds the rows as Fractions in exact mode and as floats in
+    float mode; an exact flag also keeps each row cleared to integers (see
+    ``multilinear.integer_row``), the rows its wedge tables stack.
     """
 
-    __slots__ = ("n", "mode", "_basis", "_int_rows", "_scales")
+    __slots__ = ("n", "mode", "basis", "_int_rows")
 
     def __init__(self, basis):
         rows = [tuple(row) for row in basis]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("flag basis must be n vectors of length n")
+        self.n = n
         self.mode = infer_mode(x for row in rows for x in row)
         if self.mode == EXACT:
-            cleared = [integer_row(row) for row in rows]
-            int_rows = [r for r, _ in cleared]
-            if det_int(int_rows) == 0:
-                raise DegenerateFlagError("flag basis is not linearly independent")
-            self._set_integer_rows(int_rows, [s for _, s in cleared])
-            return
-        self.n = n
-        self._basis = tuple(tuple(float(x) for x in row) for row in rows)
-        if not _float_wedge(self._basis)[1]:
+            self.basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            self._int_rows = tuple(integer_row(row)[0] for row in self.basis)
+            independent = det_int(self._int_rows) != 0
+        else:
+            self.basis = tuple(tuple(float(x) for x in row) for row in rows)
+            independent = _float_wedge(self.basis)[1]
+        if not independent:
             raise DegenerateFlagError("flag basis is not linearly independent")
-
-    @classmethod
-    def from_integer_rows(cls, rows, scales) -> "Flag":
-        """The exact flag whose basis rows are n integer rows of length n,
-        row i divided by the positive ``scales[i]``.  The rows must be
-        independent, as the Veronese rows are by construction: unlike the
-        constructor, this does not check them."""
-        flag = cls.__new__(cls)
-        flag.mode = EXACT
-        flag._set_integer_rows(rows, scales)
-        return flag
-
-    def _set_integer_rows(self, rows, scales):
-        self.n = len(rows)
-        self._int_rows = tuple(tuple(row) for row in rows)
-        self._scales = tuple(scales)
-
-    @property
-    def basis(self):
-        if self.mode == FLOAT:
-            return self._basis
-        return tuple(tuple(Fraction(x, s) for x in row)
-                     for row, s in zip(self._int_rows, self._scales))
 
     def __repr__(self):
         return f"Flag(n={self.n}, mode={self.mode})"

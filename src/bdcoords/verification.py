@@ -141,6 +141,15 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
 # flag identity suites
 
 
+def _veronese_table(points, n: int, mode: str, where: str):
+    """The wedge table of the Veronese flags at exact ``points``: read off a
+    fresh ``bd.WedgeKernel`` in exact mode, or of the float flags at the
+    rounded points in float mode."""
+    if mode == "float":
+        return wedge_table([veronese_flag(p.to_float(), n) for p in points], where)
+    return bd.WedgeKernel(n).table(points, where)
+
+
 def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                      mode: str = "exact", tol: float = 1e-9) -> SuiteReport:
     """Triple ratios of Veronese flags at clockwise triples all equal 1.
@@ -155,9 +164,7 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c = sort_ccw(pts)
         triple = (c, b, a)   # clockwise
         assert is_clockwise(*triple)
-        if mode == "float":
-            triple = tuple(p.to_float() for p in triple)
-        table = wedge_table([veronese_flag(p, n) for p in triple], "in triple ratio")
+        table = _veronese_table(triple, n, mode, "in triple ratio")
         for p, q, r in bd.triple_indices(n):
             try:
                 value = table.quotient(*table.triple_ratio(p, q, r))
@@ -185,9 +192,7 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c, d = sort_ccw(pts)   # counterclockwise quadruple
         z = cross_ratio(c, d, a, b)
         expected = -1 / z
-        if mode == "float":
-            a, b, c, d = (p.to_float() for p in (a, b, c, d))
-        table = wedge_table([veronese_flag(p, n) for p in (a, c, b, d)], "in double ratio")
+        table = _veronese_table((a, c, b, d), n, mode, "in double ratio")
         for p in range(1, n):
             try:
                 value = table.quotient(*table.double_ratio(p))

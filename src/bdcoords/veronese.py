@@ -26,10 +26,6 @@ d rows of a flag, with c = -(a^2 + b^2)/a (c = b at a = 0): exact
 arithmetic has no use for that factor's bits, while the float path needs the
 complement's conditioning against the genericity threshold of the flags
 module.
-
-Exact flags are expanded in integer arithmetic: the point is written over a
-common denominator D as [A/D : B/D], the rows are expanded at [A : B], and,
-when D != 1, row d is divided by D^(n-d) (it is homogeneous of degree n-d).
 """
 from __future__ import annotations
 
@@ -82,12 +78,6 @@ def exact_flag_rows(a, b, n: int):
 
 
 def veronese_flag(p: ProjPoint, n: int) -> Flag:
-    """The osculating flag of the Veronese curve at a boundary point; an
-    exact point's rows are expanded in integers over its common denominator
-    D and passed to the flag with the scales D^(n-d)."""
-    if p.mode == FLOAT:
-        return Flag(flag_rows(p.a, p.b, n))
-    d = math.lcm(p.a.denominator, p.b.denominator)
-    rows = exact_flag_rows(p.a.numerator * (d // p.a.denominator),
-                           p.b.numerator * (d // p.b.denominator), n)
-    return Flag.from_integer_rows(rows, [d ** (n - k) for k in range(1, n + 1)])
+    """The osculating flag of the Veronese curve at a boundary point, in the
+    basis of the point's mode (see the module docstring)."""
+    return Flag((flag_rows if p.mode == FLOAT else exact_flag_rows)(p.a, p.b, n))

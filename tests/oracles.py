@@ -79,7 +79,7 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
     pts = ds.pants[pants_id].triangles[tri].pts
     k = CLOCKWISE.index(vertex)
     table = bd.WedgeKernel(n).table([pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
-                                    f"pants {pants_id} triangle {tri}")
+                                    f"at pants {pants_id} triangle {tri}")
     return table.log_triple_ratio(p, q, r)
 
 
@@ -108,9 +108,9 @@ class ComplementKernel(bd.WedgeKernel):
     ``bd.WedgeKernel``, it gives the invariants of the float basis in exact
     arithmetic."""
 
-    def table(self, points, what):
+    def table(self, points, where):
         keys = [self.add(flag_rows(*integer_coordinates(pt), self.n)) for pt in points]
-        return bd.InvariantTable(self, keys, f"at {what}")
+        return bd.InvariantTable(self, keys, where)
 
     def wedge(self, blocks):
         return det_int([row for key, d in blocks for row in self.rows[key][:d]])

@@ -284,3 +284,22 @@ def test_spec_dict_round_trip():
 def test_spec_from_dict_rejects_missing_fields():
     with pytest.raises((SurfaceSpecError, KeyError)):
         spec_from_dict({"genus": 2, "pants": []})
+
+
+@pytest.mark.parametrize("command, source", [
+    pytest.param("invariants", SURFACE, id="invariants"),
+    pytest.param("realize", SLICE, id="realize"),
+])
+def test_unknown_leaf_key_names_the_pants(command, source, tmp_path, capsys):
+    # the shears of a pants are checked against its leaves once, where the
+    # pants is developed, so both commands name the pants the same way
+    bad = json.loads(open(source).read())
+    bad["shears"]["P0"]["B21"] = bad["shears"]["P0"].pop("B12")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: pants P0: shears keyed ['B13', 'B21', 'B23'], "
+        "lamination has leaves ['B12', 'B13', 'B23']\n")
+    assert list(tmp_path.iterdir()) == [path]

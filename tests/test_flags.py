@@ -44,6 +44,28 @@ def test_flag_requires_independent_basis():
         Flag([[1, 2], [2, 4]])
 
 
+@pytest.mark.parametrize("rows, kind", [
+    pytest.param([[2, 0, 1], [0, -3, 0], [1, 1, 1]], Fraction, id="int"),
+    pytest.param([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 5), 7],
+                  [1, Fraction(-3, 4), Fraction(1, 6)]], Fraction, id="fraction"),
+    pytest.param([[0.5, 0.25, 0], [0.0, 2.5, 7.0], [1, -0.75, 1.5]], float, id="float"),
+])
+def test_flag_keeps_its_basis_in_its_mode(rows, kind):
+    # ints lift to the mode of the other entries, Fractions in exact mode
+    flag = Flag(rows)
+    assert (flag.n, flag.mode) == (3, "float" if kind is float else "exact")
+    assert flag.basis == tuple(tuple(kind(x) for x in row) for row in rows)
+    assert all(type(x) is kind for row in flag.basis for x in row)
+    # the third row replaced by the sum of the first two
+    with pytest.raises(DegenerateFlagError, match="not linearly independent"):
+        Flag(rows[:2] + [[x + y for x, y in zip(*rows[:2])]])
+
+
+def test_flag_of_exact_and_float_entries_is_rejected():
+    with pytest.raises(ScalarModeError):
+        Flag([[Fraction(1, 2), 0.0], [0, 1]])
+
+
 def test_is_generic_examples():
     assert is_generic([standard_flag(3), reversed_flag(3)])
     assert not is_generic([standard_flag(3), standard_flag(3)])
@@ -243,21 +265,28 @@ def test_ratios_at_rational_points_match_det_raw(n):
 
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
-    # the values the exact identity suites compute, from the triangular
-    # rows, equal the ratios of det_int wedges of the (b X - a Y) rows
+    # the values the exact identity suites compute, off a kernel of the
+    # triangular rows at integer points, and the ratios of exact Veronese
+    # flags both equal the ratios of det_int wedges of the (b X - a Y) rows
     def complement_flag(p):
         return Flag(flag_rows(p.a, p.b, n))
 
     for a, b, c in suite_cases(n, 6, n, 3, "exact"):
         pts = (c, b, a)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
+        table = bd.WedgeKernel(n).table(pts, "in triple ratio")
         for pqr in bd.triple_indices(n):
-            assert triple_ratio(*flags, *pqr) == triple_ratio_by(exact_det, *old, *pqr)
+            expected = triple_ratio_by(exact_det, *old, *pqr)
+            assert table.quotient(*table.triple_ratio(*pqr)) == expected
+            assert triple_ratio(*flags, *pqr) == expected
     for a, b, c, d in suite_cases(n, 6, n, 4, "exact"):
         pts = (a, c, b, d)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
+        table = bd.WedgeKernel(n).table(pts, "in double ratio")
         for p in range(1, n):
-            assert double_ratio(*flags, p) == double_ratio_by(exact_det, *old, p)
+            expected = double_ratio_by(exact_det, *old, p)
+            assert table.quotient(*table.double_ratio(p)) == expected
+            assert double_ratio(*flags, p) == expected
 
 
 def test_flag_rows_with_different_denominators():

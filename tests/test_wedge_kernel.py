@@ -1,4 +1,5 @@
-"""The exact wedge-table kernel behind the invariant vector.
+"""The exact wedge-table kernel behind the invariant vector and the exact
+identity suites.
 
 Its values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
@@ -24,7 +25,8 @@ from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
 from bdcoords.multilinear import bareiss_append, det_int
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
-from bdcoords.verification import sample_genus2, sample_points
+from bdcoords.verification import (run_double_ratio, run_triple_ratio, sample_genus2,
+                                   sample_points)
 from bdcoords.veronese import exact_flag_rows, veronese_flag
 from oracles import ComplementKernel, integer_coordinates
 
@@ -112,9 +114,10 @@ def test_invariants_command_at_rank_8(tmp_path):
 
 def test_vanishing_wedge_names_object_index_and_rank():
     pts = (ProjPoint(0, 1), ProjPoint(0, 1), ProjPoint(1, 0))
-    table = bd.WedgeKernel(3).table(pts, "pants P0 triangle 1")
+    table = bd.WedgeKernel(3).table(pts, "at pants P0 triangle 1")
     with pytest.raises(DegenerateFlagError,
-                       match=r"pants P0 triangle 1: wedge \(2, 1, 0\) is exactly 0 at n = 3"):
+                       match=r"^vanishing wedge factor at pants P0 triangle 1: "
+                             r"wedge \(2, 1, 0\) is exactly 0 at n = 3$"):
         table.log_triple_ratio(1, 1, 1)
 
 
@@ -137,7 +140,7 @@ def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch
 def test_negative_double_ratio_names_object_and_rank():
     # (x, y, zl, zr) with zl and zr on the same side of the axis (0, oo)
     pts = (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), ProjPoint(2, 1))
-    table = bd.WedgeKernel(4).table(pts, "curve C2")
+    table = bd.WedgeKernel(4).table(pts, "at curve C2")
     with pytest.raises(AssemblyError,
                        match=r"double ratio D_2 at curve C2 is not positive: .* at n = 4"):
         table.log_double_ratio(2)
@@ -150,6 +153,56 @@ def test_kernel_rejects_bad_indices():
         table.log_triple_ratio(0, 2, 2)
     with pytest.raises(ValueError, match="1 <= p <= 3"):
         table.log_double_ratio(4)
+
+
+# -- the exact identity suites ----------------------------------------------
+
+
+SUITES = {"triple": run_triple_ratio, "double": run_double_ratio}
+
+
+@pytest.mark.parametrize("ratio", SUITES)
+def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
+    tables, kernel_table = [], bd.WedgeKernel.table
+
+    def counting(kernel, points, where):
+        tables.append((kernel, where))
+        return kernel_table(kernel, points, where)
+
+    def no_flag(self, basis):
+        raise AssertionError("an exact suite built a Flag")
+
+    monkeypatch.setattr(bd.WedgeKernel, "table", counting)
+    monkeypatch.setattr(flags.Flag, "__init__", no_flag)
+    report = SUITES[ratio](5, samples=6, seed=3)
+    assert report.passed and report.worst == 0
+    assert len(tables) == 6
+    assert len({id(kernel) for kernel, _ in tables}) == 6   # a kernel per case
+    assert {where for _, where in tables} == {f"in {ratio} ratio"}
+
+
+@pytest.mark.parametrize("ratio", SUITES)
+def test_float_suites_build_no_kernel(ratio, monkeypatch):
+    def no_kernel(self, n):
+        raise AssertionError("a float suite built a kernel")
+
+    monkeypatch.setattr(bd.WedgeKernel, "__init__", no_kernel)
+    report = SUITES[ratio](5, samples=6, seed=3, mode="float")
+    assert report.passed and report.cases == 6 * (6 if ratio == "triple" else 4)
+
+
+@pytest.mark.parametrize("ratio", SUITES)
+def test_exact_suite_names_a_vanishing_wedge_by_ratio(ratio, monkeypatch):
+    # every case's table with its last point replaced by its first: every
+    # ratio stacks two blocks of that flag, so one of its wedges is exactly 0
+    kernel_table = bd.WedgeKernel.table
+    monkeypatch.setattr(bd.WedgeKernel, "table", lambda kernel, points, where:
+                        kernel_table(kernel, (*points[:-1], points[0]), where))
+    report = SUITES[ratio](5, samples=2, seed=3)
+    assert not report.passed
+    case, message = report.failures[0].split(": ", 1)
+    assert case.startswith("case 0 ")
+    assert message.startswith(f"vanishing wedge factor in {ratio} ratio: wedge (")
 
 
 # -- the shared elimination trie --------------------------------------------
@@ -232,7 +285,7 @@ def test_tables_sharing_leading_blocks_get_equal_entries():
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_repeated_point_gives_a_dependent_prefix(n):
     p, q = ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1)
-    table = bd.WedgeKernel(n).table((p, p, q), "pants P1 triangle 0")
+    table = bd.WedgeKernel(n).table((p, p, q), "at pants P1 triangle 0")
     for a, b, c in level_tuples(n, 3):
         if a and b:
             # the first row of p is stacked twice: the prefix is dependent
@@ -290,7 +343,7 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     n = 8
     calls = count_appends(monkeypatch)
     pts = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-2.5, 1.0))
-    table = bd.WedgeKernel(n).table(pts, "pants P0 triangle 0")
+    table = bd.WedgeKernel(n).table(pts, "at pants P0 triangle 0")
     for levels in level_tuples(n, 3):
         assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
     # one append per state of the flags at 1 and at -2.5: the rows of the
