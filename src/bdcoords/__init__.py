@@ -13,7 +13,7 @@ from .multilinear import (band_det_bruteforce, band_det_formula, compare_band,
 from .flags import DegenerateFlagError, Flag, double_ratio, is_generic, triple_ratio
 from .halfplane import (DegenerateConfigurationError, Mobius, ProjPoint, axis_data,
                         cross_ratio, is_clockwise, mobius_to_standard,
-                        orientation, shear_from_quadruple, twist_map)
+                        orientation, shear_from_quadruple)
 from .veronese import veronese_flag
 from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,
                        PantsLamination, PantsShearing, SurfaceSpec, SurfaceSpecError,

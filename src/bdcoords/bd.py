@@ -35,20 +35,24 @@ developed surface carries for each curve.  The slice of the
 parameter polytope carved out by vanishing triangle invariants and
 index-independent shearing/gluing invariants is exactly the image of the
 hyperbolic structures, and ``realize_slice`` constructs the hyperbolic
-surface realizing any point of it.
+surface realizing any point of it.  In a curve chart the gluing invariant
+is exactly twice the curve's twist (``surfaces.CurveChart``), so a slice
+point is realized by one assembly at twist = gluing / 2; ``bd_vector``
+still reads every gluing invariant off the kernel's wedges at the chart's
+four points.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .scalars import serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows
-from .surfaces import (AssemblyError, DevelopedSurface, SurfaceSpec,
-                       UnreachableTwistError, assemble_surface, fan_cycle, reglue,
-                       solve_twist)
+from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
+                       UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
 DEFAULT_TOL = 1e-9
 
@@ -130,7 +134,15 @@ class InvariantTable(WedgeTable):
             raise AssemblyError(
                 f"{name} {self.where} is not positive: {num / den:.6g} "
                 f"at n = {self.n}")
-        return math.log(num / den)
+        try:
+            quotient = num / den
+        except OverflowError:
+            quotient = math.inf
+        if not sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
+            raise AssemblyError(
+                f"{name} {self.where} is outside the double range: its log is "
+                f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {self.n}")
+        return math.log(quotient)
 
     def log_triple_ratio(self, p: int, q: int, r: int) -> float:
         """log T_pqr of the first three flags."""
@@ -394,29 +406,35 @@ def roundtrip_deviation(v: BDVector, sp: SlicePoint) -> float:
     return dev
 
 
+def twist_residual(chart: CurveChart, gluing: float) -> float:
+    """Relative gap |z - r| / max(1, |r|) between a chart's gluing cross
+    ratio z and its target r = -exp(-gluing), computed without exp(|gluing|)."""
+    z = chart.gluing_cross_ratio()
+    if gluing >= 0:
+        return abs(z + math.exp(-gluing))
+    return abs(z * math.exp(gluing) + 1.0)
+
+
 def realize_slice(sp: SlicePoint, spec: SurfaceSpec) -> DevelopedSurface:
     """Construct the hyperbolic surface realizing the slice point sp.
 
     The surface does not depend on a rank: its invariants realize sp at
-    every n.  Each pants is developed once, with the prescribed shears, and
-    glued twice: at twist 0, where ``solve_twist`` reads each curve's twist
-    off the chart, and with the solved twists (``reglue``), since gluing
-    never touches the pants.  Every fact is checked once, by the code that
-    computes it: ``develop_pants`` checks each pants' shear range (the error
-    names the pants and its signed spiral sums), each gluing checks that the
-    boundary lengths match across each curve (the error names the curve),
-    and, since a curve's chart depends only on its own twist, every twist
-    solve is checked on the returned surface: its gluing cross ratio must be
-    -exp(-gluing) to 1e-9 (relative).
+    every n.  It is one ``assemble_surface`` with the prescribed shears at
+    the twists ``solve_twist`` reads off the gluing values (half of each).
+    Every fact is checked once, by the code that computes it:
+    ``develop_pants`` checks each pants' shear range (the error names the
+    pants and its signed spiral sums), the gluing checks that the boundary
+    lengths match across each curve (the error names the curve), and each
+    curve's chart must meet its target, ``twist_residual`` at most 1e-9.
     """
-    base = assemble_surface(spec, sp.shears, {cid: 0.0 for cid in spec.curves})
-    twists = {cid: solve_twist(base, cid, sp.gluing[cid]) for cid in spec.curves}
-    ds = reglue(base, twists)
+    twists = {cid: solve_twist(sp.gluing[cid]) for cid in spec.curves}
+    ds = assemble_surface(spec, sp.shears, twists)
     for cid, chart in ds.curves.items():
-        r = -math.exp(-float(sp.gluing[cid]))
-        residual = abs(chart.gluing_cross_ratio() - r)
-        if residual > 1e-9 * max(1.0, abs(r)):
-            raise UnreachableTwistError(f"curve {cid}: twist solve residual {residual}")
+        residual = twist_residual(chart, float(sp.gluing[cid]))
+        if residual > 1e-9:
+            raise UnreachableTwistError(
+                f"curve {cid}: twist solve residual {residual:.3g} (relative) "
+                f"above 1e-09 at gluing {sp.gluing[cid]!r}")
     return ds
 
 

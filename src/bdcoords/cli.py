@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .scalars import serialize_value
@@ -94,7 +95,8 @@ def _known_ids(section: str, data, known, kind: str) -> dict:
 
 
 def _numbers(section: str, data: dict) -> dict:
-    """The values of an input section, each converted to a float."""
+    """The values of an input section, each converted to a finite float
+    (``json`` reads NaN and Infinity as floats)."""
     out = {}
     for key, value in data.items():
         try:
@@ -102,6 +104,9 @@ def _numbers(section: str, data: dict) -> dict:
         except (TypeError, ValueError, OverflowError):
             raise SurfaceSpecError(
                 f"{section} entry {key!r} must be a number, got {value!r}") from None
+        if not math.isfinite(out[key]):
+            raise SurfaceSpecError(
+                f"{section} entry {key!r} must be a finite number, got {value!r}")
     return out
 
 

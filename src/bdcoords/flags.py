@@ -251,7 +251,7 @@ class _FloatWedgeTable(WedgeTable):
                 [row for basis, d in zip(self.rows, levels) for row in basis[:d]])
         value, nonzero = entry
         if not nonzero:
-            raise DegenerateFlagError(f"vanishing wedge factor {self.where}")
+            raise DegenerateFlagError(f"vanishing wedge factor {self.where} at n = {self.n}")
         return value
 
     @staticmethod

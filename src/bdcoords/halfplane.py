@@ -138,13 +138,6 @@ class Mobius:
         self.m = ((a, b), (c, d))
         self.mode = mode
 
-    @classmethod
-    def scaling(cls, factor: float) -> "Mobius":
-        """z -> factor * z for factor > 0 (float mode)."""
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        return cls([[float(factor), 0.0], [0.0, 1.0]])
-
     def trace_normalized(self) -> float:
         """tr(M / sqrt(det M)) up to sign; requires det > 0."""
         (a, b), (c, d) = self.m
@@ -233,23 +226,6 @@ def axis_data(m: Mobius):
             att, rep = ProjPoint(0.0, 1.0), ProjPoint.infinity(FLOAT)
     length = 2.0 * math.acosh(abs(tr) / 2.0)
     return att, rep, length
-
-
-def twist_map(attracting: ProjPoint, repelling: ProjPoint, t) -> Mobius:
-    """The hyperbolic map with the given axis, conjugate to diag(e^t, e^-t)
-    under the normalization attracting -> oo, repelling -> 0.
-
-    Fixes both axis endpoints and translates by 2t toward the attracting
-    point for t > 0.
-    """
-    att = attracting if attracting.mode == FLOAT else attracting.to_float()
-    rep = repelling if repelling.mode == FLOAT else repelling.to_float()
-    if wedge(att, rep) == 0:
-        raise DegenerateConfigurationError("twist axis needs distinct endpoints")
-    t = float(t)
-    norm = Mobius([[rep.b, -rep.a], [att.b, -att.a]])  # rep -> 0, att -> oo
-    diag = Mobius([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
-    return norm.inverse() @ diag @ norm
 
 
 def sort_ccw(points) -> list:

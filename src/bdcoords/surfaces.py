@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .halfplane import (Mobius, ProjPoint, axis_data, cross_ratio, fourth_point,
-                        mobius_to_standard, orientation, twist_map, wedge)
+                        mobius_to_standard, orientation, wedge)
 
 _LENGTH_MATCH_RTOL = 1e-9   # relative tolerance for lengths across a curve
 _INTERNAL_RTOL = 1e-8       # developed length vs shear sum self-check
@@ -62,7 +62,7 @@ class AssemblyError(ValueError):
 
 
 class UnreachableTwistError(ValueError):
-    """A twist solve hit a degenerate configuration."""
+    """A realized curve chart missed its target gluing cross ratio."""
 
 
 SLOTS = (1, 2, 3)
@@ -563,7 +563,10 @@ class CurveChart:
     The curve's axis is (0, oo) with the repelling point x at 0 and the
     attracting point y at oo.  The right side is scaled so its short-arc
     vertex zr sits at 1; the left side so that at twist 0 its vertex zl sits
-    at -1, and the twist then moves zl to -exp(2t).
+    at -1, and the twist t then moves zl to -exp(2t).  The four points are
+    written in closed form, zr = [1 : 1] and zl = [-exp(2t) : 1] (as
+    [-1 : exp(-2t)] for t > 0, so nothing overflows), so the gluing cross
+    ratio is -exp(-2t) and the gluing invariant is exactly 2t at every rank.
     """
 
     curve_id: str
@@ -609,11 +612,12 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
     ``develop_pants`` checks each pants' shear range; its errors are raised
     again with the pants id in front.  Both sides of each curve must develop
     the same boundary length (relative tolerance 1e-9); this is the one
-    length check, and its error names the curve.  Per curve, both sides are
-    normalized onto the axis (0, oo) with matching translation direction and
-    the left side is post-composed with the twist along the axis.
-    ``reglue`` runs the same gluing, with the same checks, on pants that are
-    already developed.
+    length check, and its error names the curve.  Per curve, each side is
+    normalized onto the axis (0, oo) with matching translation direction,
+    and its short-arc vertex must land off 0 on its own half-line.  The
+    chart is then written in closed form: zr = 1 and zl = -exp(2t) (see
+    ``CurveChart``).  A twist whose zl is 0 or oo in double precision is an
+    error that names the curve and the twist.
 
     base_points optionally places each pants' base triangle elsewhere; all
     invariants are unchanged (the per-curve normalization eats the chart).
@@ -626,21 +630,6 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
             developed[pid] = develop_pants(lam, s, base_points=base_points.get(pid))
         except (LaminationError, AssemblyError) as exc:
             raise type(exc)(f"pants {pid}: {exc}") from exc
-    return _glue(spec, developed, twists)
-
-
-def reglue(ds: DevelopedSurface, twists: dict) -> DevelopedSurface:
-    """The surface of ``ds``'s developed pants glued with other twists.
-
-    Gluing never touches the pants, so this equals ``assemble_surface``
-    with ``ds``'s shears and base points and the new twists, without
-    developing the pants again; every check of the gluing runs again.
-    """
-    return _glue(ds.spec, ds.pants, twists)
-
-
-def _glue(spec: SurfaceSpec, developed: dict, twists: dict) -> DevelopedSurface:
-    """The gluing half of ``assemble_surface``, and all of ``reglue``."""
     twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     charts = {}
     for cid in spec.curves:
@@ -652,68 +641,43 @@ def _glue(spec: SurfaceSpec, developed: dict, twists: dict) -> DevelopedSurface:
             raise AssemblyError(
                 f"curve {cid}: boundary lengths differ across the gluing "
                 f"({fan_l.length:.17g} left vs {fan_r.length:.17g} right)")
-        length = fan_l.length
 
         # convention 3: ends[0] is the left side, whose induced boundary
         # orientation agrees with the curve's; the right side opposes it, so
         # its fan's attracting and repelling points trade places.
-        maps = {}
-        raw_vertex = {}
         for side, fan, tri, att, rep in (
                 ("left", fan_l, tri_l, fan_l.attracting, fan_l.repelling),
                 ("right", fan_r, tri_r, fan_r.repelling, fan_r.attracting)):
-            norm = _normalizer_to_axis(att, rep)
-            z_raw = fan.plaque_vertex_for_arc(tri)
-            z0 = _affine_value(norm(z_raw))
+            z0 = _affine_value(_normalizer_to_axis(att, rep)(fan.plaque_vertex_for_arc(tri)))
             if z0 == 0.0:
                 raise AssemblyError(f"curve {cid}: short-arc vertex degenerated to 0")
-            expected_negative = side == "left"
-            if (z0 < 0.0) != expected_negative:
+            if (z0 < 0.0) != (side == "left"):
                 raise AssemblyError(
                     f"curve {cid}: {side} side developed on the wrong side of the axis")
-            maps[side] = Mobius.scaling(1.0 / abs(z0)) @ norm
-            raw_vertex[side] = z_raw
 
         t = twists[cid]
-        left_map = twist_map(ProjPoint.infinity("float"), ProjPoint(0.0, 1.0), t) @ maps["left"]
-        zl = left_map(raw_vertex["left"])
-        zr = maps["right"](raw_vertex["right"])
+        e = math.exp(-2.0 * abs(t))   # zl = [-1 : e] for t > 0, [-e : 1] otherwise
+        if not e > 0.0:
+            raise AssemblyError(
+                f"curve {cid}: twist {t:.17g} puts zl = -exp(2t) at "
+                f"{'0' if t < 0 else 'infinity'} in double precision")
         charts[cid] = CurveChart(
-            curve_id=cid, length=length, twist=t,
+            curve_id=cid, length=fan_l.length, twist=t,
             x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
-            zl=zl, zr=zr)
-
+            zl=ProjPoint(-1.0, e) if t > 0 else ProjPoint(-e, 1.0),
+            zr=ProjPoint(1.0, 1.0))
     return DevelopedSurface(spec=spec, twists=twists, pants=developed, curves=charts)
 
 
-def solve_twist(ds: DevelopedSurface, curve_id: str, target_w) -> float:
-    """The twist increment t0 after which the curve's gluing cross ratio is
-    -exp(-target_w).
+def solve_twist(target_w: float) -> float:
+    """The twist at which a curve's gluing invariant is ``target_w``.
 
-    In the normalized chart the cross ratio is a strictly monotone Moebius
-    function of exp(2t), so the solve is closed-form: ``reglue`` with the
-    curve's twist raised by t0 reaches the target.  A curve's chart depends
-    only on its own twist, so the increments of several curves can be
-    applied in one gluing.  The solve does not glue to check itself;
-    ``bd.realize_slice`` checks the gluing cross ratio of every curve on the
-    surface it returns.
+    The chart puts x = 0, y = oo, zr = 1 and zl = -exp(2t), so its gluing
+    cross ratio z(y, zr, x, zl) is -exp(-2t) and its gluing invariant is 2t
+    at every rank: the twist is half the target.  ``bd.realize_slice``
+    checks the gluing cross ratio of every curve on the surface it returns.
     """
-    if curve_id not in ds.curves:
-        raise KeyError(f"unknown curve {curve_id!r}")
-    chart = ds.curves[curve_id]
-    r = -math.exp(-float(target_w))
-    # solve z(y, zr, x, zeta) = r for the twisted image zeta of zl
-    y, zr, x = chart.y, chart.zr, chart.x
-    byc = wedge(zr, x)
-    bya = wedge(zr, y)
-    zeta = ProjPoint(y.a * byc - r * x.a * bya, y.b * byc - r * x.b * bya)
-    if zeta.is_infinity or zeta.b == 0 or chart.zl.is_infinity:
-        raise UnreachableTwistError(f"curve {curve_id}: degenerate twist solve")
-    ratio = _affine_value(zeta) / _affine_value(chart.zl)
-    if ratio <= 0.0:
-        raise UnreachableTwistError(
-            f"curve {curve_id}: target cross ratio {r} not on the twist orbit")
-    return 0.5 * math.log(ratio)
+    return float(target_w) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,14 @@ def test_shearing_invariant_n2_reduces_to_classical(ds):
 # -- gluing invariants --------------------------------------------------------
 
 def test_gluing_invariant_is_twice_the_twist(ds):
-    # with the shipped normalization the twist-0 marking has vanishing
-    # gluing invariant and the twist enters with translation weight 2
-    for n in (2, 3, 4):
-        vec = bd.bd_vector(ds, n)
-        for cid, t in ds.twists.items():
-            for p in range(1, n):
-                assert vec.theta[(cid, p)] == pytest.approx(2 * t, abs=1e-9)
+    # the chart puts zl at -exp(2t) in closed form, so the kernel's wedges at
+    # its four points read theta_p = 2t at every p and n
+    rng = random.Random(41)
+    for surface in [ds] + [assemble_surface(*sample_genus2(rng)) for _ in range(4)]:
+        for n in range(2, 9):
+            vec = bd.bd_vector(surface, n)
+            for (cid, p), value in vec.theta.items():
+                assert value == pytest.approx(2 * surface.twists[cid], abs=1e-12)
 
 
 def test_gluing_invariant_n2_matches_cross_ratio(ds):
@@ -236,6 +237,17 @@ def test_realize_slice_round_trip_from_assembly():
         assert vec2.theta[key] == pytest.approx(vec.theta[key], abs=1e-9)
     for key in vec.tau:
         assert vec2.tau[key] == pytest.approx(vec.tau[key], abs=1e-9)
+
+
+def test_realize_slice_twists_are_half_the_gluing():
+    rng = random.Random(13)
+    for _ in range(5):
+        spec, shears, _ = sample_genus2(rng)
+        gluing = {cid: verification.sample_float(rng, -3.0, 3.0) for cid in spec.curves}
+        ds = bd.realize_slice(bd.SlicePoint(shears=shears, gluing=gluing), spec)
+        assert ds.twists == {cid: w / 2 for cid, w in gluing.items()}
+        for cid, chart in ds.curves.items():
+            assert bd.twist_residual(chart, gluing[cid]) < 1e-15
 
 
 def test_realize_slice_rejects_range_violation():

@@ -176,6 +176,64 @@ def test_section_value_that_is_not_a_number_exits_2(command, source, section, pa
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, source, section, pants, key, text", [
+    pytest.param("invariants", SURFACE, "twists", None, "C1", "NaN", id="invariants-twists-nan"),
+    pytest.param("invariants", SURFACE, "shears", "P0", "B12", "Infinity",
+                 id="invariants-shears-inf"),
+    pytest.param("realize", SLICE, "gluing", None, "C2", "-Infinity", id="realize-gluing-inf"),
+    pytest.param("realize", SLICE, "shears", "P1", "B13", "NaN", id="realize-shears-nan"),
+])
+def test_section_value_that_is_not_finite_exits_2(command, source, section, pants, key, text,
+                                                  tmp_path, capsys):
+    # json reads NaN and Infinity as floats
+    bad = json.loads(open(source).read())
+    (bad[section] if pants is None else bad[section][pants])[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad).replace('"@"', text))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    name = section if pants is None else f"{section} of pants {pants!r}"
+    value = float(text.replace("Infinity", "inf"))
+    assert (f"error: {name} entry {key!r} must be a finite number, got {value!r}\n"
+            == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command, source, section, value, message", [
+    pytest.param("invariants", SURFACE, "twists", 800.0,
+                 "curve C1: twist 800 puts zl = -exp(2t) at infinity in double precision",
+                 id="twist-zl-infinity"),
+    pytest.param("invariants", SURFACE, "twists", -800.0,
+                 "curve C1: twist -800 puts zl = -exp(2t) at 0 in double precision",
+                 id="twist-zl-zero"),
+    pytest.param("invariants", SURFACE, "twists", 360.0,
+                 "double ratio D_1 at curve C1 is outside the double range: its log is 720 "
+                 "at n = 3", id="twist-ratio-overflow"),
+    pytest.param("invariants", SURFACE, "twists", -360.0,
+                 "double ratio D_1 at curve C1 is outside the double range: its log is -720 "
+                 "at n = 3", id="twist-ratio-subnormal"),
+    pytest.param("realize", SLICE, "gluing", -800.0,
+                 "curve C1: twist -400 puts zl = -exp(2t) at 0 in double precision",
+                 id="gluing-zl-zero"),
+    pytest.param("realize", SLICE, "gluing", 1600.0,
+                 "curve C1: twist 800 puts zl = -exp(2t) at infinity in double precision",
+                 id="gluing-zl-infinity"),
+    pytest.param("realize", SLICE, "gluing", -720.0,
+                 "curve C1: twist solve residual inf (relative) above 1e-09 at gluing -720.0",
+                 id="gluing-residual-overflow"),
+])
+def test_huge_twist_or_gluing_is_a_named_error(command, source, section, value, message,
+                                               tmp_path, capsys):
+    bad = json.loads(open(source).read())
+    bad[section]["C1"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("drop, message", [
     pytest.param(("gluing",), "missing gluing for curve 'C1'", id="no-gluing"),
     pytest.param(("shears",), "missing shears for pants 'P0'", id="no-shears"),

@@ -486,7 +486,7 @@ def test_repeated_flag_raises_on_every_ratio_through_it(n, mode):
         levels = (p - 1, n - p, 0, 1) if p > 1 else (1, n - 2, 0, 1)
         message = (f"vanishing wedge factor in a case: wedge {re.escape(str(levels))} "
                    f"is exactly 0 at n = {n}$" if mode == "exact"
-                   else "^vanishing wedge factor in a case$")
+                   else f"^vanishing wedge factor in a case at n = {n}$")
         with pytest.raises(DegenerateFlagError, match=message):
             table.double_ratio(p)
         with pytest.raises(DegenerateFlagError):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from bdcoords.halfplane import (DegenerateConfigurationError, Mobius, ProjPoint,
                                 axis_data, cross_ratio, fourth_point, is_clockwise,
                                 mobius_to_standard, orientation,
-                                shear_from_quadruple, sort_ccw, twist_map)
+                                shear_from_quadruple, sort_ccw)
 from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
 from oracles import affine_cross_ratio, projectively_equal
 
@@ -222,34 +222,6 @@ def test_axis_data_rejects_non_hyperbolic():
         axis_data(Mobius([[1.0, 1.0], [0.0, 1.0]]))  # parabolic
     with pytest.raises(ValueError):
         axis_data(Mobius([[0.0, -1.0], [1.0, 0.0]]))  # elliptic
-
-
-def test_twist_map_basics():
-    p, q = INF.to_float(), ProjPoint(0.0, 1.0)
-    assert projectively_equal(twist_map(p, q, 0.0), Mobius([[1.0, 0.0], [0.0, 1.0]]))
-    t = 0.6
-    m = twist_map(p, q, t)
-    x = m(ProjPoint(1.2, 1.0))
-    assert affine(x) == pytest.approx(math.exp(2 * t) * 1.2)
-
-
-def test_twist_map_axis_and_length():
-    p, q = ProjPoint(3.0, 1.0), ProjPoint(-2.0, 1.0)
-    t = 0.45
-    att, rep, length = axis_data(twist_map(p, q, t))
-    assert att == p and rep == q
-    assert length == pytest.approx(2 * t)
-
-
-def test_twist_map_group_law():
-    p, q = ProjPoint(2.0, 1.0), ProjPoint(-5.0, 1.0)
-    lhs = twist_map(p, q, 0.3) @ twist_map(p, q, 0.9)
-    assert projectively_equal(lhs, twist_map(p, q, 1.2), tol=1e-9)
-
-
-def test_twist_map_rejects_coincident_axis():
-    with pytest.raises(DegenerateConfigurationError):
-        twist_map(ProjPoint(1.0, 1.0), ProjPoint(2.0, 2.0), 1.0)
 
 
 # -- the mode rule in the constructors --------------------------------------

@@ -13,6 +13,7 @@ name counts as used when it appears as an identifier anywhere in the module
 from the package when it is relative or names ``bdcoords``.
 """
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -209,3 +210,25 @@ def test_every_definition_is_reached_outside_the_tests():
                  for line, name in defined_names(path.read_text())
                  if name not in reached and name not in READ_BY_TESTS_ONLY]
     assert unreached == []
+
+
+def tracer_names() -> list:
+    """(module, name) of every function the benchmark's tracer wraps: its
+    ``SPANS`` and ``COUNTED`` tables, read without importing the tracer, plus
+    the two it wraps by hand (``Flag.__init__`` and ``det_raw``)."""
+    tables = {}
+    for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTED"):
+                tables[target.id] = ast.literal_eval(node.value)
+    assert set(tables) == {"SPANS", "COUNTED"}
+    return [*tables["SPANS"], *tables["COUNTED"], ("flags", "Flag"), ("multilinear", "det_raw")]
+
+
+@pytest.mark.parametrize("traced", tracer_names(), ids=".".join)
+def test_every_traced_function_resolves(traced):
+    # a traced run fails when one of these is gone, so deleting a traced
+    # function fails here first
+    module, name = traced
+    assert callable(getattr(importlib.import_module(f"bdcoords.{module}"), name, None))

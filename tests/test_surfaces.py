@@ -279,22 +279,17 @@ def test_twist_moves_only_zl_exponentially():
             ds1.curves[cid].gluing_cross_ratio())
 
 
-def test_solve_twist_unknown_curve():
-    with pytest.raises(KeyError, match="C9"):
-        solve_twist(_simple_assembly(), "C9", 1.0)
-
-
 def test_solve_twist_fixed_point():
+    # the twist read back off a chart's own gluing invariant
     ds = _simple_assembly({"C1": 0.25})
     w = math.log(-1.0 / ds.curves["C1"].gluing_cross_ratio())
-    t0 = solve_twist(ds, "C1", w)
-    assert t0 == pytest.approx(0.0, abs=1e-12)
+    assert solve_twist(w) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_solve_twist_reaches_target():
-    ds = _simple_assembly()
     for w in (-1.5, 0.0, 2.0):
-        t0 = solve_twist(ds, "C2", w)
+        t0 = solve_twist(w)
+        assert t0 == w / 2
         moved = _simple_assembly({"C2": t0})
         z = moved.curves["C2"].gluing_cross_ratio()
         assert z == pytest.approx(-math.exp(-w), abs=1e-12)
@@ -303,10 +298,36 @@ def test_solve_twist_reaches_target():
 def test_solve_twist_round_trip_to_origin():
     ds = _simple_assembly()
     w0 = math.log(-1.0 / ds.curves["C3"].gluing_cross_ratio())
-    t1 = solve_twist(ds, "C3", 1.3)
-    ds1 = _simple_assembly({"C3": t1})
-    t2 = solve_twist(ds1, "C3", w0)
-    assert t1 + t2 == pytest.approx(0.0, abs=1e-10)
+    assert solve_twist(w0) == pytest.approx(0.0, abs=1e-15)
+    ds1 = _simple_assembly({"C3": solve_twist(1.3)})
+    w1 = math.log(-1.0 / ds1.curves["C3"].gluing_cross_ratio())
+    assert solve_twist(w1) == pytest.approx(0.65, abs=1e-12)
+
+
+def test_charts_are_closed_form():
+    # zr = [1 : 1] and zl = [-exp(2t) : 1], written as [-1 : exp(-2t)] for t > 0
+    rng = random.Random(31)
+    for _ in range(10):
+        ds = assemble_surface(*sample_genus2(rng))
+        for cid, chart in ds.curves.items():
+            t = ds.twists[cid]
+            assert chart.twist == t
+            assert (chart.x.a, chart.x.b, chart.y.a, chart.y.b) == (0.0, 1.0, 1.0, 0.0)
+            assert (chart.zr.a, chart.zr.b) == (1.0, 1.0)
+            expected = (-1.0, math.exp(-2 * t)) if t > 0 else (-math.exp(2 * t), 1.0)
+            assert (chart.zl.a, chart.zl.b) == expected
+            assert chart.zl.mode == chart.zr.mode == "float"
+
+
+@pytest.mark.parametrize("twist, where", [
+    (800.0, "infinity"), (-800.0, "0"), (math.inf, "infinity"), (-math.inf, "0"),
+    (math.nan, "infinity"),
+])
+def test_twist_beyond_double_range_names_the_curve(twist, where):
+    with pytest.raises(AssemblyError,
+                       match=rf"^curve C2: twist {twist:.17g} puts zl = -exp\(2t\) "
+                             rf"at {where} in double precision$"):
+        _simple_assembly({"C2": twist})
 
 
 def test_assembly_left_right_sides():

@@ -203,6 +203,9 @@ def test_exact_suite_names_a_vanishing_wedge_by_ratio(ratio, monkeypatch):
     case, message = report.failures[0].split(": ", 1)
     assert case.startswith("case 0 ")
     assert message.startswith(f"vanishing wedge factor in {ratio} ratio: wedge (")
+    # the table names n, and the suite adds no second "at n = 5"
+    for line in report.failures:
+        assert line.endswith("is exactly 0 at n = 5") and line.count("at n = ") == 1
 
 
 # -- the shared elimination trie --------------------------------------------
