@@ -16,7 +16,7 @@ from .halfplane import (DegenerateConfigurationError, Mobius, ProjPoint, axis_da
                         orientation, shear_from_quadruple)
 from .veronese import veronese_flag
 from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,
-                       PantsLamination, PantsShearing, SurfaceSpec, SurfaceSpecError,
+                       PantsLamination, SurfaceSpec, SurfaceSpecError,
                        UnreachableTwistError, assemble_surface, boundary_lengths,
                        develop_pants, genus2_spec, solve_twist,
                        validate_shears)

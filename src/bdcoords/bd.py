@@ -362,23 +362,23 @@ def polytope_membership(report: ClosedLeafReport, tol: float = DEFAULT_TOL):
     return (not problems), problems
 
 
+def slice_deviations(v: BDVector) -> dict:
+    """Per object, how far v lies off the slice: |tau| per triangle
+    invariant, keyed ("tau", key); the spread over p of sigma per leaf,
+    ("sigma", pid, leaf); and of theta per curve, ("theta", cid)."""
+    devs = {("tau", key): abs(x) for key, x in v.tau.items()}
+    spreads = {}
+    for (pid, leaf, _p), x in v.sigma.items():
+        spreads.setdefault(("sigma", pid, leaf), []).append(x)
+    for (cid, _p), x in v.theta.items():
+        spreads.setdefault(("theta", cid), []).append(x)
+    devs.update((key, max(xs) - min(xs)) for key, xs in spreads.items())
+    return devs
+
+
 def slice_membership(v: BDVector, tol: float = DEFAULT_TOL) -> bool:
     """Vanishing triangle block; index-independent shearing and gluing blocks."""
-    if any(abs(x) > tol for x in v.tau.values()):
-        return False
-    by_leaf = {}
-    for (pid, leaf, _p), x in v.sigma.items():
-        by_leaf.setdefault((pid, leaf), []).append(x)
-    for values in by_leaf.values():
-        if max(values) - min(values) > tol:
-            return False
-    by_curve = {}
-    for (cid, _p), x in v.theta.items():
-        by_curve.setdefault(cid, []).append(x)
-    for values in by_curve.values():
-        if max(values) - min(values) > tol:
-            return False
-    return True
+    return not any(dev > tol for dev in slice_deviations(v).values())
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ Convention notes (load-bearing, referenced throughout):
 4. Boundary translation lengths are |sum of shears over spiral crossings|,
    counting a leaf once per end spiraling into the boundary (so the doubled
    leaf of kind II counts twice at the distinguished boundary).
+
+Checks: ``SurfaceSpec`` checks the combinatorics, ``develop_pants`` every
+fact about one pants (shears are plain {leaf: value} dicts), and
+``assemble_surface`` only what spans a curve.
 """
 from __future__ import annotations
 
@@ -257,56 +261,53 @@ def _walk_fan(corner_slot: dict, leaf_sides: dict, side_leaf: dict,
 # shears: validity ranges and boundary lengths
 
 
-@dataclass(frozen=True)
-class PantsShearing:
-    """One shear value per biinfinite leaf, keyed by leaf name."""
-
-    values: dict
-
-    def __getitem__(self, leaf: str) -> float:
-        return self.values[leaf]
-
-    @staticmethod
-    def for_lamination(lam: PantsLamination, values: dict) -> "PantsShearing":
-        values = {leaf: float(v) for leaf, v in values.items()}
-        if set(values) != set(lam.leaves()):
-            raise LaminationError(
-                f"shears keyed {sorted(values)}, lamination has leaves {sorted(lam.leaves())}")
-        return PantsShearing(values)
+def _leaf_shears(lam: PantsLamination, shears: dict) -> dict:
+    """The shears as {leaf: float}, keyed by exactly the lamination's leaves."""
+    values = {leaf: float(v) for leaf, v in shears.items()}
+    if set(values) != set(lam.leaves()):
+        raise LaminationError(
+            f"shears keyed {sorted(values)}, lamination has leaves {sorted(lam.leaves())}")
+    return values
 
 
-def signed_boundary_sums(lam: PantsLamination, s: PantsShearing) -> dict:
+def signed_boundary_sums(lam: PantsLamination, s: dict) -> dict:
     """Per boundary slot, the sum of shears over all ends spiraling into it."""
-    sums = {}
-    for slot in SLOTS:
-        sums[slot] = sum(s[step.leaf] for step in fan_cycle(lam, slot))
+    return {slot: sum(s[step.leaf] for step in fan_cycle(lam, slot)) for slot in SLOTS}
+
+
+def _ranged_sums(lam: PantsLamination, s: dict) -> dict:
+    """The signed spiral sums of leaf shears s, which must lie in the valid
+    range: every boundary needs sign(C) * (sum of shears over ends spiraling
+    to C) positive; kind II additionally needs the two simple leaves positive
+    (equivalently, positive spiraling at the two plain boundaries)."""
+    sums = signed_boundary_sums(lam, s)
+    ok = all(lam.spiral_signs[slot] * sums[slot] > 0 for slot in SLOTS)
+    if lam.kind == "II":
+        i = lam.distinguished
+        ok = ok and all(s[leaf_name(i, j)] > 0 for j in cyclic_pair(i))
+    if not ok:
+        simple = " and positive simple leaves" if lam.kind == "II" else ""
+        raise LaminationError(
+            f"shears outside the valid range: need sign * (spiral sums) > 0{simple}, "
+            f"got sums {sums}")
     return sums
 
 
-def validate_shears(lam: PantsLamination, s: PantsShearing) -> bool:
-    """Whether the shears lie in the valid range for this lamination.
-
-    Every boundary needs sign(C) * (sum of shears over ends spiraling to C)
-    positive; kind II additionally needs the two simple leaves positive
-    (equivalently, positive spiraling at the two plain boundaries).
-    """
-    s = PantsShearing.for_lamination(lam, s.values)
-    sums = signed_boundary_sums(lam, s)
-    if any(lam.spiral_signs[slot] * sums[slot] <= 0 for slot in SLOTS):
+def validate_shears(lam: PantsLamination, shears: dict) -> bool:
+    """Whether the shears {leaf: value} lie in the valid range for this
+    lamination (see ``_ranged_sums``); wrong leaf keys raise."""
+    s = _leaf_shears(lam, shears)
+    try:
+        _ranged_sums(lam, s)
+    except LaminationError:
         return False
-    if lam.kind == "II":
-        i = lam.distinguished
-        j, k = cyclic_pair(i)
-        if s[leaf_name(i, j)] <= 0 or s[leaf_name(i, k)] <= 0:
-            return False
     return True
 
 
-def boundary_lengths(lam: PantsLamination, s: PantsShearing) -> dict:
+def boundary_lengths(lam: PantsLamination, shears: dict) -> dict:
     """Hyperbolic boundary lengths {slot: float}, |signed spiral sums|."""
-    if not validate_shears(lam, s):
-        raise LaminationError("shears outside the valid range for this lamination")
-    return {slot: abs(v) for slot, v in signed_boundary_sums(lam, s).items()}
+    return {slot: abs(v)
+            for slot, v in _ranged_sums(lam, _leaf_shears(lam, shears)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def _solve_across(e1: ProjPoint, e2: ProjPoint, known: ProjPoint, shear: float) 
 
 
 def _cross(tables: LaminationTables, placed: Placed, side: tuple[int, int],
-           s: PantsShearing) -> Placed:
+           s: dict) -> Placed:
     u, w = side
     leaf, which = tables.side_leaf[(placed.tri, side)]
     other = tables.leaf_sides[leaf][1 - which]
@@ -353,31 +354,12 @@ def _cross(tables: LaminationTables, placed: Placed, side: tuple[int, int],
 
 @dataclass(frozen=True)
 class FanData:
-    """A developed boundary fan: one period of spiraling plaques."""
+    """A developed boundary fan, checked by ``develop_pants`` (its length
+    matches |shear_sum|, each plaque's short-arc vertex is on its side)."""
 
-    slot: int
-    steps: tuple            # FanStep per plaque of the period
-    placed: tuple           # Placed, length period + 1 (last = deck image of first)
     deck: Mobius            # boundary holonomy, induced orientation
-    attracting: ProjPoint
-    repelling: ProjPoint
     length: float
     shear_sum: float        # signed sum over the period's crossings
-
-    def plaque_vertex_for_arc(self, triangle: int) -> ProjPoint:
-        """The short-arc vertex: for the first fan plaque that is a lift of
-        `triangle`, the vertex whose side toward the spike does not separate
-        the plaque from the axis (the trailing vertex of the spiral)."""
-        for k, step in enumerate(self.steps):
-            if step.tri == triangle:
-                c = step.corner
-                pts = self.placed[k].pts
-                # spiral runs toward the non-spike axis end; with positive
-                # period sum the traversal runs away from it, so the trailing
-                # vertex is on the exit side, otherwise on the entry side
-                return pts[(c + 2) % 3] if self.shear_sum > 0 else pts[(c + 1) % 3]
-        raise SurfaceSpecError(
-            f"triangle {triangle} has no spike at boundary {self.slot}")
 
 
 @dataclass(frozen=True)
@@ -405,21 +387,24 @@ class DevelopedPants:
 _BASE_POINTS = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(1.0, 0.0))
 
 
-def develop_pants(lam: PantsLamination, s: PantsShearing,
+def develop_pants(lam: PantsLamination, shears: dict,
                   base_points=None) -> DevelopedPants:
-    """Develop one pair of pants from its shear coordinates.
+    """Develop one pair of pants from its shear coordinates {leaf: value}.
 
     Places a base lift of triangle 0 at (0, 1, oo) (or at the given
     counterclockwise base_points), develops one neighboring lift of triangle
     1 and one full fan period around each boundary, and reads off the
     boundary holonomies as the deck maps of the fans.
+
+    Every fact about one pants is checked here, once: the shear keys and
+    range (the error shows the signed spiral sums), each leaf's side
+    vertices, each boundary's hyperbolic holonomy of length |spiral sum|,
+    and, on every fan plaque, that its trailing (short-arc) vertex v lies on
+    the pants' side of the axis, orientation(rep, v, att) < 0; that error
+    names the boundary slot and the triangle.
     """
-    s = PantsShearing.for_lamination(lam, s.values)
-    if not validate_shears(lam, s):
-        simple = " and positive simple leaves" if lam.kind == "II" else ""
-        raise LaminationError(
-            f"shears outside the valid range: need sign * (spiral sums) > 0{simple}, "
-            f"got sums {signed_boundary_sums(lam, s)}")
+    s = _leaf_shears(lam, shears)
+    sums = _ranged_sums(lam, s)
     tables = tables_for(lam)
     pts = tuple(base_points) if base_points is not None else _BASE_POINTS
     if len(pts) != 3 or orientation(*pts) <= 0:
@@ -465,7 +450,7 @@ def develop_pants(lam: PantsLamination, s: PantsShearing,
         # inverse of the induced-orientation boundary holonomy
         deck = (mobius_to_standard(*first.pts).inverse()
                 @ mobius_to_standard(*last.pts))
-        shear_sum = sum(s[step.leaf] for step in steps)
+        shear_sum = sums[slot]
         try:
             att, rep, length = axis_data(deck)
         except ValueError as exc:
@@ -474,9 +459,16 @@ def develop_pants(lam: PantsLamination, s: PantsShearing,
             raise AssemblyError(
                 f"developed length {length} of boundary {slot} "
                 f"does not match shear sum {shear_sum}")
-        fans[slot] = FanData(slot=slot, steps=steps, placed=tuple(placed),
-                             deck=deck, attracting=att, repelling=rep,
-                             length=length, shear_sum=shear_sum)
+        # the spiral runs toward the non-spike axis end; with positive period
+        # sum the traversal runs away from it, so the trailing vertex is on
+        # the exit side of the spike corner, otherwise on the entry side
+        trailing = 2 if shear_sum > 0 else 1
+        for step, plaque in zip(steps, placed):
+            if orientation(rep, plaque.pts[(step.corner + trailing) % 3], att) >= 0:
+                raise AssemblyError(
+                    f"boundary {slot}: the short-arc vertex of triangle {step.tri} "
+                    f"developed on the wrong side of the axis")
+        fans[slot] = FanData(deck=deck, length=length, shear_sum=shear_sum)
     return DevelopedPants(lam=lam, triangles=triangles,
                           leaf_quadruples=quadruples, fans=fans)
 
@@ -491,7 +483,8 @@ class CurveData:
 
     ends[0] is the left side of the oriented curve (convention 3); the
     short-arc triangles name which complementary triangle of each side's
-    pants hosts the corresponding arc endpoint.
+    pants hosts the corresponding arc endpoint.  ``SurfaceSpec`` checks that
+    each spikes into its slot; ``develop_pants`` checks its vertex's side.
     """
 
     ends: tuple              # ((pants_id, slot), (pants_id, slot))
@@ -589,72 +582,39 @@ class DevelopedSurface:
     curves: dict             # curve_id -> CurveChart
 
 
-def _normalizer_to_axis(att: ProjPoint, rep: ProjPoint) -> Mobius:
-    """An orientation-preserving map sending rep -> 0, att -> oo."""
-    det = wedge(rep, att)
-    if det == 0:
-        raise AssemblyError("axis normalization needs distinct endpoints")
-    if det > 0:
-        return Mobius([[rep.b, -rep.a], [att.b, -att.a]])
-    return Mobius([[-rep.b, rep.a], [att.b, -att.a]])
-
-
-def _affine_value(p: ProjPoint) -> float:
-    if p.is_infinity:
-        raise AssemblyError("short-arc vertex landed on the curve axis")
-    return float(p.a) / float(p.b)
-
-
 def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                      base_points: dict | None = None) -> DevelopedSurface:
     """Develop every pants and glue them with the given twists.
 
-    ``develop_pants`` checks each pants' shear range; its errors are raised
-    again with the pants id in front.  Both sides of each curve must develop
-    the same boundary length (relative tolerance 1e-9); this is the one
-    length check, and its error names the curve.  Per curve, each side is
-    normalized onto the axis (0, oo) with matching translation direction,
-    and its short-arc vertex must land off 0 on its own half-line.  The
-    chart is then written in closed form: zr = 1 and zl = -exp(2t) (see
+    ``develop_pants`` checks every fact about one pants (its shears, and the
+    side of the axis each fan plaque's short-arc vertex develops on); its
+    errors are raised again with the pants id in front.  Gluing checks only
+    what spans a curve: both sides must develop the same boundary length
+    (relative tolerance 1e-9), and the error names the curve.  The chart is
+    then written in closed form: zr = 1 and zl = -exp(2t) (see
     ``CurveChart``).  A twist whose zl is 0 or oo in double precision is an
     error that names the curve and the twist.
 
     base_points optionally places each pants' base triangle elsewhere; all
-    invariants are unchanged (the per-curve normalization eats the chart).
+    invariants are unchanged (the closed-form chart does not depend on it).
     """
     base_points = base_points or {}
     developed = {}
     for pid, lam in spec.pants.items():
-        s = shears[pid] if isinstance(shears[pid], PantsShearing) else PantsShearing(shears[pid])
         try:
-            developed[pid] = develop_pants(lam, s, base_points=base_points.get(pid))
+            developed[pid] = develop_pants(lam, shears[pid], base_points=base_points.get(pid))
         except (LaminationError, AssemblyError) as exc:
             raise type(exc)(f"pants {pid}: {exc}") from exc
     twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     charts = {}
-    for cid in spec.curves:
-        (pid_l, slot_l, tri_l) = spec.side(cid, "left")
-        (pid_r, slot_r, tri_r) = spec.side(cid, "right")
-        fan_l = developed[pid_l].fans[slot_l]
-        fan_r = developed[pid_r].fans[slot_r]
-        if abs(fan_l.length - fan_r.length) > _LENGTH_MATCH_RTOL * max(1.0, fan_l.length):
+    for cid, curve in spec.curves.items():
+        (pid_l, slot_l), (pid_r, slot_r) = curve.ends
+        len_l = developed[pid_l].fans[slot_l].length
+        len_r = developed[pid_r].fans[slot_r].length
+        if abs(len_l - len_r) > _LENGTH_MATCH_RTOL * max(1.0, len_l):
             raise AssemblyError(
                 f"curve {cid}: boundary lengths differ across the gluing "
-                f"({fan_l.length:.17g} left vs {fan_r.length:.17g} right)")
-
-        # convention 3: ends[0] is the left side, whose induced boundary
-        # orientation agrees with the curve's; the right side opposes it, so
-        # its fan's attracting and repelling points trade places.
-        for side, fan, tri, att, rep in (
-                ("left", fan_l, tri_l, fan_l.attracting, fan_l.repelling),
-                ("right", fan_r, tri_r, fan_r.repelling, fan_r.attracting)):
-            z0 = _affine_value(_normalizer_to_axis(att, rep)(fan.plaque_vertex_for_arc(tri)))
-            if z0 == 0.0:
-                raise AssemblyError(f"curve {cid}: short-arc vertex degenerated to 0")
-            if (z0 < 0.0) != (side == "left"):
-                raise AssemblyError(
-                    f"curve {cid}: {side} side developed on the wrong side of the axis")
-
+                f"({len_l:.17g} left vs {len_r:.17g} right)")
         t = twists[cid]
         e = math.exp(-2.0 * abs(t))   # zl = [-1 : e] for t > 0, [-e : 1] otherwise
         if not e > 0.0:
@@ -662,7 +622,7 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                 f"curve {cid}: twist {t:.17g} puts zl = -exp(2t) at "
                 f"{'0' if t < 0 else 'infinity'} in double precision")
         charts[cid] = CurveChart(
-            curve_id=cid, length=fan_l.length, twist=t,
+            curve_id=cid, length=len_l, twist=t,
             x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
             zl=ProjPoint(-1.0, e) if t > 0 else ProjPoint(-e, 1.0),
             zr=ProjPoint(1.0, 1.0))

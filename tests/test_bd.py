@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -206,6 +207,21 @@ def test_slice_membership(ds):
     assert bd.slice_membership(bd.bd_vector(ds, 2))  # single index: vacuous
 
 
+def test_slice_deviations_name_the_object_off_the_slice(ds):
+    vec = bd.bd_vector(ds, 4)
+    devs = bd.slice_deviations(vec)
+    assert len(devs) == len(vec.tau) + 2 * 3 + 3   # tau, one per leaf, one per curve
+    assert max(devs.values()) <= 1e-9
+    for block, key in (("sigma", ("P1", "B13", 2)), ("theta", ("C2", 3))):
+        blocks = {"sigma": dict(vec.sigma), "theta": dict(vec.theta)}
+        blocks[block][key] += 0.25
+        moved = bd.BDVector(n=4, tau=vec.tau, **blocks)
+        off = {k: d for k, d in bd.slice_deviations(moved).items() if d > 1e-9}
+        assert off.keys() == {(block, *key[:-1])}
+        assert list(off.values())[0] == pytest.approx(0.25, abs=1e-9)
+        assert not bd.slice_membership(moved)
+
+
 # -- slice realization --------------------------------------------------------
 
 def test_realize_slice_flat_point():
@@ -265,6 +281,23 @@ def test_realize_slice_rejects_length_mismatch():
     sp = bd.SlicePoint(shears=shears, gluing={"C1": 0.0, "C2": 0.0, "C3": 0.0})
     with pytest.raises(AssemblyError, match="C1"):
         bd.realize_slice(sp, spec)
+
+
+@pytest.mark.parametrize("cid, gluing", [("C1", 0.0), ("C2", 0.7), ("C3", -1.2)])
+def test_twist_off_target_is_unreachable(cid, gluing, monkeypatch):
+    # a twist solve off by 1e-6 misses the target gluing cross ratio by about
+    # 2e-6 relative, far above the 1e-9 bound; the error names the curve
+    solve = bd.solve_twist
+    monkeypatch.setattr(bd, "solve_twist", lambda w: solve(w) + (1e-6 if w == gluing else 0.0))
+    values = {"C1": 0.5, "C2": 0.5, "C3": 0.5, cid: gluing}
+    sp = bd.SlicePoint(shears=SHEARS, gluing=values)
+    residual = 2e-6 * math.exp(-gluing) / max(1.0, math.exp(-gluing))
+    with pytest.raises(bd.UnreachableTwistError) as info:
+        bd.realize_slice(sp, genus2_spec())
+    match = re.fullmatch(rf"curve {cid}: twist solve residual (\S+) \(relative\) "
+                         rf"above 1e-09 at gluing {gluing!r}", str(info.value))
+    assert match, str(info.value)
+    assert float(match[1]) == pytest.approx(residual, rel=5e-3)
 
 
 def test_roundtrip_suite_realizes_once_per_case(monkeypatch):

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
+from bdcoords import bd, surfaces
 from bdcoords.cli import main, spec_from_dict, spec_to_dict
 from bdcoords.surfaces import SurfaceSpecError, genus2_spec
 
@@ -361,3 +363,28 @@ def test_unknown_leaf_key_names_the_pants(command, source, tmp_path, capsys):
         "error: pants P0: shears keyed ['B13', 'B21', 'B23'], "
         "lamination has leaves ['B12', 'B13', 'B23']\n")
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_unreachable_twist_exits_2(monkeypatch, tmp_path, capsys):
+    # a twist solve off by 1e-6 misses C2's target gluing cross ratio
+    solve = bd.solve_twist
+    monkeypatch.setattr(bd, "solve_twist", lambda w: solve(w) + (1e-6 if w == 0.7 else 0.0))
+    assert main(["realize", "--input", SLICE, "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: curve C2: twist solve residual 9\.93e-07 \(relative\) "
+                        r"above 1e-09 at gluing 0\.7\n", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plaque_on_the_wrong_side_of_its_axis_exits_2(monkeypatch, tmp_path, capsys):
+    # swapped fixed points put every fan plaque on the wrong side of its axis;
+    # the first checked is the triangle-0 plaque of boundary 1 of pants P0
+    axis = surfaces.axis_data
+    monkeypatch.setattr(surfaces, "axis_data", lambda m: (lambda a, r, l: (r, a, l))(*axis(m)))
+    assert main(["invariants", "--input", SURFACE, "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: pants P0: boundary 1: the short-arc vertex of triangle 0 "
+        "developed on the wrong side of the axis\n")
+    assert list(tmp_path.iterdir()) == []

@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bdcoords import bd
+from bdcoords import bd, surfaces
 from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
 from bdcoords.surfaces import (AssemblyError, CurveData, LaminationError,
-                               PantsLamination, PantsShearing, SurfaceSpec,
+                               PantsLamination, SurfaceSpec,
                                SurfaceSpecError, assemble_surface,
                                boundary_lengths, develop_pants, fan_cycle,
                                genus2_spec, solve_twist, validate_shears)
@@ -27,7 +28,7 @@ def lam_II(dist=1, sd=1):
 
 
 def shears_I(x12, x13, x23):
-    return PantsShearing.for_lamination(lam_I(), {"B12": x12, "B13": x13, "B23": x23})
+    return {"B12": x12, "B13": x13, "B23": x23}
 
 
 # -- lamination combinatorics ------------------------------------------------
@@ -73,14 +74,16 @@ def test_validate_shears_type_I():
     lam = lam_I()
     assert validate_shears(lam, shears_I(1, 1, 1))
     assert not validate_shears(lam, shears_I(1, 1, -2))  # slots 2 and 3 fail
+    assert not validate_shears(lam, shears_I(math.nan, 1, 1))   # NaN is out of range
 
 
 def test_validate_shears_type_II():
     lam = lam_II(1)
-    ok = PantsShearing.for_lamination(lam, {"B11": 0.5, "B12": 1.0, "B13": 1.0})
-    bad = PantsShearing.for_lamination(lam, {"B11": 0.5, "B12": -1.0, "B13": 1.0})
+    ok = {"B11": 0.5, "B12": 1.0, "B13": 1.0}
+    bad = {"B11": 0.5, "B12": -1.0, "B13": 1.0}
     assert validate_shears(lam, ok)
     assert not validate_shears(lam, bad)
+    assert not validate_shears(lam, {**ok, "B13": math.nan})
 
 
 def test_boundary_lengths_symmetric():
@@ -99,7 +102,7 @@ def test_boundary_lengths_asymmetric():
 
 def test_boundary_lengths_type_II_counts_doubled_leaf_twice():
     lam = lam_II(1)
-    s = PantsShearing.for_lamination(lam, {"B11": 0.3, "B12": 0.9, "B13": 0.5})
+    s = {"B11": 0.3, "B12": 0.9, "B13": 0.5}
     lengths = boundary_lengths(lam, s)
     assert lengths[1] == pytest.approx(2 * 0.3 + 0.9 + 0.5)
     assert lengths[2] == pytest.approx(0.9)
@@ -136,7 +139,7 @@ def test_develop_rejects_invalid_shears():
 
 def test_develop_base_chart_equivariance():
     # a different counterclockwise base placement gives the same invariants
-    s = PantsShearing.for_lamination(lam_I(), {"B12": 0.5, "B13": 0.7, "B23": 1.2})
+    s = {"B12": 0.5, "B13": 0.7, "B23": 1.2}
     dp1 = develop_pants(lam_I(), s)
     base = (ProjPoint(-2.0, 1.0), ProjPoint(0.5, 1.0), ProjPoint(4.0, 1.0))
     dp2 = develop_pants(lam_I(), s, base_points=base)
@@ -162,8 +165,8 @@ def test_leaf_orientation_reversal_swaps_roles():
                           leaf_orientations={"B12": 1})
     rev = PantsLamination(kind="I", spiral_signs={1: 1, 2: 1, 3: 1},
                           leaf_orientations={"B12": 2})
-    q_f = develop_pants(fwd, PantsShearing.for_lamination(fwd, s)).leaf_quadruples["B12"]
-    q_r = develop_pants(rev, PantsShearing.for_lamination(rev, s)).leaf_quadruples["B12"]
+    q_f = develop_pants(fwd, s).leaf_quadruples["B12"]
+    q_r = develop_pants(rev, s).leaf_quadruples["B12"]
     assert q_f.x == q_r.y and q_f.y == q_r.x
     assert q_f.zl == q_r.zr and q_f.zr == q_r.zl
 
@@ -380,3 +383,68 @@ def test_assembly_equivariant_under_base_chart_change():
             assert b1.keys() == b2.keys()
             for key, value in b1.items():
                 assert abs(value - b2[key]) <= 1e-9
+
+
+# -- the side check of every fan plaque ------------------------------------------
+
+def test_plaque_on_the_wrong_side_of_its_axis_names_pants_boundary_and_triangle(
+        monkeypatch):
+    # swapped fixed points put every plaque's short-arc vertex on the wrong side
+    axis = surfaces.axis_data
+    monkeypatch.setattr(surfaces, "axis_data", lambda m: (lambda a, r, l: (r, a, l))(*axis(m)))
+    with pytest.raises(AssemblyError,
+                       match=r"^pants P0: boundary 1: the short-arc vertex of triangle 0 "
+                             r"developed on the wrong side of the axis$"):
+        _simple_assembly()
+    lam = lam_II(2)
+    with pytest.raises(AssemblyError,
+                       match=r"^boundary 1: the short-arc vertex of triangle 1 "):
+        develop_pants(lam, {"B22": 0.4, "B12": 0.9, "B23": 0.5})
+
+
+def test_side_check_reads_every_fan_plaque(monkeypatch):
+    # one orientation sign per plaque of every fan, not only the plaques of
+    # the triangles that curves name
+    axes = []
+    axis = surfaces.axis_data
+    monkeypatch.setattr(surfaces, "axis_data", lambda m: axes.append(axis(m)) or axes[-1])
+    checked = []
+    orient = surfaces.orientation
+
+    def recording(a, b, c):
+        if axes and a is axes[-1][1] and c is axes[-1][0]:
+            checked.append(b)
+        return orient(a, b, c)
+    monkeypatch.setattr(surfaces, "orientation", recording)
+    rng = random.Random(3)
+    for lam in lamination_variants():
+        checked.clear()
+        develop_pants(lam, sample_valid_shears(rng, lam, hi=4.0))
+        assert len(checked) == sum(len(fan_cycle(lam, slot)) for slot in (1, 2, 3))
+
+
+# counterclockwise base triangles: three increasing reals, or two and infinity
+_BASE_TRIANGLES = st.lists(st.integers(-40, 40), min_size=3, max_size=3, unique=True).map(
+    sorted).flatmap(lambda xs: st.sampled_from([
+        tuple(ProjPoint(x / 4, 1.0) for x in xs),
+        (ProjPoint(xs[0] / 4, 1.0), ProjPoint(xs[1] / 4, 1.0), ProjPoint(1.0, 0.0))]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), base0=_BASE_TRIANGLES, base1=_BASE_TRIANGLES)
+def test_any_base_triangle_develops_and_assembles_the_same(seed, base0, base1):
+    # every pants develops, side check included, on the moved base triangle
+    spec, shears, twists = sample_genus2(random.Random(seed))
+    default = assemble_surface(spec, shears, twists)
+    moved = assemble_surface(spec, shears, twists, base_points={"P0": base0, "P1": base1})
+    for pid in spec.pants:
+        for slot in (1, 2, 3):
+            assert abs(moved.pants[pid].fans[slot].length
+                       - default.pants[pid].fans[slot].length) <= 1e-9
+        for leaf, q in moved.pants[pid].leaf_quadruples.items():
+            assert abs(shear_from_quadruple(q.y, q.zr, q.x, q.zl) - shears[pid][leaf]) <= 1e-9
+    rows = bd.bd_vector(moved, 3).rows()
+    expected = bd.bd_vector(default, 3).rows()
+    assert [row[:-1] for row in rows] == [row[:-1] for row in expected]
+    for row, want in zip(rows, expected):
+        assert abs(row[-1] - want[-1]) <= 1e-9
