@@ -54,7 +54,8 @@ from .veronese import exact_flag_rows
 from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
+"""The acceptance tolerance of every slice and closed-leaf equality, and of the suites."""
 
 # corners of a placed triangle in clockwise order starting at the canonical
 # vertex (placements are counterclockwise in local order (0, 1, 2))
@@ -239,18 +240,6 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
 # closed leaf condition
 
 
-def _side_direction(spec: SurfaceSpec, curve_id: str, side: str) -> bool:
-    """True if that side's leaves spiral in the direction of the curve.
-
-    The spiral wraps against the induced boundary orientation for positive
-    spiraling; the left pants walks the curve forward, the right one
-    backward (convention 3 of the surfaces module).
-    """
-    pid, slot, _ = spec.side(curve_id, side)
-    sgn = spec.pants[pid].spiral_signs[slot]
-    return (side == "right") == (sgn == 1)
-
-
 def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
                      side: str, vertex_rule: str = "verbatim") -> float:
     """The spiral sum R_p (side="right") or L_p (side="left") of a curve.
@@ -267,16 +256,17 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     exchanges the two tau blocks (the two readings agree wherever triangle
     invariants vanish, in particular on the whole Fuchsian locus).
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     if not 1 <= p <= v.n - 1:
         raise ValueError(f"index p must be in 1..{v.n - 1}")
     if vertex_rule not in ("verbatim", "swapped"):
         raise ValueError("vertex_rule must be 'verbatim' or 'swapped'")
     n = v.n
-    pid, slot, _ = spec.side(curve_id, side)
+    pid, slot = spec.side(curve_id, side)
     lam = spec.pants[pid]
-    with_direction = _side_direction(spec, curve_id, side)
+    # the spiral wraps against the induced boundary orientation for positive
+    # spiraling; the left pants walks the curve forward, the right one
+    # backward (convention 3 of the surfaces module)
+    with_direction = (side == "right") == (lam.spiral_signs[slot] == 1)
 
     use_first_block = with_direction if vertex_rule == "verbatim" else not with_direction
     if use_first_block:
@@ -347,15 +337,15 @@ def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
     return ClosedLeafReport(n=v.n, entries=tuple(entries))
 
 
-def polytope_membership(report: ClosedLeafReport, tol: float = DEFAULT_TOL):
-    """Closed leaf condition: R_p = L_p (within tol) and R_p > 0, every curve.
+def polytope_membership(report: ClosedLeafReport):
+    """Closed leaf condition: R_p = L_p (within ``TOL``) and R_p > 0, every curve.
 
     Reads the spiral sums of ``closed_leaf_report``.  Returns (ok,
     diagnostics); diagnostics name each violated constraint.
     """
     problems = []
     for cid, p, r, l, _ in report.entries:
-        if abs(r - l) > tol:
+        if abs(r - l) > TOL:
             problems.append(f"{cid}: R_{p} = {r:.12g} != L_{p} = {l:.12g}")
         if r <= 0:
             problems.append(f"{cid}: R_{p} = {r:.12g} is not positive")
@@ -376,9 +366,9 @@ def slice_deviations(v: BDVector) -> dict:
     return devs
 
 
-def slice_membership(v: BDVector, tol: float = DEFAULT_TOL) -> bool:
-    """Vanishing triangle block; index-independent shearing and gluing blocks."""
-    return not any(dev > tol for dev in slice_deviations(v).values())
+def slice_membership(v: BDVector) -> bool:
+    """Vanishing triangle block; index-independent shearing and gluing blocks (to TOL)."""
+    return not any(dev > TOL for dev in slice_deviations(v).values())
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +415,16 @@ def realize_slice(sp: SlicePoint, spec: SurfaceSpec) -> DevelopedSurface:
     ``develop_pants`` checks each pants' shear range (the error names the
     pants and its signed spiral sums), the gluing checks that the boundary
     lengths match across each curve (the error names the curve), and each
-    curve's chart must meet its target, ``twist_residual`` at most 1e-9.
+    curve's chart must meet its target, ``twist_residual`` at most ``TOL``.
     """
     twists = {cid: solve_twist(sp.gluing[cid]) for cid in spec.curves}
     ds = assemble_surface(spec, sp.shears, twists)
     for cid, chart in ds.curves.items():
         residual = twist_residual(chart, float(sp.gluing[cid]))
-        if residual > 1e-9:
+        if residual > TOL:
             raise UnreachableTwistError(
                 f"curve {cid}: twist solve residual {residual:.3g} (relative) "
-                f"above 1e-09 at gluing {sp.gluing[cid]!r}")
+                f"above {TOL:.3g} at gluing {sp.gluing[cid]!r}")
     return ds
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -31,41 +32,52 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-DEFAULT_VERIFY_N = 3
+# the options of ``verify`` by argument name, and the defaults of those not given
+VERIFY_DEFAULTS = {"n": 3, "samples": verification.DEFAULT_SAMPLES,
+                   "seed": verification.DEFAULT_SEED, "max": 10, "mode": "exact"}
 
 
 # ---------------------------------------------------------------------------
 # JSON codecs
 
 
+def _integer(field: str, value) -> int:
+    """An integer field of the surface data: a float or a bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SurfaceSpecError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict):
     """Parse {genus, pants, curves} (+ shears/twists/gluing) from JSON data."""
     try:
-        genus = int(data["genus"])
+        genus = _integer("genus", data["genus"])
         pants = {}
         for entry in data["pants"]:
             pid = entry["id"]
+            dist = entry.get("distinguished")
             lam = PantsLamination(
                 kind=entry["type"],
-                spiral_signs={int(k): int(v)
+                spiral_signs={int(k): _integer(f"pants {pid!r} spiral sign {k}", v)
                               for k, v in entry.get("spiral_signs",
                                                     {s: 1 for s in SLOTS}).items()},
-                leaf_orientations={k: int(v)
+                leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
                                    for k, v in entry.get("leaf_orientations", {}).items()},
-                distinguished=entry.get("distinguished"))
+                distinguished=None if dist is None else _integer(
+                    f"pants {pid!r} distinguished", dist))
             if pid in pants:
                 raise SurfaceSpecError(f"duplicate pants id {pid!r}")
             pants[pid] = lam
         curves = {}
         for entry in data["curves"]:
             cid = entry["id"]
-            ends = tuple((end[0], int(end[1])) for end in entry["ends"])
+            ends = tuple((end[0], _integer(f"curve {cid!r} slot", end[1])) for end in entry["ends"])
             arc = entry.get("short_arc", {})
             if cid in curves:
                 raise SurfaceSpecError(f"duplicate curve id {cid!r}")
-            curves[cid] = CurveData(ends=ends,
-                                    left_triangle=int(arc.get("left_triangle", 0)),
-                                    right_triangle=int(arc.get("right_triangle", 0)))
+            left, right = (_integer(f"curve {cid!r} short_arc {side}", arc.get(side, 0))
+                           for side in ("left_triangle", "right_triangle"))
+            curves[cid] = CurveData(ends=ends, left_triangle=left, right_triangle=right)
         spec = SurfaceSpec(genus=genus, pants=pants, curves=curves)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, (SurfaceSpecError, LaminationError)):
@@ -169,18 +181,42 @@ def _write_csv(vec: bd.BDVector, path: str):
 # subcommands
 
 
+def _reads(suite: str):
+    """The options a suite reads: the parameters of its run (see ``SUITES``)."""
+    return inspect.signature(verification.SUITES[suite]).parameters
+
+
+def _settle_verify_options(args: argparse.Namespace) -> str | None:
+    """Why ``verify`` refuses its arguments, or None once the options left
+    unset have taken their defaults.  A suite refuses each option given that
+    it does not read (``all`` reads every option), and a count below 1."""
+    if args.suite != "all" and args.suite not in verification.SUITES:
+        return (f"unknown suite {args.suite!r}; known: "
+                f"{', '.join(sorted(verification.SUITES))} or 'all'")
+    reads = VERIFY_DEFAULTS if args.suite == "all" else _reads(args.suite)
+    for opt, default in VERIFY_DEFAULTS.items():
+        value = getattr(args, opt)
+        if value is None:
+            setattr(args, opt, default)
+        elif opt == "n" and opt not in reads:
+            return (f"suite {args.suite} does not read --n, got --n {value}; "
+                    f"it runs {verification.FIXED_RANKS[args.suite]}")
+        elif opt not in reads:
+            given = f"--{value}" if opt == "mode" else f"--{opt} {value}"
+            readable = ", ".join("--exact/--float" if o == "mode" else f"--{o}" for o in reads)
+            return f"suite {args.suite} does not read {given}; it reads {readable}"
+    for opt in ("samples", "max"):
+        if getattr(args, opt) < 1:
+            return f"need {opt} >= 1, got --{opt} {getattr(args, opt)}"
+    if args.n < 3 and args.suite in ("triple-ratio", "permutation", "all"):
+        return f"suite {args.suite} needs n >= 3 for its triple ratios, got --n {args.n}"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        suites = list(verification.SUITES)
-    elif args.suite in verification.SUITES:
-        suites = [args.suite]
-    else:
-        print(f"unknown suite {args.suite!r}; known: "
-              f"{', '.join(sorted(verification.SUITES))} or 'all'", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     reports = []
-    for name in suites:
-        report = verification.SUITES[name](args)
+    for name in verification.SUITES if args.suite == "all" else [args.suite]:
+        report = verification.SUITES[name](**{opt: getattr(args, opt) for opt in _reads(name)})
         reports.append(report)
         for line in report.lines():
             print(line)
@@ -199,7 +235,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     ds = assemble_surface(spec, shears, twists)
     vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
-    ok, problems = bd.polytope_membership(report, args.tol)
+    ok, problems = bd.polytope_membership(report)
     payload = {
         "surface": spec_to_dict(spec),
         "n": args.n,
@@ -207,7 +243,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "closed_leaf": report.to_json_dict(),
         "polytope_membership": ok,
         "polytope_violations": problems,
-        "slice_membership": bd.slice_membership(vec, args.tol),
+        "slice_membership": bd.slice_membership(vec),
     }
     prefix = args.out or "invariants"
     _dump_json(payload, f"{prefix}.json")
@@ -265,21 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"one of {', '.join(sorted(verification.SUITES))}, or all")
     p_verify.add_argument("--n", type=int,
                           help="rank of the triple-ratio, double-ratio and "
-                               f"permutation suites (default {DEFAULT_VERIFY_N})")
-    p_verify.add_argument("--samples", type=int, default=verification.DEFAULT_SAMPLES)
-    p_verify.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    p_verify.add_argument("--max", dest="max_index", type=int, default=10,
+                               f"permutation suites (default {VERIFY_DEFAULTS['n']})")
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--max", type=int,
                           help="index bound for the determinant suites")
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="mode", action="store_const", const="exact")
     group.add_argument("--float", dest="mode", action="store_const", const="float")
-    p_verify.set_defaults(mode="exact")
     p_verify.add_argument("--out", help="also write the report as JSON")
 
     p_inv = sub.add_parser("invariants", help="invariants of a surface JSON file")
     p_inv.add_argument("--input", required=True)
     p_inv.add_argument("--n", type=int, required=True)
-    p_inv.add_argument("--tol", type=float, default=bd.DEFAULT_TOL)
     p_inv.add_argument("--out", help="output path prefix (default 'invariants')")
 
     p_real = sub.add_parser("realize", help="realize a slice-point JSON file")
@@ -291,27 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    n_given = args.n is not None
-    if not n_given:   # only verify has an optional --n
-        args.n = DEFAULT_VERIFY_N
-    if args.n < 2:
-        print(f"error: need n >= 2, got --n {args.n}", file=sys.stderr)
+    refusal = _settle_verify_options(args) if args.command == "verify" else None
+    if refusal is None and args.n < 2:
+        refusal = f"need n >= 2, got --n {args.n}"
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "verify":
-        if args.samples < 1:
-            print(f"error: need samples >= 1, got --samples {args.samples}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        if args.max_index < 1:
-            print(f"error: need max >= 1, got --max {args.max_index}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        if args.n < 3 and args.suite in ("triple-ratio", "permutation", "all"):
-            print(f"error: suite {args.suite} needs n >= 3 for its triple ratios, "
-                  f"got --n {args.n}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        if n_given and args.suite in verification.FIXED_RANKS:
-            print(f"error: suite {args.suite} does not read --n, got --n {args.n}; "
-                  f"it runs {verification.FIXED_RANKS[args.suite]}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -163,8 +163,6 @@ def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
         raise ValueError(f"require p + q + r = n, got {p}+{q}+{r} != {n}")
     if p < 0 or q < 1 or r < 0:
         raise ValueError("band determinant needs p, r >= 0 and q >= 1")
-    if n - r - q < 0:
-        raise ValueError("negative factorial argument in band closed form")
     num = 1
     for m in range(n - q, n):
         num *= math.factorial(m)

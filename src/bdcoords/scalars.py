@@ -23,7 +23,7 @@ class ScalarModeError(TypeError):
     """Raised when exact and float quantities are combined."""
 
 
-def infer_mode(values, default=EXACT, requested=None) -> str:
+def infer_mode(values, requested=None) -> str:
     """Common mode of a collection: ints lift either way, Fraction/float clash."""
     seen = set()
     for x in values:
@@ -39,7 +39,7 @@ def infer_mode(values, default=EXACT, requested=None) -> str:
             raise TypeError(f"cannot interpret {x!r} as a scalar")
     if len(seen) > 1:
         raise ScalarModeError("mixed exact and float values")
-    inferred = seen.pop() if seen else (requested or default)
+    inferred = seen.pop() if seen else (requested or EXACT)
     if requested is not None and requested != inferred:
         raise ScalarModeError(f"values are {inferred}, requested {requested}")
     return inferred

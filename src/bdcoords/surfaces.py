@@ -539,14 +539,11 @@ class SurfaceSpec:
                 if (pid, slot) not in used:
                     raise SurfaceSpecError(f"pants boundary ({pid}, {slot}) is unglued")
 
-    def side(self, curve_id: str, side: str):
-        """(pants_id, slot, arc triangle) of the named side of a curve."""
-        curve = self.curves[curve_id]
-        if side == "left":
-            return (*curve.ends[0], curve.left_triangle)
-        if side == "right":
-            return (*curve.ends[1], curve.right_triangle)
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    def side(self, curve_id: str, side: str) -> tuple:
+        """(pants_id, slot) of the named side of a curve: left is ends[0], right ends[1]."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        return self.curves[curve_id].ends[0 if side == "left" else 1]
 
 
 @dataclass(frozen=True)
@@ -644,14 +641,10 @@ def solve_twist(target_w: float) -> float:
 # the canonical two-pants genus-2 surface
 
 
-def genus2_spec(signs=(1, 1, 1), leaf_orientations=None) -> SurfaceSpec:
-    """Two kind-I pants sharing all three curves: the canonical test surface."""
-    orient = leaf_orientations or {}
-    pants = {}
-    for pid in ("P0", "P1"):
-        pants[pid] = PantsLamination(
-            kind="I",
-            spiral_signs={slot: signs[slot - 1] for slot in SLOTS},
-            leaf_orientations=dict(orient.get(pid, {})))
+def genus2_spec() -> SurfaceSpec:
+    """Two kind-I pants sharing all three curves, signs +1: the canonical test surface."""
+    pants = {pid: PantsLamination(kind="I", spiral_signs={slot: 1 for slot in SLOTS},
+                                  leaf_orientations={})
+             for pid in ("P0", "P1")}
     curves = {f"C{i}": CurveData(ends=(("P0", i), ("P1", i))) for i in SLOTS}
     return SurfaceSpec(genus=2, pants=pants, curves=curves)

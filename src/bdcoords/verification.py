@@ -84,9 +84,9 @@ class SuiteReport:
 # samplers
 
 
-def sample_points(rng: random.Random, count: int, span: int = 40,
-                  with_infinity: bool = False, min_separation: float = 0.0) -> list:
-    """Distinct exact boundary points with small integer homogeneous coords.
+def sample_points(rng: random.Random, count: int, with_infinity: bool = False,
+                  min_separation: float = 0.0) -> list:
+    """Distinct exact boundary points [a : b], -40 <= a <= 40 and 1 <= b <= 40.
 
     min_separation > 0 additionally enforces a chordal gap between the
     normalized points; float-mode suites need it because determinants of
@@ -108,8 +108,8 @@ def sample_points(rng: random.Random, count: int, span: int = 40,
         tries += 1
         if tries > 10000:
             raise RuntimeError("point sampling stalled")
-        a = rng.randint(-span, span)
-        b = rng.randint(1, span)
+        a = rng.randint(-40, 40)
+        b = rng.randint(1, 40)
         p = ProjPoint(a, b)
         if all(separated(p, q) for q in points):
             points.append(p)
@@ -151,7 +151,7 @@ def _veronese_table(points, n: int, mode: str, where: str):
 
 
 def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-                     mode: str = "exact", tol: float = 1e-9) -> SuiteReport:
+                     mode: str = "exact") -> SuiteReport:
     """Triple ratios of Veronese flags at clockwise triples all equal 1.
 
     Every index of a case is read off one wedge table of its three flags."""
@@ -175,12 +175,12 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
                 dev = 0.0 if value == 1 else 1.0
             else:
                 dev = abs(value - 1.0)
-            report.record(dev, f"case {case} T_{p}{q}{r}", tol if mode == "float" else 0.0)
+            report.record(dev, f"case {case} T_{p}{q}{r}", bd.TOL if mode == "float" else 0.0)
     return report
 
 
 def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-                     mode: str = "exact", tol: float = 1e-9) -> SuiteReport:
+                     mode: str = "exact") -> SuiteReport:
     """Double ratios of Veronese flags against -1/(cross ratio), every
     index of a case read off one wedge table of its four flags."""
     rng = random.Random(seed)
@@ -205,7 +205,7 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
             else:
                 e = float(expected)
                 dev = abs(value - e) / max(1.0, abs(e))
-                report.record(dev, f"case {case} D_{p}", tol)
+                report.record(dev, f"case {case} D_{p}", bd.TOL)
     return report
 
 
@@ -227,14 +227,13 @@ def run_permutation(n: int, samples: int = 100, seed: int = DEFAULT_SEED) -> Sui
 # binomial determinant suites
 
 
-def run_rhombus(max_n: int = 10, max_l: int | None = None) -> SuiteReport:
-    """|closed form| equals |brute force| for the rhombus determinants."""
-    max_l = max_n if max_l is None else max_l
-    report = SuiteReport("rhombus", dict(max_n=max_n, max_l=max_l))
+def run_rhombus(max_n: int = 10) -> SuiteReport:
+    """|closed form| equals |brute force| for the rhombus determinants, n, l <= max_n."""
+    report = SuiteReport("rhombus", dict(max_n=max_n, max_l=max_n))
     mismatches = 0
     for n in range(max_n + 1):
         for k in range(n + 1):
-            for l in range(max_l + 1):
+            for l in range(max_n + 1):
                 r = compare_rhombus(n, k, l)
                 report.record(0.0 if r["abs_equal"] else 1.0, f"rhombus{(n, k, l)}")
                 mismatches += not r["sign_agree"]
@@ -279,14 +278,13 @@ def lamination_variants():
     return out
 
 
-def sample_valid_shears(rng: random.Random, lam: PantsLamination,
-                        lo: float = 0.05, hi: float = 2.5) -> dict:
-    """Rejection-sample shears {leaf: value} in the lamination's valid range."""
+def sample_valid_shears(rng: random.Random, lam: PantsLamination, hi: float = 2.5) -> dict:
+    """Rejection-sample shears {leaf: value}, |value| in [0.05, hi], in the valid range."""
     leaves = lam.leaves()
     for _ in range(10000):
         values = {}
         for leaf in leaves:
-            mag = sample_float(rng, lo, hi)
+            mag = sample_float(rng, 0.05, hi)
             if lam.kind == "II" and leaf != leaf_name(lam.distinguished, lam.distinguished):
                 values[leaf] = mag
             else:
@@ -296,7 +294,7 @@ def sample_valid_shears(rng: random.Random, lam: PantsLamination,
     raise RuntimeError("shear sampling stalled")
 
 
-def run_pants(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> SuiteReport:
+def run_pants(samples: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Developed boundary lengths against signed spiral shear sums, and the
     shear round trip through the developed leaf quadruples."""
     rng = random.Random(seed)
@@ -310,14 +308,14 @@ def run_pants(samples: int = 100, seed: int = DEFAULT_SEED, tol: float = 1e-9) -
             for slot in SLOTS:
                 fan = dev_pants.fans[slot]
                 dev = abs(fan.length - expected[slot])
-                report.record(dev, f"{tag} case {case} length slot {slot}", tol)
+                report.record(dev, f"{tag} case {case} length slot {slot}", bd.TOL)
                 signed = lam.spiral_signs[slot] * fan.shear_sum
                 report.record(0.0 if signed > 0 else 1.0,
                               f"{tag} case {case} spiral sign slot {slot}")
             for leaf, quad in dev_pants.leaf_quadruples.items():
                 back = shear_from_quadruple(quad.y, quad.zr, quad.x, quad.zl)
                 dev = abs(back - s[leaf])
-                report.record(dev, f"{tag} case {case} shear {leaf}", tol)
+                report.record(dev, f"{tag} case {case} shear {leaf}", bd.TOL)
     return report
 
 
@@ -342,7 +340,7 @@ def shears_from_lengths(signs, lengths) -> dict:
     return {leaf_name(1, 2): x12, leaf_name(1, 3): x13, leaf_name(2, 3): x23}
 
 
-def sample_genus2(rng: random.Random, twist_span: float = 1.5):
+def sample_genus2(rng: random.Random):
     """A random genus-2 instance: spec, shears, twists with matching lengths.
 
     Lengths and twists stay in a moderate band: developing runs in double
@@ -361,12 +359,12 @@ def sample_genus2(rng: random.Random, twist_span: float = 1.5):
                                for i in SLOTS})
     shears = {"P0": shears_from_lengths(signs0, lengths),
               "P1": shears_from_lengths(signs1, lengths)}
-    twists = {f"C{i}": sample_float(rng, -twist_span, twist_span) for i in SLOTS}
+    twists = {f"C{i}": sample_float(rng, -1.5, 1.5) for i in SLOTS}
     return spec, shears, twists
 
 
 def run_genus2_invariants(n_values=GENUS2_RANKS, seeds: int = 50,
-                          seed: int = DEFAULT_SEED, tol: float = 1e-9) -> SuiteReport:
+                          seed: int = DEFAULT_SEED) -> SuiteReport:
     """Vanishing triangle block, index independence, shear recovery, and the
     closed leaf condition on random genus-2 assemblies."""
     report = SuiteReport("genus2-invariants",
@@ -379,32 +377,31 @@ def run_genus2_invariants(n_values=GENUS2_RANKS, seeds: int = 50,
             vec = bd.bd_vector(ds, n)
             devs = bd.slice_deviations(vec)
             for key in vec.tau:
-                report.record(devs["tau", key], f"case {case} n={n} tau{key}", tol)
+                report.record(devs["tau", key], f"case {case} n={n} tau{key}", bd.TOL)
             for pid, lam in spec.pants.items():
                 for leaf in lam.leaves():
                     report.record(devs["sigma", pid, leaf],
-                                  f"case {case} n={n} sigma spread {pid}/{leaf}", tol)
+                                  f"case {case} n={n} sigma spread {pid}/{leaf}", bd.TOL)
                     sigma1 = vec.sigma[(pid, leaf, 1)]
                     report.record(abs(sigma1 - shears[pid][leaf]),
-                                  f"case {case} n={n} shear recovery {pid}/{leaf}", tol)
+                                  f"case {case} n={n} shear recovery {pid}/{leaf}", bd.TOL)
                     quad = ds.pants[pid].leaf_quadruples[leaf]
                     classical = shear_from_quadruple(quad.y, quad.zr, quad.x, quad.zl)
                     report.record(abs(sigma1 - classical),
-                                  f"case {case} n={n} classical shear {pid}/{leaf}", tol)
+                                  f"case {case} n={n} classical shear {pid}/{leaf}", bd.TOL)
             for cid in spec.curves:
                 report.record(devs["theta", cid],
-                              f"case {case} n={n} theta spread {cid}", tol)
+                              f"case {case} n={n} theta spread {cid}", bd.TOL)
             rep = bd.closed_leaf_report(vec, ds)
-            report.record(rep.max_deviation(), f"case {case} n={n} closed leaf", tol)
-            ok, problems = bd.polytope_membership(rep, tol)
+            report.record(rep.max_deviation(), f"case {case} n={n} closed leaf", bd.TOL)
+            ok, problems = bd.polytope_membership(rep)
             report.record(0.0 if ok else 1.0, f"case {case} n={n} polytope {problems[:2]}")
-            report.record(0.0 if bd.slice_membership(vec, tol) else 1.0,
+            report.record(0.0 if bd.slice_membership(vec) else 1.0,
                           f"case {case} n={n} slice membership")
     return report
 
 
-def run_roundtrip(n_values=GENUS2_RANKS, seeds: int = 50, seed: int = DEFAULT_SEED,
-                  tol: float = 1e-9) -> SuiteReport:
+def run_roundtrip(n_values=GENUS2_RANKS, seeds: int = 50, seed: int = DEFAULT_SEED) -> SuiteReport:
     """Slice realization round trip: realize a random slice point once,
     compute its invariants at every n on that surface and compare them
     coordinatewise with the point; plus the twist-solve residuals."""
@@ -419,22 +416,24 @@ def run_roundtrip(n_values=GENUS2_RANKS, seeds: int = 50, seed: int = DEFAULT_SE
                        for cid, chart in ds.curves.items())
         for n in n_values:
             vec = bd.bd_vector(ds, n)
-            report.record(bd.roundtrip_deviation(vec, sp), f"case {case} n={n} roundtrip", tol)
-            report.record(residual, f"case {case} n={n} solve residual", tol)
+            report.record(bd.roundtrip_deviation(vec, sp), f"case {case} n={n} roundtrip", bd.TOL)
+            report.record(residual, f"case {case} n={n} solve residual", bd.TOL)
     return report
 
 
-# each suite reads the parsed arguments of ``bdcoords verify``
 SUITES = {
-    "triple-ratio": lambda args: run_triple_ratio(args.n, args.samples, args.seed, args.mode),
-    "double-ratio": lambda args: run_double_ratio(args.n, args.samples, args.seed, args.mode),
-    "permutation": lambda args: run_permutation(args.n, args.samples, args.seed),
-    "rhombus": lambda args: run_rhombus(args.max_index),
-    "band": lambda args: run_band(args.max_index),
-    "pants": lambda args: run_pants(args.samples, args.seed),
-    "genus2": lambda args: run_genus2_invariants(seeds=args.samples, seed=args.seed),
-    "roundtrip": lambda args: run_roundtrip(seeds=args.samples, seed=args.seed),
+    "triple-ratio": lambda n, samples, seed, mode: run_triple_ratio(n, samples, seed, mode),
+    "double-ratio": lambda n, samples, seed, mode: run_double_ratio(n, samples, seed, mode),
+    "permutation": lambda n, samples, seed: run_permutation(n, samples, seed),
+    "rhombus": lambda max: run_rhombus(max),
+    "band": lambda max: run_band(max),
+    "pants": lambda samples, seed: run_pants(samples, seed),
+    "genus2": lambda samples, seed: run_genus2_invariants(seeds=samples, seed=seed),
+    "roundtrip": lambda samples, seed: run_roundtrip(seeds=samples, seed=seed),
 }
+"""The suites of ``bdcoords verify``.  Each runs on the options it reads, its
+parameters (named as the parsed arguments; ``mode`` is ``--exact``/``--float``),
+and ``verify`` refuses any other option given; each looks its run up per call."""
 
 # the suites that do not read ``--n``, and the ranks each runs instead
 FIXED_RANKS = {

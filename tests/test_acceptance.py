@@ -47,7 +47,7 @@ def test_criterion_2_double_ratios():
 def test_criterion_3_binomial_determinants():
     """|closed form| = |brute force| for every band and rhombus determinant
     with indices at most 10; sign mismatches are counted, not failed."""
-    rhombus = run_rhombus(max_n=10, max_l=10)
+    rhombus = run_rhombus(max_n=10)
     band = run_band(max_index=10)
     ok = rhombus.passed and band.passed
     _finish("criterion-3 (binomial determinant closed forms)", ok,

@@ -152,7 +152,7 @@ def test_closed_leaf_sums_both_vertex_rules_agree_on_fuchsian(ds):
 
 def deck_length(surface, cid, side):
     """Translation length of the developed deck map of one side's fan."""
-    pid, slot, _ = surface.spec.side(cid, side)
+    pid, slot = surface.spec.side(cid, side)
     return axis_data(surface.pants[pid].fans[slot].deck)[2]
 
 
@@ -171,6 +171,26 @@ def test_closed_leaf_length_spectrum(ds):
 
 
 # -- membership ---------------------------------------------------------------
+
+def test_closed_leaf_sums_rejects_an_unknown_side(ds):
+    vec = bd.bd_vector(ds, 3)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', not 'middle'"):
+        bd.closed_leaf_sums(vec, ds.spec, "C1", 1, "middle")
+    for cid, curve in ds.spec.curves.items():
+        assert (ds.spec.side(cid, "left"), ds.spec.side(cid, "right")) == curve.ends
+
+
+def test_membership_is_judged_at_the_acceptance_tolerance(ds):
+    assert bd.TOL == 1e-9
+    vec = bd.bd_vector(ds, 4)
+    key = next(iter(vec.tau))
+    for gap, member in ((0.5e-9, True), (2e-9, False)):
+        report = bd.ClosedLeafReport(n=2, entries=(("C1", 1, 1.0, 1.0 + gap, 1.0),))
+        assert bd.polytope_membership(report)[0] is member
+        tau = {**vec.tau, key: gap}
+        assert bd.slice_membership(bd.BDVector(n=4, tau=tau, sigma=vec.sigma,
+                                               theta=vec.theta)) is member
+
 
 def test_polytope_membership(ds):
     vec = bd.bd_vector(ds, 3)

@@ -1,10 +1,11 @@
+import inspect
 import json
 import os
 import re
 
 import pytest
 
-from bdcoords import bd, surfaces
+from bdcoords import bd, surfaces, verification
 from bdcoords.cli import main, spec_from_dict, spec_to_dict
 from bdcoords.surfaces import SurfaceSpecError, genus2_spec
 
@@ -63,6 +64,56 @@ def test_out_of_range_arguments_exit_2(argv, bad, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# the options each suite reads, and an argv giving each option
+READS = {"triple-ratio": "n samples seed mode", "double-ratio": "n samples seed mode",
+         "permutation": "n samples seed", "rhombus": "max", "band": "max",
+         "pants": "samples seed", "genus2": "samples seed", "roundtrip": "samples seed"}
+OPTIONS = {"n": ["--n", "3"], "samples": ["--samples", "1"], "seed": ["--seed", "2"],
+           "max": ["--max", "2"], "mode": ["--float"]}
+
+
+def test_suite_table_matches_the_verify_options():
+    assert {name: set(opts.split()) for name, opts in READS.items()} == {
+        name: set(inspect.signature(run).parameters)
+        for name, run in verification.SUITES.items()}
+    assert set().union(*(opts.split() for opts in READS.values())) == set(OPTIONS)
+    assert {name for name, opts in READS.items() if "n" not in opts.split()} == set(
+        verification.FIXED_RANKS)
+
+
+@pytest.mark.parametrize("suite, opt, given", [
+    pytest.param(suite, opt, " ".join(argv), id=f"{suite}{argv[0]}")
+    for suite, opts in READS.items()
+    for opt, argv in [*OPTIONS.items(), ("mode", ["--exact"])] if opt not in opts.split()])
+def test_verify_refuses_an_option_the_suite_does_not_read(suite, opt, given, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, *given.split(), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if opt == "n":
+        assert err.startswith(f"error: suite {suite} does not read --n, got --n 3; it runs ")
+    else:
+        assert err.startswith(f"error: suite {suite} does not read {given}; it reads --")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite", [*READS, "all"])
+def test_verify_runs_on_every_option_the_suite_reads(suite, tmp_path):
+    out = tmp_path / "report.json"
+    opts = " ".join(READS.values()) if suite == "all" else READS[suite]
+    argv = [a for opt in dict.fromkeys(opts.split()) for a in OPTIONS[opt]]
+    assert main(["verify", "--suite", suite, *argv, "--out", str(out)]) == 0
+    for report in json.loads(out.read_text()):
+        params = report["params"]
+        assert params.get("seed", 2) == 2 and params.get("mode", "float") == "float"
+
+
+def test_invariants_has_no_tolerance_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["invariants", "--input", SURFACE, "--n", "3", "--tol", "1e-9"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ("triple-ratio", "double-ratio", "permutation"))
 def test_rank_suites_read_n_and_default_to_3(suite, tmp_path):
     out = tmp_path / "report.json"
@@ -111,6 +162,57 @@ def test_invariants_malformed_input(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "P0" in err  # names the offending slot
+
+
+def _set_genus(data, value):
+    data["genus"] = value
+
+
+def _set_slot(data, value):
+    data["curves"][0]["ends"][1][1] = value
+
+
+def _set_spiral_sign(data, value):
+    data["pants"][0]["spiral_signs"]["2"] = value
+
+
+def _set_orientation(data, value):
+    data["pants"][0]["leaf_orientations"]["B13"] = value
+
+
+def _set_distinguished(data, value):
+    data["pants"][0].update(type="II", distinguished=value)
+
+
+def _set_short_arc(data, value):
+    data["curves"][0]["short_arc"]["right_triangle"] = value
+
+
+@pytest.mark.parametrize("command, source", [
+    pytest.param("invariants", SURFACE, id="invariants"),
+    pytest.param("realize", SLICE, id="realize"),
+])
+@pytest.mark.parametrize("set_field, value, field", [
+    pytest.param(_set_genus, 2.9, "genus", id="genus"),
+    pytest.param(_set_slot, 1.7, "curve 'C1' slot", id="slot"),
+    pytest.param(_set_slot, True, "curve 'C1' slot", id="slot-bool"),
+    pytest.param(_set_spiral_sign, 1.5, "pants 'P0' spiral sign 2", id="spiral-sign"),
+    pytest.param(_set_spiral_sign, True, "pants 'P0' spiral sign 2", id="spiral-sign-bool"),
+    pytest.param(_set_orientation, 1.0, "pants 'P0' orientation of B13", id="orientation"),
+    pytest.param(_set_distinguished, 1.0, "pants 'P0' distinguished", id="distinguished"),
+    pytest.param(_set_short_arc, 0.0, "curve 'C1' short_arc right_triangle", id="short-arc"),
+])
+def test_integer_field_that_is_not_an_integer_exits_2(command, source, set_field, value, field,
+                                                      tmp_path, capsys):
+    # int() would truncate 2.9 and 1.7, and read true as 1
+    bad = json.loads(open(source).read())
+    set_field(bad, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be an integer, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("command, source, section, key", [

@@ -14,6 +14,7 @@ from the package when it is relative or names ``bdcoords``.
 """
 import ast
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -232,3 +233,97 @@ def test_every_traced_function_resolves(traced):
     # function fails here first
     module, name = traced
     assert callable(getattr(importlib.import_module(f"bdcoords.{module}"), name, None))
+
+
+def defaulted_parameters(source: str) -> list:
+    """(function, parameter, position) of every parameter with a default in
+    the source; position counts the call's positional arguments (``self`` and
+    ``cls`` are not one), and is None for a keyword-only parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, arg.arg, first + i - skip)
+                      for i, arg in enumerate(positional[first:])]
+            found += [(node.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def passed_arguments(sources) -> dict:
+    """Per called name (``f(...)`` or ``x.f(...)``), the keywords and the
+    largest number of positional arguments any call in the sources passes;
+    ``**`` passes every keyword and ``*`` every position."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords, count = passed.get(name, (set(), 0))
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            passed[name] = keywords, max(count, math.inf if starred else len(node.args))
+    return passed
+
+
+def unpassed_defaults(definitions, callers) -> list:
+    """(function, parameter) of every defaulted parameter in ``definitions``
+    that no call in ``callers`` passes, by keyword or by position."""
+    passed = passed_arguments(callers)
+    found = set()
+    for source in definitions:
+        for function, param, position in defaulted_parameters(source):
+            keywords, count = passed.get(function, (set(), 0))
+            by_position = position is not None and count > position
+            if param not in keywords and "**" not in keywords and not by_position:
+                found.add((function, param))
+    return sorted(found)
+
+
+def test_checker_finds_a_default_no_call_passes():
+    source = ("def run(n, samples=10, seed=1, *, tol=1e-9, out=None):\n"
+              "    return n\n"
+              "class Report:\n"
+              "    def record(self, deviation, tol=0.0, label=''):\n"
+              "        return deviation\n"
+              "def main(opts):\n"
+              "    run(3, 20, out='x')\n"
+              "    Report().record(1.0, 1e-9)\n"
+              "    return run(**opts) if opts else None\n")
+    assert unpassed_defaults([source], [source.replace("run(**opts)", "run(4)")]) == [
+        ("record", "label"), ("run", "seed"), ("run", "tol")]
+    assert unpassed_defaults([source], [source]) == [("record", "label")]
+
+
+# the defaulted parameters that no call in the package, a script or the
+# benchmark passes, each kept for a reason; any other such parameter is a
+# setting that only ever takes its default, and belongs in a constant
+UNPASSED_DEFAULTS = {
+    ("closed_leaf_report", "vertex_rule"):
+        "two readings of the spiral-sum formula, until an off-Fuchsian oracle "
+        "settles one (ROADMAP item 7)",
+    ("assemble_surface", "base_points"):
+        "the seam through which the chart-invariance tests move the base triangles",
+    ("run_genus2_invariants", "n_values"):
+        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 8)",
+    ("run_roundtrip", "n_values"):
+        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 8)",
+    ("sample_valid_shears", "hi"):
+        "the side-check stress test samples shears up to 4.0",
+}
+
+
+def test_every_default_is_a_setting_some_caller_sets():
+    readers = [*ALL_MODULES, *sorted((ROOT / "scripts").glob("*.py")),
+               *sorted((ROOT / "bench").glob("*.py"))]
+    found = unpassed_defaults([path.read_text() for path in MODULES],
+                              [path.read_text() for path in readers])
+    assert [default for default in found if default not in UNPASSED_DEFAULTS] == []
+    assert [default for default in found if default in UNPASSED_DEFAULTS] == sorted(
+        UNPASSED_DEFAULTS)

@@ -246,7 +246,7 @@ def test_assembly_lengths_match_both_sides():
     for cid, chart in ds.curves.items():
         assert chart.length > 0
         for side in ("left", "right"):
-            pid, slot, _ = ds.spec.side(cid, side)
+            pid, slot = ds.spec.side(cid, side)
             att, rep, length = axis_data(ds.pants[pid].fans[slot].deck)
             assert length == pytest.approx(chart.length, rel=1e-9)
 
