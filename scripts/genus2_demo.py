@@ -48,7 +48,8 @@ def main():
     realized = bd.realize_slice(target, spec)
     dev = bd.roundtrip_deviation(bd.bd_vector(realized, n), target)
     print(f"\n== slice realization: shears 1.0, gluing (0, 0.7, -1.2)")
-    print(f"  solved twists: { {c: round(t, 6) for c, t in sorted(realized.twists.items())} }")
+    solved = {cid: round(chart.twist, 6) for cid, chart in sorted(realized.curves.items())}
+    print(f"  solved twists: {solved}")
     print(f"  round-trip deviation: {dev:.2e}")
 
 

@@ -15,11 +15,10 @@ from .halfplane import (DegenerateConfigurationError, Mobius, ProjPoint, axis_da
                         cross_ratio, is_clockwise, mobius_to_standard,
                         orientation, shear_from_quadruple)
 from .veronese import veronese_flag
-from .surfaces import (AssemblyError, CurveData, DevelopedSurface, LaminationError,
+from .surfaces import (AssemblyError, DevelopedSurface, LaminationError,
                        PantsLamination, SurfaceSpec, SurfaceSpecError,
                        UnreachableTwistError, assemble_surface, boundary_lengths,
-                       develop_pants, genus2_spec, solve_twist,
-                       validate_shears)
+                       develop_pants, genus2_spec, solve_twist, validate_shears)
 from .bd import (BDVector, ClosedLeafReport, SlicePoint, bd_vector,
                  closed_leaf_report, closed_leaf_sums, dimension_counts,
                  polytope_membership, realize_slice, slice_membership)

@@ -22,9 +22,8 @@ import math
 import sys
 
 from .scalars import serialize_value
-from .surfaces import (CurveData, LaminationError, PantsLamination,
-                       AssemblyError, SurfaceSpec, SurfaceSpecError, SLOTS,
-                       assemble_surface)
+from .surfaces import (LaminationError, PantsLamination, SurfaceSpec,
+                       SurfaceSpecError, SLOTS, assemble_surface)
 from . import bd
 from . import verification
 
@@ -56,13 +55,16 @@ def spec_from_dict(data: dict):
         for entry in data["pants"]:
             pid = entry["id"]
             dist = entry.get("distinguished")
+            signs = _json_object(f"spiral_signs of pants {pid!r}",
+                                 entry.get("spiral_signs", {s: 1 for s in SLOTS}))
+            orient = _json_object(f"leaf_orientations of pants {pid!r}",
+                                  entry.get("leaf_orientations", {}))
             lam = PantsLamination(
                 kind=entry["type"],
                 spiral_signs={int(k): _integer(f"pants {pid!r} spiral sign {k}", v)
-                              for k, v in entry.get("spiral_signs",
-                                                    {s: 1 for s in SLOTS}).items()},
+                              for k, v in signs.items()},
                 leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
-                                   for k, v in entry.get("leaf_orientations", {}).items()},
+                                   for k, v in orient.items()},
                 distinguished=None if dist is None else _integer(
                     f"pants {pid!r} distinguished", dist))
             if pid in pants:
@@ -72,12 +74,9 @@ def spec_from_dict(data: dict):
         for entry in data["curves"]:
             cid = entry["id"]
             ends = tuple((end[0], _integer(f"curve {cid!r} slot", end[1])) for end in entry["ends"])
-            arc = entry.get("short_arc", {})
             if cid in curves:
                 raise SurfaceSpecError(f"duplicate curve id {cid!r}")
-            left, right = (_integer(f"curve {cid!r} short_arc {side}", arc.get(side, 0))
-                           for side in ("left_triangle", "right_triangle"))
-            curves[cid] = CurveData(ends=ends, left_triangle=left, right_triangle=right)
+            curves[cid] = ends
         spec = SurfaceSpec(genus=genus, pants=pants, curves=curves)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, (SurfaceSpecError, LaminationError)):
@@ -152,11 +151,8 @@ def spec_to_dict(spec: SurfaceSpec) -> dict:
              "spiral_signs": {str(s): lam.spiral_signs[s] for s in SLOTS},
              "leaf_orientations": dict(sorted(lam.leaf_orientations.items()))}
             for pid, lam in sorted(spec.pants.items())],
-        "curves": [
-            {"id": cid, "ends": [list(end) for end in curve.ends],
-             "short_arc": {"left_triangle": curve.left_triangle,
-                           "right_triangle": curve.right_triangle}}
-            for cid, curve in sorted(spec.curves.items())],
+        "curves": [{"id": cid, "ends": [list(end) for end in ends]}
+                   for cid, ends in sorted(spec.curves.items())],
     }
 
 
@@ -269,7 +265,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         "shears": {pid: {leaf: serialize_value(v) for leaf, v in sorted(m.items())}
                    for pid, m in sorted(shears.items())},
         "gluing_targets": {cid: serialize_value(v) for cid, v in sorted(gluing.items())},
-        "twists": {cid: serialize_value(ds.twists[cid]) for cid in sorted(ds.twists)},
+        "twists": {cid: serialize_value(c.twist) for cid, c in sorted(ds.curves.items())},
         "gluing_quadruples": {
             cid: {"x": "0", "y": "inf",
                   "zl": serialize_value(float(c.zl.a) / float(c.zl.b)),
@@ -337,8 +333,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(args)
         return cmd_realize(args)
-    except (SurfaceSpecError, LaminationError, AssemblyError, ValueError,
-            OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

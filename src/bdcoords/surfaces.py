@@ -36,6 +36,13 @@ Convention notes (load-bearing, referenced throughout):
 4. Boundary translation lengths are |sum of shears over spiral crossings|,
    counting a leaf once per end spiraling into the boundary (so the doubled
    leaf of kind II counts twice at the distinguished boundary).
+5. The pants relation: the deck maps D1, D2, D3 of the three fans, applied
+   one after another in the counterclockwise order of the spikes the fans
+   start at, compose to +-I.  In kind I those spikes are the corners of
+   triangle 0, slots 1, 2, 3 counterclockwise, so D3 D2 D1 = +-I.  In kind
+   II they are corners 0 and 1 of triangle 0 and corner 0 of triangle 1
+   (developed across Bii), slots j, i, k counterclockwise, which is the
+   cyclic order 1, 3, 2 for every distinguished i, so D1 D2 D3 = +-I.
 
 Checks: ``SurfaceSpec`` checks the combinatorics, ``develop_pants`` every
 fact about one pants (shears are plain {leaf: value} dicts), and
@@ -159,7 +166,6 @@ class LeafSide:
 @dataclass(frozen=True)
 class LaminationTables:
     corner_slot: dict        # (tri, corner) -> boundary slot
-    spike_slots: dict        # tri -> the slots its corners spike into
     leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B)
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
     leaf_end_slots: dict     # leaf -> (slot of end0, slot of end1)
@@ -202,13 +208,10 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
         side_leaf[(sb.tri, sb.corners)] = (leaf, 1)
         end_slots[leaf] = (corner_slot[(sa.tri, sa.corners[0])],
                            corner_slot[(sa.tri, sa.corners[1])])
-    spike_slots = {tri: frozenset(s for (t, _), s in corner_slot.items() if t == tri)
-                   for tri in (0, 1)}
     fans = {slot: _walk_fan(corner_slot, leaf_sides, side_leaf, slot)
             for slot in (1, 2, 3)}
-    return LaminationTables(corner_slot=corner_slot, spike_slots=spike_slots,
-                            leaf_sides=leaf_sides, side_leaf=side_leaf,
-                            leaf_end_slots=end_slots, fans=fans)
+    return LaminationTables(corner_slot=corner_slot, leaf_sides=leaf_sides,
+                            side_leaf=side_leaf, leaf_end_slots=end_slots, fans=fans)
 
 
 @dataclass(frozen=True)
@@ -478,27 +481,16 @@ def develop_pants(lam: PantsLamination, shears: dict,
 
 
 @dataclass(frozen=True)
-class CurveData:
-    """One decomposing curve: its two (pants, slot) ends and short-arc hosts.
-
-    ends[0] is the left side of the oriented curve (convention 3); the
-    short-arc triangles name which complementary triangle of each side's
-    pants hosts the corresponding arc endpoint.  ``SurfaceSpec`` checks that
-    each spikes into its slot; ``develop_pants`` checks its vertex's side.
-    """
-
-    ends: tuple              # ((pants_id, slot), (pants_id, slot))
-    left_triangle: int = 0
-    right_triangle: int = 0
-
-
-@dataclass(frozen=True)
 class SurfaceSpec:
-    """A closed genus >= 2 surface glued from pairs of pants."""
+    """A closed genus >= 2 surface glued from pairs of pants.
+
+    ``curves`` maps each decomposing curve to its two ends,
+    ((pants_id, slot), (pants_id, slot)), the left side first (convention 3).
+    """
 
     genus: int
     pants: dict              # pants_id -> PantsLamination
-    curves: dict             # curve_id -> CurveData
+    curves: dict             # curve_id -> ((pants_id, slot), (pants_id, slot))
 
     def __post_init__(self):
         if self.genus < 2:
@@ -512,10 +504,10 @@ class SurfaceSpec:
             raise SurfaceSpecError(
                 f"genus {self.genus} needs {expected_curves} curves, got {len(self.curves)}")
         used = {}
-        for cid, curve in self.curves.items():
-            if len(curve.ends) != 2:
+        for cid, ends in self.curves.items():
+            if len(ends) != 2:
                 raise SurfaceSpecError(f"curve {cid} must have exactly two ends")
-            for pid, slot in curve.ends:
+            for pid, slot in ends:
                 if pid not in self.pants:
                     raise SurfaceSpecError(f"curve {cid} references unknown pants {pid!r}")
                 if slot not in SLOTS:
@@ -525,25 +517,16 @@ class SurfaceSpec:
                         f"pants boundary ({pid}, {slot}) glued by both "
                         f"{used[(pid, slot)]} and {cid}")
                 used[(pid, slot)] = cid
-            for (pid, slot), tri, side in zip(curve.ends,
-                                              (curve.left_triangle, curve.right_triangle),
-                                              ("left", "right")):
-                if tri not in (0, 1):
-                    raise SurfaceSpecError(f"curve {cid}: {side} triangle must be 0 or 1")
-                if slot not in tables_for(self.pants[pid]).spike_slots[tri]:
-                    raise SurfaceSpecError(
-                        f"curve {cid}: {side} short-arc triangle {tri} of pants {pid} "
-                        f"has no spike at slot {slot}")
         for pid in self.pants:
             for slot in SLOTS:
                 if (pid, slot) not in used:
                     raise SurfaceSpecError(f"pants boundary ({pid}, {slot}) is unglued")
 
     def side(self, curve_id: str, side: str) -> tuple:
-        """(pants_id, slot) of the named side of a curve: left is ends[0], right ends[1]."""
+        """(pants_id, slot) of the named side of a curve: left is its first end."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        return self.curves[curve_id].ends[0 if side == "left" else 1]
+        return self.curves[curve_id][0 if side == "left" else 1]
 
 
 @dataclass(frozen=True)
@@ -551,15 +534,15 @@ class CurveChart:
     """One decomposing curve in its normalized chart.
 
     The curve's axis is (0, oo) with the repelling point x at 0 and the
-    attracting point y at oo.  The right side is scaled so its short-arc
-    vertex zr sits at 1; the left side so that at twist 0 its vertex zl sits
+    attracting point y at oo.  The right side is scaled so its side vertex
+    zr sits at 1; the left side so that at twist 0 its vertex zl sits
     at -1, and the twist t then moves zl to -exp(2t).  The four points are
     written in closed form, zr = [1 : 1] and zl = [-exp(2t) : 1] (as
     [-1 : exp(-2t)] for t > 0, so nothing overflows), so the gluing cross
     ratio is -exp(-2t) and the gluing invariant is exactly 2t at every rank.
+    The chart is the one place a curve's twist is kept.
     """
 
-    curve_id: str
     length: float
     twist: float
     x: ProjPoint
@@ -574,14 +557,14 @@ class CurveChart:
 @dataclass(frozen=True)
 class DevelopedSurface:
     spec: SurfaceSpec
-    twists: dict             # curve_id -> float
     pants: dict              # pants_id -> DevelopedPants
     curves: dict             # curve_id -> CurveChart
 
 
 def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                      base_points: dict | None = None) -> DevelopedSurface:
-    """Develop every pants and glue them with the given twists.
+    """Develop every pants and glue them with the given twists {curve_id: t}
+    (a curve left out has twist 0).
 
     ``develop_pants`` checks every fact about one pants (its shears, and the
     side of the axis each fan plaque's short-arc vertex develops on); its
@@ -602,28 +585,26 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
             developed[pid] = develop_pants(lam, shears[pid], base_points=base_points.get(pid))
         except (LaminationError, AssemblyError) as exc:
             raise type(exc)(f"pants {pid}: {exc}") from exc
-    twists = {cid: float(twists.get(cid, 0.0)) for cid in spec.curves}
     charts = {}
-    for cid, curve in spec.curves.items():
-        (pid_l, slot_l), (pid_r, slot_r) = curve.ends
+    for cid, ((pid_l, slot_l), (pid_r, slot_r)) in spec.curves.items():
         len_l = developed[pid_l].fans[slot_l].length
         len_r = developed[pid_r].fans[slot_r].length
         if abs(len_l - len_r) > _LENGTH_MATCH_RTOL * max(1.0, len_l):
             raise AssemblyError(
                 f"curve {cid}: boundary lengths differ across the gluing "
                 f"({len_l:.17g} left vs {len_r:.17g} right)")
-        t = twists[cid]
+        t = float(twists.get(cid, 0.0))
         e = math.exp(-2.0 * abs(t))   # zl = [-1 : e] for t > 0, [-e : 1] otherwise
         if not e > 0.0:
             raise AssemblyError(
                 f"curve {cid}: twist {t:.17g} puts zl = -exp(2t) at "
                 f"{'0' if t < 0 else 'infinity'} in double precision")
         charts[cid] = CurveChart(
-            curve_id=cid, length=len_l, twist=t,
+            length=len_l, twist=t,
             x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
             zl=ProjPoint(-1.0, e) if t > 0 else ProjPoint(-e, 1.0),
             zr=ProjPoint(1.0, 1.0))
-    return DevelopedSurface(spec=spec, twists=twists, pants=developed, curves=charts)
+    return DevelopedSurface(spec=spec, pants=developed, curves=charts)
 
 
 def solve_twist(target_w: float) -> float:
@@ -646,5 +627,5 @@ def genus2_spec() -> SurfaceSpec:
     pants = {pid: PantsLamination(kind="I", spiral_signs={slot: 1 for slot in SLOTS},
                                   leaf_orientations={})
              for pid in ("P0", "P1")}
-    curves = {f"C{i}": CurveData(ends=(("P0", i), ("P1", i))) for i in SLOTS}
+    curves = {f"C{i}": (("P0", i), ("P1", i)) for i in SLOTS}
     return SurfaceSpec(genus=2, pants=pants, curves=curves)

@@ -19,9 +19,9 @@ from .flags import DegenerateFlagError, Flag, is_generic, triple_ratio, wedge_ta
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
 from .veronese import veronese_flag
 from .multilinear import compare_band, compare_rhombus
-from .surfaces import (CurveData, PantsLamination, SLOTS,
-                       SurfaceSpec, assemble_surface, boundary_lengths, cyclic_pair,
-                       develop_pants, leaf_name, validate_shears)
+from .surfaces import (PantsLamination, SLOTS, SurfaceSpec, assemble_surface,
+                       boundary_lengths, cyclic_pair, develop_pants, leaf_name,
+                       validate_shears)
 from . import bd
 
 DEFAULT_SAMPLES = 200
@@ -355,8 +355,7 @@ def sample_genus2(rng: random.Random):
              "P1": PantsLamination(kind="I", spiral_signs={s: signs1[s - 1] for s in SLOTS},
                                    leaf_orientations={})}
     spec = SurfaceSpec(genus=2, pants=pants,
-                       curves={f"C{i}": CurveData(ends=(("P0", i), ("P1", i)))
-                               for i in SLOTS})
+                       curves={f"C{i}": (("P0", i), ("P1", i)) for i in SLOTS})
     shears = {"P0": shears_from_lengths(signs0, lengths),
               "P1": shears_from_lengths(signs1, lengths)}
     twists = {f"C{i}": sample_float(rng, -1.5, 1.5) for i in SLOTS}

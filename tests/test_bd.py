@@ -91,7 +91,7 @@ def test_gluing_invariant_is_twice_the_twist(ds):
         for n in range(2, 9):
             vec = bd.bd_vector(surface, n)
             for (cid, p), value in vec.theta.items():
-                assert value == pytest.approx(2 * surface.twists[cid], abs=1e-12)
+                assert value == pytest.approx(2 * surface.curves[cid].twist, abs=1e-12)
 
 
 def test_gluing_invariant_n2_matches_cross_ratio(ds):
@@ -176,8 +176,8 @@ def test_closed_leaf_sums_rejects_an_unknown_side(ds):
     vec = bd.bd_vector(ds, 3)
     with pytest.raises(ValueError, match="side must be 'left' or 'right', not 'middle'"):
         bd.closed_leaf_sums(vec, ds.spec, "C1", 1, "middle")
-    for cid, curve in ds.spec.curves.items():
-        assert (ds.spec.side(cid, "left"), ds.spec.side(cid, "right")) == curve.ends
+    for cid, ends in ds.spec.curves.items():
+        assert (ds.spec.side(cid, "left"), ds.spec.side(cid, "right")) == ends
 
 
 def test_membership_is_judged_at_the_acceptance_tolerance(ds):
@@ -281,7 +281,8 @@ def test_realize_slice_twists_are_half_the_gluing():
         spec, shears, _ = sample_genus2(rng)
         gluing = {cid: verification.sample_float(rng, -3.0, 3.0) for cid in spec.curves}
         ds = bd.realize_slice(bd.SlicePoint(shears=shears, gluing=gluing), spec)
-        assert ds.twists == {cid: w / 2 for cid, w in gluing.items()}
+        assert {cid: c.twist for cid, c in ds.curves.items()} == {
+            cid: w / 2 for cid, w in gluing.items()}
         for cid, chart in ds.curves.items():
             assert bd.twist_residual(chart, gluing[cid]) < 1e-15
 
@@ -350,7 +351,8 @@ def test_realize_slice_develops_each_pants_once(monkeypatch):
     assert calls == {"develop_pants": len(spec.pants), "assemble_surface": 1}
     monkeypatch.undo()
     # the same point assembled from scratch at the solved twists
-    rebuilt = assemble_surface(spec, sp.shears, ds.twists)
+    rebuilt = assemble_surface(spec, sp.shears,
+                               {cid: c.twist for cid, c in ds.curves.items()})
     assert ds.curves.keys() == rebuilt.curves.keys()
     for cid, chart in ds.curves.items():
         other = rebuilt.curves[cid]
@@ -376,18 +378,16 @@ def test_dimension_counts_genus2_n3():
 # -- other decompositions -------------------------------------------------------
 
 def test_type_II_assembly_invariants():
-    from bdcoords.surfaces import CurveData, PantsLamination, SurfaceSpec
+    from bdcoords.surfaces import PantsLamination, SurfaceSpec
 
     lam = lambda: PantsLamination(kind="II", spiral_signs={1: 1, 2: 1, 3: 1},
                                   leaf_orientations={}, distinguished=1)
-    # the spike fan at boundary 2 (resp. 3) only carries triangle 0 (resp. 1)
     spec = SurfaceSpec(
         genus=2,
         pants={"P0": lam(), "P1": lam()},
-        curves={"C1": CurveData(ends=(("P0", 1), ("P1", 1))),
-                "C2": CurveData(ends=(("P0", 2), ("P1", 2))),
-                "C3": CurveData(ends=(("P0", 3), ("P1", 3)),
-                                left_triangle=1, right_triangle=1)})
+        curves={"C1": (("P0", 1), ("P1", 1)),
+                "C2": (("P0", 2), ("P1", 2)),
+                "C3": (("P0", 3), ("P1", 3))})
     shears = {pid: {"B11": 0.3, "B12": 0.9, "B13": 0.5} for pid in ("P0", "P1")}
     ds = assemble_surface(spec, shears, {"C1": 0.2, "C2": 0.0, "C3": -0.4})
     assert ds.curves["C1"].length == pytest.approx(2 * 0.3 + 0.9 + 0.5)
@@ -407,16 +407,16 @@ def test_type_II_assembly_invariants():
 
 def test_self_glued_handle_decomposition():
     # genus 2 again, but one curve glues two boundaries of the same pants
-    from bdcoords.surfaces import CurveData, PantsLamination, SurfaceSpec
+    from bdcoords.surfaces import PantsLamination, SurfaceSpec
 
     lam = lambda: PantsLamination(kind="I", spiral_signs={1: 1, 2: 1, 3: 1},
                                   leaf_orientations={})
     spec = SurfaceSpec(
         genus=2,
         pants={"P0": lam(), "P1": lam()},
-        curves={"C1": CurveData(ends=(("P0", 1), ("P0", 2))),
-                "C2": CurveData(ends=(("P0", 3), ("P1", 1))),
-                "C3": CurveData(ends=(("P1", 2), ("P1", 3)))})
+        curves={"C1": (("P0", 1), ("P0", 2)),
+                "C2": (("P0", 3), ("P1", 1)),
+                "C3": (("P1", 2), ("P1", 3))})
     s = 0.8
     shears = {pid: {leaf: s for leaf in ("B12", "B13", "B23")} for pid in ("P0", "P1")}
     ds = assemble_surface(spec, shears, {"C1": 0.5, "C2": 0.0, "C3": -0.3})
@@ -444,16 +444,15 @@ def test_polytope_membership_rejects_size_mismatch(ds):
 
 
 def test_realize_slice_type_II():
-    from bdcoords.surfaces import CurveData, PantsLamination, SurfaceSpec
+    from bdcoords.surfaces import PantsLamination, SurfaceSpec
 
     lam = lambda: PantsLamination(kind="II", spiral_signs={1: 1, 2: 1, 3: 1},
                                   leaf_orientations={}, distinguished=1)
     spec = SurfaceSpec(
         genus=2, pants={"P0": lam(), "P1": lam()},
-        curves={"C1": CurveData(ends=(("P0", 1), ("P1", 1))),
-                "C2": CurveData(ends=(("P0", 2), ("P1", 2))),
-                "C3": CurveData(ends=(("P0", 3), ("P1", 3)),
-                                left_triangle=1, right_triangle=1)})
+        curves={"C1": (("P0", 1), ("P1", 1)),
+                "C2": (("P0", 2), ("P1", 2)),
+                "C3": (("P0", 3), ("P1", 3))})
     sp = bd.SlicePoint(
         shears={p: {"B11": -0.2, "B12": 0.8, "B13": 1.1} for p in ("P0", "P1")},
         gluing={"C1": 0.5, "C2": -0.9, "C3": 0.0})

@@ -1,13 +1,15 @@
+import importlib.util
 import inspect
 import json
 import os
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bdcoords import bd, surfaces, verification
 from bdcoords.cli import main, spec_from_dict, spec_to_dict
-from bdcoords.surfaces import SurfaceSpecError, genus2_spec
+from bdcoords.surfaces import SLOTS, PantsLamination, SurfaceSpec, SurfaceSpecError
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 SURFACE = os.path.join(DATA, "genus2_surface.json")
@@ -184,10 +186,6 @@ def _set_distinguished(data, value):
     data["pants"][0].update(type="II", distinguished=value)
 
 
-def _set_short_arc(data, value):
-    data["curves"][0]["short_arc"]["right_triangle"] = value
-
-
 @pytest.mark.parametrize("command, source", [
     pytest.param("invariants", SURFACE, id="invariants"),
     pytest.param("realize", SLICE, id="realize"),
@@ -200,7 +198,6 @@ def _set_short_arc(data, value):
     pytest.param(_set_spiral_sign, True, "pants 'P0' spiral sign 2", id="spiral-sign-bool"),
     pytest.param(_set_orientation, 1.0, "pants 'P0' orientation of B13", id="orientation"),
     pytest.param(_set_distinguished, 1.0, "pants 'P0' distinguished", id="distinguished"),
-    pytest.param(_set_short_arc, 0.0, "curve 'C1' short_arc right_triangle", id="short-arc"),
 ])
 def test_integer_field_that_is_not_an_integer_exits_2(command, source, set_field, value, field,
                                                       tmp_path, capsys):
@@ -233,27 +230,35 @@ def test_unknown_object_id_exits_2(command, source, section, key, tmp_path, caps
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("command, source, section, pants, value", [
-    pytest.param("invariants", SURFACE, "shears", "P0", [0.8, 0.6, 1.1],
-                 id="invariants-shears-entry"),
-    pytest.param("invariants", SURFACE, "shears", None, [0.8], id="invariants-shears"),
-    pytest.param("invariants", SURFACE, "twists", None, [1.0], id="invariants-twists"),
-    pytest.param("realize", SLICE, "shears", "P1", "B12", id="realize-shears-entry"),
-    pytest.param("realize", SLICE, "gluing", None, [1.0], id="realize-gluing"),
+@pytest.mark.parametrize("command, source, keys, value, name", [
+    pytest.param("invariants", SURFACE, ("shears", "P0"), [0.8, 0.6, 1.1],
+                 "shears of pants 'P0'", id="invariants-shears-entry"),
+    pytest.param("invariants", SURFACE, ("shears",), [0.8], "shears", id="invariants-shears"),
+    pytest.param("invariants", SURFACE, ("twists",), [1.0], "twists", id="invariants-twists"),
+    pytest.param("invariants", SURFACE, ("pants", 0, "spiral_signs"), [1, 1, 1],
+                 "spiral_signs of pants 'P0'", id="invariants-spiral-signs"),
+    pytest.param("invariants", SURFACE, ("pants", 0, "leaf_orientations"), [1],
+                 "leaf_orientations of pants 'P0'", id="invariants-leaf-orientations"),
+    pytest.param("realize", SLICE, ("shears", "P1"), "B12", "shears of pants 'P1'",
+                 id="realize-shears-entry"),
+    pytest.param("realize", SLICE, ("gluing",), [1.0], "gluing", id="realize-gluing"),
+    pytest.param("realize", SLICE, ("pants", 1, "spiral_signs"), 1,
+                 "spiral_signs of pants 'P1'", id="realize-spiral-signs"),
+    pytest.param("realize", SLICE, ("pants", 1, "leaf_orientations"), "B12",
+                 "leaf_orientations of pants 'P1'", id="realize-leaf-orientations"),
 ])
-def test_section_that_is_not_an_object_exits_2(command, source, section, pants, value,
+def test_section_that_is_not_an_object_exits_2(command, source, keys, value, name,
                                                tmp_path, capsys):
     bad = json.loads(open(source).read())
-    if pants is None:
-        bad[section] = value
-    else:
-        bad[section][pants] = value
+    entry = bad
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main([command, "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
-    name = section if pants is None else f"{section} of pants {pants!r}"
-    assert f"error: {name} must be a JSON object, got {value!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {name} must be a JSON object, got {value!r}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -437,10 +442,71 @@ def test_verify_reports_are_deterministic(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_spec_dict_round_trip():
-    spec = genus2_spec()
-    again = spec_from_dict(spec_to_dict(spec))
-    assert spec_to_dict(again) == spec_to_dict(spec)
+@st.composite
+def pants_laminations(draw):
+    """Either kind, any distinguished slot and spiral signs, and each leaf
+    oriented either way or left to its default orientation."""
+    kind = draw(st.sampled_from(("I", "II")))
+    distinguished = draw(st.sampled_from(SLOTS)) if kind == "II" else None
+    signs = {slot: draw(st.sampled_from((1, -1))) for slot in SLOTS}
+    bare = PantsLamination(kind, signs, {}, distinguished)
+    orientations = {}
+    for leaf in bare.leaves():
+        ends = bare.leaf_end_slots(leaf)
+        value = draw(st.none() | st.sampled_from((0, 1) if ends[0] == ends[1] else ends))
+        if value is not None:
+            orientations[leaf] = value
+    return PantsLamination(kind, signs, orientations, distinguished)
+
+
+@st.composite
+def genus2_specs(draw):
+    """Two pants glued along three curves in any way: the six boundaries are
+    paired off in a random order, the first of each pair the curve's left end."""
+    ids = st.text(min_size=1, max_size=3)
+    pids = draw(st.lists(ids, min_size=2, max_size=2, unique=True))
+    cids = draw(st.lists(ids, min_size=3, max_size=3, unique=True))
+    ends = draw(st.permutations([(pid, slot) for pid in pids for slot in SLOTS]))
+    return SurfaceSpec(genus=2, pants={pid: draw(pants_laminations()) for pid in pids},
+                       curves={cid: (ends[2 * i], ends[2 * i + 1])
+                               for i, cid in enumerate(cids)})
+
+
+@given(genus2_specs())
+def test_spec_dict_round_trip(spec):
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+
+def test_example_inputs_are_what_the_script_writes(tmp_path, monkeypatch):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "write_example_inputs.py")
+    loader = importlib.util.spec_from_file_location("write_example_inputs", script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    monkeypatch.setattr(module, "DATA", str(tmp_path))
+    module.main()
+    shipped = sorted(name for name in os.listdir(DATA) if name.endswith(".json"))
+    assert sorted(os.listdir(tmp_path)) == shipped
+    for name in shipped:
+        with open(os.path.join(DATA, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_unknown_curve_keys_are_ignored(tmp_path):
+    # a curve entry with a key the reader does not know reports as before
+    data = json.loads(open(SURFACE).read())
+    assert main(["invariants", "--input", SURFACE, "--n", "3",
+                 "--out", str(tmp_path / "plain")]) == 0
+    for curve in data["curves"]:
+        curve["short_arc"] = {"left_triangle": 1, "right_triangle": 1}
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    assert main(["invariants", "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "extra")]) == 0
+    for ext in ("json", "csv"):
+        assert ((tmp_path / f"plain.{ext}").read_bytes()
+                == (tmp_path / f"extra.{ext}").read_bytes())
 
 
 def test_spec_from_dict_rejects_missing_fields():

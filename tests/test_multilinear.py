@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -261,11 +262,16 @@ def test_band_formula_requires_consistent_n():
 
 
 def test_band_abs_equality_up_to_12():
+    # the determinant counts plane partitions in a p x r x q box, so it is
+    # positive, and the literal prefix (-1)^C(q,2) disagrees in sign exactly
+    # when C(q, 2) is odd
     for n in range(1, 13):
         for p in range(n):
             for q in range(1, n - p + 1):
                 r = n - p - q
-                assert compare_band(n, p, q, r)["abs_equal"], (n, p, q, r)
+                res = compare_band(n, p, q, r)
+                assert res["abs_equal"], (n, p, q, r)
+                assert res["sign_agree"] == (math.comb(q, 2) % 2 == 0), (n, p, q, r)
 
 
 def test_band_bruteforce_matches_cofactor_oracle():
@@ -288,7 +294,11 @@ def test_band_reduces_to_rhombus():
 
 
 def test_band_positive_for_interior_triples():
-    for p in range(1, 7):
+    # MacMahon: the band determinant counts the plane partitions in a
+    # p x r x q box, the product over i <= p, j <= r of (i + j + q - 1) / (i + j - 1)
+    for p in range(7):
         for q in range(1, 7):
-            for r in range(1, 7):
-                assert band_det_bruteforce(p, q, r) > 0
+            for r in range(7):
+                count = math.prod(Fraction(i + j + q - 1, i + j - 1)
+                                  for i in range(1, p + 1) for j in range(1, r + 1))
+                assert band_det_bruteforce(p, q, r) == count > 0, (p, q, r)

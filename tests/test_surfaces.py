@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdcoords import bd, surfaces
 from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
-from bdcoords.surfaces import (AssemblyError, CurveData, LaminationError,
+from bdcoords.surfaces import (AssemblyError, LaminationError,
                                PantsLamination, SurfaceSpec,
                                SurfaceSpecError, assemble_surface,
                                boundary_lengths, develop_pants, fan_cycle,
@@ -182,6 +182,26 @@ def test_develop_all_variants_prop_2_6():
                 expected[slot], abs=1e-10)
 
 
+def _distance_to_identity(m):
+    """max |entry of m -+ I| for the nearer sign: m is +-I projectively."""
+    (a, b), (c, d) = m.m
+    return min(max(abs(a - e), abs(b), abs(c), abs(d - e)) for e in (1.0, -1.0))
+
+
+def test_pants_relation_of_the_fan_deck_maps():
+    # applied in the counterclockwise order of the fans' base spikes, the
+    # three deck maps compose to +-I: D3 D2 D1 in kind I, D1 D2 D3 in kind II
+    rng = random.Random(23)
+    for lam in lamination_variants():
+        for _ in range(30):
+            fans = develop_pants(lam, sample_valid_shears(rng, lam)).fans
+            d1, d2, d3 = (fans[slot].deck for slot in (1, 2, 3))
+            forward, backward = d3 @ d2 @ d1, d1 @ d2 @ d3
+            relation, other = (forward, backward) if lam.kind == "I" else (backward, forward)
+            assert _distance_to_identity(relation) < 1e-9, lam
+            assert _distance_to_identity(other) > 1e-3, lam
+
+
 # -- surface spec -------------------------------------------------------------
 
 def test_genus2_spec_is_valid():
@@ -192,9 +212,9 @@ def test_genus2_spec_is_valid():
 def test_spec_detects_double_gluing():
     pants = {"P0": lam_I(), "P1": lam_I()}
     curves = {
-        "C1": CurveData(ends=(("P0", 1), ("P1", 1))),
-        "C2": CurveData(ends=(("P0", 2), ("P1", 2))),
-        "C3": CurveData(ends=(("P0", 2), ("P1", 3))),
+        "C1": (("P0", 1), ("P1", 1)),
+        "C2": (("P0", 2), ("P1", 2)),
+        "C3": (("P0", 2), ("P1", 3)),
     }
     with pytest.raises(SurfaceSpecError, match=r"\(P0, 2\) glued by both"):
         SurfaceSpec(genus=2, pants=pants, curves=curves)
@@ -203,32 +223,11 @@ def test_spec_detects_double_gluing():
 def test_spec_detects_unknown_pants():
     pants = {"P0": lam_I(), "P1": lam_I()}
     curves = {
-        "C1": CurveData(ends=(("P0", 1), ("P9", 1))),
-        "C2": CurveData(ends=(("P0", 2), ("P1", 2))),
-        "C3": CurveData(ends=(("P0", 3), ("P1", 3))),
+        "C1": (("P0", 1), ("P9", 1)),
+        "C2": (("P0", 2), ("P1", 2)),
+        "C3": (("P0", 3), ("P1", 3)),
     }
     with pytest.raises(SurfaceSpecError, match="P9"):
-        SurfaceSpec(genus=2, pants=pants, curves=curves)
-
-
-@pytest.mark.parametrize("side, curve, triangle, slot", [
-    ("left", "C3", 0, 3),    # kind II triangle 0 has spikes at slots 2, 1, 1
-    ("right", "C2", 1, 2),   # kind II triangle 1 has spikes at slots 3, 1, 1
-])
-def test_spec_detects_short_arc_triangle_without_spike(side, curve, triangle, slot):
-    pants = {"P0": lam_I(), "P1": lam_I()}
-    pants["P0" if side == "left" else "P1"] = lam_II(1)
-    # triangle 0 at slots 1 and 2 and triangle 1 at slot 3 fit either kind
-    curves = {cid: CurveData(ends=(("P0", s), ("P1", s)),
-                             left_triangle=s // 3, right_triangle=s // 3)
-              for cid, s in (("C1", 1), ("C2", 2), ("C3", 3))}
-    SurfaceSpec(genus=2, pants=dict(pants), curves=dict(curves))
-    curves[curve] = CurveData(ends=(("P0", slot), ("P1", slot)),
-                              left_triangle=triangle, right_triangle=triangle)
-    pid = "P0" if side == "left" else "P1"
-    with pytest.raises(SurfaceSpecError,
-                       match=rf"curve {curve}: {side} short-arc triangle {triangle} "
-                             rf"of pants {pid} has no spike at slot {slot}"):
         SurfaceSpec(genus=2, pants=pants, curves=curves)
 
 
@@ -311,10 +310,11 @@ def test_charts_are_closed_form():
     # zr = [1 : 1] and zl = [-exp(2t) : 1], written as [-1 : exp(-2t)] for t > 0
     rng = random.Random(31)
     for _ in range(10):
-        ds = assemble_surface(*sample_genus2(rng))
+        spec, shears, twists = sample_genus2(rng)
+        ds = assemble_surface(spec, shears, twists)
         for cid, chart in ds.curves.items():
-            t = ds.twists[cid]
-            assert chart.twist == t
+            t = chart.twist
+            assert t == twists[cid]
             assert (chart.x.a, chart.x.b, chart.y.a, chart.y.b) == (0.0, 1.0, 1.0, 0.0)
             assert (chart.zr.a, chart.zr.b) == (1.0, 1.0)
             expected = (-1.0, math.exp(-2 * t)) if t > 0 else (-math.exp(2 * t), 1.0)
