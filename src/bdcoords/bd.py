@@ -228,12 +228,7 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
         table = kernel.table((c.x, c.y, c.zl, c.zr), f"at curve {cid}")
         for p in range(1, n):
             theta[(cid, p)] = table.log_double_ratio(p)
-    vec = BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
-    if vec.size() != expected_size(ds.spec, n):
-        raise AssemblyError(
-            f"{vec.size()} invariants at n = {n}, the surface combinatorics "
-            f"need {expected_size(ds.spec, n)}")
-    return vec
+    return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
 
 
 # ---------------------------------------------------------------------------

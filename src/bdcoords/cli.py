@@ -47,33 +47,53 @@ def _integer(field: str, value) -> int:
     return value
 
 
+def _string(field: str, value) -> str:
+    """An id of the surface data: anything but a JSON string is an error."""
+    if not isinstance(value, str):
+        raise SurfaceSpecError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _slot_key(field: str, key: str) -> int:
+    """A key of a section keyed by boundary slot: "1", "2" or "3"."""
+    if key not in ("1", "2", "3"):
+        raise SurfaceSpecError(f"{field} must be a slot 1, 2 or 3, got {key!r}")
+    return int(key)
+
+
 def spec_from_dict(data: dict):
     """Parse {genus, pants, curves} (+ shears/twists/gluing) from JSON data."""
     try:
         genus = _integer("genus", data["genus"])
         pants = {}
         for entry in data["pants"]:
-            pid = entry["id"]
+            pid = _string("pants id", entry["id"])
             dist = entry.get("distinguished")
             signs = _json_object(f"spiral_signs of pants {pid!r}",
-                                 entry.get("spiral_signs", {s: 1 for s in SLOTS}))
+                                 entry.get("spiral_signs", {str(s): 1 for s in SLOTS}))
             orient = _json_object(f"leaf_orientations of pants {pid!r}",
                                   entry.get("leaf_orientations", {}))
-            lam = PantsLamination(
-                kind=entry["type"],
-                spiral_signs={int(k): _integer(f"pants {pid!r} spiral sign {k}", v)
-                              for k, v in signs.items()},
-                leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
-                                   for k, v in orient.items()},
-                distinguished=None if dist is None else _integer(
-                    f"pants {pid!r} distinguished", dist))
+            try:
+                lam = PantsLamination(
+                    kind=entry["type"],
+                    spiral_signs={
+                        _slot_key(f"pants {pid!r} spiral_signs key", k):
+                            _integer(f"pants {pid!r} spiral sign {k}", v)
+                        for k, v in signs.items()},
+                    leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
+                                       for k, v in orient.items()},
+                    distinguished=None if dist is None else _integer(
+                        f"pants {pid!r} distinguished", dist))
+            except LaminationError as exc:
+                raise LaminationError(f"pants {pid!r}: {exc}") from exc
             if pid in pants:
                 raise SurfaceSpecError(f"duplicate pants id {pid!r}")
             pants[pid] = lam
         curves = {}
         for entry in data["curves"]:
-            cid = entry["id"]
-            ends = tuple((end[0], _integer(f"curve {cid!r} slot", end[1])) for end in entry["ends"])
+            cid = _string("curve id", entry["id"])
+            ends = tuple((_string(f"curve {cid!r} pants id", end[0]),
+                          _integer(f"curve {cid!r} slot", end[1])) for end in entry["ends"])
             if cid in curves:
                 raise SurfaceSpecError(f"duplicate curve id {cid!r}")
             curves[cid] = ends

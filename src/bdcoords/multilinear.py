@@ -141,10 +141,14 @@ def ext_binomial(n: int, p: int) -> int:
 # binomial determinants
 
 
-def band_matrix(p: int, q: int, r: int):
-    """q x q integer rows, entry (i, j) = ext_binomial(p + r, p + i - j), 0-indexed."""
+def _check_band(p: int, q: int, r: int):
     if p < 0 or q < 1 or r < 0:
         raise ValueError("band determinant needs p, r >= 0 and q >= 1")
+
+
+def band_matrix(p: int, q: int, r: int):
+    """q x q integer rows, entry (i, j) = ext_binomial(p + r, p + i - j), 0-indexed."""
+    _check_band(p, q, r)
     return [[ext_binomial(p + r, p + i - j) for j in range(q)] for i in range(q)]
 
 
@@ -161,8 +165,7 @@ def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
     """
     if p + q + r != n:
         raise ValueError(f"require p + q + r = n, got {p}+{q}+{r} != {n}")
-    if p < 0 or q < 1 or r < 0:
-        raise ValueError("band determinant needs p, r >= 0 and q >= 1")
+    _check_band(p, q, r)
     num = 1
     for m in range(n - q, n):
         num *= math.factorial(m)
@@ -177,12 +180,16 @@ def band_det_formula(n: int, p: int, q: int, r: int) -> Fraction:
     return Fraction(sign * num, den)
 
 
-def rhombus_matrix(n: int, k: int, l: int):
-    """(l+1) x (l+1) integer rows, entry (i, j) = ext_binomial(n + i + j, k + j)."""
+def _check_rhombus(n: int, k: int, l: int):
     if n < 0 or l < 0:
         raise ValueError("rhombus determinant needs n, l >= 0")
     if not 0 <= k <= n:
         raise ValueError(f"rhombus determinant needs 0 <= k <= n, got k={k}, n={n}")
+
+
+def rhombus_matrix(n: int, k: int, l: int):
+    """(l+1) x (l+1) integer rows, entry (i, j) = ext_binomial(n + i + j, k + j)."""
+    _check_rhombus(n, k, l)
     return [[ext_binomial(n + i + j, k + j) for j in range(l + 1)] for i in range(l + 1)]
 
 
@@ -196,10 +203,7 @@ def rhombus_det_formula(n: int, k: int, l: int) -> Fraction:
     n! (n+1)! ... (n+l)! over k! ... (k+l)! (n-k)! ... (n-k+l)!,
     times (-1)^(l(l+1)/2) 1! ... l!.
     """
-    if n < 0 or l < 0:
-        raise ValueError("rhombus determinant needs n, l >= 0")
-    if not 0 <= k <= n:
-        raise ValueError(f"rhombus determinant needs 0 <= k <= n, got k={k}, n={n}")
+    _check_rhombus(n, k, l)
     num = 1
     for m in range(l + 1):
         num *= math.factorial(n + m)
@@ -213,27 +217,16 @@ def rhombus_det_formula(n: int, k: int, l: int) -> Fraction:
     return Fraction(sign * num * superfact, den)
 
 
+def _compare(args: tuple, brute: int, formula: Fraction) -> dict:
+    return {"args": args, "bruteforce": brute, "formula": formula,
+            "abs_equal": abs(brute) == abs(formula), "sign_agree": brute == formula}
+
+
 def compare_band(n: int, p: int, q: int, r: int) -> dict:
     """Brute force vs closed form for the band determinant (comparison layer)."""
-    brute = band_det_bruteforce(p, q, r)
-    formula = band_det_formula(n, p, q, r)
-    return {
-        "args": (n, p, q, r),
-        "bruteforce": brute,
-        "formula": formula,
-        "abs_equal": abs(brute) == abs(formula),
-        "sign_agree": brute == formula,
-    }
+    return _compare((n, p, q, r), band_det_bruteforce(p, q, r), band_det_formula(n, p, q, r))
 
 
 def compare_rhombus(n: int, k: int, l: int) -> dict:
     """Brute force vs closed form for the rhombus determinant."""
-    brute = rhombus_det_bruteforce(n, k, l)
-    formula = rhombus_det_formula(n, k, l)
-    return {
-        "args": (n, k, l),
-        "bruteforce": brute,
-        "formula": formula,
-        "abs_equal": abs(brute) == abs(formula),
-        "sign_agree": brute == formula,
-    }
+    return _compare((n, k, l), rhombus_det_bruteforce(n, k, l), rhombus_det_formula(n, k, l))

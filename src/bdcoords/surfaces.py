@@ -44,9 +44,12 @@ Convention notes (load-bearing, referenced throughout):
    (developed across Bii), slots j, i, k counterclockwise, which is the
    cyclic order 1, 3, 2 for every distinguished i, so D1 D2 D3 = +-I.
 
-Checks: ``SurfaceSpec`` checks the combinatorics, ``develop_pants`` every
-fact about one pants (shears are plain {leaf: value} dicts), and
-``assemble_surface`` only what spans a curve.
+Checks: the tables are constant data, built once at import for kind I and
+for kind II at each distinguished boundary, and the tests check them (each
+fan closes up after visiting every spike corner of its boundary once), so
+nothing re-checks them at run time.  ``SurfaceSpec`` checks the gluing
+combinatorics, ``develop_pants`` every fact about one pants (shears are
+plain {leaf: value} dicts), and ``assemble_surface`` only what spans a curve.
 """
 from __future__ import annotations
 
@@ -138,11 +141,7 @@ class PantsLamination:
         return 0 if ends[0] == ends[1] else min(ends)
 
     def leaves(self) -> tuple:
-        if self.kind == "I":
-            return (leaf_name(1, 2), leaf_name(1, 3), leaf_name(2, 3))
-        i = self.distinguished
-        j, k = cyclic_pair(i)
-        return (leaf_name(i, i), leaf_name(i, j), leaf_name(i, k))
+        return tuple(tables_for(self).leaf_sides)
 
     def leaf_end_slots(self, leaf: str) -> tuple[int, int]:
         """(slot of end0, slot of end1), following the side tables."""
@@ -166,20 +165,15 @@ class LeafSide:
 @dataclass(frozen=True)
 class LaminationTables:
     corner_slot: dict        # (tri, corner) -> boundary slot
-    leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B)
+    leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B), in leaf order
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
     leaf_end_slots: dict     # leaf -> (slot of end0, slot of end1)
     fans: dict               # slot -> tuple of FanSteps, see fan_cycle
-
-
-_TABLES_CACHE: dict = {}
+    to_tri1: tuple           # the side of triangle 0 whose leaf leads to triangle 1
 
 
 def tables_for(lam: PantsLamination) -> LaminationTables:
-    key = (lam.kind, lam.distinguished)
-    if key not in _TABLES_CACHE:
-        _TABLES_CACHE[key] = _build_tables(*key)
-    return _TABLES_CACHE[key]
+    return _TABLES[(lam.kind, lam.distinguished)]
 
 
 def _build_tables(kind: str, distinguished) -> LaminationTables:
@@ -188,19 +182,21 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
                        (1, 0): 1, (1, 1): 3, (1, 2): 2}
         leaf_sides = {
             leaf_name(1, 2): (LeafSide(0, (0, 1)), LeafSide(1, (2, 0))),
-            leaf_name(2, 3): (LeafSide(0, (1, 2)), LeafSide(1, (1, 2))),
             leaf_name(1, 3): (LeafSide(0, (2, 0)), LeafSide(1, (0, 1))),
+            leaf_name(2, 3): (LeafSide(0, (1, 2)), LeafSide(1, (1, 2))),
         }
+        to_tri1 = (0, 1)
     else:
         i = distinguished
         j, k = cyclic_pair(i)
         corner_slot = {(0, 0): j, (0, 1): i, (0, 2): i,
                        (1, 0): k, (1, 1): i, (1, 2): i}
         leaf_sides = {
-            leaf_name(i, j): (LeafSide(0, (0, 1)), LeafSide(0, (2, 0))),
             leaf_name(i, i): (LeafSide(0, (1, 2)), LeafSide(1, (1, 2))),
+            leaf_name(i, j): (LeafSide(0, (0, 1)), LeafSide(0, (2, 0))),
             leaf_name(i, k): (LeafSide(1, (0, 1)), LeafSide(1, (2, 0))),
         }
+        to_tri1 = (1, 2)
     side_leaf = {}
     end_slots = {}
     for leaf, (sa, sb) in leaf_sides.items():
@@ -211,7 +207,8 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
     fans = {slot: _walk_fan(corner_slot, leaf_sides, side_leaf, slot)
             for slot in (1, 2, 3)}
     return LaminationTables(corner_slot=corner_slot, leaf_sides=leaf_sides,
-                            side_leaf=side_leaf, leaf_end_slots=end_slots, fans=fans)
+                            side_leaf=side_leaf, leaf_end_slots=end_slots, fans=fans,
+                            to_tri1=to_tri1)
 
 
 @dataclass(frozen=True)
@@ -237,13 +234,10 @@ def fan_cycle(lam: PantsLamination, slot: int) -> tuple:
 
 def _walk_fan(corner_slot: dict, leaf_sides: dict, side_leaf: dict,
               slot: int) -> tuple:
-    corners = sorted(c for c, s in corner_slot.items() if s == slot)
-    if not corners:
-        raise LaminationError(f"no spikes at boundary {slot}")
-    start = corners[0]
+    start = min(c for c, s in corner_slot.items() if s == slot)
     steps = []
     cur = start
-    while True:
+    for _ in corner_slot:   # at most one step per corner: a bad table cannot hang
         tri, c = cur
         side = ((c + 2) % 3, c)
         leaf, which = side_leaf[(tri, side)]
@@ -253,11 +247,11 @@ def _walk_fan(corner_slot: dict, leaf_sides: dict, side_leaf: dict,
         cur = (other.tri, other.corners[0])
         if cur == start:
             break
-        if len(steps) > len(corner_slot):
-            raise LaminationError("fan traversal does not close up")
-    if len(steps) != len(corners):
-        raise LaminationError("fan traversal missed spike corners")
     return tuple(steps)
+
+
+# the table sets of kind I and of kind II at each distinguished boundary
+_TABLES = {key: _build_tables(*key) for key in [("I", None)] + [("II", i) for i in SLOTS]}
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +267,13 @@ def _leaf_shears(lam: PantsLamination, shears: dict) -> dict:
     return values
 
 
-def signed_boundary_sums(lam: PantsLamination, s: dict) -> dict:
-    """Per boundary slot, the sum of shears over all ends spiraling into it."""
-    return {slot: sum(s[step.leaf] for step in fan_cycle(lam, slot)) for slot in SLOTS}
-
-
 def _ranged_sums(lam: PantsLamination, s: dict) -> dict:
-    """The signed spiral sums of leaf shears s, which must lie in the valid
-    range: every boundary needs sign(C) * (sum of shears over ends spiraling
-    to C) positive; kind II additionally needs the two simple leaves positive
-    (equivalently, positive spiraling at the two plain boundaries)."""
-    sums = signed_boundary_sums(lam, s)
+    """The signed spiral sums of leaf shears s, per boundary slot the sum
+    over the ends spiraling into it (its fan's crossings), which must lie in
+    the valid range: every boundary needs sign(C) * (its sum) positive; kind
+    II additionally needs the two simple leaves positive (equivalently,
+    positive spiraling at the two plain boundaries)."""
+    sums = {slot: sum(s[step.leaf] for step in fan_cycle(lam, slot)) for slot in SLOTS}
     ok = all(lam.spiral_signs[slot] * sums[slot] > 0 for slot in SLOTS)
     if lam.kind == "II":
         i = lam.distinguished
@@ -414,14 +404,7 @@ def develop_pants(lam: PantsLamination, shears: dict,
         raise AssemblyError("base triangle must be three counterclockwise points")
     base = Placed(0, pts)
 
-    triangles = {0: base}
-    for side in ((0, 1), (1, 2), (2, 0)):
-        leaf, which = tables.side_leaf[(0, side)]
-        if tables.leaf_sides[leaf][1 - which].tri == 1:
-            triangles[1] = _cross(tables, base, side, s)
-            break
-    if 1 not in triangles:
-        raise LaminationError("triangle 1 unreachable from triangle 0")
+    triangles = {0: base, 1: _cross(tables, base, tables.to_tri1, s)}
 
     quadruples = {}
     for leaf, (side_a, side_b) in tables.leaf_sides.items():

@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +211,64 @@ def test_integer_field_that_is_not_an_integer_exits_2(command, source, set_field
     assert main([command, "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"error: {field} must be an integer, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _number_pants_id(data, value):
+    data["pants"][0]["id"] = value
+    for curve in data["curves"]:
+        for end in curve["ends"]:
+            if end[0] == "P0":
+                end[0] = value
+
+
+def _number_curve_id(data, value):
+    data["curves"][0]["id"] = value
+
+
+def _number_end_pants_id(data, value):
+    data["curves"][0]["ends"][0][0] = value
+
+
+def _rename_spiral_sign_key(data, value):
+    signs = data["pants"][0]["spiral_signs"]
+    signs[value] = signs.pop("2")
+
+
+@pytest.mark.parametrize("command, source", [
+    pytest.param("invariants", SURFACE, id="invariants"),
+    pytest.param("realize", SLICE, id="realize"),
+])
+@pytest.mark.parametrize("set_field, value, message", [
+    pytest.param(_number_pants_id, 0, "pants id must be a string, got 0", id="pants-id"),
+    pytest.param(_number_curve_id, 1, "curve id must be a string, got 1", id="curve-id"),
+    pytest.param(_number_end_pants_id, 0, "curve 'C1' pants id must be a string, got 0",
+                 id="curve-end-pants-id"),
+    pytest.param(_rename_spiral_sign_key, "x",
+                 "pants 'P0' spiral_signs key must be a slot 1, 2 or 3, got 'x'",
+                 id="spiral-sign-key"),
+    pytest.param(_rename_spiral_sign_key, "02",
+                 "pants 'P0' spiral_signs key must be a slot 1, 2 or 3, got '02'",
+                 id="spiral-sign-key-padded"),
+    pytest.param(_set_spiral_sign, 2,
+                 "pants 'P0': spiral_signs must map slots 1, 2, 3 to +-1", id="spiral-sign"),
+    pytest.param(_set_orientation, 2,
+                 "pants 'P0': B13 orientation must be one of (3, 1)", id="orientation"),
+    pytest.param(_set_distinguished, 4,
+                 "pants 'P0': kind II needs a distinguished boundary 1, 2 or 3",
+                 id="distinguished"),
+])
+def test_bad_id_or_lamination_field_is_named_and_exits_2(command, source, set_field, value,
+                                                         message, tmp_path, capsys):
+    # ids are JSON strings (a number id crashed the id sorting of the report),
+    # and every lamination error of a pants entry names the pants
+    bad = json.loads(open(source).read())
+    set_field(bad, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -491,6 +551,13 @@ def test_example_inputs_are_what_the_script_writes(tmp_path, monkeypatch):
     for name in shipped:
         with open(os.path.join(DATA, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+def test_demo_script_runs(monkeypatch, capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "genus2_demo.py")
+    monkeypatch.setattr(sys, "argv", [script, "--n", "3"])
+    runpy.run_path(script, run_name="__main__")
+    assert "slice membership: True" in capsys.readouterr().out
 
 
 def test_unknown_curve_keys_are_ignored(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -302,3 +303,21 @@ def test_band_positive_for_interior_triples():
                 count = math.prod(Fraction(i + j + q - 1, i + j - 1)
                                   for i in range(1, p + 1) for j in range(1, r + 1))
                 assert band_det_bruteforce(p, q, r) == count > 0, (p, q, r)
+
+
+def test_band_constants_cancel_in_every_triple_ratio():
+    # a wedge of three nonzero Veronese blocks at levels (a, b, c) carries
+    # the constant K = band_det_bruteforce(a, b, c), one with an empty block
+    # K = 1 (README); the point factors of T_pqr cancel by exponent count,
+    # so its three numerator constants multiply to its three denominator ones
+    @functools.cache
+    def K(a, b, c):
+        return band_det_bruteforce(a, b, c) if min(a, b, c) >= 1 else 1
+
+    for n in range(3, 25):
+        for p in range(1, n - 1):
+            for q in range(1, n - p):
+                r = n - p - q
+                num = K(p + 1, q, r - 1) * K(p, q - 1, r + 1) * K(p - 1, q + 1, r)
+                den = K(p - 1, q, r + 1) * K(p, q + 1, r - 1) * K(p + 1, q - 1, r)
+                assert num == den, (p, q, r)

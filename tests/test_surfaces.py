@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdcoords import bd, surfaces
 from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
-from bdcoords.surfaces import (AssemblyError, LaminationError,
+from bdcoords.surfaces import (SLOTS, AssemblyError, LaminationError,
                                PantsLamination, SurfaceSpec,
                                SurfaceSpecError, assemble_surface,
                                boundary_lengths, develop_pants, fan_cycle,
@@ -54,6 +54,32 @@ def test_fan_cycles_type_II():
     assert sorted(s.leaf for s in fan_cycle(lam, 1)) == ["B11", "B11", "B12", "B13"]
     assert [s.leaf for s in fan_cycle(lam, 2)] == ["B12"]
     assert [s.leaf for s in fan_cycle(lam, 3)] == ["B13"]
+
+
+@pytest.mark.parametrize("kind, dist, leaves", [
+    pytest.param("I", None, ("B12", "B13", "B23"), id="I"),
+    pytest.param("II", 1, ("B11", "B12", "B13"), id="II-1"),
+    pytest.param("II", 2, ("B22", "B23", "B12"), id="II-2"),
+    pytest.param("II", 3, ("B33", "B13", "B23"), id="II-3"),
+])
+def test_lamination_tables(kind, dist, leaves):
+    # the tables are built once, at import, and nothing checks them at run
+    # time: each fan must walk every spike corner of its boundary once and
+    # close up, and the leaf order is the order shears are sampled in
+    tables = surfaces._TABLES[(kind, dist)]
+    lam = lam_I() if kind == "I" else lam_II(dist)
+    assert surfaces.tables_for(lam) is tables
+    assert lam.leaves() == tuple(tables.leaf_sides) == leaves
+    for slot in SLOTS:
+        steps = fan_cycle(lam, slot)
+        assert steps is tables.fans[slot]
+        visited = [(step.tri, step.corner) for step in steps]
+        assert sorted(visited) == sorted(c for c, s in tables.corner_slot.items() if s == slot)
+        for step, nxt in zip(steps, steps[1:] + steps[:1]):
+            other = tables.leaf_sides[step.leaf][step.fan_end]
+            assert (other.tri, other.corners[0]) == (nxt.tri, nxt.corner)
+    leaf, which = tables.side_leaf[(0, tables.to_tri1)]
+    assert tables.leaf_sides[leaf][1 - which].tri == 1
 
 
 def test_lamination_validation():
