@@ -216,16 +216,16 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
-            table = kernel.table([pts[c] for c in _CW_ORDER], f"at pants {pid} triangle {tri}")
+            table = kernel.table([pts[c] for c in _CW_ORDER], f"at pants {pid!r} triangle {tri}")
             for pqr in triple_indices(n):
                 tau[(pid, tri, pqr)] = table.log_triple_ratio(*pqr)
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
-            table = kernel.table((q.x, q.y, q.zl, q.zr), f"at pants {pid} leaf {leaf}")
+            table = kernel.table((q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
             for p in range(1, n):
                 sigma[(pid, leaf, p)] = table.log_double_ratio(p)
     for cid, c in ds.curves.items():
-        table = kernel.table((c.x, c.y, c.zl, c.zr), f"at curve {cid}")
+        table = kernel.table((c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
         for p in range(1, n):
             theta[(cid, p)] = table.log_double_ratio(p)
     return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
@@ -244,7 +244,8 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     the leaf is oriented toward the curve), and each spike triangle
     contributes a partial row of triangle invariants evaluated at the spike
     vertex.  The two displayed variants (spiraling with or against the
-    curve's orientation) differ by global sign and by the index block.
+    curve's orientation) differ by the index block and by the global sign,
+    which is the boundary's spiral sign.
 
     vertex_rule selects the pairing of the triangle-term index blocks with
     the spike vertex: "verbatim" follows the displayed formulas; "swapped"
@@ -263,8 +264,7 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     # backward (convention 3 of the surfaces module)
     with_direction = (side == "right") == (lam.spiral_signs[slot] == 1)
 
-    use_first_block = with_direction if vertex_rule == "verbatim" else not with_direction
-    if use_first_block:
+    if with_direction == (vertex_rule == "verbatim"):
         tau_terms = [(p, q, n - p - q) for q in range(1, n - p)]
     else:
         tau_terms = [(n - p, q, p - q) for q in range(1, p)]
@@ -272,16 +272,11 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     total = 0.0
     for step in fan_cycle(lam, slot):
         toward = lam.forward_end(step.leaf) == step.fan_end
-        if with_direction:
-            idx = p if toward else n - p
-        else:
-            idx = (n - p) if toward else p
+        idx = p if toward == with_direction else n - p
         total += v.sigma[(pid, step.leaf, idx)]
         for pqr in tau_terms:
             total += v.tau_at(pid, step.tri, step.corner, pqr)
-
-    sign = 1.0 if (side == "right") == with_direction else -1.0
-    return sign * total
+    return lam.spiral_signs[slot] * total
 
 
 @dataclass(frozen=True)
@@ -418,7 +413,7 @@ def realize_slice(sp: SlicePoint, spec: SurfaceSpec) -> DevelopedSurface:
         residual = twist_residual(chart, float(sp.gluing[cid]))
         if residual > TOL:
             raise UnreachableTwistError(
-                f"curve {cid}: twist solve residual {residual:.3g} (relative) "
+                f"curve {cid!r}: twist solve residual {residual:.3g} (relative) "
                 f"above {TOL:.3g} at gluing {sp.gluing[cid]!r}")
     return ds
 

@@ -61,13 +61,20 @@ def _slot_key(field: str, key: str) -> int:
     return int(key)
 
 
+def _required(name: str, entry, key: str):
+    """A required field of a JSON object of the surface data."""
+    if key not in _json_object(name, entry):
+        raise SurfaceSpecError(f"{name} has no {key!r}")
+    return entry[key]
+
+
 def spec_from_dict(data: dict):
     """Parse {genus, pants, curves} (+ shears/twists/gluing) from JSON data."""
     try:
-        genus = _integer("genus", data["genus"])
+        genus = _integer("genus", _required("surface data", data, "genus"))
         pants = {}
-        for entry in data["pants"]:
-            pid = _string("pants id", entry["id"])
+        for index, entry in enumerate(_required("surface data", data, "pants")):
+            pid = _string("pants id", _required(f"pants entry {index}", entry, "id"))
             dist = entry.get("distinguished")
             signs = _json_object(f"spiral_signs of pants {pid!r}",
                                  entry.get("spiral_signs", {str(s): 1 for s in SLOTS}))
@@ -75,7 +82,7 @@ def spec_from_dict(data: dict):
                                   entry.get("leaf_orientations", {}))
             try:
                 lam = PantsLamination(
-                    kind=entry["type"],
+                    kind=_required(f"pants {pid!r}", entry, "type"),
                     spiral_signs={
                         _slot_key(f"pants {pid!r} spiral_signs key", k):
                             _integer(f"pants {pid!r} spiral sign {k}", v)
@@ -90,17 +97,20 @@ def spec_from_dict(data: dict):
                 raise SurfaceSpecError(f"duplicate pants id {pid!r}")
             pants[pid] = lam
         curves = {}
-        for entry in data["curves"]:
-            cid = _string("curve id", entry["id"])
-            ends = tuple((_string(f"curve {cid!r} pants id", end[0]),
-                          _integer(f"curve {cid!r} slot", end[1])) for end in entry["ends"])
+        for index, entry in enumerate(_required("surface data", data, "curves")):
+            cid = _string("curve id", _required(f"curve entry {index}", entry, "id"))
+            ends = _required(f"curve {cid!r}", entry, "ends")
+            if not isinstance(ends, list) or any(not isinstance(e, list) or len(e) != 2
+                                                 for e in ends):
+                raise SurfaceSpecError(f"curve {cid!r} ends must be a list of "
+                                       f"[pants id, slot] pairs, got {ends!r}")
+            ends = tuple((_string(f"curve {cid!r} pants id", pid),
+                          _integer(f"curve {cid!r} slot", slot)) for pid, slot in ends)
             if cid in curves:
                 raise SurfaceSpecError(f"duplicate curve id {cid!r}")
             curves[cid] = ends
         spec = SurfaceSpec(genus=genus, pants=pants, curves=curves)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, (SurfaceSpecError, LaminationError)):
-            raise
+    except TypeError as exc:   # "pants" or "curves" is not a JSON array
         raise SurfaceSpecError(f"malformed surface data: {exc}")
     return spec
 
@@ -176,13 +186,9 @@ def spec_to_dict(spec: SurfaceSpec) -> dict:
     }
 
 
-def _dump_json(data, path: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _dump_json(data, path: str):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(vec: bd.BDVector, path: str):

@@ -16,13 +16,15 @@ are glued orientation-reversingly (u_A <-> w_B, w_A <-> u_B).  Leaf ends are
 named end0 (at u of the first side) and end1 (at w of the first side).
 
 Developing places a base ideal triangle at (0, 1, oo) and crosses leaves by
-the cross-ratio rule for the shear x along the leaf: the quadruple
-(y, z_new, x, z_known) with counterclockwise (x, z_known, y) satisfies
-z(y, z_new, x, z_known) = -exp(-x).
+the cross-ratio rule for the shear x along the leaf: crossing the side (u, w)
+of a placed plaque with third corner t, the new vertex solves
+z(u, z_new, w, t) = -exp(-x).
 
 Convention notes (load-bearing, referenced throughout):
 
-1. Placed corner cycles (0, 1, 2) are counterclockwise on the circle.
+1. Placed corner cycles (0, 1, 2) are counterclockwise on the circle, and
+   every table side is (c, c + 1 mod 3), so each crossed (u, w, t) is too.
+   This, not a run-time test, fixes each crossing and each leaf's sides.
 2. Walking a spike fan by always crossing the side that *ends* at the spike
    corner advances counterclockwise around the spike; the deck map of one
    full period is the inverse of the boundary holonomy induced by the pants
@@ -46,10 +48,13 @@ Convention notes (load-bearing, referenced throughout):
 
 Checks: the tables are constant data, built once at import for kind I and
 for kind II at each distinguished boundary, and the tests check them (each
-fan closes up after visiting every spike corner of its boundary once), so
+fan closes up after visiting every spike corner of its boundary once, and
+every placed plaque is counterclockwise), so
 nothing re-checks them at run time.  ``SurfaceSpec`` checks the gluing
 combinatorics, ``develop_pants`` every fact about one pants (shears are
 plain {leaf: value} dicts), and ``assemble_surface`` only what spans a curve.
+Every orientation test is a check that raises: the base triangle, each
+leaf's side vertices (the guard of convention 1) and every fan plaque's side.
 """
 from __future__ import annotations
 
@@ -315,33 +320,23 @@ class Placed:
     pts: tuple
 
 
-def _solve_across(e1: ProjPoint, e2: ProjPoint, known: ProjPoint, shear: float) -> ProjPoint:
-    """New vertex across the edge (e1, e2) from `known`, at the given shear."""
-    if orientation(e1, known, e2) > 0:
-        x, y = e1, e2
-    else:
-        x, y = e2, e1
-    r = -math.exp(-float(shear))
-    new = fourth_point(y, x, known, r)
-    if wedge(new, e1) == 0 or wedge(new, e2) == 0:
-        raise AssemblyError("developed vertex collapsed onto the crossed edge")
-    return new
-
-
 def _cross(tables: LaminationTables, placed: Placed, side: tuple[int, int],
            s: dict) -> Placed:
+    """The lift across the given side of a placed plaque.  Its corners
+    (u, w, third) run counterclockwise (convention 1), so the new vertex
+    solves z(u, new, w, third) = -exp(-shear) with no orientation test."""
     u, w = side
     leaf, which = tables.side_leaf[(placed.tri, side)]
     other = tables.leaf_sides[leaf][1 - which]
     uo, wo = other.corners
-    third = 3 - u - w
-    third_o = 3 - uo - wo
-    new_vertex = _solve_across(placed.pts[u], placed.pts[w], placed.pts[third],
-                               s[leaf])
+    p_u, p_w = placed.pts[u], placed.pts[w]
+    new_vertex = fourth_point(p_u, p_w, placed.pts[3 - u - w], -math.exp(-s[leaf]))
+    if wedge(new_vertex, p_u) == 0 or wedge(new_vertex, p_w) == 0:
+        raise AssemblyError(f"leaf {leaf}: developed vertex collapsed onto the crossed edge")
     pts = [None, None, None]
-    pts[wo] = placed.pts[u]
-    pts[uo] = placed.pts[w]
-    pts[third_o] = new_vertex
+    pts[wo] = p_u
+    pts[uo] = p_w
+    pts[3 - uo - wo] = new_vertex
     return Placed(other.tri, tuple(pts))
 
 
@@ -390,8 +385,9 @@ def develop_pants(lam: PantsLamination, shears: dict,
     boundary holonomies as the deck maps of the fans.
 
     Every fact about one pants is checked here, once: the shear keys and
-    range (the error shows the signed spiral sums), each leaf's side
-    vertices, each boundary's hyperbolic holonomy of length |spiral sum|,
+    range (the error shows the signed spiral sums), that no crossing
+    collapses and each leaf's side vertices lie on its two sides (both name
+    the leaf), each boundary's hyperbolic holonomy of length |spiral sum|,
     and, on every fan plaque, that its trailing (short-arc) vertex v lies on
     the pants' side of the axis, orientation(rep, v, att) < 0; that error
     names the boundary slot and the triangle.
@@ -411,16 +407,14 @@ def develop_pants(lam: PantsLamination, shears: dict,
         plaque = triangles[side_a.tri]
         neighbor = _cross(tables, plaque, side_a.corners, s)
         u, w = side_a.corners
-        end_pts = (plaque.pts[u], plaque.pts[w])   # end0, end1
-        fwd = lam.forward_end(leaf)
-        x, y = end_pts[fwd], end_pts[1 - fwd]
-        s_a = plaque.pts[3 - u - w]
         ou, ow = side_b.corners
-        s_b = neighbor.pts[3 - ou - ow]
-        if orientation(x, s_a, y) > 0:
-            zl, zr = s_a, s_b
+        s_a, s_b = plaque.pts[3 - u - w], neighbor.pts[3 - ou - ow]
+        # convention 1: (u, w, s_a) is counterclockwise, so s_a is on the
+        # left of the leaf exactly when its forward end is end1 (at w)
+        if lam.forward_end(leaf):
+            x, y, zl, zr = plaque.pts[w], plaque.pts[u], s_a, s_b
         else:
-            zl, zr = s_b, s_a
+            x, y, zl, zr = plaque.pts[u], plaque.pts[w], s_b, s_a
         if orientation(x, zl, y) <= 0 or orientation(x, zr, y) >= 0:
             raise AssemblyError(f"leaf {leaf}: side vertices not separated by the leaf")
         quadruples[leaf] = LeafQuadruple(x=x, y=y, zl=zl, zr=zr)
@@ -489,21 +483,21 @@ class SurfaceSpec:
         used = {}
         for cid, ends in self.curves.items():
             if len(ends) != 2:
-                raise SurfaceSpecError(f"curve {cid} must have exactly two ends")
+                raise SurfaceSpecError(f"curve {cid!r} must have exactly two ends")
             for pid, slot in ends:
                 if pid not in self.pants:
-                    raise SurfaceSpecError(f"curve {cid} references unknown pants {pid!r}")
+                    raise SurfaceSpecError(f"curve {cid!r} references unknown pants {pid!r}")
                 if slot not in SLOTS:
-                    raise SurfaceSpecError(f"curve {cid} references slot {slot!r}")
+                    raise SurfaceSpecError(f"curve {cid!r} references slot {slot!r}")
                 if (pid, slot) in used:
                     raise SurfaceSpecError(
-                        f"pants boundary ({pid}, {slot}) glued by both "
-                        f"{used[(pid, slot)]} and {cid}")
+                        f"pants boundary ({pid!r}, {slot}) glued by both "
+                        f"{used[(pid, slot)]!r} and {cid!r}")
                 used[(pid, slot)] = cid
         for pid in self.pants:
             for slot in SLOTS:
                 if (pid, slot) not in used:
-                    raise SurfaceSpecError(f"pants boundary ({pid}, {slot}) is unglued")
+                    raise SurfaceSpecError(f"pants boundary ({pid!r}, {slot}) is unglued")
 
     def side(self, curve_id: str, side: str) -> tuple:
         """(pants_id, slot) of the named side of a curve: left is its first end."""
@@ -567,20 +561,20 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
         try:
             developed[pid] = develop_pants(lam, shears[pid], base_points=base_points.get(pid))
         except (LaminationError, AssemblyError) as exc:
-            raise type(exc)(f"pants {pid}: {exc}") from exc
+            raise type(exc)(f"pants {pid!r}: {exc}") from exc
     charts = {}
     for cid, ((pid_l, slot_l), (pid_r, slot_r)) in spec.curves.items():
         len_l = developed[pid_l].fans[slot_l].length
         len_r = developed[pid_r].fans[slot_r].length
         if abs(len_l - len_r) > _LENGTH_MATCH_RTOL * max(1.0, len_l):
             raise AssemblyError(
-                f"curve {cid}: boundary lengths differ across the gluing "
+                f"curve {cid!r}: boundary lengths differ across the gluing "
                 f"({len_l:.17g} left vs {len_r:.17g} right)")
         t = float(twists.get(cid, 0.0))
         e = math.exp(-2.0 * abs(t))   # zl = [-1 : e] for t > 0, [-e : 1] otherwise
         if not e > 0.0:
             raise AssemblyError(
-                f"curve {cid}: twist {t:.17g} puts zl = -exp(2t) at "
+                f"curve {cid!r}: twist {t:.17g} puts zl = -exp(2t) at "
                 f"{'0' if t < 0 else 'infinity'} in double precision")
         charts[cid] = CurveChart(
             length=len_l, twist=t,

@@ -4,9 +4,10 @@ All randomness flows through ``random.Random(seed)`` (Python's Mersenne
 Twister), drawing only integers via ``randint``; reports are therefore
 reproducible bit for bit from (suite, parameters, seed).
 
-Exact-mode suites assert identities with rational arithmetic and report the
-number of failing cases (the worst deviation is then 0 or 1); float-mode
-suites report the worst absolute deviation against the stated tolerance.
+Exact-mode suites assert identities with rational arithmetic (the worst
+deviation is then 0 or 1); float-mode suites report the worst absolute
+deviation against the stated tolerance.  Every report lists its first 20
+failing cases, then "..." if there are more, on stdout and in its JSON.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class SuiteReport:
         if self.sign_mismatches is not None:
             head += f" sign_mismatches={self.sign_mismatches} (informational)"
         out = [head]
-        out.extend(f"    {f}" for f in self.failures[:20])
+        out.extend(f"    {f}" for f in self.failures)
         return out
 
     def to_json_dict(self):

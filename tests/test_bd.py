@@ -315,7 +315,7 @@ def test_twist_off_target_is_unreachable(cid, gluing, monkeypatch):
     residual = 2e-6 * math.exp(-gluing) / max(1.0, math.exp(-gluing))
     with pytest.raises(bd.UnreachableTwistError) as info:
         bd.realize_slice(sp, genus2_spec())
-    match = re.fullmatch(rf"curve {cid}: twist solve residual (\S+) \(relative\) "
+    match = re.fullmatch(rf"curve {cid!r}: twist solve residual (\S+) \(relative\) "
                          rf"above 1e-09 at gluing {gluing!r}", str(info.value))
     assert match, str(info.value)
     assert float(match[1]) == pytest.approx(residual, rel=5e-3)

@@ -272,6 +272,45 @@ def test_bad_id_or_lamination_field_is_named_and_exits_2(command, source, set_fi
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, source", [
+    pytest.param("invariants", SURFACE, id="invariants"),
+    pytest.param("realize", SLICE, id="realize"),
+])
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["curves"][0].update(ends=[["P0"], ["P1", 1]]),
+                 "curve 'C1' ends must be a list of [pants id, slot] pairs, "
+                 "got [['P0'], ['P1', 1]]", id="short-end"),
+    pytest.param(lambda d: d["curves"][0].update(ends="P0"),
+                 "curve 'C1' ends must be a list of [pants id, slot] pairs, got 'P0'",
+                 id="ends-string"),
+    pytest.param(lambda d: d["curves"][0].pop("ends"), "curve 'C1' has no 'ends'",
+                 id="no-ends"),
+    pytest.param(lambda d: d["curves"].__setitem__(1, "C2"),
+                 "curve entry 1 must be a JSON object, got 'C2'", id="curve-string"),
+    pytest.param(lambda d: d["curves"][0].pop("id"), "curve entry 0 has no 'id'",
+                 id="no-curve-id"),
+    pytest.param(lambda d: d["pants"][0].pop("type"), "pants 'P0' has no 'type'",
+                 id="no-type"),
+    pytest.param(lambda d: d["pants"].__setitem__(0, "P0"),
+                 "pants entry 0 must be a JSON object, got 'P0'", id="pants-string"),
+    pytest.param(lambda d: d["pants"][1].pop("id"), "pants entry 1 has no 'id'",
+                 id="no-pants-id"),
+    pytest.param(lambda d: d.pop("curves"), "surface data has no 'curves'", id="no-curves"),
+])
+def test_malformed_entry_is_named_and_exits_2(command, source, edit, message, tmp_path,
+                                              capsys):
+    # a pants or curve entry of the wrong shape, or without a required key,
+    # is named with the field, not reported as a bare index or key error
+    bad = json.loads(open(source).read())
+    edit(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command, source, section, key", [
     pytest.param("invariants", SURFACE, "twists", "CX", id="invariants-twists"),
     pytest.param("invariants", SURFACE, "shears", "PX", id="invariants-shears"),
@@ -370,25 +409,25 @@ def test_section_value_that_is_not_finite_exits_2(command, source, section, pant
 
 @pytest.mark.parametrize("command, source, section, value, message", [
     pytest.param("invariants", SURFACE, "twists", 800.0,
-                 "curve C1: twist 800 puts zl = -exp(2t) at infinity in double precision",
+                 "curve 'C1': twist 800 puts zl = -exp(2t) at infinity in double precision",
                  id="twist-zl-infinity"),
     pytest.param("invariants", SURFACE, "twists", -800.0,
-                 "curve C1: twist -800 puts zl = -exp(2t) at 0 in double precision",
+                 "curve 'C1': twist -800 puts zl = -exp(2t) at 0 in double precision",
                  id="twist-zl-zero"),
     pytest.param("invariants", SURFACE, "twists", 360.0,
-                 "double ratio D_1 at curve C1 is outside the double range: its log is 720 "
+                 "double ratio D_1 at curve 'C1' is outside the double range: its log is 720 "
                  "at n = 3", id="twist-ratio-overflow"),
     pytest.param("invariants", SURFACE, "twists", -360.0,
-                 "double ratio D_1 at curve C1 is outside the double range: its log is -720 "
+                 "double ratio D_1 at curve 'C1' is outside the double range: its log is -720 "
                  "at n = 3", id="twist-ratio-subnormal"),
     pytest.param("realize", SLICE, "gluing", -800.0,
-                 "curve C1: twist -400 puts zl = -exp(2t) at 0 in double precision",
+                 "curve 'C1': twist -400 puts zl = -exp(2t) at 0 in double precision",
                  id="gluing-zl-zero"),
     pytest.param("realize", SLICE, "gluing", 1600.0,
-                 "curve C1: twist 800 puts zl = -exp(2t) at infinity in double precision",
+                 "curve 'C1': twist 800 puts zl = -exp(2t) at infinity in double precision",
                  id="gluing-zl-infinity"),
     pytest.param("realize", SLICE, "gluing", -720.0,
-                 "curve C1: twist solve residual inf (relative) above 1e-09 at gluing -720.0",
+                 "curve 'C1': twist solve residual inf (relative) above 1e-09 at gluing -720.0",
                  id="gluing-residual-overflow"),
 ])
 def test_huge_twist_or_gluing_is_a_named_error(command, source, section, value, message,
@@ -461,7 +500,7 @@ def test_realize_rejects_length_mismatch(tmp_path, capsys):
     assert main(["realize", "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "curve C1: boundary lengths differ" in err
+    assert "curve 'C1': boundary lengths differ" in err
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -484,6 +523,19 @@ def test_float_suite_breakdown_is_a_failed_case(suite, n, cases, ratio, tmp_path
     assert any(f.startswith("case ") and f.endswith(f"vanishing wedge factor in {ratio} at n = {n}")
                for f in report["failures"])
     assert report["failures"][20:] in ([], ["..."])
+
+
+def test_verify_prints_every_stored_failure_line(tmp_path, capsys):
+    # 40 samples at n = 9 fail more than 20 cases: stdout lists what the
+    # report keeps, 20 messages and one "...", line for line as its JSON
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "triple-ratio", "--float", "--n", "9",
+                 "--samples", "40", "--out", str(out)]) == 1
+    head, *lines = capsys.readouterr().out.splitlines()
+    (report,) = json.loads(out.read_text())
+    assert head.startswith("[FAIL] triple-ratio ")
+    assert len(report["failures"]) == 21 and report["failures"][-1] == "..."
+    assert lines == [f"    {f}" for f in report["failures"]]
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -595,7 +647,7 @@ def test_unknown_leaf_key_names_the_pants(command, source, tmp_path, capsys):
     assert main([command, "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == (
-        "error: pants P0: shears keyed ['B13', 'B21', 'B23'], "
+        "error: pants 'P0': shears keyed ['B13', 'B21', 'B23'], "
         "lamination has leaves ['B12', 'B13', 'B23']\n")
     assert list(tmp_path.iterdir()) == [path]
 
@@ -607,7 +659,7 @@ def test_unreachable_twist_exits_2(monkeypatch, tmp_path, capsys):
     assert main(["realize", "--input", SLICE, "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: curve C2: twist solve residual 9\.93e-07 \(relative\) "
+    assert re.fullmatch(r"error: curve 'C2': twist solve residual 9\.93e-07 \(relative\) "
                         r"above 1e-09 at gluing 0\.7\n", err), err
     assert list(tmp_path.iterdir()) == []
 
@@ -620,6 +672,6 @@ def test_plaque_on_the_wrong_side_of_its_axis_exits_2(monkeypatch, tmp_path, cap
     assert main(["invariants", "--input", SURFACE, "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == (
-        "error: pants P0: boundary 1: the short-arc vertex of triangle 0 "
+        "error: pants 'P0': boundary 1: the short-arc vertex of triangle 0 "
         "developed on the wrong side of the axis\n")
     assert list(tmp_path.iterdir()) == []

@@ -1,11 +1,13 @@
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcoords import bd, surfaces
-from bdcoords.halfplane import ProjPoint, axis_data, shear_from_quadruple
+from bdcoords.cli import main
+from bdcoords.halfplane import ProjPoint, axis_data, orientation, shear_from_quadruple
 from bdcoords.surfaces import (SLOTS, AssemblyError, LaminationError,
                                PantsLamination, SurfaceSpec,
                                SurfaceSpecError, assemble_surface,
@@ -13,6 +15,8 @@ from bdcoords.surfaces import (SLOTS, AssemblyError, LaminationError,
                                genus2_spec, solve_twist, validate_shears)
 from bdcoords.verification import (lamination_variants, sample_genus2,
                                    sample_valid_shears)
+
+SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data", "genus2_surface.json")
 
 
 def lam_I(s1=1, s2=1, s3=1):
@@ -242,7 +246,7 @@ def test_spec_detects_double_gluing():
         "C2": (("P0", 2), ("P1", 2)),
         "C3": (("P0", 2), ("P1", 3)),
     }
-    with pytest.raises(SurfaceSpecError, match=r"\(P0, 2\) glued by both"):
+    with pytest.raises(SurfaceSpecError, match=r"\('P0', 2\) glued by both 'C2' and 'C3'"):
         SurfaceSpec(genus=2, pants=pants, curves=curves)
 
 
@@ -289,7 +293,7 @@ def test_assembly_names_pants_out_of_range():
     shears = {"P0": {"B12": 1.0, "B13": 1.0, "B23": 1.0},
               "P1": {"B12": -1.0, "B13": -1.0, "B23": 1.0}}
     with pytest.raises(LaminationError,
-                       match=r"^pants P1: .*got sums \{1: -2\.0, 2: 0\.0, 3: 0\.0\}$"):
+                       match=r"^pants 'P1': .*got sums \{1: -2\.0, 2: 0\.0, 3: 0\.0\}$"):
         assemble_surface(spec, shears, {})
 
 
@@ -354,7 +358,7 @@ def test_charts_are_closed_form():
 ])
 def test_twist_beyond_double_range_names_the_curve(twist, where):
     with pytest.raises(AssemblyError,
-                       match=rf"^curve C2: twist {twist:.17g} puts zl = -exp\(2t\) "
+                       match=rf"^curve 'C2': twist {twist:.17g} puts zl = -exp\(2t\) "
                              rf"at {where} in double precision$"):
         _simple_assembly({"C2": twist})
 
@@ -419,7 +423,7 @@ def test_plaque_on_the_wrong_side_of_its_axis_names_pants_boundary_and_triangle(
     axis = surfaces.axis_data
     monkeypatch.setattr(surfaces, "axis_data", lambda m: (lambda a, r, l: (r, a, l))(*axis(m)))
     with pytest.raises(AssemblyError,
-                       match=r"^pants P0: boundary 1: the short-arc vertex of triangle 0 "
+                       match=r"^pants 'P0': boundary 1: the short-arc vertex of triangle 0 "
                              r"developed on the wrong side of the axis$"):
         _simple_assembly()
     lam = lam_II(2)
@@ -447,6 +451,60 @@ def test_side_check_reads_every_fan_plaque(monkeypatch):
         checked.clear()
         develop_pants(lam, sample_valid_shears(rng, lam, hi=4.0))
         assert len(checked) == sum(len(fan_cycle(lam, slot)) for slot in (1, 2, 3))
+
+
+# -- convention 1: every placed plaque runs counterclockwise --------------------
+
+def test_every_crossed_plaque_is_counterclockwise(monkeypatch):
+    # _cross solves the new vertex with no orientation test, and develop_pants
+    # reads each leaf's sides off its forward end, both on this fact; every
+    # table side (u, w) is (c, c + 1 mod 3), so (u, w, third) is a rotation
+    for tables in surfaces._TABLES.values():
+        assert all(w == (u + 1) % 3 for _, (u, w) in tables.side_leaf)
+    cross = surfaces._cross
+    placed = []
+
+    def recording(*args):
+        placed.append(cross(*args))
+        return placed[-1]
+    monkeypatch.setattr(surfaces, "_cross", recording)
+    rng = random.Random(19)
+    expected = 0
+    for lam in lamination_variants():
+        crossings = 1 + len(lam.leaves()) + sum(len(fan_cycle(lam, slot)) for slot in SLOTS)
+        for _ in range(30):
+            develop_pants(lam, sample_valid_shears(rng, lam, hi=4.0))
+            expected += crossings
+    assert len(placed) == expected
+    assert all(orientation(*plaque.pts) > 0 for plaque in placed)
+
+
+def test_collapsed_vertex_is_a_named_error(monkeypatch, tmp_path, capsys):
+    # a new vertex on the crossed edge's end u; the first crossing is
+    # triangle 0's side (0, 1), on leaf B12 of a kind I pants
+    monkeypatch.setattr(surfaces, "fourth_point", lambda a, c, d, r: a)
+    with pytest.raises(AssemblyError,
+                       match=r"^leaf B12: developed vertex collapsed onto the crossed edge$"):
+        develop_pants(lam_I(), shears_I(0.8, 0.6, 1.1))
+    assert main(["invariants", "--input", SURFACE, "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: pants 'P0': leaf B12: developed vertex collapsed onto the crossed edge\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_side_vertices_on_one_side_of_a_leaf_are_a_named_error(monkeypatch, tmp_path, capsys):
+    # a new vertex at the plaque's third corner puts both side vertices of
+    # B12, the first leaf, on one side of it; no collapse check fires
+    monkeypatch.setattr(surfaces, "fourth_point", lambda a, c, d, r: d)
+    with pytest.raises(AssemblyError,
+                       match=r"^leaf B12: side vertices not separated by the leaf$"):
+        develop_pants(lam_I(), shears_I(0.8, 0.6, 1.1))
+    assert main(["invariants", "--input", SURFACE, "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: pants 'P0': leaf B12: side vertices not separated by the leaf\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # counterclockwise base triangles: three increasing reals, or two and infinity
