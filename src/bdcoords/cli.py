@@ -10,7 +10,8 @@ Three subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input error.  Reports are
 deterministic functions of (arguments, input files): floats are printed with
 17 significant digits and the only randomness is Python's Mersenne Twister
-seeded from --seed.
+seeded from --seed.  Each JSON report is one line of compact JSON with sorted
+keys.
 """
 from __future__ import annotations
 
@@ -63,62 +64,66 @@ def _slot_key(field: str, key: str) -> int:
 
 def _required(name: str, entry, key: str):
     """A required field of a JSON object of the surface data."""
-    if key not in _json_object(name, entry):
+    if key not in _json_typed(name, entry, dict):
         raise SurfaceSpecError(f"{name} has no {key!r}")
     return entry[key]
 
 
 def spec_from_dict(data: dict):
     """Parse {genus, pants, curves} (+ shears/twists/gluing) from JSON data."""
-    try:
-        genus = _integer("genus", _required("surface data", data, "genus"))
-        pants = {}
-        for index, entry in enumerate(_required("surface data", data, "pants")):
-            pid = _string("pants id", _required(f"pants entry {index}", entry, "id"))
-            dist = entry.get("distinguished")
-            signs = _json_object(f"spiral_signs of pants {pid!r}",
-                                 entry.get("spiral_signs", {str(s): 1 for s in SLOTS}))
-            orient = _json_object(f"leaf_orientations of pants {pid!r}",
-                                  entry.get("leaf_orientations", {}))
-            try:
-                lam = PantsLamination(
-                    kind=_required(f"pants {pid!r}", entry, "type"),
-                    spiral_signs={
-                        _slot_key(f"pants {pid!r} spiral_signs key", k):
-                            _integer(f"pants {pid!r} spiral sign {k}", v)
-                        for k, v in signs.items()},
-                    leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
-                                       for k, v in orient.items()},
-                    distinguished=None if dist is None else _integer(
-                        f"pants {pid!r} distinguished", dist))
-            except LaminationError as exc:
-                raise LaminationError(f"pants {pid!r}: {exc}") from exc
-            if pid in pants:
-                raise SurfaceSpecError(f"duplicate pants id {pid!r}")
-            pants[pid] = lam
-        curves = {}
-        for index, entry in enumerate(_required("surface data", data, "curves")):
-            cid = _string("curve id", _required(f"curve entry {index}", entry, "id"))
-            ends = _required(f"curve {cid!r}", entry, "ends")
-            if not isinstance(ends, list) or any(not isinstance(e, list) or len(e) != 2
-                                                 for e in ends):
-                raise SurfaceSpecError(f"curve {cid!r} ends must be a list of "
-                                       f"[pants id, slot] pairs, got {ends!r}")
-            ends = tuple((_string(f"curve {cid!r} pants id", pid),
-                          _integer(f"curve {cid!r} slot", slot)) for pid, slot in ends)
-            if cid in curves:
-                raise SurfaceSpecError(f"duplicate curve id {cid!r}")
-            curves[cid] = ends
-        spec = SurfaceSpec(genus=genus, pants=pants, curves=curves)
-    except TypeError as exc:   # "pants" or "curves" is not a JSON array
-        raise SurfaceSpecError(f"malformed surface data: {exc}")
-    return spec
+    genus = _integer("genus", _required("surface data", data, "genus"))
+    pants = {}
+    for index, entry in enumerate(
+            _json_typed("pants", _required("surface data", data, "pants"), list)):
+        pid = _string("pants id", _required(f"pants entry {index}", entry, "id"))
+        dist = entry.get("distinguished")
+        signs = _json_typed(f"spiral_signs of pants {pid!r}",
+                            entry.get("spiral_signs", {str(s): 1 for s in SLOTS}), dict)
+        orient = _json_typed(f"leaf_orientations of pants {pid!r}",
+                             entry.get("leaf_orientations", {}), dict)
+        try:
+            lam = PantsLamination(
+                kind=_required(f"pants {pid!r}", entry, "type"),
+                spiral_signs={
+                    _slot_key(f"pants {pid!r} spiral_signs key", k):
+                        _integer(f"pants {pid!r} spiral sign {k}", v)
+                    for k, v in signs.items()},
+                leaf_orientations={k: _integer(f"pants {pid!r} orientation of {k}", v)
+                                   for k, v in orient.items()},
+                distinguished=None if dist is None else _integer(
+                    f"pants {pid!r} distinguished", dist))
+        except LaminationError as exc:
+            raise LaminationError(f"pants {pid!r}: {exc}") from exc
+        if pid in pants:
+            raise SurfaceSpecError(f"duplicate pants id {pid!r}")
+        pants[pid] = lam
+    curves = {}
+    for index, entry in enumerate(
+            _json_typed("curves", _required("surface data", data, "curves"), list)):
+        cid = _string("curve id", _required(f"curve entry {index}", entry, "id"))
+        ends = _required(f"curve {cid!r}", entry, "ends")
+        if not isinstance(ends, list) or any(not isinstance(e, list) or len(e) != 2
+                                             for e in ends):
+            raise SurfaceSpecError(f"curve {cid!r} ends must be a list of "
+                                   f"[pants id, slot] pairs, got {ends!r}")
+        ends = tuple((_string(f"curve {cid!r} pants id", pid),
+                      _integer(f"curve {cid!r} slot", slot)) for pid, slot in ends)
+        if cid in curves:
+            raise SurfaceSpecError(f"duplicate curve id {cid!r}")
+        curves[cid] = ends
+    return SurfaceSpec(genus=genus, pants=pants, curves=curves)
 
 
-def _json_object(section: str, data) -> dict:
-    """An input section, checked to be a JSON object."""
-    if not isinstance(data, dict):
-        raise SurfaceSpecError(f"{section} must be a JSON object, got {data!r}")
+_CONTAINERS = {dict: "a JSON object", list: "a JSON array"}
+
+
+def _json_typed(section: str, data, kind: type):
+    """An input section, checked to be a JSON object (``kind`` dict) or a JSON
+    array (``kind`` list).  A wrong scalar is echoed; a wrong object or array
+    is named by its type, since it can be a whole section or the whole file."""
+    if not isinstance(data, kind):
+        found = _CONTAINERS.get(type(data)) or repr(data)
+        raise SurfaceSpecError(f"{section} must be {_CONTAINERS[kind]}, got {found}")
     return data
 
 
@@ -126,7 +131,7 @@ def _known_ids(section: str, data, known, kind: str) -> dict:
     """An input section keyed by object id, checked to be a JSON object that
     names only objects of the surface (``known``, the pants or the curves of
     the spec)."""
-    _json_object(section, data)
+    _json_typed(section, data, dict)
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise SurfaceSpecError(
@@ -158,7 +163,7 @@ def shears_section(spec: SurfaceSpec, data) -> dict:
     for pid in spec.pants:
         if pid not in data:
             raise SurfaceSpecError(f"missing shears for pants {pid!r}")
-        _json_object(f"shears of pants {pid!r}", data[pid])
+        _json_typed(f"shears of pants {pid!r}", data[pid], dict)
     return {pid: _numbers(f"shears of pants {pid!r}", data[pid]) for pid in spec.pants}
 
 
@@ -187,8 +192,10 @@ def spec_to_dict(spec: SurfaceSpec) -> dict:
 
 
 def _dump_json(data, path: str):
+    """Write a report as one line of compact JSON with sorted keys.  Only the
+    one-shot ``json.dumps`` without ``indent`` runs the C encoder."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 def _write_csv(vec: bd.BDVector, path: str):

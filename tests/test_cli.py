@@ -296,11 +296,18 @@ def test_bad_id_or_lamination_field_is_named_and_exits_2(command, source, set_fi
     pytest.param(lambda d: d["pants"][1].pop("id"), "pants entry 1 has no 'id'",
                  id="no-pants-id"),
     pytest.param(lambda d: d.pop("curves"), "surface data has no 'curves'", id="no-curves"),
+    pytest.param(lambda d: d.update(pants={p["id"]: p for p in d["pants"]}),
+                 "pants must be a JSON array, got a JSON object", id="pants-object"),
+    pytest.param(lambda d: d.update(curves="C1"), "curves must be a JSON array, got 'C1'",
+                 id="curves-string"),
+    pytest.param(lambda d: d.update(pants=5), "pants must be a JSON array, got 5",
+                 id="pants-number"),
 ])
 def test_malformed_entry_is_named_and_exits_2(command, source, edit, message, tmp_path,
                                               capsys):
     # a pants or curve entry of the wrong shape, or without a required key,
-    # is named with the field, not reported as a bare index or key error
+    # is named with the field, not reported as a bare index or key error; a
+    # "pants" or "curves" section that is not an array is never iterated
     bad = json.loads(open(source).read())
     edit(bad)
     path = tmp_path / "bad.json"
@@ -308,6 +315,22 @@ def test_malformed_entry_is_named_and_exits_2(command, source, edit, message, tm
     assert main([command, "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command, source", [
+    pytest.param("invariants", SURFACE, id="invariants"),
+    pytest.param("realize", SLICE, id="realize"),
+])
+def test_surface_file_that_is_not_an_object_is_named_and_exits_2(command, source, tmp_path,
+                                                                 capsys):
+    # the error names the JSON type found rather than echoing the whole file
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([json.loads(open(source).read())]))
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == \
+        "error: surface data must be a JSON object, got a JSON array\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -357,7 +380,8 @@ def test_section_that_is_not_an_object_exits_2(command, source, keys, value, nam
     path.write_text(json.dumps(bad))
     assert main([command, "--input", str(path), "--n", "3",
                  "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == f"error: {name} must be a JSON object, got {value!r}\n"
+    found = "a JSON array" if isinstance(value, list) else repr(value)
+    assert capsys.readouterr().err == f"error: {name} must be a JSON object, got {found}\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -544,6 +568,18 @@ def test_outputs_are_deterministic(tmp_path):
         assert main(["realize", "--input", SLICE, "--n", "3", "--out", prefix]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_reports_are_one_line_of_sorted_compact_json(tmp_path):
+    outputs = [tmp_path / "verify.json", tmp_path / "inv.json", tmp_path / "real.json"]
+    assert main(["verify", "--suite", "all", "--samples", "2", "--max", "2",
+                 "--out", str(outputs[0])]) == 0
+    assert main(["invariants", "--input", SURFACE, "--n", "3",
+                 "--out", str(tmp_path / "inv")]) == 0
+    assert main(["realize", "--input", SLICE, "--n", "3", "--out", str(tmp_path / "real")]) == 0
+    for path in outputs:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_verify_reports_are_deterministic(tmp_path):
