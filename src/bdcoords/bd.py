@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import serialize_value
 from .flags import WedgeTable, WedgeTrie
@@ -154,8 +154,7 @@ class InvariantTable(WedgeTable):
         return self._log_ratio(*self.double_ratio(p), f"double ratio D_{p}")
 
 
-@dataclass(frozen=True)
-class BDVector:
+class BDVector(NamedTuple):
     """The full invariant tuple of a developed surface for one n.
 
     tau is keyed by (pants_id, triangle, (p, q, r)) with the triangle
@@ -279,8 +278,7 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     return lam.spiral_signs[slot] * total
 
 
-@dataclass(frozen=True)
-class ClosedLeafReport:
+class ClosedLeafReport(NamedTuple):
     """Per curve and index: spiral sums from both sides and the length."""
 
     n: int
@@ -365,8 +363,7 @@ def slice_membership(v: BDVector) -> bool:
 # the Fuchsian slice
 
 
-@dataclass(frozen=True)
-class SlicePoint:
+class SlicePoint(NamedTuple):
     """One shear per biinfinite leaf and one gluing value per curve."""
 
     shears: dict   # pants_id -> {leaf: float}

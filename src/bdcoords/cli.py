@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import math
 import sys
@@ -142,10 +141,12 @@ def _known_ids(section: str, data, known, kind: str) -> dict:
 
 def _numbers(section: str, data: dict) -> dict:
     """The values of an input section, each converted to a finite float
-    (``json`` reads NaN and Infinity as floats)."""
+    (``json`` reads NaN and Infinity as floats); a bool is an error."""
     out = {}
     for key, value in data.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError
             out[key] = float(value)
         except (TypeError, ValueError, OverflowError):
             raise SurfaceSpecError(
@@ -211,8 +212,10 @@ def _write_csv(vec: bd.BDVector, path: str):
 
 
 def _reads(suite: str):
-    """The options a suite reads: the parameters of its run (see ``SUITES``)."""
-    return inspect.signature(verification.SUITES[suite]).parameters
+    """The options a suite reads: the parameter names of its run (see
+    ``SUITES``), read off the code object so that ``inspect`` is not loaded."""
+    code = verification.SUITES[suite].__code__
+    return code.co_varnames[:code.co_argcount]
 
 
 def _settle_verify_options(args: argparse.Namespace) -> str | None:

@@ -59,7 +59,7 @@ leaf's side vertices (the guard of convention 1) and every fan plaque's side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .halfplane import (Mobius, ProjPoint, axis_data, cross_ratio, fourth_point,
                         mobius_to_standard, orientation, wedge)
@@ -96,8 +96,14 @@ def cyclic_pair(i: int) -> tuple[int, int]:
     return (i % 3) + 1, ((i + 1) % 3) + 1
 
 
-@dataclass(frozen=True)
-class PantsLamination:
+class _PantsLaminationFields(NamedTuple):
+    kind: str
+    spiral_signs: dict
+    leaf_orientations: dict
+    distinguished: int | None = None
+
+
+class PantsLamination(_PantsLaminationFields):
     """Lamination kind, spiraling signs per boundary, leaf orientations.
 
     ``spiral_signs[slot]`` is +1 for positive spiraling (the leaves wind
@@ -109,12 +115,13 @@ class PantsLamination:
     forward end (end0/end1 as in the side tables).
     """
 
-    kind: str
-    spiral_signs: dict
-    leaf_orientations: dict
-    distinguished: int | None = None
+    __slots__ = ()   # no instance dict: nothing can be set on a record
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        """Takes the fields as the named tuple does and returns the checked
+        record: a copy of the caller's spiral signs, and the leaf orientations
+        with the defaults filled in.  Unpickling runs these checks too."""
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("I", "II"):
             raise LaminationError(f"unknown lamination kind {self.kind!r}")
         if self.kind == "II":
@@ -138,8 +145,7 @@ class PantsLamination:
                     raise LaminationError(f"{leaf} orientation must be an end id 0 or 1")
             elif value not in ends:
                 raise LaminationError(f"{leaf} orientation must be one of {ends}")
-        object.__setattr__(self, "spiral_signs", signs)
-        object.__setattr__(self, "leaf_orientations", orient)
+        return super().__new__(cls, self.kind, signs, orient, self.distinguished)
 
     def _default_orientation(self, leaf: str):
         ends = self.leaf_end_slots(leaf)
@@ -161,14 +167,12 @@ class PantsLamination:
         return ends.index(value)
 
 
-@dataclass(frozen=True)
-class LeafSide:
+class LeafSide(NamedTuple):
     tri: int
     corners: tuple[int, int]  # (u, w), the boundary-walk direction in `tri`
 
 
-@dataclass(frozen=True)
-class LaminationTables:
+class LaminationTables(NamedTuple):
     corner_slot: dict        # (tri, corner) -> boundary slot
     leaf_sides: dict         # leaf -> (LeafSide A, LeafSide B), in leaf order
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
@@ -216,8 +220,7 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
                             to_tri1=to_tri1)
 
 
-@dataclass(frozen=True)
-class FanStep:
+class FanStep(NamedTuple):
     """One spike corner of a boundary fan and the leaf crossed leaving it."""
 
     tri: int
@@ -312,8 +315,7 @@ def boundary_lengths(lam: PantsLamination, shears: dict) -> dict:
 # developing
 
 
-@dataclass(frozen=True)
-class Placed:
+class Placed(NamedTuple):
     """A lift of one ideal triangle: its corners placed on the circle."""
 
     tri: int
@@ -340,8 +342,7 @@ def _cross(tables: LaminationTables, placed: Placed, side: tuple[int, int],
     return Placed(other.tri, tuple(pts))
 
 
-@dataclass(frozen=True)
-class FanData:
+class FanData(NamedTuple):
     """A developed boundary fan, checked by ``develop_pants`` (its length
     matches |shear_sum|, each plaque's short-arc vertex is on its side)."""
 
@@ -350,8 +351,7 @@ class FanData:
     shear_sum: float        # signed sum over the period's crossings
 
 
-@dataclass(frozen=True)
-class LeafQuadruple:
+class LeafQuadruple(NamedTuple):
     """Developed data of one biinfinite leaf: axis ends and side vertices.
 
     x is the forward endpoint of the oriented leaf, y the backward one;
@@ -364,8 +364,7 @@ class LeafQuadruple:
     zr: ProjPoint
 
 
-@dataclass(frozen=True)
-class DevelopedPants:
+class DevelopedPants(NamedTuple):
     lam: PantsLamination
     triangles: dict          # tri -> Placed (one lift of each triangle)
     leaf_quadruples: dict    # leaf -> LeafQuadruple
@@ -457,19 +456,24 @@ def develop_pants(lam: PantsLamination, shears: dict,
 # closed surfaces
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class _SurfaceSpecFields(NamedTuple):
+    genus: int
+    pants: dict              # pants_id -> PantsLamination
+    curves: dict             # curve_id -> ((pants_id, slot), (pants_id, slot))
+
+
+class SurfaceSpec(_SurfaceSpecFields):
     """A closed genus >= 2 surface glued from pairs of pants.
 
     ``curves`` maps each decomposing curve to its two ends,
     ((pants_id, slot), (pants_id, slot)), the left side first (convention 3).
     """
 
-    genus: int
-    pants: dict              # pants_id -> PantsLamination
-    curves: dict             # curve_id -> ((pants_id, slot), (pants_id, slot))
+    __slots__ = ()   # no instance dict: nothing can be set on a record
 
-    def __post_init__(self):
+    def __new__(cls, genus, pants, curves):
+        """The record, once the gluing combinatorics check out."""
+        self = super().__new__(cls, genus, pants, curves)
         if self.genus < 2:
             raise SurfaceSpecError("closed hyperbolic surfaces need genus >= 2")
         expected_pants = 2 * (self.genus - 1)
@@ -498,6 +502,7 @@ class SurfaceSpec:
             for slot in SLOTS:
                 if (pid, slot) not in used:
                     raise SurfaceSpecError(f"pants boundary ({pid!r}, {slot}) is unglued")
+        return self
 
     def side(self, curve_id: str, side: str) -> tuple:
         """(pants_id, slot) of the named side of a curve: left is its first end."""
@@ -506,8 +511,7 @@ class SurfaceSpec:
         return self.curves[curve_id][0 if side == "left" else 1]
 
 
-@dataclass(frozen=True)
-class CurveChart:
+class CurveChart(NamedTuple):
     """One decomposing curve in its normalized chart.
 
     The curve's axis is (0, oo) with the repelling point x at 0 and the
@@ -531,8 +535,7 @@ class CurveChart:
         return cross_ratio(self.y, self.zr, self.x, self.zl)
 
 
-@dataclass(frozen=True)
-class DevelopedSurface:
+class DevelopedSurface(NamedTuple):
     spec: SurfaceSpec
     pants: dict              # pants_id -> DevelopedPants
     curves: dict             # curve_id -> CurveChart

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flags import DegenerateFlagError, Flag, is_generic, triple_ratio, wedge_table
@@ -30,14 +29,16 @@ DEFAULT_SEED = 1
 GENUS2_RANKS = (3, 4, 5)   # the ranks of the genus2 and roundtrip suites
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    worst: float = 0.0
-    sign_mismatches: int | None = None
+    """The tally of one suite run, kept by its ``record`` calls."""
+
+    def __init__(self, suite: str, params: dict):
+        self.suite = suite
+        self.params = params
+        self.cases = 0
+        self.failures = []
+        self.worst = 0.0
+        self.sign_mismatches = None
 
     @property
     def passed(self) -> bool:

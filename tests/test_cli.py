@@ -393,6 +393,11 @@ def test_section_that_is_not_an_object_exits_2(command, source, keys, value, nam
     pytest.param("realize", SLICE, "shears", "P1", "B23", {"x": 1}, id="realize-shears"),
     pytest.param("realize", SLICE, "gluing", None, "C1", [1.0], id="realize-gluing"),
     pytest.param("realize", SLICE, "gluing", None, "C2", None, id="realize-gluing-null"),
+    # JSON true and false are not read as 1.0 and 0.0
+    pytest.param("invariants", SURFACE, "shears", "P1", "B13", True, id="invariants-shears-true"),
+    pytest.param("invariants", SURFACE, "twists", None, "C2", True, id="invariants-twists-true"),
+    pytest.param("realize", SLICE, "shears", "P0", "B12", True, id="realize-shears-true"),
+    pytest.param("realize", SLICE, "gluing", None, "C3", False, id="realize-gluing-false"),
 ])
 def test_section_value_that_is_not_a_number_exits_2(command, source, section, pants, key,
                                                     value, tmp_path, capsys):

@@ -3,7 +3,8 @@ none imports an underscore (module-private) name from another module of the
 package, the package imports nothing outside the standard library, each
 ratio formula of the flags module is written in one function only, and
 every function, class and method of the package is read by the package, a
-script or the benchmark, not by tests alone.
+script or the benchmark, not by tests alone.  Importing the package or its
+command line loads neither ``dataclasses`` nor ``inspect``.
 
 The package re-exports its public names from ``__init__.py``, so only the
 other modules are checked for unused and private imports; every module is
@@ -15,6 +16,8 @@ from the package when it is relative or names ``bdcoords``.
 import ast
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -327,3 +330,23 @@ def test_every_default_is_a_setting_some_caller_sets():
     assert [default for default in found if default not in UNPASSED_DEFAULTS] == []
     assert [default for default in found if default in UNPASSED_DEFAULTS] == sorted(
         UNPASSED_DEFAULTS)
+
+
+# modules that cost a real call their import time and that the package does
+# not need: ``dataclasses`` loads ``inspect``, which loads ``ast``, ``dis``
+# and ``tokenize``
+HEAVY_MODULES = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("module", ["bdcoords", "bdcoords.cli"])
+def test_import_loads_no_heavy_module(module):
+    # a fresh interpreter, so the modules this test run has loaded do not
+    # count; only what the import itself adds is checked
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"import {module}\n"
+            f"print(sorted(set({HEAVY_MODULES!r}) & (set(sys.modules) - before)))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
