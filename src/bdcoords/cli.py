@@ -140,15 +140,16 @@ def _known_ids(section: str, data, known, kind: str) -> dict:
 
 
 def _numbers(section: str, data: dict) -> dict:
-    """The values of an input section, each converted to a finite float
-    (``json`` reads NaN and Infinity as floats); a bool is an error."""
+    """The values of an input section, each a JSON number converted to a
+    finite float (``json`` reads NaN and Infinity as floats); a bool or a
+    string is an error."""
     out = {}
     for key, value in data.items():
         try:
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
             out[key] = float(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise SurfaceSpecError(
                 f"{section} entry {key!r} must be a number, got {value!r}") from None
         if not math.isfinite(out[key]):

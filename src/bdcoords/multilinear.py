@@ -63,6 +63,16 @@ def bareiss_append(steps, row):
     is the first free column where it is nonzero (column pivoting).  Returns
     the new step, or None when the row lies in the span of the rows above.
 
+    A step whose lead is 0 only scales the row by pivot / previous pivot,
+    and over a run of such steps the factors telescope to P / Q, the run's
+    last pivot over the pivot before it; so such a step only pops the lead.
+    The next step with a nonzero lead divides by Q instead of P, which
+    cancels the deferred factor exactly:
+    (x P/Q pivot - lead P/Q y) / P = (x pivot - lead y) / Q.  A run that
+    ends the row is applied once, as x P // Q.  The step returned is the
+    one the plain update gives.  Exact Veronese rows are upper triangular,
+    so a flag's own earlier rows always give zero leads.
+
     After n rows of length n the last pivot is the determinant with the
     columns taken in pivot order, so the determinant is that pivot times
     (-1) ** (sum of the indices).  A shared prefix of rows is reduced once
@@ -70,11 +80,14 @@ def bareiss_append(steps, row):
     isolated determinant.
     """
     r = list(row)
-    prev = 1
+    prev = pivot = 1   # prev: the divisor of the next step with a nonzero lead
     for index, pivot, rest in steps:
         lead = r.pop(index)
-        r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
-        prev = pivot
+        if lead:
+            r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
+            prev = pivot
+    if pivot != prev:   # a run of zero leads ends the row
+        r = [x * pivot // prev for x in r]
     for index, x in enumerate(r):
         if x:
             return index, x, r[:index] + r[index + 1:]

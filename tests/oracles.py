@@ -1,5 +1,6 @@
 """Independent oracles: deliberately naive implementations used only to
-cross-check the library (cofactor expansion instead of elimination, affine
+cross-check the library (cofactor expansion instead of elimination, the
+plain Bareiss update at every step of an append, affine
 cross ratios instead of projective ones, the symmetric-power representation
 as plain rows, a kernel of one-shot determinants in the other Veronese
 basis), and one-off invariant values read off a wedge kernel of their own."""
@@ -26,6 +27,22 @@ def cofactor_det(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def plain_bareiss_append(steps, row):
+    """``multilinear.bareiss_append`` with the plain update at every step,
+    zero leads included: the row is reduced by (x * pivot - lead * y) //
+    previous pivot through each step in turn."""
+    r = list(row)
+    prev = 1
+    for index, pivot, rest in steps:
+        lead = r.pop(index)
+        r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
+        prev = pivot
+    for index, x in enumerate(r):
+        if x:
+            return index, x, r[:index] + r[index + 1:]
+    return None
 
 
 def affine_cross_ratio(a, b, c, d):

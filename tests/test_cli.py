@@ -2,12 +2,14 @@ import importlib.util
 import inspect
 import json
 import os
+import pathlib
 import re
 import runpy
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bdcoords import bd, surfaces, verification
 from bdcoords.cli import main, spec_from_dict, spec_to_dict
@@ -398,6 +400,12 @@ def test_section_that_is_not_an_object_exits_2(command, source, keys, value, nam
     pytest.param("invariants", SURFACE, "twists", None, "C2", True, id="invariants-twists-true"),
     pytest.param("realize", SLICE, "shears", "P0", "B12", True, id="realize-shears-true"),
     pytest.param("realize", SLICE, "gluing", None, "C3", False, id="realize-gluing-false"),
+    # a JSON string is not read as the number it spells
+    pytest.param("invariants", SURFACE, "shears", "P0", "B23", "0.8",
+                 id="invariants-shears-string"),
+    pytest.param("invariants", SURFACE, "twists", None, "C1", "1", id="invariants-twists-string"),
+    pytest.param("realize", SLICE, "shears", "P0", "B12", "0.8", id="realize-shears-string"),
+    pytest.param("realize", SLICE, "gluing", None, "C1", " 0.3 ", id="realize-gluing-string"),
 ])
 def test_section_value_that_is_not_a_number_exits_2(command, source, section, pants, key,
                                                     value, tmp_path, capsys):
@@ -629,6 +637,55 @@ def genus2_specs(draw):
 def test_spec_dict_round_trip(spec):
     assert spec_from_dict(spec_to_dict(spec)) == spec
     assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+
+class _Deleted:
+    def __repr__(self):
+        return "<deleted>"
+
+
+DELETED = _Deleted()
+JSON_VALUES = (None, True, False, 0, 7, -2, 0.3, 1e308, -1e308, float("nan"), "P0", "0.8",
+               [], {}, DELETED)
+
+
+def field_paths(doc, path=()):
+    """The key path of every value inside a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+EXAMPLES = {"invariants": pathlib.Path(SURFACE).read_text(),
+            "realize": pathlib.Path(SLICE).read_text()}
+FIELDS = [(command, path) for command, text in EXAMPLES.items()
+          for path in field_paths(json.loads(text))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=st.sampled_from(JSON_VALUES))
+def test_any_one_field_of_an_example_input_exits_0_or_2(field, value):
+    # one property over field path x JSON value in place of more hand-listed
+    # cases: whatever one field holds, the command answers and never raises
+    command, path = field
+    data = json.loads(EXAMPLES[command])
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    if value is DELETED:
+        del entry[path[-1]]
+    else:
+        entry[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.json")
+        with open(bad, "w") as fh:
+            json.dump(data, fh)
+        assert main([command, "--input", bad, "--n", "3",
+                     "--out", os.path.join(tmp, "x")]) in (0, 2)
 
 
 def test_example_inputs_are_what_the_script_writes(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import bdcoords.flags as flags_module
 from bdcoords import bd
 from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
@@ -467,6 +468,36 @@ def test_float_table_ratios_are_the_det_raw_oracle(n):
             triple_ratio_by(float_det, *flags[:3], *pqr)
     for p in range(1, n):
         assert table.quotient(*table.double_ratio(p)) == double_ratio_by(float_det, *flags, p)
+
+
+def triple_levels(n):
+    """The level tuples that the triple ratios of one table read."""
+    return {levels for p, q, r in bd.triple_indices(n)
+            for levels in ((p + 1, q, r - 1), (p, q - 1, r + 1), (p - 1, q + 1, r),
+                           (p - 1, q, r + 1), (p, q + 1, r - 1), (p + 1, q - 1, r))}
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+def test_a_table_computes_each_entry_once(mode, monkeypatch):
+    n = 8
+    pts = sample_points(random.Random(48), 3, min_separation=0.2)
+    calls = []
+    if mode == "exact":
+        table = bd.WedgeKernel(n).table(pts, "in a test")
+        trie_wedge = table.trie.wedge
+        monkeypatch.setattr(table.trie, "wedge",
+                            lambda blocks: calls.append(blocks) or trie_wedge(blocks))
+    else:
+        table = wedge_table([veronese_flag(p.to_float(), n) for p in pts], "in a test")
+        float_wedge = flags_module._float_wedge
+        monkeypatch.setattr(flags_module, "_float_wedge",
+                            lambda rows: calls.append(rows) or float_wedge(rows))
+    for _ in range(2):
+        for pqr in bd.triple_indices(n):
+            table.triple_ratio(*pqr)
+    # 126 reads per pass, one computation per distinct level tuple
+    assert len(calls) == len(triple_levels(n)) == 42
+    assert len({str(blocks) for blocks in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("mode", ("exact", "float"))

@@ -13,7 +13,8 @@ from bdcoords.multilinear import (band_det_bruteforce, band_det_formula, band_ma
                                   bareiss_append, compare_band, compare_rhombus, det_int,
                                   det_raw, ext_binomial, rhombus_det_bruteforce,
                                   rhombus_det_formula, rhombus_matrix)
-from oracles import cofactor_det, matmul
+from bdcoords.veronese import exact_flag_rows
+from oracles import cofactor_det, matmul, plain_bareiss_append
 
 
 # -- determinants -----------------------------------------------------------
@@ -111,10 +112,12 @@ def test_det_matches_cofactor_oracle_random():
 
 def appended_det(rows):
     """The determinant of square integer rows by appending them one at a
-    time, and the pivot index of every step taken."""
+    time, and the pivot index of every step taken.  Every step, or the None
+    of a dependent row, is the plain update's."""
     steps = []
     for row in rows:
         step = bareiss_append(steps, row)
+        assert step == plain_bareiss_append(steps, row)
         if step is None:
             return 0, [index for index, _, _ in steps]
         steps.append(step)
@@ -122,14 +125,38 @@ def appended_det(rows):
     return (-1) ** sum(indices) * steps[-1][1], indices
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+def append_cases(rng, n):
+    """Square integer rows whose appends take every kind of step."""
+    # dense and sparse random rows
+    cases = [[[rng.randint(-50, 50) if rng.random() < density else 0 for _ in range(n)]
+              for _ in range(n)] for density in (1.0, 0.5, 0.2) for _ in range(15)]
+    if n < 2:
+        return cases
+    # stacked triangular Veronese rows: a flag's own earlier rows give zero
+    # leads, from the first step (previous pivot 1) to the end of the row
+    points = [(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(2)] + [(0, 1), (1, 0)]
+    flags = [exact_flag_rows(a, b, n) for a, b in points]
+    for e, f, g in ((flags[0], flags[1], flags[2]), (flags[3], flags[0], flags[1])):
+        cases += [e[:i] + f[:j] + g[:n - i - j] for i in range(n + 1) for j in range(n + 1 - i)]
+    # a nonzero lead, then a run of zero leads that ends the row
+    e = flags[0]
+    for k in range(2, n):
+        cases.append(e[:k] + [[3 * x + (j >= k) * rng.randint(1, 9) for j, x in enumerate(e[0])]]
+                     + flags[1][:n - k - 1])
+    # dependent rows: a combination of the rows above, a repeated flag row
+    for _ in range(5):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        i = rng.randrange(1, n)
+        rows[i] = [2 * x - 3 * y for x, y in zip(rows[0], rows[i - 1])]
+        cases.append(rows)
+    cases.append(flags[0][:1] + flags[1][:n - 2] + flags[0][:1])
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_bareiss_append_matches_det_int(n):
-    rng = random.Random(40 + n)
-    for density in (1.0, 0.5, 0.2):
-        for _ in range(15):
-            rows = [[rng.randint(-50, 50) if rng.random() < density else 0
-                     for _ in range(n)] for _ in range(n)]
-            assert appended_det(rows)[0] == det_int(rows)
+    for rows in append_cases(random.Random(40 + n), n):
+        assert appended_det(rows)[0] == det_int(rows)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
