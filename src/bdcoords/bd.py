@@ -11,12 +11,12 @@ The invariants are exact at the developed points.  Each point, float or
 rational, is converted to integer homogeneous coordinates of the same value
 (a float is a dyadic rational), and the triangular integer Veronese flag
 rows (``veronese.exact_flag_rows``) are built once per distinct point of
-one computation.  Each triangle and each quadruple gets a
-``flags.WedgeTable`` of the stacked wedges its ratios need, and the ratio
-formulas are that table's.  All tables of one
-computation read their entries off one trie of integer Bareiss elimination
-states, so a stack of leading rows shared by many wedges is reduced once,
-and every entry is checked exactly nonzero.  On the default base chart
+one computation: the points are the ids of one ``flags.WedgeTrie`` of
+integer Bareiss elimination states (``veronese_trie``).  Each triangle and
+each quadruple gets a ``flags.WedgeTable`` of that trie, holding the
+stacked wedges its ratios need, and the ratio formulas are that table's.
+So a stack of leading rows shared by many wedges is reduced once, and
+every entry is checked exactly nonzero.  On the default base chart
 every table holds the flag at 0 (the base triangle is (0, 1, infinity) and
 each curve chart has its repelling point at 0): the trie reads a wedge
 through it off the last pivot of the other blocks, their leading minor, and
@@ -24,8 +24,8 @@ appends that flag's rows only when the other blocks pivoted out of order or
 are dependent.  Each ratio's sign is checked exactly, and only its final
 quotient is rounded and passed to the log.  The float genericity threshold
 of the flags module plays no part here, so a triangle invariant of a
-developed surface is exactly 0.  The kernel maps the points to integer rows
-and names the object in its errors.
+developed surface is exactly 0.  Every table and every log ratio
+(``log_triple_ratio``, ``log_double_ratio``) names its object in errors.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
@@ -38,7 +38,7 @@ hyperbolic structures, and ``realize_slice`` constructs the hyperbolic
 surface realizing any point of it.  In a curve chart the gluing invariant
 is exactly twice the curve's twist (``surfaces.CurveChart``), so a slice
 point is realized by one assembly at twist = gluing / 2; ``bd_vector``
-still reads every gluing invariant off the kernel's wedges at the chart's
+still reads every gluing invariant off the trie's wedges at the chart's
 four points.
 """
 from __future__ import annotations
@@ -76,7 +76,7 @@ def triple_indices(n: int):
 
 
 # ---------------------------------------------------------------------------
-# the exact wedge-table kernel
+# exact wedge tables of Veronese flags
 
 
 def _integer_point(pt: ProjPoint):
@@ -95,63 +95,46 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
-class WedgeKernel(WedgeTrie):
-    """Exact rank-n wedges of Veronese flags at boundary points.
-
-    The kernel is a :class:`~bdcoords.flags.WedgeTrie` whose flags are the
-    distinct points of one computation: each point gets its integer flag
-    rows once, and every table of the computation reads its wedges off this
-    one trie, so a prefix of rows shared by many wedges, in one table or
-    across tables, is reduced once.  The trie lives as long as the kernel,
-    and a kernel serves one computation: one :func:`bd_vector`, or one case
-    of the exact triple- and double-ratio suites of the verification module.
-    """
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        super().__init__(n)
-        self._points = {}              # integer point -> its key in the trie
-
-    def table(self, points, where: str) -> "InvariantTable":
-        """The wedge table of the flags at ``points``; ``where`` places it in
-        errors ("at pants P0 triangle 1")."""
-        keys = []
-        for pt in points:
-            key = _integer_point(pt)
-            if key not in self._points:
-                self._points[key] = self.add(exact_flag_rows(*key, self.n))
-            keys.append(self._points[key])
-        return InvariantTable(self, keys, where)
+def veronese_trie(n: int) -> WedgeTrie:
+    """The trie of the exact Veronese flags of one computation (one
+    :func:`bd_vector`, or one case of the exact identity suites), named by
+    their integer points (``_integer_point``), whose every table shares its
+    states."""
+    return WedgeTrie(n, lambda point: exact_flag_rows(*point, n))
 
 
-class InvariantTable(WedgeTable):
-    """A kernel's wedge table whose ratios go into invariants: each ratio's
-    sign is checked exactly, and the log taken of the correctly rounded
-    quotient of its integers."""
+def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
+    """The wedge table of the flags of a Veronese trie at ``points``;
+    ``where`` places it in errors ("at pants P0 triangle 1")."""
+    return trie.table([_integer_point(pt) for pt in points], where)
 
-    def _log_ratio(self, num: int, den: int, name: str) -> float:
-        if (num > 0) != (den > 0):
-            raise AssemblyError(
-                f"{name} {self.where} is not positive: {num / den:.6g} "
-                f"at n = {self.n}")
-        try:
-            quotient = num / den
-        except OverflowError:
-            quotient = math.inf
-        if not sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
-            raise AssemblyError(
-                f"{name} {self.where} is outside the double range: its log is "
-                f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {self.n}")
-        return math.log(quotient)
 
-    def log_triple_ratio(self, p: int, q: int, r: int) -> float:
-        """log T_pqr of the first three flags."""
-        return self._log_ratio(*self.triple_ratio(p, q, r), f"triple ratio T_{(p, q, r)}")
+def _log_ratio(table: WedgeTable, name: str, num: int, den: int) -> float:
+    """The log of the ratio num / den of a table, named ``name`` in errors: the
+    sign checked exactly, the log taken of the correctly rounded quotient."""
+    if (num > 0) != (den > 0):
+        raise AssemblyError(
+            f"{name} {table.where} is not positive: {num / den:.6g} "
+            f"at n = {table.n}")
+    try:
+        quotient = num / den
+    except OverflowError:
+        quotient = math.inf
+    if not sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
+        raise AssemblyError(
+            f"{name} {table.where} is outside the double range: its log is "
+            f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
+    return math.log(quotient)
 
-    def log_double_ratio(self, p: int) -> float:
-        """log D_p of the flag quadruple."""
-        return self._log_ratio(*self.double_ratio(p), f"double ratio D_{p}")
+
+def log_triple_ratio(table: WedgeTable, p: int, q: int, r: int) -> float:
+    """log T_pqr of the first three flags of a table."""
+    return _log_ratio(table, f"triple ratio T_{(p, q, r)}", *table.triple_ratio(p, q, r))
+
+
+def log_double_ratio(table: WedgeTable, p: int) -> float:
+    """log D_p of the flag quadruple of a table."""
+    return _log_ratio(table, f"double ratio D_{p}", *table.double_ratio(p))
 
 
 class BDVector(NamedTuple):
@@ -207,26 +190,27 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
-    """All invariants of the developed surface at rank n, through one kernel."""
-    kernel = WedgeKernel(n)
+    """All invariants of the developed surface at rank n, off one Veronese trie."""
+    trie = veronese_trie(n)
     tau = {}
     sigma = {}
     theta = {}
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
-            table = kernel.table([pts[c] for c in _CW_ORDER], f"at pants {pid!r} triangle {tri}")
+            table = veronese_table(trie, [pts[c] for c in _CW_ORDER],
+                                   f"at pants {pid!r} triangle {tri}")
             for pqr in triple_indices(n):
-                tau[(pid, tri, pqr)] = table.log_triple_ratio(*pqr)
+                tau[(pid, tri, pqr)] = log_triple_ratio(table, *pqr)
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
-            table = kernel.table((q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
+            table = veronese_table(trie, (q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
             for p in range(1, n):
-                sigma[(pid, leaf, p)] = table.log_double_ratio(p)
+                sigma[(pid, leaf, p)] = log_double_ratio(table, p)
     for cid, c in ds.curves.items():
-        table = kernel.table((c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
+        table = veronese_table(trie, (c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
         for p in range(1, n):
-            theta[(cid, p)] = table.log_double_ratio(p)
+            theta[(cid, p)] = log_double_ratio(table, p)
     return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
 
 

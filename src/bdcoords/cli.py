@@ -200,12 +200,30 @@ def _dump_json(data, path: str):
         fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
-def _write_csv(vec: bd.BDVector, path: str):
-    with open(path, "w", newline="") as fh:
+def _read_input(path: str):
+    """The surface data of an input file, its spec and its shears.  JSON
+    nested deeper than the parser's recursion limit is bad input."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise SurfaceSpecError(
+                f"input {path!r} is nested too deeply to read as JSON") from None
+    spec = spec_from_dict(data)
+    return data, spec, shears_section(spec, data.get("shears", {}))
+
+
+def _write_report(args: argparse.Namespace, payload: dict, vec: bd.BDVector, summary: str):
+    """Write a command's report as ``<prefix>.json`` and its invariants as
+    ``<prefix>.csv``, the prefix ``--out`` or the command's name, and say so."""
+    prefix = args.out or args.command
+    _dump_json(payload, f"{prefix}.json")
+    with open(f"{prefix}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "object", "p", "q", "r", "value"])
         for block, obj, p, q, r, value in vec.rows():
             writer.writerow([block, obj, p, q, r, serialize_value(value)])
+    print(f"wrote {prefix}.json and {prefix}.csv ({summary})")
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    spec = spec_from_dict(data)
-    shears = shears_section(spec, data.get("shears", {}))
+    data, spec, shears = _read_input(args.input)
     twists = _numbers("twists",
                       _known_ids("twists", data.get("twists", {}), spec.curves, "curve"))
     ds = assemble_surface(spec, shears, twists)
@@ -278,19 +293,13 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "polytope_violations": problems,
         "slice_membership": bd.slice_membership(vec),
     }
-    prefix = args.out or "invariants"
-    _dump_json(payload, f"{prefix}.json")
-    _write_csv(vec, f"{prefix}.csv")
-    print(f"wrote {prefix}.json and {prefix}.csv "
-          f"({vec.size()} invariants, slice={payload['slice_membership']})")
+    _write_report(args, payload, vec,
+                  f"{vec.size()} invariants, slice={payload['slice_membership']}")
     return EXIT_OK
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    spec = spec_from_dict(data)
-    shears = shears_section(spec, data.get("shears", {}))
+    data, spec, shears = _read_input(args.input)
     gluing = gluing_section(spec, data.get("gluing", {}))
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
     ds = bd.realize_slice(sp, spec)
@@ -312,11 +321,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         "invariants": vec.to_json_dict(),
         "max_roundtrip_deviation": serialize_value(deviation),
     }
-    prefix = args.out or "realize"
-    _dump_json(payload, f"{prefix}.json")
-    _write_csv(vec, f"{prefix}.csv")
-    print(f"wrote {prefix}.json and {prefix}.csv "
-          f"(max round-trip deviation {deviation:.3g})")
+    _write_report(args, payload, vec, f"max round-trip deviation {deviation:.3g}")
     return EXIT_OK
 
 

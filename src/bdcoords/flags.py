@@ -17,30 +17,30 @@ Both ratios are read off a :class:`WedgeTable` of the flags' stacked wedges,
 the only copy of the two formulas, as a pair (num, den).  An exact table
 stacks integer rows: an exact flag's basis rows, each cleared to integers by
 a positive factor that the ratios do not see, or the integer Veronese rows
-that the bd module's kernel builds for ``bd_vector`` and the exact identity
-suites.  So the pair is two integer products of wedges.  An exact table
-reads each wedge off a :class:`WedgeTrie` of Bareiss elimination states, so
-leading rows shared by several wedges are reduced once, and checks it
-exactly nonzero.  A flag's integer Veronese rows are upper triangular, so
-its own earlier rows give a new row zero leads: ``bareiss_append`` only
-pops such a lead and folds the step's pivot / previous pivot factor, which
-telescopes over a run of them, into the next nonzero-lead step's divisor,
-so every state holds the integers of the plain update.  A wedge through
-the flag at 0, whose rows are unit rows, is read off the last pivot of the
-other blocks when they pivoted in order (the leading minor, by Bareiss),
-so that flag's rows are not appended; otherwise all rows are stacked.  A
-float table computes each wedge with ``multilinear.det_raw`` against a
-relative genericity threshold.  Either table computes each entry once and
-keeps it by its levels, since the ratios read the same entry several times
-(126 reads of 42 entries for the triple ratios at n = 8).
-:func:`triple_ratio` and :func:`double_ratio` build a fresh table per call;
-the identity suites build one per sampled case, and the bd module one trie
-per surface.
+of a point (the bd module).  So the pair is two integer products of wedges.
+Only :meth:`WedgeTrie.table` builds an exact table, which reads each wedge
+off that trie of Bareiss elimination states, so leading rows shared by
+several wedges are reduced once, and checks it exactly nonzero.  A flag's
+integer Veronese rows are upper triangular, so its own earlier rows give a
+new row zero leads: ``bareiss_append`` only pops such a lead and folds the
+step's pivot / previous pivot factor, which telescopes over a run of them,
+into the next nonzero-lead step's divisor, so every state holds the integers
+of the plain update.  A wedge through the flag at 0, whose rows are unit
+rows, is read off the last pivot of the other blocks when they pivoted in
+order (the leading minor, by Bareiss), so that flag's rows are not appended;
+otherwise all rows are stacked.  A float table computes each wedge with
+``multilinear.det_raw`` against a relative genericity threshold.  Either
+table computes each entry once and keeps it by its levels, since the ratios
+read the same entry several times (126 reads of 42 entries for the triple
+ratios at n = 8).  :func:`triple_ratio` and :func:`double_ratio` build a
+fresh trie and table per call; the exact identity suites build one Veronese
+trie per sampled case, and ``bd_vector`` one per surface.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
 from .multilinear import bareiss_append, det_int, det_raw, integer_row
@@ -94,32 +94,41 @@ def _float_wedge(rows):
 class WedgeTrie:
     """Fraction-free elimination states of stacked integer flag rows.
 
-    Each added flag gets a key.  A state, keyed by the stacked blocks
-    ``((key, level), ...)`` with zero levels dropped, is its parent (one row
-    fewer) with the next row appended by ``multilinear.bareiss_append``, so
-    rows shared by many wedges, in one table or across tables, are reduced
-    once.  A state of n rows is its signed determinant; an exactly
-    dependent one is 0, as is every state below it.
+    A flag is named by a hashable id (a ``Flag``, or a point in the bd
+    module) and gets its integer rows ``rows_of(id)`` and a small key once.
+    A state, keyed by the stacked blocks ``((key, level), ...)`` with zero
+    levels dropped, is its parent (one row fewer) with the next row appended
+    by ``multilinear.bareiss_append``, so rows shared by many wedges, in one
+    table or across tables, are reduced once.  A state of n rows is its
+    signed determinant; an exactly dependent one is 0, as is every state
+    below it.
 
     A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
-    at 0 = [0 : 1]) is recognised by those rows when it is added, and
+    at 0 = [0 : 1]) is recognised by those rows when it is first read, and
     :meth:`wedge` does not stack its first block: see there.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.rows = []                 # integer rows of each added flag, by key
+    def __init__(self, n: int, rows_of):
+        self.n, self.rows_of = n, rows_of
+        self.rows = []                 # integer rows of each flag, by key
+        self._keys = {}                # id -> key
         self._states = {(): ((), 0)}   # stacked blocks -> elimination state
         self._at_zero = set()          # keys of the flags with rows e_n, e_{n-1}, ...
         self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
 
-    def add(self, rows) -> int:
-        """The key of a new flag with these integer rows."""
-        self.rows.append(rows)
-        key = len(self.rows) - 1
-        if [list(row) for row in rows] == self._zero_rows:
-            self._at_zero.add(key)
-        return key
+    def table(self, ids, where: str) -> "WedgeTable":
+        """The wedge table of the flags named by ``ids``; ``where`` places it
+        in errors ("at pants P0 triangle 1")."""
+        keys = []
+        for flag_id in ids:
+            if flag_id not in self._keys:
+                rows = self.rows_of(flag_id)
+                if [list(row) for row in rows] == self._zero_rows:
+                    self._at_zero.add(len(self.rows))
+                self._keys[flag_id] = len(self.rows)
+                self.rows.append(rows)
+            keys.append(self._keys[flag_id])
+        return WedgeTable(self, keys, where)
 
     def wedge(self, blocks):
         """The signed determinant of stacked blocks of n rows in all, 0 when
@@ -282,8 +291,7 @@ def wedge_table(flags, where: str) -> WedgeTable:
         join_mode(mode, f.mode)
     if mode == FLOAT:
         return _FloatWedgeTable(flags, where)
-    trie = WedgeTrie(n)
-    return WedgeTable(trie, [trie.add(f._int_rows) for f in flags], where)
+    return WedgeTrie(n, attrgetter("_int_rows")).table(flags, where)
 
 
 def _compositions(n: int, k: int):

@@ -6,7 +6,9 @@ reproducible bit for bit from (suite, parameters, seed).
 
 Exact-mode suites assert identities with rational arithmetic (the worst
 deviation is then 0 or 1); float-mode suites report the worst absolute
-deviation against the stated tolerance.  Every report lists its first 20
+deviation against the stated tolerance.  The exact triple- and double-ratio
+suites read each case off a fresh ``bd.veronese_trie``, the path of
+``bd_vector``; the float ones off float Veronese flags.  Every report lists its first 20
 failing cases, then "..." if there are more, on stdout and in its JSON.
 """
 from __future__ import annotations
@@ -145,11 +147,11 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
 
 def _veronese_table(points, n: int, mode: str, where: str):
     """The wedge table of the Veronese flags at exact ``points``: read off a
-    fresh ``bd.WedgeKernel`` in exact mode, or of the float flags at the
+    fresh ``bd.veronese_trie`` in exact mode, or of the float flags at the
     rounded points in float mode."""
     if mode == "float":
         return wedge_table([veronese_flag(p.to_float(), n) for p in points], where)
-    return bd.WedgeKernel(n).table(points, where)
+    return bd.veronese_table(bd.veronese_trie(n), points, where)
 
 
 def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,

@@ -2,11 +2,12 @@
 cross-check the library (cofactor expansion instead of elimination, the
 plain Bareiss update at every step of an append, affine
 cross ratios instead of projective ones, the symmetric-power representation
-as plain rows, a kernel of one-shot determinants in the other Veronese
-basis), and one-off invariant values read off a wedge kernel of their own."""
+as plain rows, a trie of one-shot determinants in the other Veronese
+basis), and one-off invariant values read off a Veronese trie of their own."""
 from fractions import Fraction
 
 import bdcoords.bd as bd
+from bdcoords.flags import WedgeTrie
 from bdcoords.multilinear import det_int
 from bdcoords.veronese import flag_rows
 
@@ -91,13 +92,14 @@ def double_ratio_by_cofactors(E, F, G, Gp, p):
 
 
 def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
-    """log T_pqr at one ideal triangle's flags, on a kernel of its own, with
+    """log T_pqr at one ideal triangle's flags, on a trie of its own, with
     the vertices taken clockwise from ``vertex``."""
     pts = ds.pants[pants_id].triangles[tri].pts
     k = CLOCKWISE.index(vertex)
-    table = bd.WedgeKernel(n).table([pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
-                                    f"at pants {pants_id} triangle {tri}")
-    return table.log_triple_ratio(p, q, r)
+    table = bd.veronese_table(bd.veronese_trie(n),
+                              [pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
+                              f"at pants {pants_id} triangle {tri}")
+    return bd.log_triple_ratio(table, p, q, r)
 
 
 def complement_factor(a, b):
@@ -118,19 +120,22 @@ def integer_coordinates(pt):
     return x.numerator, x.denominator
 
 
-class ComplementKernel(bd.WedgeKernel):
-    """A wedge kernel whose flags are the integer rows of the complement
-    basis (b X - a Y) and whose every wedge is one ``det_int`` of the
-    stacked rows: no trie, no shared prefix, no pivot read.  Passed for
-    ``bd.WedgeKernel``, it gives the invariants of the float basis in exact
-    arithmetic."""
+def complement_trie(n):
+    """A Veronese trie whose flags are the integer rows of the complement
+    basis (b X - a Y) at the points of ``complement_table``, and whose every
+    wedge is one ``det_int`` of the stacked rows: no shared prefix, no pivot
+    read.  Passed for ``bd.veronese_trie``, with ``complement_table`` for
+    ``bd.veronese_table``, it gives the invariants of the float basis in
+    exact arithmetic."""
+    trie = WedgeTrie(n, lambda point: flag_rows(*point, n))
+    trie.wedge = lambda blocks: det_int([row for key, d in blocks for row in trie.rows[key][:d]])
+    return trie
 
-    def table(self, points, where):
-        keys = [self.add(flag_rows(*integer_coordinates(pt), self.n)) for pt in points]
-        return bd.InvariantTable(self, keys, where)
 
-    def wedge(self, blocks):
-        return det_int([row for key, d in blocks for row in self.rows[key][:d]])
+def complement_table(trie, points, where):
+    """The table of a ``complement_trie`` at ``points``, each turned into
+    integers by ``integer_coordinates``, not by the library's conversion."""
+    return trie.table([integer_coordinates(pt) for pt in points], where)
 
 
 def slice_point_of(v, spec):

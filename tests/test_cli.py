@@ -336,6 +336,19 @@ def test_surface_file_that_is_not_an_object_is_named_and_exits_2(command, source
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command", ["invariants", "realize"])
+def test_deeply_nested_input_is_named_and_exits_2(command, tmp_path, capsys):
+    # JSON nested past the parser's recursion limit is bad input, not a
+    # failed verification: one error line that names the file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: input {str(path)!r} is nested too deeply to read as JSON\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command, source, section, key", [
     pytest.param("invariants", SURFACE, "twists", "CX", id="invariants-twists"),
     pytest.param("invariants", SURFACE, "shears", "PX", id="invariants-shears"),

@@ -266,7 +266,7 @@ def test_ratios_at_rational_points_match_det_raw(n):
 
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
-    # the values the exact identity suites compute, off a kernel of the
+    # the values the exact identity suites compute, off a Veronese trie of the
     # triangular rows at integer points, and the ratios of exact Veronese
     # flags both equal the ratios of det_int wedges of the (b X - a Y) rows
     def complement_flag(p):
@@ -275,7 +275,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     for a, b, c in suite_cases(n, 6, n, 3, "exact"):
         pts = (c, b, a)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
-        table = bd.WedgeKernel(n).table(pts, "in triple ratio")
+        table = bd.veronese_table(bd.veronese_trie(n), pts, "in triple ratio")
         for pqr in bd.triple_indices(n):
             expected = triple_ratio_by(exact_det, *old, *pqr)
             assert table.quotient(*table.triple_ratio(*pqr)) == expected
@@ -283,7 +283,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     for a, b, c, d in suite_cases(n, 6, n, 4, "exact"):
         pts = (a, c, b, d)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
-        table = bd.WedgeKernel(n).table(pts, "in double ratio")
+        table = bd.veronese_table(bd.veronese_trie(n), pts, "in double ratio")
         for p in range(1, n):
             expected = double_ratio_by(exact_det, *old, p)
             assert table.quotient(*table.double_ratio(p)) == expected
@@ -483,7 +483,7 @@ def test_a_table_computes_each_entry_once(mode, monkeypatch):
     pts = sample_points(random.Random(48), 3, min_separation=0.2)
     calls = []
     if mode == "exact":
-        table = bd.WedgeKernel(n).table(pts, "in a test")
+        table = bd.veronese_table(bd.veronese_trie(n), pts, "in a test")
         trie_wedge = table.trie.wedge
         monkeypatch.setattr(table.trie, "wedge",
                             lambda blocks: calls.append(blocks) or trie_wedge(blocks))

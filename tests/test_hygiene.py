@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports an underscore (module-private) name from another module of the
 package, the package imports nothing outside the standard library, each
-ratio formula of the flags module is written in one function only, and
-every function, class and method of the package is read by the package, a
-script or the benchmark, not by tests alone.  Importing the package or its
+ratio formula of the flags module is written in one function only, only
+``flags.WedgeTrie.table`` constructs an exact ``WedgeTable`` and no other
+module derives from the wedge classes, and every function, class and method
+of the package is read by the package, a script or the benchmark, not by
+tests alone.  Importing the package or its
 command line loads neither ``dataclasses`` nor ``inspect``.
 
 The package re-exports its public names from ``__init__.py``, so only the
@@ -153,6 +155,57 @@ def test_each_ratio_formula_has_one_copy(ratio):
     sites = [(path.name, name) for path in ALL_MODULES
              for name in pattern_sites(path.read_text(), RATIO_PATTERNS[ratio])]
     assert sites == [("flags.py", ratio.replace(" ", "_"))]
+
+
+WEDGE_CLASSES = ("WedgeTrie", "WedgeTable")
+
+
+def wedge_table_sites(source: str) -> list:
+    """(line, innermost function, what) of every call that constructs a
+    ``WedgeTable`` and every class that derives from ``WedgeTrie`` or
+    ``WedgeTable``, by either name or an attribute of that name."""
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and named(node.func) == "WedgeTable":
+            sites.append((node.lineno, function, "WedgeTable("))
+        if isinstance(node, ast.ClassDef):
+            sites.extend((node.lineno, function, f"class {node.name}({named(base)})")
+                         for base in node.bases if named(base) in WEDGE_CLASSES)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(sites)
+
+
+def test_checker_finds_each_wedge_table_constructor():
+    source = ("from . import flags\n"
+              "class Kernel(flags.WedgeTrie):\n"
+              "    def table(self, keys, where):\n"
+              "        return Table(self, keys, where)\n"
+              "class Table(WedgeTable):\n"
+              "    pass\n"
+              "def build(trie):\n"
+              "    return flags.WedgeTable(trie, [0], 'at'), trie.table([0], 'at')\n")
+    assert wedge_table_sites(source) == [(2, None, "class Kernel(WedgeTrie)"),
+                                         (5, None, "class Table(WedgeTable)"),
+                                         (8, "build", "WedgeTable(")]
+
+
+def test_only_the_trie_builds_an_exact_wedge_table():
+    # ``WedgeTrie.table`` is the one constructor of an exact table, and only
+    # the flags module's float table derives from these classes
+    sites = [(path.name, *site) for path in ALL_MODULES
+             for site in wedge_table_sites(path.read_text())]
+    assert [site for site in sites if site[0] != "flags.py"] == []
+    assert [site[2:] for site in sites if site[0] == "flags.py"] == [
+        ("table", "WedgeTable("), (None, "class _FloatWedgeTable(WedgeTable)")]
 
 
 def defined_names(source: str) -> list:

@@ -1,11 +1,12 @@
 """The exact wedge-table kernel behind the invariant vector and the exact
-identity suites.
+identity suites: the tables of a ``bd.veronese_trie``, whose ratios
+``bd.log_triple_ratio`` and ``bd.log_double_ratio`` read.
 
-Its values are checked against the general flag route (``flags.triple_ratio``
+Their values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
-points and to 1e-12 on the float points of a developed surface.  Its
-stacked wedges, read off the kernel's shared elimination trie, are checked
-against one ``det_int`` of the same integer rows.
+points and to 1e-12 on the float points of a developed surface.  Their
+stacked wedges, read off the shared elimination trie, are checked against
+one ``det_int`` of the same integer rows.
 """
 import functools
 import json
@@ -28,7 +29,7 @@ from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import (run_double_ratio, run_triple_ratio, sample_genus2,
                                    sample_points)
 from bdcoords.veronese import exact_flag_rows, veronese_flag
-from oracles import ComplementKernel, integer_coordinates
+from oracles import complement_table, complement_trie, integer_coordinates
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -54,15 +55,15 @@ def test_kernel_matches_general_route_on_rational_points(n):
     for case in range(6):
         pts = sample_points(rng, 4, with_infinity=(case % 3 == 0))
         a, b, c, d = sort_ccw(pts)
-        kernel = bd.WedgeKernel(n)
+        trie = bd.veronese_trie(n)
         for triple in ((c, b, a), (a, b, c), (b, d, a)):
-            table = kernel.table(triple, f"case {case}")
+            table = bd.veronese_table(trie, triple, f"case {case}")
             for pqr, expected in general_log_triples(triple, n).items():
-                assert table.log_triple_ratio(*pqr) == expected
+                assert bd.log_triple_ratio(table, *pqr) == expected
         quad = (a, c, b, d)
-        table = kernel.table(quad, f"case {case}")
+        table = bd.veronese_table(trie, quad, f"case {case}")
         for p, expected in general_log_doubles(quad, n).items():
-            assert table.log_double_ratio(p) == expected
+            assert bd.log_double_ratio(table, p) == expected
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -92,6 +93,22 @@ def test_bd_vector_builds_no_flag_objects(monkeypatch):
     assert bd.bd_vector(ds, 4).size() == bd.expected_size(ds.spec, 4)
 
 
+def test_bd_vector_builds_each_points_rows_once(monkeypatch):
+    # the trie names each flag by its integer point, so the rows of a point
+    # are built once however many tables of the surface hold it
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    calls, rows_of = [], bd.exact_flag_rows
+    monkeypatch.setattr(bd, "exact_flag_rows",
+                        lambda a, b, n: calls.append((a, b)) or rows_of(a, b, n))
+    bd.bd_vector(ds, 5)
+    read = [pt for dev in ds.pants.values() for tri in (0, 1) for pt in dev.triangles[tri].pts]
+    read += [pt for quad in [*(q for dev in ds.pants.values()
+                               for q in dev.leaf_quadruples.values()), *ds.curves.values()]
+             for pt in (quad.x, quad.y, quad.zl, quad.zr)]
+    assert sorted(calls) == sorted({bd._integer_point(pt) for pt in read})
+    assert (len(calls), len(read)) == (12, 48)   # 12 distinct points in 48 reads
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_sampled_surfaces_at_high_rank(seed):
     spec, shears, twists = sample_genus2(random.Random(seed))
@@ -114,11 +131,11 @@ def test_invariants_command_at_rank_8(tmp_path):
 
 def test_vanishing_wedge_names_object_index_and_rank():
     pts = (ProjPoint(0, 1), ProjPoint(0, 1), ProjPoint(1, 0))
-    table = bd.WedgeKernel(3).table(pts, "at pants P0 triangle 1")
+    table = bd.veronese_table(bd.veronese_trie(3), pts, "at pants P0 triangle 1")
     with pytest.raises(DegenerateFlagError,
                        match=r"^vanishing wedge factor at pants P0 triangle 1: "
                              r"wedge \(2, 1, 0\) is exactly 0 at n = 3$"):
-        table.log_triple_ratio(1, 1, 1)
+        bd.log_triple_ratio(table, 1, 1, 1)
 
 
 @pytest.mark.parametrize("n", (3, 5, 8))
@@ -130,7 +147,8 @@ def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch
         ds = assemble_surface(*sample_genus2(random.Random(seed)))
         vec = bd.bd_vector(ds, n)
         with monkeypatch.context() as m:
-            m.setattr(bd, "WedgeKernel", ComplementKernel)
+            m.setattr(bd, "veronese_trie", complement_trie)
+            m.setattr(bd, "veronese_table", complement_table)
             expected = bd.bd_vector(ds, n)
         assert vec.tau == expected.tau
         assert vec.sigma == expected.sigma
@@ -140,19 +158,19 @@ def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch
 def test_negative_double_ratio_names_object_and_rank():
     # (x, y, zl, zr) with zl and zr on the same side of the axis (0, oo)
     pts = (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), ProjPoint(2, 1))
-    table = bd.WedgeKernel(4).table(pts, "at curve C2")
+    table = bd.veronese_table(bd.veronese_trie(4), pts, "at curve C2")
     with pytest.raises(AssemblyError,
                        match=r"double ratio D_2 at curve C2 is not positive: .* at n = 4"):
-        table.log_double_ratio(2)
+        bd.log_double_ratio(table, 2)
 
 
 def test_kernel_rejects_bad_indices():
-    table = bd.WedgeKernel(4).table(
-        (ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(1, 0)), "pants P1 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(4), (ProjPoint(0, 1), ProjPoint(1, 1),
+                                                    ProjPoint(1, 0)), "pants P1 triangle 0")
     with pytest.raises(ValueError, match="p \\+ q \\+ r = 4"):
-        table.log_triple_ratio(0, 2, 2)
+        bd.log_triple_ratio(table, 0, 2, 2)
     with pytest.raises(ValueError, match="1 <= p <= 3"):
-        table.log_double_ratio(4)
+        bd.log_double_ratio(table, 4)
 
 
 # -- the exact identity suites ----------------------------------------------
@@ -163,30 +181,32 @@ SUITES = {"triple": run_triple_ratio, "double": run_double_ratio}
 
 @pytest.mark.parametrize("ratio", SUITES)
 def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
-    tables, kernel_table = [], bd.WedgeKernel.table
+    tables, trie_table = [], flags.WedgeTrie.table
 
-    def counting(kernel, points, where):
-        tables.append((kernel, where))
-        return kernel_table(kernel, points, where)
+    def counting(trie, ids, where):
+        tables.append((trie, where))
+        return trie_table(trie, ids, where)
 
     def no_flag(self, basis):
         raise AssertionError("an exact suite built a Flag")
 
-    monkeypatch.setattr(bd.WedgeKernel, "table", counting)
+    monkeypatch.setattr(flags.WedgeTrie, "table", counting)
     monkeypatch.setattr(flags.Flag, "__init__", no_flag)
     report = SUITES[ratio](5, samples=6, seed=3)
     assert report.passed and report.worst == 0
     assert len(tables) == 6
-    assert len({id(kernel) for kernel, _ in tables}) == 6   # a kernel per case
+    assert len({id(trie) for trie, _ in tables}) == 6   # a trie per case
+    # each a Veronese trie: its flags are named by integer points
+    assert all(trie.rows_of((1, 0)) == exact_flag_rows(1, 0, 5) for trie, _ in tables)
     assert {where for _, where in tables} == {f"in {ratio} ratio"}
 
 
 @pytest.mark.parametrize("ratio", SUITES)
 def test_float_suites_build_no_kernel(ratio, monkeypatch):
-    def no_kernel(self, n):
-        raise AssertionError("a float suite built a kernel")
+    def no_trie(self, n, rows_of):
+        raise AssertionError("a float suite built a trie")
 
-    monkeypatch.setattr(bd.WedgeKernel, "__init__", no_kernel)
+    monkeypatch.setattr(flags.WedgeTrie, "__init__", no_trie)
     report = SUITES[ratio](5, samples=6, seed=3, mode="float")
     assert report.passed and report.cases == 6 * (6 if ratio == "triple" else 4)
 
@@ -195,9 +215,9 @@ def test_float_suites_build_no_kernel(ratio, monkeypatch):
 def test_exact_suite_names_a_vanishing_wedge_by_ratio(ratio, monkeypatch):
     # every case's table with its last point replaced by its first: every
     # ratio stacks two blocks of that flag, so one of its wedges is exactly 0
-    kernel_table = bd.WedgeKernel.table
-    monkeypatch.setattr(bd.WedgeKernel, "table", lambda kernel, points, where:
-                        kernel_table(kernel, (*points[:-1], points[0]), where))
+    trie_table = flags.WedgeTrie.table
+    monkeypatch.setattr(flags.WedgeTrie, "table", lambda trie, ids, where:
+                        trie_table(trie, (*ids[:-1], ids[0]), where))
     report = SUITES[ratio](5, samples=2, seed=3)
     assert not report.passed
     case, message = report.failures[0].split(": ", 1)
@@ -244,14 +264,14 @@ def random_points(rng: random.Random, count: int, dyadic: bool):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_every_stacked_wedge_is_det_int_of_its_rows(n, dyadic):
     rng = random.Random(700 + n + 50 * dyadic)
-    kernel = bd.WedgeKernel(n)
+    trie = bd.veronese_trie(n)
     for case in range(2 if n <= 8 else 1):
         pts = random_points(rng, 4, dyadic)
         rng.shuffle(pts)
         # four-flag tables have (n + 3 choose 3) entries: keep the oracle's
         # big determinants to the smaller ranks
         for table_pts in (pts[:3], pts[1:]) + ((pts,) if n <= 7 else ()):
-            table = kernel.table(table_pts, f"case {case}")
+            table = bd.veronese_table(trie, table_pts, f"case {case}")
             for levels in level_tuples(n, len(table_pts)):
                 assert table.wedge(*levels) == stacked_wedge(table_pts, levels, n)
 
@@ -263,9 +283,9 @@ def test_points_at_zero_and_infinity_force_column_pivots(n):
     # column order at 0, so the pivot column of nearly every row is not the
     # first free one
     assert integer_rows(zero, n)[0] == [0] * (n - 1) + [1]
-    kernel = bd.WedgeKernel(n)
+    trie = bd.veronese_trie(n)
     for pts in ((zero, inf, one), (inf, zero, one), (one, zero, inf, ProjPoint(-2, 1))):
-        table = kernel.table(pts, "axis")
+        table = bd.veronese_table(trie, pts, "axis")
         for levels in level_tuples(n, len(pts)):
             assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
 
@@ -273,11 +293,11 @@ def test_points_at_zero_and_infinity_force_column_pivots(n):
 def test_tables_sharing_leading_blocks_get_equal_entries():
     n = 7
     x, y, zl, zr = random_points(random.Random(5), 4, dyadic=True)
-    kernel = bd.WedgeKernel(n)
-    triangle = kernel.table((x, y, zl), "triangle")
-    quadruple = kernel.table((x, y, zl, zr), "quadruple")
-    other = kernel.table((x, y, zr), "other triangle")
-    alone = bd.WedgeKernel(n).table((x, y, zl, zr), "alone")
+    trie = bd.veronese_trie(n)
+    triangle = bd.veronese_table(trie, (x, y, zl), "triangle")
+    quadruple = bd.veronese_table(trie, (x, y, zl, zr), "quadruple")
+    other = bd.veronese_table(trie, (x, y, zr), "other triangle")
+    alone = bd.veronese_table(bd.veronese_trie(n), (x, y, zl, zr), "alone")
     for a, b, c in level_tuples(n, 3):
         assert quadruple.wedge(a, b, c, 0) == triangle.wedge(a, b, c)
         assert quadruple.wedge(a, b, 0, c) == other.wedge(a, b, c)
@@ -288,7 +308,7 @@ def test_tables_sharing_leading_blocks_get_equal_entries():
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_repeated_point_gives_a_dependent_prefix(n):
     p, q = ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1)
-    table = bd.WedgeKernel(n).table((p, p, q), "at pants P1 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(n), (p, p, q), "at pants P1 triangle 0")
     for a, b, c in level_tuples(n, 3):
         if a and b:
             # the first row of p is stacked twice: the prefix is dependent
@@ -322,12 +342,12 @@ def test_flag_at_zero_in_every_position(n):
     zero = ProjPoint(0, 1)
     rng = random.Random(800 + n)
     x, y, z = [p for p in random_points(rng, 4, dyadic=n % 2 == 0) if p.a != 0][:3]
-    kernel = bd.WedgeKernel(n)
+    trie = bd.veronese_trie(n)
     tables = [(zero, x, y), (x, zero, y), (x, y, zero), (zero, x, zero), (y, zero, zero)]
     if n <= 7:   # the oracle's four-flag tables, as above
         tables += [(x, zero, y, z), (x, y, z, zero), (zero, x, y, zero)]
     for pts in tables:
-        check_every_entry(kernel.table(pts, "axis"), pts, n)
+        check_every_entry(bd.veronese_table(trie, pts, "axis"), pts, n)
 
 
 def count_appends(monkeypatch):
@@ -346,7 +366,7 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     n = 8
     calls = count_appends(monkeypatch)
     pts = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-2.5, 1.0))
-    table = bd.WedgeKernel(n).table(pts, "at pants P0 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(n), pts, "at pants P0 triangle 0")
     for levels in level_tuples(n, 3):
         assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
     # one append per state of the flags at 1 and at -2.5: the rows of the
