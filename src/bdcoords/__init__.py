@@ -20,7 +20,7 @@ from .surfaces import (AssemblyError, DevelopedSurface, LaminationError,
                        UnreachableTwistError, assemble_surface, boundary_lengths,
                        develop_pants, genus2_spec, solve_twist, validate_shears)
 from .bd import (BDVector, ClosedLeafReport, SlicePoint, bd_vector,
-                 closed_leaf_report, closed_leaf_sums, dimension_counts,
+                 closed_leaf_report, dimension_counts,
                  polytope_membership, realize_slice, slice_membership)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,13 +25,15 @@ are dependent.  Each ratio's sign is checked exactly, and only its final
 quotient is rounded and passed to the log.  The float genericity threshold
 of the flags module plays no part here, so a triangle invariant of a
 developed surface is exactly 0.  Every table and every log ratio
-(``log_triple_ratio``, ``log_double_ratio``) names its object in errors.
+(``log_triple_ratio``, ``log_double_ratio``) names its object in errors; a
+log ratio formats that name only when it raises.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
-p-th eigenvalue-gap length of the curve's holonomy.  On the Fuchsian
-locus every such length is the curve's hyperbolic length, which the
-developed surface carries for each curve.  The slice of the
+p-th eigenvalue-gap length of the curve's holonomy.  ``closed_leaf_report``
+walks each side's fan once and reads every p's sum off that walk.  On the
+Fuchsian locus every such length is the curve's hyperbolic length, which
+the developed surface carries for each curve.  The slice of the
 parameter polytope carved out by vanishing triangle invariants and
 index-independent shearing/gluing invariants is exactly the image of the
 hyperbolic structures, and ``realize_slice`` constructs the hyperbolic
@@ -109,12 +111,13 @@ def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
     return trie.table([_integer_point(pt) for pt in points], where)
 
 
-def _log_ratio(table: WedgeTable, name: str, num: int, den: int) -> float:
-    """The log of the ratio num / den of a table, named ``name`` in errors: the
-    sign checked exactly, the log taken of the correctly rounded quotient."""
+def _log_ratio(table: WedgeTable, name: str, index, num: int, den: int) -> float:
+    """The log of the ratio num / den of a table, named ``name`` and its
+    ``index`` in errors ("double ratio D_" and 3): the sign checked exactly,
+    the log taken of the correctly rounded quotient."""
     if (num > 0) != (den > 0):
         raise AssemblyError(
-            f"{name} {table.where} is not positive: {num / den:.6g} "
+            f"{name}{index} {table.where} is not positive: {num / den:.6g} "
             f"at n = {table.n}")
     try:
         quotient = num / den
@@ -122,19 +125,19 @@ def _log_ratio(table: WedgeTable, name: str, num: int, den: int) -> float:
         quotient = math.inf
     if not sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
         raise AssemblyError(
-            f"{name} {table.where} is outside the double range: its log is "
+            f"{name}{index} {table.where} is outside the double range: its log is "
             f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
     return math.log(quotient)
 
 
 def log_triple_ratio(table: WedgeTable, p: int, q: int, r: int) -> float:
     """log T_pqr of the first three flags of a table."""
-    return _log_ratio(table, f"triple ratio T_{(p, q, r)}", *table.triple_ratio(p, q, r))
+    return _log_ratio(table, "triple ratio T_", (p, q, r), *table.triple_ratio(p, q, r))
 
 
 def log_double_ratio(table: WedgeTable, p: int) -> float:
     """log D_p of the flag quadruple of a table."""
-    return _log_ratio(table, f"double ratio D_{p}", *table.double_ratio(p))
+    return _log_ratio(table, "double ratio D_", p, *table.double_ratio(p))
 
 
 class BDVector(NamedTuple):
@@ -152,11 +155,6 @@ class BDVector(NamedTuple):
 
     def size(self) -> int:
         return len(self.tau) + len(self.sigma) + len(self.theta)
-
-    def tau_at(self, pants_id: str, tri: int, vertex: int, pqr) -> float:
-        """Triangle invariant at an arbitrary vertex, by index rotation."""
-        steps = _CW_ORDER.index(vertex)
-        return self.tau[(pants_id, tri, _rotate_indices(pqr, steps))]
 
     def rows(self):
         """Canonically ordered (block, object, p, q, r, value) rows."""
@@ -218,9 +216,10 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
 # closed leaf condition
 
 
-def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
-                     side: str, vertex_rule: str = "verbatim") -> float:
-    """The spiral sum R_p (side="right") or L_p (side="left") of a curve.
+def _spiral_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, side: str,
+                 vertex_rule: str) -> list:
+    """The spiral sums R_p (side="right") or L_p (side="left") of a curve,
+    p = 1, ..., n - 1, off one walk of the side's fan.
 
     Sums run over the spiral crossings of the side's fan: each leaf end
     contributes its shearing invariant (index p or n-p according to whether
@@ -235,31 +234,33 @@ def closed_leaf_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, p: int,
     exchanges the two tau blocks (the two readings agree wherever triangle
     invariants vanish, in particular on the whole Fuchsian locus).
     """
-    if not 1 <= p <= v.n - 1:
-        raise ValueError(f"index p must be in 1..{v.n - 1}")
-    if vertex_rule not in ("verbatim", "swapped"):
-        raise ValueError("vertex_rule must be 'verbatim' or 'swapped'")
     n = v.n
     pid, slot = spec.side(curve_id, side)
     lam = spec.pants[pid]
+    sign = lam.spiral_signs[slot]
     # the spiral wraps against the induced boundary orientation for positive
     # spiraling; the left pants walks the curve forward, the right one
     # backward (convention 3 of the surfaces module)
-    with_direction = (side == "right") == (lam.spiral_signs[slot] == 1)
-
-    if with_direction == (vertex_rule == "verbatim"):
-        tau_terms = [(p, q, n - p - q) for q in range(1, n - p)]
-    else:
-        tau_terms = [(n - p, q, p - q) for q in range(1, p)]
-
-    total = 0.0
-    for step in fan_cycle(lam, slot):
-        toward = lam.forward_end(step.leaf) == step.fan_end
-        idx = p if toward == with_direction else n - p
-        total += v.sigma[(pid, step.leaf, idx)]
-        for pqr in tau_terms:
-            total += v.tau_at(pid, step.tri, step.corner, pqr)
-    return lam.spiral_signs[slot] * total
+    with_direction = (side == "right") == (sign == 1)
+    leading_p = with_direction == (vertex_rule == "verbatim")
+    # per crossing: its leaf, whether the leaf reads index p (else n - p),
+    # its spike triangle, and the rotation from the canonical vertex
+    crossings = [(step.leaf, (lam.forward_end(step.leaf) == step.fan_end) == with_direction,
+                  step.tri, _CW_ORDER.index(step.corner))
+                 for step in fan_cycle(lam, slot)]
+    sums = []
+    for p in range(1, n):
+        if leading_p:
+            tau_terms = [(p, q, n - p - q) for q in range(1, n - p)]
+        else:
+            tau_terms = [(n - p, q, p - q) for q in range(1, p)]
+        total = 0.0
+        for leaf, at_p, tri, steps in crossings:
+            total += v.sigma[(pid, leaf, p if at_p else n - p)]
+            for pqr in tau_terms:
+                total += v.tau[(pid, tri, _rotate_indices(pqr, steps))]
+        sums.append(sign * total)
+    return sums
 
 
 class ClosedLeafReport(NamedTuple):
@@ -289,23 +290,26 @@ def closed_leaf_report(v: BDVector, ds: DevelopedSurface,
                        vertex_rule: str = "verbatim") -> ClosedLeafReport:
     """R_p, L_p and the length l_p for every curve and p.
 
-    The symmetric power of a hyperbolic element with eigenvalues
-    lambda^(+-1) has eigenvalues lambda^(n-1), lambda^(n-3), ...,
-    lambda^(1-n), so every eigenvalue-gap length l_p is the curve's
-    hyperbolic length: the translation length of its left fan's developed
-    deck map, which every gluing checks against the right fan.
+    Each side of each curve resolves its fan once, its leaf indices and
+    spike rotations, and fills its spiral sum for every p (``vertex_rule``:
+    see ``_spiral_sums``).  The symmetric power of a hyperbolic element
+    with eigenvalues lambda^(+-1) has eigenvalues lambda^(n-1),
+    lambda^(n-3), ..., lambda^(1-n), so every eigenvalue-gap length l_p is
+    the curve's hyperbolic length: the translation length of its left fan's
+    developed deck map, which every gluing checks against the right fan.
     """
     if v.size() != expected_size(ds.spec, v.n):
         raise ValueError(
             f"invariant vector has {v.size()} coordinates, surface needs "
             f"{expected_size(ds.spec, v.n)} at n = {v.n}")
+    if vertex_rule not in ("verbatim", "swapped"):
+        raise ValueError("vertex_rule must be 'verbatim' or 'swapped'")
     entries = []
     for cid in sorted(ds.curves):
         length = ds.curves[cid].length
-        for p in range(1, v.n):
-            r = closed_leaf_sums(v, ds.spec, cid, p, "right", vertex_rule)
-            l = closed_leaf_sums(v, ds.spec, cid, p, "left", vertex_rule)
-            entries.append((cid, p, r, l, length))
+        right = _spiral_sums(v, ds.spec, cid, "right", vertex_rule)
+        left = _spiral_sums(v, ds.spec, cid, "left", vertex_rule)
+        entries += [(cid, p, r, l, length) for p, r, l in zip(range(1, v.n), right, left)]
     return ClosedLeafReport(n=v.n, entries=tuple(entries))
 
 

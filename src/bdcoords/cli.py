@@ -201,14 +201,17 @@ def _dump_json(data, path: str):
 
 
 def _read_input(path: str):
-    """The surface data of an input file, its spec and its shears.  JSON
-    nested deeper than the parser's recursion limit is bad input."""
+    """The surface data of an input file, its spec and its shears.  A file
+    that does not decode or parse as JSON, or that is nested deeper than the
+    parser's recursion limit, is bad input named by its path."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise SurfaceSpecError(
                 f"input {path!r} is nested too deeply to read as JSON") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SurfaceSpecError(f"input {path!r} is not JSON: {exc}") from None
     spec = spec_from_dict(data)
     return data, spec, shears_section(spec, data.get("shears", {}))
 

@@ -22,10 +22,11 @@ Only :meth:`WedgeTrie.table` builds an exact table, which reads each wedge
 off that trie of Bareiss elimination states, so leading rows shared by
 several wedges are reduced once, and checks it exactly nonzero.  A flag's
 integer Veronese rows are upper triangular, so its own earlier rows give a
-new row zero leads: ``bareiss_append`` only pops such a lead and folds the
-step's pivot / previous pivot factor, which telescopes over a run of them,
-into the next nonzero-lead step's divisor, so every state holds the integers
-of the plain update.  A wedge through the flag at 0, whose rows are unit
+new row zero leads, and a unit row stacked first leaves a zero rest:
+``bareiss_append`` only pops the lead of such a rescale-only step and folds
+its pivot / previous pivot factor, which telescopes over a run of them, into
+the next updating step's divisor, so every state holds the integers of the
+plain update.  A wedge through the flag at 0, whose rows are unit
 rows, is read off the last pivot of the other blocks when they pivoted in
 order (the leading minor, by Bareiss), so that flag's rows are not appended;
 otherwise all rows are stacked.  A float table computes each wedge with

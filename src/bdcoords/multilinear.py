@@ -63,15 +63,17 @@ def bareiss_append(steps, row):
     is the first free column where it is nonzero (column pivoting).  Returns
     the new step, or None when the row lies in the span of the rows above.
 
-    A step whose lead is 0 only scales the row by pivot / previous pivot,
-    and over a run of such steps the factors telescope to P / Q, the run's
-    last pivot over the pivot before it; so such a step only pops the lead.
-    The next step with a nonzero lead divides by Q instead of P, which
-    cancels the deferred factor exactly:
-    (x P/Q pivot - lead P/Q y) / P = (x pivot - lead y) / Q.  A run that
-    ends the row is applied once, as x P // Q.  The step returned is the
-    one the plain update gives.  Exact Veronese rows are upper triangular,
-    so a flag's own earlier rows always give zero leads.
+    A rescale-only step, one whose lead is 0 or whose ``rest`` is all 0,
+    only scales the row by pivot / previous pivot, and over a run of such
+    steps the factors telescope to P / Q, the run's last pivot over the
+    pivot before it; so such a step only pops the lead.  The next updating
+    step divides by Q instead of P, which cancels the deferred factor
+    exactly: (x P/Q pivot - lead P/Q y) / P = (x pivot - lead y) / Q.  A
+    run that ends the row is applied once, as x P // Q.  The step returned
+    is the one the plain update gives.  Exact Veronese rows are upper
+    triangular, so a flag's own earlier rows always give zero leads, and
+    the unit rows of the flags at 0 and at infinity leave zero rests that
+    every row stacked below them passes through.
 
     After n rows of length n the last pivot is the determinant with the
     columns taken in pivot order, so the determinant is that pivot times
@@ -80,13 +82,13 @@ def bareiss_append(steps, row):
     isolated determinant.
     """
     r = list(row)
-    prev = pivot = 1   # prev: the divisor of the next step with a nonzero lead
+    prev = pivot = 1   # prev: the divisor of the next updating step
     for index, pivot, rest in steps:
         lead = r.pop(index)
-        if lead:
+        if lead and any(rest):
             r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
             prev = pivot
-    if pivot != prev:   # a run of zero leads ends the row
+    if pivot != prev:   # a run of rescale-only steps ends the row
         r = [x * pivot // prev for x in r]
     for index, x in enumerate(r):
         if x:

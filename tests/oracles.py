@@ -3,12 +3,14 @@ cross-check the library (cofactor expansion instead of elimination, the
 plain Bareiss update at every step of an append, affine
 cross ratios instead of projective ones, the symmetric-power representation
 as plain rows, a trie of one-shot determinants in the other Veronese
-basis), and one-off invariant values read off a Veronese trie of their own."""
+basis, one fan walk per spiral sum), and one-off invariant values read off
+a Veronese trie of their own."""
 from fractions import Fraction
 
 import bdcoords.bd as bd
 from bdcoords.flags import WedgeTrie
 from bdcoords.multilinear import det_int
+from bdcoords.surfaces import fan_cycle
 from bdcoords.veronese import flag_rows
 
 CLOCKWISE = (0, 2, 1)   # corners of a placed triangle, clockwise from corner 0
@@ -100,6 +102,31 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
                               [pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
                               f"at pants {pants_id} triangle {tri}")
     return bd.log_triple_ratio(table, p, q, r)
+
+
+def spiral_sum(v, spec, curve_id, p, side, vertex_rule):
+    """R_p (side="right") or L_p (side="left") of a curve read term by term
+    off the displayed formulas, with a fan walk of its own: each crossing
+    adds its leaf's sigma at p or n - p, then the row of its spike
+    triangle's tau, rotated from the canonical vertex to the spike vertex.
+    "swapped" exchanges the two tau index blocks."""
+    n = v.n
+    pid, slot = spec.side(curve_id, side)
+    lam = spec.pants[pid]
+    sign = lam.spiral_signs[slot]
+    with_direction = (side == "right") == (sign == 1)
+    if with_direction == (vertex_rule == "verbatim"):
+        terms = [(p, q, n - p - q) for q in range(1, n - p)]
+    else:
+        terms = [(n - p, q, p - q) for q in range(1, p)]
+    total = 0.0
+    for step in fan_cycle(lam, slot):
+        toward = lam.forward_end(step.leaf) == step.fan_end
+        total += v.sigma[(pid, step.leaf, p if toward == with_direction else n - p)]
+        k = CLOCKWISE.index(step.corner)   # (p, q, r) -> (r, p, q), k times
+        for pqr in terms:
+            total += v.tau[(pid, step.tri, pqr[3 - k:] + pqr[:3 - k])]
+    return sign * total
 
 
 def complement_factor(a, b):

@@ -14,7 +14,7 @@ from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
 from bdcoords.veronese import veronese_flag
 from bdcoords import verification
 from bdcoords.verification import sample_genus2
-from oracles import slice_point_of, triangle_invariant
+from oracles import slice_point_of, spiral_sum, triangle_invariant
 
 SHEARS = {"P0": {"B12": 0.8, "B13": 0.6, "B23": 1.1},
           "P1": {"B12": 0.8, "B13": 0.6, "B23": 1.1}}
@@ -42,14 +42,10 @@ def test_triangle_invariants_vanish(ds):
 def test_triangle_invariant_vertex_rotation(ds):
     # rotating the starting vertex permutes the indices cyclically
     n = 5
-    vec = bd.bd_vector(ds, n)
     for (p, q, r) in bd.triple_indices(n):
         t0 = triangle_invariant(ds, "P0", 0, 0, p, q, r, n)
         t1 = triangle_invariant(ds, "P0", 0, 2, q, r, p, n)  # next clockwise
         assert t0 == pytest.approx(t1, abs=1e-12)
-        for vertex in (0, 1, 2):
-            assert vec.tau_at("P0", 0, vertex, (p, q, r)) == pytest.approx(
-                triangle_invariant(ds, "P0", 0, vertex, p, q, r, n), abs=1e-12)
 
 
 def test_triangle_invariant_exact_log_argument():
@@ -133,21 +129,90 @@ def test_closed_leaf_condition(ds):
             assert r > 0 and lp > 0
 
 
-def test_closed_leaf_sums_reduce_to_shear_sums(ds):
-    # tau vanishes here, so R_p is just a signed sum of shears
-    vec = bd.bd_vector(ds, 3)
-    r1 = bd.closed_leaf_sums(vec, ds.spec, "C1", 1, "right")
-    assert r1 == pytest.approx(ds.curves["C1"].length, abs=1e-9)
+def test_closed_leaf_report_reduces_to_shear_sums(ds):
+    # with tau exactly 0, R_p and L_p are the signed shear sums of the
+    # curve's two fans, the boundary lengths
+    for n in (2, 3, 5):
+        vec = bd.bd_vector(ds, n)
+        flat = bd.BDVector(n=n, tau={k: 0.0 for k in vec.tau},
+                           sigma={(pid, leaf, p): SHEARS[pid][leaf] for pid, leaf, p in vec.sigma},
+                           theta=vec.theta)
+        for rule in ("verbatim", "swapped"):
+            report = bd.closed_leaf_report(flat, ds, rule)
+            assert [(cid, p) for cid, p, *_ in report.entries] == [
+                (cid, p) for cid in sorted(ds.curves) for p in range(1, n)]
+            for cid, p, r, l, lp in report.entries:
+                assert r == pytest.approx(lp, abs=1e-9)
+                assert l == pytest.approx(lp, abs=1e-9)
 
 
-def test_closed_leaf_sums_both_vertex_rules_agree_on_fuchsian(ds):
-    vec = bd.bd_vector(ds, 4)
-    for cid in ds.curves:
-        for p in (1, 2, 3):
-            for side in ("left", "right"):
-                a = bd.closed_leaf_sums(vec, ds.spec, cid, p, side, "verbatim")
-                b = bd.closed_leaf_sums(vec, ds.spec, cid, p, side, "swapped")
-                assert a == pytest.approx(b, abs=1e-9)
+def random_vector(rng, vec):
+    """A vector with vec's keys and independent random values, so a sum
+    that reads a wrong index or vertex comes out different."""
+    return bd.BDVector(n=vec.n, **{block: {k: rng.uniform(-2.0, 2.0) for k in values}
+                                   for block, values in (("tau", vec.tau), ("sigma", vec.sigma),
+                                                         ("theta", vec.theta))})
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_closed_leaf_report_matches_the_spiral_sum_oracle(ds, kind):
+    # off the Fuchsian locus, every curve, p and side against a fan walk per
+    # sum: both vertex rules, each spike vertex's rotation of the tau row
+    rng = random.Random(17)
+    if kind == "I":
+        surface = ds
+    else:
+        from bdcoords.surfaces import PantsLamination, SurfaceSpec
+
+        lam = lambda: PantsLamination(kind="II", spiral_signs={1: -1, 2: 1, 3: 1},
+                                      leaf_orientations={"B12": 1}, distinguished=1)
+        spec = SurfaceSpec(genus=2, pants={"P0": lam(), "P1": lam()},
+                           curves={"C1": (("P0", 1), ("P1", 1)),
+                                   "C2": (("P0", 2), ("P1", 2)),
+                                   "C3": (("P0", 3), ("P1", 3))})
+        shears = {pid: {"B11": -1.0, "B12": 0.9, "B13": 0.5} for pid in spec.pants}
+        surface = assemble_surface(spec, shears, {"C1": 0.2, "C2": 0.0, "C3": -0.4})
+    for n in (2, 3, 5, 8):
+        vec = random_vector(rng, bd.bd_vector(surface, n))
+        reports = {rule: bd.closed_leaf_report(vec, surface, rule)
+                   for rule in ("verbatim", "swapped")}
+        for rule, report in reports.items():
+            assert len(report.entries) == len(surface.curves) * (n - 1)
+            for cid, p, r, l, _ in report.entries:
+                assert r == spiral_sum(vec, surface.spec, cid, p, "right", rule)
+                assert l == spiral_sum(vec, surface.spec, cid, p, "left", rule)
+        if n > 2:   # the two readings differ off the locus
+            assert reports["verbatim"].entries != reports["swapped"].entries
+
+
+def test_closed_leaf_report_vertex_rules_agree_on_fuchsian(ds):
+    for n in (3, 4, 5):
+        vec = bd.bd_vector(ds, n)
+        verbatim = bd.closed_leaf_report(vec, ds, "verbatim").entries
+        swapped = bd.closed_leaf_report(vec, ds, "swapped").entries
+        assert len(verbatim) == len(swapped) == 3 * (n - 1)
+        for (cid, p, r, l, lp), (cid2, p2, r2, l2, lp2) in zip(verbatim, swapped):
+            assert (cid, p, lp) == (cid2, p2, lp2)
+            assert r == pytest.approx(r2, abs=1e-9)
+            assert l == pytest.approx(l2, abs=1e-9)
+    with pytest.raises(ValueError, match="vertex_rule must be 'verbatim' or 'swapped'"):
+        bd.closed_leaf_report(bd.bd_vector(ds, 3), ds, "rotated")
+
+
+def test_closed_leaf_report_walks_each_fan_once(monkeypatch):
+    # one walk per curve side, whatever n: 6 on a genus-2 surface, where one
+    # walk per side and p made 42 at n = 8
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    walks = []
+    fan_cycle = bd.fan_cycle
+    monkeypatch.setattr(bd, "fan_cycle", lambda *a: walks.append(a) or fan_cycle(*a))
+    for n in (3, 8):
+        walks.clear()
+        bd.closed_leaf_report(bd.bd_vector(ds, n), ds)
+        assert sorted(walks, key=repr) == sorted(
+            [(ds.spec.pants[pid], slot) for ends in ds.spec.curves.values()
+             for pid, slot in ends], key=repr)
+        assert len(walks) == 6
 
 
 def deck_length(surface, cid, side):
@@ -172,10 +237,9 @@ def test_closed_leaf_length_spectrum(ds):
 
 # -- membership ---------------------------------------------------------------
 
-def test_closed_leaf_sums_rejects_an_unknown_side(ds):
-    vec = bd.bd_vector(ds, 3)
+def test_spec_side_rejects_an_unknown_side(ds):
     with pytest.raises(ValueError, match="side must be 'left' or 'right', not 'middle'"):
-        bd.closed_leaf_sums(vec, ds.spec, "C1", 1, "middle")
+        ds.spec.side("C1", "middle")
     for cid, ends in ds.spec.curves.items():
         assert (ds.spec.side(cid, "left"), ds.spec.side(cid, "right")) == ends
 

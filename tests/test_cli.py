@@ -349,6 +349,24 @@ def test_deeply_nested_input_is_named_and_exits_2(command, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command", ["invariants", "realize"])
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(b'{"genus": 2,', "Expecting property name enclosed in double quotes: "
+                 "line 1 column 13 (char 12)", id="truncated"),
+    pytest.param(b"", "Expecting value: line 1 column 1 (char 0)", id="empty"),
+    pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                 "invalid start byte", id="not-utf-8"),
+])
+def test_input_that_is_not_json_is_named_and_exits_2(command, content, reason,
+                                                      tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, "--input", str(path), "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: input {str(path)!r} is not JSON: {reason}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("command, source, section, key", [
     pytest.param("invariants", SURFACE, "twists", "CX", id="invariants-twists"),
     pytest.param("invariants", SURFACE, "shears", "PX", id="invariants-shears"),

@@ -363,13 +363,13 @@ def test_checker_finds_a_default_no_call_passes():
 UNPASSED_DEFAULTS = {
     ("closed_leaf_report", "vertex_rule"):
         "two readings of the spiral-sum formula, until an off-Fuchsian oracle "
-        "settles one (ROADMAP item 7)",
+        "settles one (ROADMAP item 10)",
     ("assemble_surface", "base_points"):
         "the seam through which the chart-invariance tests move the base triangles",
     ("run_genus2_invariants", "n_values"):
-        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 8)",
+        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 9)",
     ("run_roundtrip", "n_values"):
-        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 8)",
+        "tests run the suite at other ranks, and `verify --n` is to reach it (ROADMAP item 9)",
     ("sample_valid_shears", "hi"):
         "the side-check stress test samples shears up to 4.0",
 }

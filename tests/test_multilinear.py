@@ -143,6 +143,30 @@ def append_cases(rng, n):
     for k in range(2, n):
         cases.append(e[:k] + [[3 * x + (j >= k) * rng.randint(1, 9) for j, x in enumerate(e[0])]]
                      + flags[1][:n - k - 1])
+    # dense rows whose first two pivot in columns 0 and 1
+    dense = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+    dense[0][0] = rng.randint(1, 50)
+    if dense[0][0] * dense[1][1] == dense[0][1] * dense[1][0]:
+        dense[1][1] += 1
+    # the unit rows of the flags at 0 and at infinity, plain and scaled,
+    # above dense rows: every row below passes them as zero-rest steps
+    axes = [flags[2], flags[3], exact_flag_rows(0, 3, n), exact_flag_rows(2, 0, n)]
+    for e in axes:
+        cases += [e[:i] + dense[:n - i] for i in range(1, n)]
+    for e, f in ((axes[3], axes[2]), (axes[1], axes[2]), (axes[2], axes[3])):
+        cases += [e[:i] + f[:j] + dense[:n - i - j]
+                  for i in range(1, n) for j in range(1, n + 1 - i)]
+    # a zero-rest step between two updating steps: the second row, three
+    # times the first plus a unit row, reduces to a multiple of the unit row
+    for c in range(1, n):
+        cases.append([dense[0], [3 * x + 5 * (j == c) for j, x in enumerate(dense[0])]]
+                     + dense[1:n - 1])
+    # a run of zero-rest steps that ends the row: combinations of the first
+    # two rows plus unit rows past their pivot columns
+    for k in range(3, n + 1):
+        cases.append(dense[:2] + [[2 * x - y + 7 * (j == c)
+                                   for j, (x, y) in enumerate(zip(dense[0], dense[1]))]
+                                  for c in range(2, k)] + dense[2:n + 2 - k])
     # dependent rows: a combination of the rows above, a repeated flag row
     for _ in range(5):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
@@ -166,6 +190,31 @@ def test_bareiss_append_pivots_on_columns(n):
     value, indices = appended_det(rows)
     assert indices == list(range(n - 1, -1, -1))
     assert value == det_int(rows) == (-1) ** (n * (n - 1) // 2)
+
+
+class NoArithmetic(int):
+    """An int that refuses to be multiplied: a row of them shows that an
+    append did no element arithmetic."""
+
+    def __mul__(self, other):
+        raise AssertionError("element arithmetic on a rescale-only step")
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_rows_below_unit_rows_append_with_no_arithmetic(n):
+    # e_1, e_2 (the flag at infinity) and e_n, e_(n-1) (at 0) leave zero
+    # rests with pivots 1, so a dense row below them is only popped, where
+    # the plain update multiplies each of its entries
+    rng = random.Random(60 + n)
+    for point in ((1, 0), (0, 1)):
+        steps = []
+        for row in exact_flag_rows(*point, n)[:2]:
+            steps.append(bareiss_append(steps, row))
+        row = [rng.randint(1, 50) for _ in range(n)]
+        step = bareiss_append(steps, [NoArithmetic(x) for x in row])
+        assert step == plain_bareiss_append(steps, row)
 
 
 def test_bareiss_append_stops_at_a_dependent_row():

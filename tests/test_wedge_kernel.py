@@ -378,9 +378,46 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     assert not any(call is row for call in calls for row in zero_rows)
 
 
-def test_sampled_surface_appends_at_rank_8(monkeypatch):
+class CountedPivot(int):
+    """A pivot that counts the products it enters as a right operand: each
+    element of a Bareiss update, x * pivot - lead * y, and of a deferred
+    rescale, x * pivot, makes exactly one."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        CountedPivot.products += 1
+        return int(other) * int(self)
+
+
+def sampled_surface_work(monkeypatch, n):
+    """The appends and the element updates of one ``bd_vector`` of the
+    seed-7 sampled surface at rank n."""
     ds = assemble_surface(*sample_genus2(random.Random(7)))
-    calls = count_appends(monkeypatch)
-    bd.bd_vector(ds, 8)
-    # 493 appends when every row of the flag at 0 was stacked
-    assert len(calls) <= 210
+    appends = 0
+
+    def counting(steps, row):
+        nonlocal appends
+        appends += 1
+        return bareiss_append([(i, CountedPivot(pivot), rest) for i, pivot, rest in steps], row)
+
+    monkeypatch.setattr(flags, "bareiss_append", counting)
+    monkeypatch.setattr(CountedPivot, "products", 0)
+    bd.bd_vector(ds, n)
+    return appends, CountedPivot.products
+
+
+def test_sampled_surface_appends_at_rank_8(monkeypatch):
+    # 493 appends when every row of the flag at 0 was stacked; 2 490
+    # element updates when every nonzero lead took the plain update, where
+    # a rescale-only step (a zero lead or a zero rest) costs none
+    appends, updates = sampled_surface_work(monkeypatch, 8)
+    assert appends == 190
+    assert updates <= 1494
+
+
+def test_sampled_surface_appends_at_rank_12(monkeypatch):
+    # 10 888 element updates with the plain update at every nonzero lead
+    appends, updates = sampled_surface_work(monkeypatch, 12)
+    assert appends == 382
+    assert updates <= 7050
