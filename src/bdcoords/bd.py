@@ -114,20 +114,22 @@ def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
 def _log_ratio(table: WedgeTable, name: str, index, num: int, den: int) -> float:
     """The log of the ratio num / den of a table, named ``name`` and its
     ``index`` in errors ("double ratio D_" and 3): the sign checked exactly,
-    the log taken of the correctly rounded quotient."""
-    if (num > 0) != (den > 0):
-        raise AssemblyError(
-            f"{name}{index} {table.where} is not positive: {num / den:.6g} "
-            f"at n = {table.n}")
+    the log taken of the correctly rounded quotient.  A ratio outside the
+    double range is named by the log of its magnitude, whatever its sign."""
     try:
         quotient = num / den
     except OverflowError:
         quotient = math.inf
-    if not sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
-        raise AssemblyError(
-            f"{name}{index} {table.where} is outside the double range: its log is "
-            f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
-    return math.log(quotient)
+    positive = (num > 0) == (den > 0)
+    if positive and sys.float_info.min <= quotient < math.inf:   # a subnormal loses digits
+        return math.log(quotient)
+    named = f"{name}{index} {table.where}"
+    if sys.float_info.min <= abs(quotient) < math.inf:
+        raise AssemblyError(f"{named} is not positive: {quotient:.6g} at n = {table.n}")
+    what = ("is outside the double range: its log" if positive else
+            "is not positive and outside the double range: the log of its magnitude")
+    raise AssemblyError(f"{named} {what} is "
+                        f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
 
 
 def log_triple_ratio(table: WedgeTable, p: int, q: int, r: int) -> float:

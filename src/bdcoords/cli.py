@@ -200,10 +200,15 @@ def _dump_json(data, path: str):
         fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
-def _read_input(path: str):
-    """The surface data of an input file, its spec and its shears.  A file
-    that does not decode or parse as JSON, or that is nested deeper than the
-    parser's recursion limit, is bad input named by its path."""
+# by command, the section of an input file that only the other command reads
+_OTHER_SECTION = {"invariants": ("gluing", "realize"), "realize": ("twists", "invariants")}
+
+
+def _read_input(path: str, command: str):
+    """The surface data of an input file for ``command``, its spec and its
+    shears.  A file that does not decode or parse as JSON, that is nested
+    deeper than the parser's recursion limit, or that carries the section
+    the other command reads, is bad input named by its path."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -213,6 +218,10 @@ def _read_input(path: str):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SurfaceSpecError(f"input {path!r} is not JSON: {exc}") from None
     spec = spec_from_dict(data)
+    section, reader = _OTHER_SECTION[command]
+    if section in data:
+        raise SurfaceSpecError(
+            f"input {path!r} has a {section!r} section, which {reader} reads, not {command}")
     return data, spec, shears_section(spec, data.get("shears", {}))
 
 
@@ -280,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    data, spec, shears = _read_input(args.input)
+    data, spec, shears = _read_input(args.input, args.command)
     twists = _numbers("twists",
                       _known_ids("twists", data.get("twists", {}), spec.curves, "curve"))
     ds = assemble_surface(spec, shears, twists)
@@ -302,7 +311,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    data, spec, shears = _read_input(args.input)
+    data, spec, shears = _read_input(args.input, args.command)
     gluing = gluing_section(spec, data.get("gluing", {}))
     sp = bd.SlicePoint(shears=shears, gluing=gluing)
     ds = bd.realize_slice(sp, spec)

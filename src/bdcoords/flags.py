@@ -20,7 +20,9 @@ a positive factor that the ratios do not see, or the integer Veronese rows
 of a point (the bd module).  So the pair is two integer products of wedges.
 Only :meth:`WedgeTrie.table` builds an exact table, which reads each wedge
 off that trie of Bareiss elimination states, so leading rows shared by
-several wedges are reduced once, and checks it exactly nonzero.  A flag's
+several wedges are reduced once, and checks it exactly nonzero.  Each state
+is one ``multilinear.append_row`` below its parent, the step whose fold is
+``det_int``, the independence check of an exact ``Flag``.  A flag's
 integer Veronese rows are upper triangular, so its own earlier rows give a
 new row zero leads, and a unit row stacked first leaves a zero rest:
 ``bareiss_append`` only pops the lead of such a rescale-only step and folds
@@ -44,7 +46,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
-from .multilinear import bareiss_append, det_int, det_raw, integer_row
+from .multilinear import append_row, det_int, det_raw, integer_row
 
 _FLOAT_RANK_TOL = 1e-12  # |det| > tol * (product of row norms) counts as nonzero
 
@@ -99,7 +101,7 @@ class WedgeTrie:
     module) and gets its integer rows ``rows_of(id)`` and a small key once.
     A state, keyed by the stacked blocks ``((key, level), ...)`` with zero
     levels dropped, is its parent (one row fewer) with the next row appended
-    by ``multilinear.bareiss_append``, so rows shared by many wedges, in one
+    by ``multilinear.append_row``, so rows shared by many wedges, in one
     table or across tables, are reduced once.  A state of n rows is its
     signed determinant; an exactly dependent one is 0, as is every state
     below it.
@@ -163,33 +165,16 @@ class WedgeTrie:
         return self._state(blocks)
 
     def _state(self, blocks):
-        """The elimination state of the stacked blocks: ``(steps, skipped)``
-        below n rows, the signed determinant at n rows, 0 once dependent.
-        ``skipped`` counts the free columns the pivots passed over: its
-        parity is the sign of the column order, and it is 0 exactly when
-        every step pivoted in the next free column."""
+        """The elimination state of the stacked blocks (see
+        ``multilinear.append_row``): ``(steps, skipped)`` below n rows, the
+        signed determinant at n rows, 0 once dependent."""
         state = self._states.get(blocks)
         if state is None:
             key, level = blocks[-1]
             parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
-            state = _append(self._state(parent), self.rows[key][level - 1])
+            state = append_row(self._state(parent), self.rows[key][level - 1])
             self._states[blocks] = state
         return state
-
-
-def _append(state, row):
-    """The elimination state one integer row below ``state``."""
-    if not state:   # rows that are dependent stay dependent
-        return 0
-    steps, skipped = state
-    step = bareiss_append(steps, row)
-    if step is None:
-        return 0
-    index, pivot, rest = step
-    skipped += index
-    if rest:
-        return steps + (step,), skipped
-    return -pivot if skipped & 1 else pivot
 
 
 class WedgeTable:

@@ -1,8 +1,9 @@
 """Exact and floating-point multilinear algebra.
 
-Determinants (fraction-free Bareiss elimination in exact mode, a pure-Python
-partial-pivot LU in float mode), extended binomial coefficients, and two
-families of integer binomial determinants together with their closed forms:
+Determinants (fraction-free Bareiss elimination in exact mode, one row at a
+time by :func:`append_row`, which :func:`det_int` folds over the rows; a
+pure-Python partial-pivot LU in float mode), extended binomial coefficients,
+and two families of integer binomial determinants with their closed forms:
 
 * the "band" determinant: the q x q matrix whose row i, column j entry is
   ``ext_binomial(p + r, p + i - j)`` (0-indexed),
@@ -19,36 +20,11 @@ package silently "fixes" one to match the other.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .scalars import FLOAT, infer_mode
-
-
-def det_int(rows) -> int:
-    """Determinant of integer rows by Bareiss elimination (all divisions are exact)."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def bareiss_append(steps, row):
@@ -78,8 +54,7 @@ def bareiss_append(steps, row):
     After n rows of length n the last pivot is the determinant with the
     columns taken in pivot order, so the determinant is that pivot times
     (-1) ** (sum of the indices).  A shared prefix of rows is reduced once
-    and extended many times; :func:`det_int` stays the routine for one
-    isolated determinant.
+    and extended many times.
     """
     r = list(row)
     prev = pivot = 1   # prev: the divisor of the next updating step
@@ -94,6 +69,32 @@ def bareiss_append(steps, row):
         if x:
             return index, x, r[:index] + r[index + 1:]
     return None
+
+
+def append_row(state, row):
+    """The elimination state one integer row below ``state``.  The empty
+    stack is ``((), 0)``.  Below n rows a state is ``(steps, skipped)``: the
+    steps of :func:`bareiss_append`, and the free columns the pivots passed
+    over (0 exactly when each step pivoted in the next free column; its
+    parity is the sign of the column order).  At n rows it is the signed
+    determinant, and once a row is dependent it is 0."""
+    if not state:   # rows that are dependent stay dependent
+        return 0
+    steps, skipped = state
+    step = bareiss_append(steps, row)
+    if step is None:
+        return 0
+    index, pivot, rest = step
+    skipped += index
+    if rest:
+        return steps + (step,), skipped
+    return -pivot if skipped & 1 else pivot
+
+
+def det_int(rows) -> int:
+    """Determinant of square integer rows, appended one at a time from the
+    empty stack by :func:`append_row`."""
+    return functools.reduce(append_row, rows, ((), 0))
 
 
 def integer_row(row):

@@ -1,15 +1,16 @@
 """Independent oracles: deliberately naive implementations used only to
-cross-check the library (cofactor expansion instead of elimination, the
-plain Bareiss update at every step of an append, affine
+cross-check the library (cofactor expansion instead of elimination, a
+Bareiss elimination with row swaps instead of the library's column-pivoting
+row appends, the plain Bareiss update at every step of an append, affine
 cross ratios instead of projective ones, the symmetric-power representation
 as plain rows, a trie of one-shot determinants in the other Veronese
 basis, one fan walk per spiral sum), and one-off invariant values read off
 a Veronese trie of their own."""
+import math
 from fractions import Fraction
 
 import bdcoords.bd as bd
 from bdcoords.flags import WedgeTrie
-from bdcoords.multilinear import det_int
 from bdcoords.surfaces import fan_cycle
 from bdcoords.veronese import flag_rows
 
@@ -30,6 +31,44 @@ def cofactor_det(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def row_swap_det(rows) -> int:
+    """Determinant of integer rows by Bareiss elimination (all divisions are
+    exact), swapping in a lower row when a diagonal pivot is 0: one pass
+    over the whole matrix, sharing no code with the library's column-pivoting
+    row appends (``multilinear.bareiss_append``)."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i, row_k = a[i], a[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def rational_det(rows) -> Fraction:
+    """Determinant of rational rows: ``row_swap_det`` of the rows, each
+    scaled to integers by the product of its denominators."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    scales = [math.prod(x.denominator for x in row) for row in rows]
+    return Fraction(row_swap_det([[int(x * s) for x in row] for row, s in zip(rows, scales)]),
+                    math.prod(scales))
 
 
 def plain_bareiss_append(steps, row):
@@ -150,12 +189,13 @@ def integer_coordinates(pt):
 def complement_trie(n):
     """A Veronese trie whose flags are the integer rows of the complement
     basis (b X - a Y) at the points of ``complement_table``, and whose every
-    wedge is one ``det_int`` of the stacked rows: no shared prefix, no pivot
-    read.  Passed for ``bd.veronese_trie``, with ``complement_table`` for
-    ``bd.veronese_table``, it gives the invariants of the float basis in
-    exact arithmetic."""
+    wedge is one ``row_swap_det`` of the stacked rows: no shared prefix, no
+    row append, no pivot read.  Passed for ``bd.veronese_trie``, with
+    ``complement_table`` for ``bd.veronese_table``, it gives the invariants
+    of the float basis in exact arithmetic."""
     trie = WedgeTrie(n, lambda point: flag_rows(*point, n))
-    trie.wedge = lambda blocks: det_int([row for key, d in blocks for row in trie.rows[key][:d]])
+    trie.wedge = lambda blocks: row_swap_det(
+        [row for key, d in blocks for row in trie.rows[key][:d]])
     return trie
 
 

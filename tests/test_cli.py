@@ -529,6 +529,20 @@ def test_realize_names_a_missing_section(drop, message, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command, source, section, reader", [
+    pytest.param("invariants", SLICE, "gluing", "realize", id="invariants-slice"),
+    pytest.param("realize", SURFACE, "twists", "invariants", id="realize-surface"),
+])
+def test_section_the_other_command_reads_exits_2(command, source, section, reader,
+                                                 tmp_path, capsys):
+    # read as a surface, a slice file would be glued at twist 0 everywhere
+    assert main([command, "--input", source, "--n", "3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"error: input {source!r} has a {section!r} "
+                                       f"section, which {reader} reads, not {command}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_twist_defaults_to_zero(tmp_path):
     data = json.loads(open(SURFACE).read())
     for twists, name in (({"C1": 0.15, "C3": 0.9}, "omitted"),

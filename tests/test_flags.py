@@ -16,7 +16,7 @@ from bdcoords.scalars import ScalarModeError
 from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
 from bdcoords.verification import random_generic_flags, sample_points
 from oracles import (double_ratio_by, double_ratio_by_cofactors, random_unimodular,
-                     stacked_rows, triple_ratio_by, triple_ratio_by_cofactors)
+                     rational_det, stacked_rows, triple_ratio_by, triple_ratio_by_cofactors)
 
 INF = ProjPoint(1, 0)
 
@@ -219,25 +219,21 @@ RATIONAL_POINTS = (ProjPoint(Fraction(3, 7), Fraction(-5, 2)),
                    ProjPoint(Fraction(11, 3), Fraction(1, 6)))
 
 
-def exact_det(rows):
-    return det_raw(rows, "exact")
-
-
 def integer_wedge(flags, levels):
     """The stacked wedge of flags built from their basis, as an exact table
-    holds it: ``det_raw`` of the stacked rows cleared to integers by
-    ``integer_row``, which is ``det_raw`` of the rows themselves times the
-    product of the row scales."""
+    holds it: ``rational_det`` of the stacked rows cleared to integers by
+    ``integer_row``, which is ``rational_det`` of the rows themselves times
+    the product of the row scales."""
     rows = stacked_rows(zip(flags, levels))
     cleared = [integer_row(row) for row in rows]
-    value = exact_det([r for r, _ in cleared])
-    assert value == exact_det(rows) * math.prod(scale for _, scale in cleared)
+    value = rational_det([r for r, _ in cleared])
+    assert value == rational_det(rows) * math.prod(scale for _, scale in cleared)
     return value
 
 
-def is_generic_by_det_raw(flags):
+def is_generic_by_rational_det(flags):
     n = flags[0].n
-    return all(exact_det(stacked_rows(zip(flags, comp))) != 0
+    return all(rational_det(stacked_rows(zip(flags, comp))) != 0
                for comp in itertools.product(range(n + 1), repeat=len(flags))
                if sum(comp) == n)
 
@@ -256,11 +252,11 @@ def test_ratios_at_rational_points_match_det_raw(n):
         for p in range(1, n - 1):
             for q in range(1, n - p):
                 pqr = (p, q, n - p - q)
-                assert triple_ratio(E, F, G, *pqr) == triple_ratio_by(exact_det, E, F, G, *pqr)
+                assert triple_ratio(E, F, G, *pqr) == triple_ratio_by(rational_det, E, F, G, *pqr)
     for p in range(1, n):
-        assert double_ratio(*flags, p) == double_ratio_by(exact_det, *flags, p)
+        assert double_ratio(*flags, p) == double_ratio_by(rational_det, *flags, p)
     for t in (flags[:3], flags, flags[:2] + flags[:1]):
-        assert is_generic(t) == is_generic_by_det_raw(t)
+        assert is_generic(t) == is_generic_by_rational_det(t)
     assert not is_generic(flags[:2] + flags[:1])
 
 
@@ -268,7 +264,7 @@ def test_ratios_at_rational_points_match_det_raw(n):
 def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     # the values the exact identity suites compute, off a Veronese trie of the
     # triangular rows at integer points, and the ratios of exact Veronese
-    # flags both equal the ratios of det_int wedges of the (b X - a Y) rows
+    # flags both equal the ratios of one-shot wedges of the (b X - a Y) rows
     def complement_flag(p):
         return Flag(flag_rows(p.a, p.b, n))
 
@@ -277,7 +273,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
         table = bd.veronese_table(bd.veronese_trie(n), pts, "in triple ratio")
         for pqr in bd.triple_indices(n):
-            expected = triple_ratio_by(exact_det, *old, *pqr)
+            expected = triple_ratio_by(rational_det, *old, *pqr)
             assert table.quotient(*table.triple_ratio(*pqr)) == expected
             assert triple_ratio(*flags, *pqr) == expected
     for a, b, c, d in suite_cases(n, 6, n, 4, "exact"):
@@ -285,7 +281,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
         table = bd.veronese_table(bd.veronese_trie(n), pts, "in double ratio")
         for p in range(1, n):
-            expected = double_ratio_by(exact_det, *old, p)
+            expected = double_ratio_by(rational_det, *old, p)
             assert table.quotient(*table.double_ratio(p)) == expected
             assert double_ratio(*flags, p) == expected
 
@@ -301,10 +297,10 @@ def test_flag_rows_with_different_denominators():
     table = wedge_table(flags, "in a test")
     for levels in ((3, 0, 0), (2, 1, 0), (1, 1, 1), (1, 2, 0), (0, 1, 2)):
         assert table.wedge(*levels) == integer_wedge(flags, levels)
-    assert triple_ratio(E, F, G, 1, 1, 1) == triple_ratio_by(exact_det, E, F, G, 1, 1, 1)
+    assert triple_ratio(E, F, G, 1, 1, 1) == triple_ratio_by(rational_det, E, F, G, 1, 1, 1)
     for p in (1, 2):
-        assert double_ratio(E, F, G, Gp, p) == double_ratio_by(exact_det, E, F, G, Gp, p)
-    assert is_generic([E, F, G]) == is_generic_by_det_raw([E, F, G])
+        assert double_ratio(E, F, G, Gp, p) == double_ratio_by(rational_det, E, F, G, Gp, p)
+    assert is_generic([E, F, G]) == is_generic_by_rational_det([E, F, G])
     with pytest.raises(DegenerateFlagError):
         Flag([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
 
@@ -319,7 +315,8 @@ def test_rescaled_rational_flag():
         assert triple_ratio(F, G, scaled, *pqr) == triple_ratio(F, G, E, *pqr)
     for p in (1, 2, 3):
         assert double_ratio(scaled, F, G, Gp, p) == double_ratio(E, F, G, Gp, p)
-        assert double_ratio(F, G, scaled, Gp, p) == double_ratio_by(exact_det, F, G, scaled, Gp, p)
+        assert double_ratio(F, G, scaled, Gp, p) == \
+            double_ratio_by(rational_det, F, G, scaled, Gp, p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ none imports an underscore (module-private) name from another module of the
 package, the package imports nothing outside the standard library, each
 ratio formula of the flags module is written in one function only, only
 ``flags.WedgeTrie.table`` constructs an exact ``WedgeTable`` and no other
-module derives from the wedge classes, and every function, class and method
-of the package is read by the package, a script or the benchmark, not by
-tests alone.  Importing the package or its
-command line loads neither ``dataclasses`` nor ``inspect``.
+module derives from the wedge classes, only ``multilinear.bareiss_append``
+holds the Bareiss update and ``det_int`` folds its state step, every
+function, class and method of the package is read by the package, a script
+or the benchmark, not by tests alone, and every function the benchmark's
+tracer wraps resolves with the parameters its wrapper passes.  Importing the
+package or its command line loads neither ``dataclasses`` nor ``inspect``.
 
 The package re-exports its public names from ``__init__.py``, so only the
 other modules are checked for unused and private imports; every module is
@@ -289,6 +291,73 @@ def test_every_traced_function_resolves(traced):
     # function fails here first
     module, name = traced
     assert callable(getattr(importlib.import_module(f"bdcoords.{module}"), name, None))
+
+
+# the functions the tracer wraps by hand in a wrapper of fixed parameters,
+# which it passes on by position: ``_det_span`` and ``_flag_span``
+TRACER_SIGNATURES = {("multilinear", "det_raw"): ("rows", "mode"),
+                     ("veronese", "veronese_flag"): ("p", "n")}
+
+
+@pytest.mark.parametrize("traced", sorted(TRACER_SIGNATURES), ids=".".join)
+def test_every_hand_wrapped_function_keeps_its_parameters(traced):
+    module, name = traced
+    code = getattr(importlib.import_module(f"bdcoords.{module}"), name).__code__
+    assert code.co_varnames[:code.co_argcount] == TRACER_SIGNATURES[traced]
+    assert code.co_kwonlyargcount == 0
+
+
+def bareiss_update_sites(source: str) -> list:
+    """Names of the innermost functions holding a floor division whose left
+    operand is a difference, the shape of the Bareiss update
+    ``(x * pivot - lead * y) // previous pivot``."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)):
+            sites.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def names_in_calls(source: str, function: str) -> set:
+    """Every name that a call in the top-level ``function`` of the source
+    calls or passes as an argument."""
+    [node] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {getattr(part, "id", None) or getattr(part, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            for part in (call.func, *call.args)} - {None}
+
+
+def test_checker_finds_each_bareiss_update():
+    source = ("def det(a, n):\n"
+              "    def update(x, y, lead, pivot, prev):\n"
+              "        return (x * pivot - lead * y) // prev\n"
+              "    prev = 1\n"
+              "    for k in range(n - 1):\n"
+              "        a[k + 1][k] = (a[k][k] - a[k + 1][k]) // prev\n"
+              "    return functools.reduce(update, a, ((), 0))\n"
+              "def rescale(x, pivot, prev, n):\n"
+              "    return x * pivot // prev, (n - 1) / 2, (n * (n - 1)) // 2\n")
+    assert bareiss_update_sites(source) == ["update", "det"]
+    assert names_in_calls(source, "det") == {"a", "range", "reduce", "update"}
+    assert names_in_calls(source, "rescale") == set()
+
+
+def test_src_has_one_bareiss_elimination():
+    # every exact determinant, the trie's states and ``det_int`` alike, runs
+    # the update of ``bareiss_append``: ``det_int`` folds the state step
+    sites = [(path.name, name) for path in ALL_MODULES
+             for name in bareiss_update_sites(path.read_text())]
+    assert sites == [("multilinear.py", "bareiss_append")]
+    assert "append_row" in names_in_calls((PACKAGE / "multilinear.py").read_text(), "det_int")
 
 
 def defaulted_parameters(source: str) -> list:

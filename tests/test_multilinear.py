@@ -14,7 +14,7 @@ from bdcoords.multilinear import (band_det_bruteforce, band_det_formula, band_ma
                                   det_raw, ext_binomial, rhombus_det_bruteforce,
                                   rhombus_det_formula, rhombus_matrix)
 from bdcoords.veronese import exact_flag_rows
-from oracles import cofactor_det, matmul, plain_bareiss_append
+from oracles import cofactor_det, matmul, plain_bareiss_append, row_swap_det
 
 
 # -- determinants -----------------------------------------------------------
@@ -179,8 +179,10 @@ def append_cases(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_bareiss_append_matches_det_int(n):
+    # det_int is the fold of these appends; the row-swapping oracle shares
+    # no code with them
     for rows in append_cases(random.Random(40 + n), n):
-        assert appended_det(rows)[0] == det_int(rows)
+        assert appended_det(rows)[0] == det_int(rows) == row_swap_det(rows)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -6,7 +6,8 @@ Their values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
 points and to 1e-12 on the float points of a developed surface.  Their
 stacked wedges, read off the shared elimination trie, are checked against
-one ``det_int`` of the same integer rows.
+one ``oracles.row_swap_det`` of the same integer rows, an elimination that
+shares no code with the trie's row appends.
 """
 import functools
 import json
@@ -21,15 +22,16 @@ import pytest
 
 import bdcoords.bd as bd
 import bdcoords.flags as flags
+import bdcoords.multilinear as multilinear
 from bdcoords.cli import main
 from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
-from bdcoords.multilinear import bareiss_append, det_int
+from bdcoords.multilinear import bareiss_append
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import (run_double_ratio, run_triple_ratio, sample_genus2,
                                    sample_points)
 from bdcoords.veronese import exact_flag_rows, veronese_flag
-from oracles import complement_table, complement_trie, integer_coordinates
+from oracles import complement_table, complement_trie, integer_coordinates, row_swap_det
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -140,7 +142,7 @@ def test_vanishing_wedge_names_object_index_and_rank():
 
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch):
-    # the same invariants, value for value, from one det_int per wedge of
+    # the same invariants, value for value, from one row_swap_det per wedge of
     # the (b X - a Y) rows the float flags use: the basis and the trie
     # change no ratio, so not even the last bit of a log
     for seed in (1, 2, 3):
@@ -162,6 +164,26 @@ def test_negative_double_ratio_names_object_and_rank():
     with pytest.raises(AssemblyError,
                        match=r"double ratio D_2 at curve C2 is not positive: .* at n = 4"):
         bd.log_double_ratio(table, 2)
+
+
+TINY = ProjPoint(Fraction(1, 10 ** 400), 1)
+NEGATIVE_RATIOS = [
+    # D_1 = -10^400 overflows a float, and -10^-400 rounds to -0
+    ((ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), TINY),
+     "not positive and outside the double range: the log of its magnitude is 921.034"),
+    ((TINY, ProjPoint(1, 1), ProjPoint(0, 1), ProjPoint(1, 0)),
+     "not positive and outside the double range: the log of its magnitude is -921.034"),
+    ((ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), ProjPoint(2, 1)),
+     "not positive: -0.5"),
+]
+
+
+@pytest.mark.parametrize("pts, message", NEGATIVE_RATIOS, ids=("huge", "tiny", "in-range"))
+def test_negative_ratio_is_named_by_its_value_or_its_log(pts, message):
+    table = bd.veronese_table(bd.veronese_trie(3), pts, "at test")
+    with pytest.raises(AssemblyError) as caught:
+        bd.log_double_ratio(table, 1)
+    assert str(caught.value) == f"double ratio D_1 at test is {message} at n = 3"
 
 
 def test_kernel_rejects_bad_indices():
@@ -241,8 +263,8 @@ def integer_rows(pt: ProjPoint, n: int):
 
 
 def stacked_wedge(pts, levels, n):
-    return det_int([row for pt, d in zip(pts, levels)
-                    for row in integer_rows(pt, n)[:d]])
+    return row_swap_det([row for pt, d in zip(pts, levels)
+                         for row in integer_rows(pt, n)[:d]])
 
 
 def level_tuples(n: int, m: int):
@@ -324,7 +346,7 @@ def test_repeated_point_gives_a_dependent_prefix(n):
 
 
 def check_every_entry(table, pts, n):
-    """Every entry of the table is det_int of its stacked rows, sign
+    """Every entry of the table is row_swap_det of its stacked rows, sign
     included; an entry that is 0 raises the named error."""
     for levels in level_tuples(n, len(pts)):
         expected = stacked_wedge(pts, levels, n)
@@ -351,14 +373,14 @@ def test_flag_at_zero_in_every_position(n):
 
 
 def count_appends(monkeypatch):
-    """The rows ``flags`` appends from now on, in order."""
+    """The rows ``multilinear.bareiss_append`` appends from now on, in order."""
     calls = []
 
     def counting(steps, row):
         calls.append(row)
         return bareiss_append(steps, row)
 
-    monkeypatch.setattr(flags, "bareiss_append", counting)
+    monkeypatch.setattr(multilinear, "bareiss_append", counting)
     return calls
 
 
@@ -401,7 +423,7 @@ def sampled_surface_work(monkeypatch, n):
         appends += 1
         return bareiss_append([(i, CountedPivot(pivot), rest) for i, pivot, rest in steps], row)
 
-    monkeypatch.setattr(flags, "bareiss_append", counting)
+    monkeypatch.setattr(multilinear, "bareiss_append", counting)
     monkeypatch.setattr(CountedPivot, "products", 0)
     bd.bd_vector(ds, n)
     return appends, CountedPivot.products
