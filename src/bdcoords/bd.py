@@ -49,7 +49,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .scalars import serialize_value
+from .scalars import EXACT, serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows
@@ -102,7 +102,7 @@ def veronese_trie(n: int) -> WedgeTrie:
     :func:`bd_vector`, or one case of the exact identity suites), named by
     their integer points (``_integer_point``), whose every table shares its
     states."""
-    return WedgeTrie(n, lambda point: exact_flag_rows(*point, n))
+    return WedgeTrie(n, lambda point: exact_flag_rows(*point, n), EXACT)
 
 
 def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:

@@ -14,30 +14,32 @@ each flag's basis vectors; the identification of the top wedge power with the
 scalars is fixed once and for all as the standard-basis determinant.
 
 Both ratios are read off a :class:`WedgeTable` of the flags' stacked wedges,
-the only copy of the two formulas, as a pair (num, den).  An exact table
-stacks integer rows: an exact flag's basis rows, each cleared to integers by
-a positive factor that the ratios do not see, or the integer Veronese rows
-of a point (the bd module).  So the pair is two integer products of wedges.
-Only :meth:`WedgeTrie.table` builds an exact table, which reads each wedge
-off that trie of Bareiss elimination states, so leading rows shared by
-several wedges are reduced once, and checks it exactly nonzero.  Each state
-is one ``multilinear.append_row`` below its parent, the step whose fold is
-``det_int``, the independence check of an exact ``Flag``.  A flag's
-integer Veronese rows are upper triangular, so its own earlier rows give a
-new row zero leads, and a unit row stacked first leaves a zero rest:
-``bareiss_append`` only pops the lead of such a rescale-only step and folds
-its pivot / previous pivot factor, which telescopes over a run of them, into
-the next updating step's divisor, so every state holds the integers of the
-plain update.  A wedge through the flag at 0, whose rows are unit
-rows, is read off the last pivot of the other blocks when they pivoted in
-order (the leading minor, by Bareiss), so that flag's rows are not appended;
-otherwise all rows are stacked.  A float table computes each wedge with
-``multilinear.det_raw`` against a relative genericity threshold.  Either
-table computes each entry once and keeps it by its levels, since the ratios
-read the same entry several times (126 reads of 42 entries for the triple
-ratios at n = 8).  :func:`triple_ratio` and :func:`double_ratio` build a
-fresh trie and table per call; the exact identity suites build one Veronese
-trie per sampled case, and ``bd_vector`` one per surface.
+the only copy of the two formulas, as a pair (num, den).  Only
+:meth:`WedgeTrie.table` builds a table, exact or float, which reads each
+wedge off that trie of elimination states, so leading rows shared by
+several wedges are reduced once.  Each state is one
+``multilinear.append_row`` below its parent, with the step of the trie's
+mode: fraction-free Bareiss on integer rows in exact mode, LU pivoting on
+each new row's largest entry in float mode; the fold of the same step is
+``det_raw``, the independence check of a ``Flag``.  An exact table stacks
+integer rows: an exact flag's basis rows, each cleared to integers, or the
+integer Veronese rows of a point (the bd module), so the pair is two
+integer products of wedges, each checked exactly nonzero.  A float table
+stacks a float flag's basis rows scaled to unit norm, and an entry counts
+as nonzero when its magnitude is above 1e-12.  Neither scale is seen by
+a ratio.  A flag's integer Veronese rows are upper triangular, so its own
+earlier rows give a new row zero leads, and a unit row stacked first leaves
+a zero rest: ``bareiss_append`` only pops the lead of such a rescale-only
+step and folds its factor into the next updating step's divisor, so every
+state holds the integers of the plain update.  A wedge through a flag
+whose rows are unit rows (the flag at 0) is read off the last pivot of the
+other blocks when they pivoted in order (their leading minor), so that
+flag's rows are not appended; otherwise all rows are stacked.  A table
+checks each entry against its threshold once and keeps it by its levels,
+since the ratios read the same entry several times (126 reads of 42
+entries for the triple ratios at n = 8).  :func:`triple_ratio` and
+:func:`double_ratio` build a fresh trie and table per call; the identity
+suites build one trie per sampled case, and ``bd_vector`` one per surface.
 """
 from __future__ import annotations
 
@@ -45,10 +47,13 @@ import math
 from fractions import Fraction
 from operator import attrgetter
 
+from . import multilinear
 from .scalars import EXACT, FLOAT, infer_mode, join_mode
-from .multilinear import append_row, det_int, det_raw, integer_row
+from .multilinear import append_row, det_raw, integer_row
 
-_FLOAT_RANK_TOL = 1e-12  # |det| > tol * (product of row norms) counts as nonzero
+# a wedge counts as nonzero when its magnitude is above this: any nonzero
+# exact wedge, and a float wedge of rows of unit norm above 1e-12
+_RANK_TOL = {EXACT: 0, FLOAT: 1e-12}
 
 
 class DegenerateFlagError(ValueError):
@@ -59,11 +64,13 @@ class Flag:
     """A complete flag given by an ordered basis of R^n.
 
     ``basis`` holds the rows as Fractions in exact mode and as floats in
-    float mode; an exact flag also keeps each row cleared to integers (see
-    ``multilinear.integer_row``), the rows its wedge tables stack.
+    float mode.  A flag also keeps the rows its wedge tables stack: in exact
+    mode each row cleared to integers (see ``multilinear.integer_row``), in
+    float mode each row scaled to unit norm.  Either is a positive scale of
+    the row, which no ratio sees.
     """
 
-    __slots__ = ("n", "mode", "basis", "_int_rows")
+    __slots__ = ("n", "mode", "basis", "_rows")
 
     def __init__(self, basis):
         rows = [tuple(row) for row in basis]
@@ -74,46 +81,45 @@ class Flag:
         self.mode = infer_mode(x for row in rows for x in row)
         if self.mode == EXACT:
             self.basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            self._int_rows = tuple(integer_row(row)[0] for row in self.basis)
-            independent = det_int(self._int_rows) != 0
+            self._rows = tuple(integer_row(row)[0] for row in self.basis)
         else:
             self.basis = tuple(tuple(float(x) for x in row) for row in rows)
-            independent = _float_wedge(self.basis)[1]
-        if not independent:
+            self._rows = tuple(_unit(row) for row in self.basis)
+        if not abs(det_raw(self._rows, self.mode)) > _RANK_TOL[self.mode]:
             raise DegenerateFlagError("flag basis is not linearly independent")
 
     def __repr__(self):
         return f"Flag(n={self.n}, mode={self.mode})"
 
 
-def _float_wedge(rows):
-    """``det_raw`` of float rows, and whether it counts as nonzero: |det|
-    above _FLOAT_RANK_TOL times the product of the row norms."""
-    value = det_raw(rows, FLOAT)
-    norms = math.prod(math.sqrt(sum(x * x for x in row)) for row in rows)
-    return value, abs(value) > _FLOAT_RANK_TOL * norms
+def _unit(row):
+    """A float row scaled to unit norm; a zero row stays zero."""
+    norm = math.hypot(*row)
+    return tuple(x / norm for x in row) if norm else row
 
 
 class WedgeTrie:
-    """Fraction-free elimination states of stacked integer flag rows.
+    """Elimination states of stacked flag rows, exact or float by ``mode``.
 
     A flag is named by a hashable id (a ``Flag``, or a point in the bd
-    module) and gets its integer rows ``rows_of(id)`` and a small key once.
-    A state, keyed by the stacked blocks ``((key, level), ...)`` with zero
+    module) and gets its rows ``rows_of(id)`` and a small key once.  A
+    state, keyed by the stacked blocks ``((key, level), ...)`` with zero
     levels dropped, is its parent (one row fewer) with the next row appended
-    by ``multilinear.append_row``, so rows shared by many wedges, in one
-    table or across tables, are reduced once.  A state of n rows is its
-    signed determinant; an exactly dependent one is 0, as is every state
-    below it.
+    by ``multilinear.append_row`` with the mode's step, picked once here,
+    so rows shared by many wedges, in one table or across tables, are
+    reduced once.  A state of n rows is its signed determinant; a dependent
+    one is 0, as is every state below it.
 
     A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
     at 0 = [0 : 1]) is recognised by those rows when it is first read, and
     :meth:`wedge` does not stack its first block: see there.
     """
 
-    def __init__(self, n: int, rows_of):
-        self.n, self.rows_of = n, rows_of
-        self.rows = []                 # integer rows of each flag, by key
+    def __init__(self, n: int, rows_of, mode: str):
+        self.n, self.rows_of, self.mode = n, rows_of, mode
+        self.tol = _RANK_TOL[mode]
+        self.step = multilinear.bareiss_append if mode == EXACT else multilinear.float_append
+        self.rows = []                 # rows of each flag, by key
         self._keys = {}                # id -> key
         self._states = {(): ((), 0)}   # stacked blocks -> elimination state
         self._at_zero = set()          # keys of the flags with rows e_n, e_{n-1}, ...
@@ -141,11 +147,11 @@ class WedgeTrie:
         it, spans the last a columns, so the wedge is
         (-1)^(a(a-1)/2 + a m) times the leading (n - a)-minor of the other
         blocks.  When every step of their state pivoted in the next free
-        column, that minor is its last pivot (Bareiss: the k-th pivot of an
-        elimination without column swaps is the leading k x k minor; 1 for
-        the empty stack), and the block's rows are never appended.  When the
-        other blocks are dependent or pivoted out of order, all rows are
-        stacked as for any other wedge.
+        column, that minor is its last pivot (the pivot of a step is the
+        minor on the pivot columns, a Bareiss pivot and a float step's
+        product of pivots alike; 1 for the empty stack), and the block's
+        rows are never appended.  When the other blocks are dependent or
+        pivoted out of order, all rows are stacked as for any other wedge.
         """
         value = self._states.get(blocks)
         if value is not None:
@@ -172,7 +178,7 @@ class WedgeTrie:
         if state is None:
             key, level = blocks[-1]
             parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
-            state = append_row(self._state(parent), self.rows[key][level - 1])
+            state = append_row(self._state(parent), self.rows[key][level - 1], self.step)
             self._states[blocks] = state
         return state
 
@@ -182,11 +188,10 @@ class WedgeTable:
 
     The entry at levels (d_1, ..., d_m), summing to n, is the determinant of
     the first d_1 rows of flag 1, then the first d_2 rows of flag 2, and so
-    on: here an integer read off a trie that holds the flags under ``keys``.
-    ``where`` places the table in errors ("at pants P0 triangle 1").
+    on, read off a trie that holds the flags under ``keys``: an integer, or
+    a float in float mode.  ``where`` places the table in errors ("at pants
+    P0 triangle 1").
     """
-
-    _VANISHING = "vanishing wedge factor {where}: wedge {levels} is exactly 0 at n = {n}"
 
     def __init__(self, trie: WedgeTrie, keys, where: str):
         self.trie, self.keys, self.where = trie, tuple(keys), where
@@ -194,23 +199,26 @@ class WedgeTable:
         self._entries = {}   # levels -> entry, each computed once
 
     def wedge(self, *levels):
-        """The entry at ``levels``, computed once per table; DegenerateFlagError
-        when it vanishes."""
+        """The entry at ``levels``, computed and checked against the trie's
+        threshold once per table; DegenerateFlagError when it vanishes."""
         value = self._entries.get(levels)
         if value is None:
-            value = self._entries[levels] = self._entry(levels)
+            value = self._stacked(levels)
+            value = self._entries[levels] = value if abs(value) > self.trie.tol else 0
         if not value:
-            raise DegenerateFlagError(
-                self._VANISHING.format(where=self.where, levels=levels, n=self.n))
+            size = (f"{abs(self._stacked(levels)):.3g}, not above {self.trie.tol:g}"
+                    if self.trie.tol else "exactly 0")
+            raise DegenerateFlagError(f"vanishing wedge factor {self.where}: wedge {levels} "
+                                      f"is {size} at n = {self.n}")
         return value
 
-    def _entry(self, levels):
+    def _stacked(self, levels):
         return self.trie.wedge(tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
 
-    @staticmethod
-    def quotient(num, den):
-        """The value of a ratio given as (num, den)."""
-        return Fraction(num, den)
+    def quotient(self, num, den):
+        """The value of a ratio given as (num, den): a Fraction or a float by
+        the trie's mode."""
+        return Fraction(num, den) if self.trie.mode == EXACT else num / den
 
     def triple_ratio(self, p: int, q: int, r: int):
         """The (p, q, r) triple ratio of the first three flags (E, F, G) as (num, den).
@@ -244,26 +252,6 @@ class WedgeTable:
         return -num, den
 
 
-class _FloatWedgeTable(WedgeTable):
-    """A table of float flags: each entry is ``det_raw`` of the stacked
-    rows, read as 0.0 below the relative genericity threshold."""
-
-    _VANISHING = "vanishing wedge factor {where} at n = {n}"
-
-    def __init__(self, flags, where: str):
-        self.rows, self.n, self.where = tuple(f.basis for f in flags), flags[0].n, where
-        self._entries = {}
-
-    def _entry(self, levels):
-        value, nonzero = _float_wedge(
-            [row for basis, d in zip(self.rows, levels) for row in basis[:d]])
-        return value if nonzero else 0.0
-
-    @staticmethod
-    def quotient(num, den):
-        return num / den
-
-
 def wedge_table(flags, where: str) -> WedgeTable:
     """A fresh table of a nonempty sequence of flags of one dimension, exact
     or float by their common mode."""
@@ -275,9 +263,7 @@ def wedge_table(flags, where: str) -> WedgeTable:
         if f.n != n:
             raise ValueError("flags of different dimensions")
         join_mode(mode, f.mode)
-    if mode == FLOAT:
-        return _FloatWedgeTable(flags, where)
-    return WedgeTrie(n, attrgetter("_int_rows")).table(flags, where)
+    return WedgeTrie(n, attrgetter("_rows"), mode).table(flags, where)
 
 
 def _compositions(n: int, k: int):

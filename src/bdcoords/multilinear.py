@@ -1,9 +1,10 @@
 """Exact and floating-point multilinear algebra.
 
-Determinants (fraction-free Bareiss elimination in exact mode, one row at a
-time by :func:`append_row`, which :func:`det_int` folds over the rows; a
-pure-Python partial-pivot LU in float mode), extended binomial coefficients,
-and two families of integer binomial determinants with their closed forms:
+Determinants, the fold of :func:`append_row` over the rows, whose step is
+fraction-free Bareiss elimination (:func:`bareiss_append`) on integer rows
+and LU elimination (:func:`float_append`) on float rows; extended binomial
+coefficients; and two families of integer binomial determinants with their
+closed forms:
 
 * the "band" determinant: the q x q matrix whose row i, column j entry is
   ``ext_binomial(p + r, p + i - j)`` (0-indexed),
@@ -71,30 +72,53 @@ def bareiss_append(steps, row):
     return None
 
 
-def append_row(state, row):
-    """The elimination state one integer row below ``state``.  The empty
-    stack is ``((), 0)``.  Below n rows a state is ``(steps, skipped)``: the
-    steps of :func:`bareiss_append`, and the free columns the pivots passed
+def float_append(steps, row):
+    """The float step of :func:`append_row`: :func:`bareiss_append` for an
+    LU elimination that pivots on each new row's entry of largest magnitude
+    (partial pivoting of the transpose).  A step is ``(index, minor, rest)``:
+    the minor is the product of the pivots so far, the minor of the stacked
+    rows on the pivot columns as a Bareiss pivot is, and ``rest`` is divided
+    by the pivot, so the update is x - lead / pivot times the pivot row, and
+    no stored entry exceeds 1 in magnitude.  Returns None for a zero row."""
+    r = list(row)
+    minor = 1
+    for index, minor, rest in steps:
+        lead = r.pop(index)
+        r = [x - lead * y for x, y in zip(r, rest)]
+    pivot = max(r, key=abs)
+    if not pivot:
+        return None
+    index = r.index(pivot)
+    del r[index]
+    return index, minor * pivot, [x / pivot for x in r]
+
+
+def append_row(state, row, step):
+    """The elimination state one row below ``state``, by ``step``:
+    :func:`bareiss_append` for integer rows, :func:`float_append` for float
+    rows.  The empty stack is ``((), 0)``.  Below n rows a state is
+    ``(steps, skipped)``: the steps, and the free columns the pivots passed
     over (0 exactly when each step pivoted in the next free column; its
     parity is the sign of the column order).  At n rows it is the signed
-    determinant, and once a row is dependent it is 0."""
+    determinant, the last step's pivot with that sign, and once a row is
+    dependent it is 0."""
     if not state:   # rows that are dependent stay dependent
         return 0
     steps, skipped = state
-    step = bareiss_append(steps, row)
-    if step is None:
+    new = step(steps, row)
+    if new is None:
         return 0
-    index, pivot, rest = step
+    index, pivot, rest = new
     skipped += index
     if rest:
-        return steps + (step,), skipped
+        return steps + (new,), skipped
     return -pivot if skipped & 1 else pivot
 
 
 def det_int(rows) -> int:
     """Determinant of square integer rows, appended one at a time from the
-    empty stack by :func:`append_row`."""
-    return functools.reduce(append_row, rows, ((), 0))
+    empty stack by :func:`append_row` with the Bareiss step."""
+    return functools.reduce(functools.partial(append_row, step=bareiss_append), rows, ((), 0))
 
 
 def integer_row(row):
@@ -114,36 +138,15 @@ def det_raw(rows, mode: str):
 
     Exact rows are cleared to integers by :func:`integer_row`, so integer
     Bareiss elimination serves integral and rational input alike.  Float rows
-    of size n >= 3 go through LU elimination with partial pivoting: each step
-    takes the row with the largest |a[i][k]| as pivot row, each swap flips
-    the sign, and the determinant is the signed product of the pivots (0.0 as
-    soon as a pivot column is all zero).
+    are appended one at a time by :func:`append_row` with the step
+    :func:`float_append`.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
+    if not n or any(len(r) != n for r in rows):
+        raise ValueError("determinant of an empty or non-square matrix")
     if infer_mode((x for row in rows for x in row), requested=mode) == FLOAT:
-        if n == 1:
-            return float(rows[0][0])
-        if n == 2:
-            return float(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-        a = [[float(x) for x in row] for row in rows]
-        result = 1.0
-        for k in range(n):
-            p = max(range(k, n), key=lambda i: abs(a[i][k]))
-            if a[p][k] == 0.0:
-                return 0.0
-            if p != k:
-                a[k], a[p] = a[p], a[k]
-                result = -result
-            row_k = a[k]
-            pivot = row_k[k]
-            result *= pivot
-            for row_i in a[k + 1:]:
-                factor = row_i[k] / pivot
-                for j in range(k + 1, n):
-                    row_i[j] -= factor * row_k[j]
-        return result
+        return float(functools.reduce(functools.partial(append_row, step=float_append),
+                                      rows, ((), 0)))
     cleared = [integer_row(row) for row in rows]
     return Fraction(det_int([r for r, _ in cleared]), math.prod(s for _, s in cleared))
 

@@ -9,7 +9,9 @@ check theirs with :func:`join_mode`; both raise :class:`ScalarModeError` on
 a clash.  Plain python ``int`` values are mode-agnostic and lift into
 whichever mode the other values carry; the integer determinants of the
 multilinear module (``det_int``, the brute-force binomial determinants)
-return them, and ``det_raw`` takes its mode as an argument.
+return them.  ``det_raw`` and ``flags.WedgeTrie`` take their mode as an
+argument (``flags.wedge_table`` settles it for a flag tuple), and it picks
+their elimination step once.
 """
 from __future__ import annotations
 

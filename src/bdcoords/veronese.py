@@ -10,9 +10,12 @@ and whose level-d span is exactly the multiples of (a X + b Y)^{n-d}.  A
 basis adapted to that flag is (a X + b Y)^{n-d} M^{d-1}, d = 1, ..., n, for
 any linear form M independent of a X + b Y.  Two choices of M are used:
 
-* float flags take M = b X - a Y, a uniform complement that is invertible
-  against (a X + b Y) for every real [a : b] and keeps the rows well
-  conditioned (:func:`flag_rows`);
+* float flags take M = b X - a Y with a^2 + b^2 = 1, in the coordinates
+  orthonormal for the Bombieri inner product (Beauzamy, Bombieri, Enflo and
+  Montgomery 1990): column j weighted by C(n-1, j)^(-1/2), row d by
+  C(n-1, d-1)^(1/2) (:func:`flag_rows`).  That inner product is invariant
+  under the rotation (a X + b Y, b X - a Y) of (X, Y), so the rows are
+  orthonormal at every real [a : b];
 * exact flags take M = Y, or M = X at a = 0 (:func:`exact_flag_rows`).
   Row d, column k is C(n-d, k-d) a^(n-k) b^(k-d) for k >= d and 0 before:
   the rows are upper triangular with diagonal a^(n-d), or at a = 0 the
@@ -20,12 +23,9 @@ any linear form M independent of a X + b Y.  Two choices of M are used:
   construction.  The flag at 0 = [0 : 1] is e_n, e_{n-1}, ... and the flag
   at infinity e_1, e_2, ....
 
-The two bases span the same flag, so every ratio of wedges is the same
-rational in either.  A stacked wedge differs by c^C(d, 2) for each block of
-d rows of a flag, with c = -(a^2 + b^2)/a (c = b at a = 0): exact
-arithmetic has no use for that factor's bits, while the float path needs the
-complement's conditioning against the genericity threshold of the flags
-module.
+The two bases span the same flag up to row scales and a diagonal change of
+coordinates, which every triple and double ratio cancels, since each flag
+puts the same levels into its numerator and denominator.
 """
 from __future__ import annotations
 
@@ -48,15 +48,22 @@ def _poly_mul(p, q):
 
 def flag_rows(a, b, n: int):
     """The rows (a X + b Y)^{n-d} (b X - a Y)^{d-1}, d = 1, ..., n, of the
-    Veronese flag at [a : b], with coefficients in the ring of a and b: the
-    basis of float flags."""
+    Veronese flag at [a : b], the basis of float flags: [a : b] scaled to
+    unit norm, column j weighted by C(n-1, j)^(-1/2) and row d by
+    C(n-1, d-1)^(1/2), so the rows are orthonormal (see the module
+    docstring)."""
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
-    lead, aux = [[1]], [[1]]
+    norm = math.hypot(a, b)
+    a, b = a / norm, b / norm
+    lead, aux = [[1.0]], [[1.0]]
     for _ in range(n - 1):   # the powers (a X + b Y)^k and (b X - a Y)^k
         lead.append(_poly_mul(lead[-1], [a, b]))
         aux.append(_poly_mul(aux[-1], [b, -a]))
-    return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
+    weights = [math.comb(n - 1, j) ** -0.5 for j in range(n)]
+    return [[math.comb(n - 1, d - 1) ** 0.5 * x * w
+             for x, w in zip(_poly_mul(lead[n - d], aux[d - 1]), weights)]
+            for d in range(1, n + 1)]
 
 
 def exact_flag_rows(a, b, n: int):

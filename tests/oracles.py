@@ -1,18 +1,17 @@
 """Independent oracles: deliberately naive implementations used only to
 cross-check the library (cofactor expansion instead of elimination, a
-Bareiss elimination with row swaps instead of the library's column-pivoting
-row appends, the plain Bareiss update at every step of an append, affine
-cross ratios instead of projective ones, the symmetric-power representation
-as plain rows, a trie of one-shot determinants in the other Veronese
-basis, one fan walk per spiral sum), and one-off invariant values read off
-a Veronese trie of their own."""
+Bareiss elimination and a float LU with row swaps instead of the library's
+column-pivoting row appends, the plain Bareiss update at every step of an
+append, affine cross ratios instead of projective ones, the
+symmetric-power representation as plain rows, a trie of one-shot
+determinants in the other Veronese basis, one fan walk per spiral sum), and
+one-off invariant values read off a Veronese trie of their own."""
 import math
 from fractions import Fraction
 
 import bdcoords.bd as bd
 from bdcoords.flags import WedgeTrie
 from bdcoords.surfaces import fan_cycle
-from bdcoords.veronese import flag_rows
 
 CLOCKWISE = (0, 2, 1)   # corners of a placed triangle, clockwise from corner 0
 
@@ -60,6 +59,33 @@ def row_swap_det(rows) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def row_pivot_det(rows) -> float:
+    """Determinant of float rows by LU elimination with partial pivoting over
+    the whole matrix: each step swaps in the row with the largest entry in
+    the pivot column, each swap flips the sign, and the determinant is the
+    signed product of the pivots (0.0 once a pivot column is all zero).  It
+    shares no code with the library's row appends, which pivot on the
+    largest entry of each new row (``multilinear.float_append``)."""
+    n = len(rows)
+    a = [[float(x) for x in row] for row in rows]
+    result = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            result = -result
+        row_k = a[k]
+        pivot = row_k[k]
+        result *= pivot
+        for row_i in a[k + 1:]:
+            factor = row_i[k] / pivot
+            for j in range(k + 1, n):
+                row_i[j] -= factor * row_k[j]
+    return result
 
 
 def rational_det(rows) -> Fraction:
@@ -168,6 +194,18 @@ def spiral_sum(v, spec, curve_id, p, side, vertex_rule):
     return sign * total
 
 
+def complement_rows(a, b, n):
+    """The rows (a X + b Y)^{n-d} (b X - a Y)^{d-1}, d = 1, ..., n, of the
+    Veronese flag at [a : b] in the monomial basis, with coefficients in the
+    ring of a and b: the complement basis without the library's unit scaling
+    and orthonormal weights."""
+    lead, aux = [[1]], [[1]]
+    for _ in range(n - 1):
+        lead.append(_poly_mul(lead[-1], [a, b]))
+        aux.append(_poly_mul(aux[-1], [b, -a]))
+    return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
+
+
 def complement_factor(a, b):
     """The factor c such that a block of d rows of the Veronese flag at
     [a : b] has wedge c^C(d, 2) times larger in the complement basis
@@ -193,7 +231,7 @@ def complement_trie(n):
     row append, no pivot read.  Passed for ``bd.veronese_trie``, with
     ``complement_table`` for ``bd.veronese_table``, it gives the invariants
     of the float basis in exact arithmetic."""
-    trie = WedgeTrie(n, lambda point: flag_rows(*point, n))
+    trie = WedgeTrie(n, lambda point: complement_rows(*point, n), "exact")
     trie.wedge = lambda blocks: row_swap_det(
         [row for key, d in blocks for row in trie.rows[key][:d]])
     return trie

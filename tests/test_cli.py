@@ -587,24 +587,35 @@ def test_realize_rejects_length_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite, n, cases, ratio", [
-    pytest.param("triple-ratio", 8, 20 * 21, "triple ratio", id="triple-n8"),
-    pytest.param("double-ratio", 10, 20 * 9, "double ratio", id="double-n10"),
+    pytest.param("triple-ratio", 9, 20 * 28, "triple ratio", id="triple-n9"),
+    pytest.param("double-ratio", 11, 20 * 10, "double ratio", id="double-n11"),
     pytest.param("triple-ratio", 10, 20 * 36, "triple ratio", id="triple-n10"),
 ])
 def test_float_suite_breakdown_is_a_failed_case(suite, n, cases, ratio, tmp_path, capsys):
     # seed 1 draws configurations whose float wedge factors fall below the
-    # 1e-12 genericity threshold at these ranks; at n = 10 the triple-ratio
-    # suite fails more than 20 cases, and the report keeps 20 messages and
-    # one "..."
+    # 1e-12 genericity threshold at these ranks, the lowest at which the
+    # orthonormal float basis breaks down; at n = 10 the triple-ratio suite
+    # fails more than 20 cases, and the report keeps 20 messages and one "..."
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", suite, "--float", "--n", str(n),
                  "--samples", "20", "--seed", "1", "--out", str(out)]) == 1
     assert f"[FAIL] {suite} cases={cases}" in capsys.readouterr().out
     (report,) = json.loads(out.read_text())
     assert report["passed"] is False and report["cases"] == cases
-    assert any(f.startswith("case ") and f.endswith(f"vanishing wedge factor in {ratio} at n = {n}")
-               for f in report["failures"])
+    message = (rf"^case \d+ [TD]_\d+: vanishing wedge factor in {ratio}: "
+               rf"wedge \([\d, ]+\) is \S+, not above 1e-12 at n = {n}$")
+    assert any(re.match(message, f) for f in report["failures"])
     assert report["failures"][20:] in ([], ["..."])
+
+
+@pytest.mark.parametrize("seed", (1, 9, 10))
+@pytest.mark.parametrize("suite, n", [("triple-ratio", 8), ("double-ratio", 10)])
+def test_float_suite_passes_below_its_breakdown_rank(suite, n, seed, capsys):
+    # the ranks and seeds whose cases fell under the genericity threshold in
+    # the (b X - a Y) monomial basis, before its rows were made orthonormal
+    assert main(["verify", "--suite", suite, "--float", "--n", str(n),
+                 "--samples", "20", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.startswith(f"[PASS] {suite} ")
 
 
 def test_verify_prints_every_stored_failure_line(tmp_path, capsys):

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-import bdcoords.flags as flags_module
 from bdcoords import bd
 from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
 from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
 from bdcoords.multilinear import det_int, det_raw, integer_row
 from bdcoords.scalars import ScalarModeError
-from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
+from bdcoords.veronese import exact_flag_rows, veronese_flag
 from bdcoords.verification import random_generic_flags, sample_points
-from oracles import (double_ratio_by, double_ratio_by_cofactors, random_unimodular,
-                     rational_det, stacked_rows, triple_ratio_by, triple_ratio_by_cofactors)
+from oracles import (complement_rows, double_ratio_by, double_ratio_by_cofactors, random_unimodular,
+                     rational_det, row_pivot_det, stacked_rows, triple_ratio_by,
+                     triple_ratio_by_cofactors)
 
 INF = ProjPoint(1, 0)
 
@@ -266,7 +266,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     # triangular rows at integer points, and the ratios of exact Veronese
     # flags both equal the ratios of one-shot wedges of the (b X - a Y) rows
     def complement_flag(p):
-        return Flag(flag_rows(p.a, p.b, n))
+        return Flag(complement_rows(p.a, p.b, n))
 
     for a, b, c in suite_cases(n, 6, n, 3, "exact"):
         pts = (c, b, a)
@@ -455,16 +455,21 @@ def float_det(rows):
 
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_float_table_ratios_are_the_det_raw_oracle(n):
+    # the trie's ratios, off rows of unit norm with shared prefixes, against
+    # one-shot wedges of the basis rows by det_raw and by the oracle's
+    # row-swapping LU: the same to a relative 1e-12
     rng = random.Random(40 + n)
     pts = sample_points(rng, 4, min_separation=0.2)
     flags = [veronese_flag(p.to_float(), n) for p in pts]
     flags[3] = Flag([[x * (1 + 0.25 * i) for x in row] for i, row in enumerate(flags[3].basis)])
     table = wedge_table(flags, "in a test")
-    for pqr in bd.triple_indices(n):
-        assert table.quotient(*table.triple_ratio(*pqr)) == \
-            triple_ratio_by(float_det, *flags[:3], *pqr)
-    for p in range(1, n):
-        assert table.quotient(*table.double_ratio(p)) == double_ratio_by(float_det, *flags, p)
+    for det in (float_det, row_pivot_det):
+        for pqr in bd.triple_indices(n):
+            assert table.quotient(*table.triple_ratio(*pqr)) == \
+                pytest.approx(triple_ratio_by(det, *flags[:3], *pqr), rel=1e-12)
+        for p in range(1, n):
+            assert table.quotient(*table.double_ratio(p)) == \
+                pytest.approx(double_ratio_by(det, *flags, p), rel=1e-12)
 
 
 def triple_levels(n):
@@ -481,14 +486,11 @@ def test_a_table_computes_each_entry_once(mode, monkeypatch):
     calls = []
     if mode == "exact":
         table = bd.veronese_table(bd.veronese_trie(n), pts, "in a test")
-        trie_wedge = table.trie.wedge
-        monkeypatch.setattr(table.trie, "wedge",
-                            lambda blocks: calls.append(blocks) or trie_wedge(blocks))
     else:
         table = wedge_table([veronese_flag(p.to_float(), n) for p in pts], "in a test")
-        float_wedge = flags_module._float_wedge
-        monkeypatch.setattr(flags_module, "_float_wedge",
-                            lambda rows: calls.append(rows) or float_wedge(rows))
+    trie_wedge = table.trie.wedge
+    monkeypatch.setattr(table.trie, "wedge",
+                        lambda blocks: calls.append(blocks) or trie_wedge(blocks))
     for _ in range(2):
         for pqr in bd.triple_indices(n):
             table.triple_ratio(*pqr)
@@ -512,9 +514,9 @@ def test_repeated_flag_raises_on_every_ratio_through_it(n, mode):
     for p in range(1, n):
         # the first dependent factor: e^{p-1} f^{n-p} e^1, or e^1 f^{n-2} e^1
         levels = (p - 1, n - p, 0, 1) if p > 1 else (1, n - 2, 0, 1)
-        message = (f"vanishing wedge factor in a case: wedge {re.escape(str(levels))} "
-                   f"is exactly 0 at n = {n}$" if mode == "exact"
-                   else f"^vanishing wedge factor in a case at n = {n}$")
+        size = "exactly 0" if mode == "exact" else r"\S+, not above 1e-12"
+        message = (f"^vanishing wedge factor in a case: wedge {re.escape(str(levels))} "
+                   f"is {size} at n = {n}$")
         with pytest.raises(DegenerateFlagError, match=message):
             table.double_ratio(p)
         with pytest.raises(DegenerateFlagError):

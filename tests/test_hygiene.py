@@ -2,8 +2,8 @@
 none imports an underscore (module-private) name from another module of the
 package, the package imports nothing outside the standard library, each
 ratio formula of the flags module is written in one function only, only
-``flags.WedgeTrie.table`` constructs an exact ``WedgeTable`` and no other
-module derives from the wedge classes, only ``multilinear.bareiss_append``
+``flags.WedgeTrie.table`` constructs a ``WedgeTable`` and no class
+derives from the wedge classes, only ``multilinear.bareiss_append``
 holds the Bareiss update and ``det_int`` folds its state step, every
 function, class and method of the package is read by the package, a script
 or the benchmark, not by tests alone, and every function the benchmark's
@@ -200,14 +200,13 @@ def test_checker_finds_each_wedge_table_constructor():
                                          (8, "build", "WedgeTable(")]
 
 
-def test_only_the_trie_builds_an_exact_wedge_table():
-    # ``WedgeTrie.table`` is the one constructor of an exact table, and only
-    # the flags module's float table derives from these classes
+def test_only_the_trie_builds_a_wedge_table():
+    # ``WedgeTrie.table`` is the one constructor of every table, exact or
+    # float, and no class derives from these
     sites = [(path.name, *site) for path in ALL_MODULES
              for site in wedge_table_sites(path.read_text())]
-    assert [site for site in sites if site[0] != "flags.py"] == []
-    assert [site[2:] for site in sites if site[0] == "flags.py"] == [
-        ("table", "WedgeTable("), (None, "class _FloatWedgeTable(WedgeTable)")]
+    assert [(name, *site) for name, _line, *site in sites] == [
+        ("flags.py", "table", "WedgeTable(")]
 
 
 def defined_names(source: str) -> list:

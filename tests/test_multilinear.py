@@ -11,10 +11,10 @@ from bdcoords.halfplane import Mobius, ProjPoint, fourth_point, wedge
 from bdcoords.scalars import EXACT, FLOAT, ScalarModeError
 from bdcoords.multilinear import (band_det_bruteforce, band_det_formula, band_matrix,
                                   bareiss_append, compare_band, compare_rhombus, det_int,
-                                  det_raw, ext_binomial, rhombus_det_bruteforce,
+                                  det_raw, ext_binomial, float_append, rhombus_det_bruteforce,
                                   rhombus_det_formula, rhombus_matrix)
 from bdcoords.veronese import exact_flag_rows
-from oracles import cofactor_det, matmul, plain_bareiss_append, row_swap_det
+from oracles import cofactor_det, matmul, plain_bareiss_append, row_pivot_det, row_swap_det
 
 
 # -- determinants -----------------------------------------------------------
@@ -64,9 +64,10 @@ def test_det_float_lu_matches_exact_on_random_rationals(n):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_det_float_lu_swaps_rows_at_every_step(n):
     # The rows of an upper-triangular matrix with dominant diagonal (and small
-    # entries below it), cycled by one: at every elimination step the largest
-    # entry of the pivot column sits in the last row, so each step swaps, and
-    # the n - 1 swaps give the sign (-1)^(n-1).
+    # entries below it), cycled by one: at every step of the row-pivoting
+    # oracle the largest entry of the pivot column sits in the last row, so
+    # each step swaps, and the n - 1 swaps give the sign (-1)^(n-1); the
+    # library's appends pivot on each row's diagonal entry, out of order.
     upper = [[Fraction(8 * (i + 1) * (-1) ** i) if i == j
               else Fraction(1, 2 + i + j) if j > i else Fraction(1, 16)
               for j in range(n)] for i in range(n)]
@@ -74,6 +75,33 @@ def test_det_float_lu_swaps_rows_at_every_step(n):
     exact = det_raw(rows, EXACT)
     assert exact == cofactor_det(rows)
     assert det_raw(as_floats(rows), FLOAT) == pytest.approx(float(exact), rel=1e-12)
+    assert row_pivot_det(as_floats(rows)) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_det_raw_float_matches_the_row_pivot_oracle(n):
+    rng = random.Random(300 + n)
+    for _ in range(20):
+        rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        assert det_raw(rows, FLOAT) == pytest.approx(row_pivot_det(rows), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_float_step_stores_the_minor_on_its_pivot_columns(n):
+    # each step's minor is the determinant of the rows so far on the columns
+    # their pivots took, in pivot order, as a Bareiss pivot is: the reading
+    # the trie's flag-at-0 shortcut takes; no stored entry exceeds 1
+    rng = random.Random(500 + n)
+    rows = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    steps, free, taken = [], list(range(n)), []
+    for k, row in enumerate(rows[:-1], start=1):
+        steps.append(float_append(steps, row))
+        index, minor, rest = steps[-1]
+        taken.append(free.pop(index))
+        minor_rows = [[r[c] for c in taken] for r in rows[:k]]
+        assert minor == pytest.approx(row_pivot_det(minor_rows), rel=1e-12)
+        assert all(abs(y) <= 1 for y in rest)
+    assert float_append([], [0.0] * n) is None
 
 
 def test_det_float_lu_zero_pivot_column_gives_zero():
@@ -89,6 +117,8 @@ def test_det_requires_square():
     for mode in (EXACT, FLOAT):
         with pytest.raises(ValueError):
             det_raw([[1, 2, 3], [4, 5, 6]], mode)
+        with pytest.raises(ValueError, match="empty"):
+            det_raw([], mode)
 
 
 def test_det_multiplicative_on_random_exact_matrices():
@@ -306,6 +336,18 @@ def test_rhombus_out_of_range_k():
         rhombus_det_bruteforce(3, 4, 1)
     with pytest.raises(ValueError):
         rhombus_det_formula(3, -1, 1)
+
+
+def test_rhombus_sign_mismatch_is_the_sign_prefix():
+    # every brute-force rhombus determinant at n, l <= 10 is positive, so the
+    # literal closed form disagrees in sign exactly where its prefix
+    # (-1)^(l(l+1)/2) is -1: l = 1, 2, 5, 6, 9, 10
+    cases = [(n, k, l) for n in range(11) for k in range(n + 1) for l in range(11)]
+    assert len(cases) == 726
+    assert all(rhombus_det_bruteforce(*case) > 0 for case in cases)
+    mismatches = {case for case in cases if not compare_rhombus(*case)["sign_agree"]}
+    assert mismatches == {(n, k, l) for n, k, l in cases if l * (l + 1) // 2 % 2}
+    assert len(mismatches) == 396
 
 
 def test_rhombus_abs_equality_up_to_12():

@@ -9,7 +9,7 @@ from bdcoords.flags import is_generic
 from bdcoords.halfplane import Mobius, ProjPoint
 from bdcoords.multilinear import det_int, det_raw, ext_binomial
 from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
-from oracles import complement_factor, irrep_n, matmul
+from oracles import complement_factor, complement_rows, irrep_n, matmul
 
 INF = ProjPoint(1, 0)
 
@@ -189,7 +189,7 @@ def test_complement_basis_wedge_is_the_exact_wedge_times_its_factors(n):
     # path and the triangular exact rows differ by c^C(d, 2) per block
     rng = random.Random(60 + n)
     pairs = seeded_coordinates(rng, 9)
-    rows = {p: (flag_rows(*p, n), exact_flag_rows(*p, n)) for p in pairs}
+    rows = {p: (complement_rows(*p, n), exact_flag_rows(*p, n)) for p in pairs}
     tuples = [pairs[:2], pairs[1:4], [pairs[0], pairs[5], pairs[2], pairs[6]]]
     tuples += [rng.sample(pairs, m) for m in (2, 3, 4) for _ in range(8)]
     for pts in tuples:
@@ -201,3 +201,18 @@ def test_complement_basis_wedge_is_the_exact_wedge_times_its_factors(n):
             factor = math.prod(complement_factor(*p) ** math.comb(d, 2)
                                for p, d in zip(pts, levels))
             assert det_int(old) == det_int(new) * factor
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_float_basis_is_orthonormal(n):
+    # the (b X - a Y) rows at [a : b] of unit norm, in the coordinates of the
+    # Bombieri inner product: the Gram matrix is the identity to 1e-12
+    rng = random.Random(90 + n)
+    pairs = [(0.0, 1.0), (1.0, 0.0), (-3.0, 0.5)]
+    pairs += [(rng.uniform(-40, 40), rng.uniform(0.1, 40)) for _ in range(6)]
+    for a, b in pairs:
+        rows = flag_rows(a, b, n)
+        for i in range(n):
+            for j in range(n):
+                dot = sum(x * y for x, y in zip(rows[i], rows[j]))
+                assert abs(dot - (i == j)) <= 1e-12, (a, b, i, j)

@@ -7,7 +7,8 @@ and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
 points and to 1e-12 on the float points of a developed surface.  Their
 stacked wedges, read off the shared elimination trie, are checked against
 one ``oracles.row_swap_det`` of the same integer rows, an elimination that
-shares no code with the trie's row appends.
+shares no code with the trie's row appends.  A float trie's wedges are
+checked against ``oracles.row_pivot_det``, a row-swapping float LU.
 """
 import functools
 import json
@@ -31,7 +32,8 @@ from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import (run_double_ratio, run_triple_ratio, sample_genus2,
                                    sample_points)
 from bdcoords.veronese import exact_flag_rows, veronese_flag
-from oracles import complement_table, complement_trie, integer_coordinates, row_swap_det
+from oracles import (complement_table, complement_trie, integer_coordinates, row_pivot_det,
+                     row_swap_det)
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -90,7 +92,6 @@ def test_bd_vector_builds_no_flag_objects(monkeypatch):
         raise AssertionError("the invariant path built a Flag")
 
     monkeypatch.setattr(flags.Flag, "__init__", refuse)
-    monkeypatch.setattr(flags, "det_raw", refuse)
     ds = assemble_surface(genus2_spec(), SHEARS, {"C1": 0.15})
     assert bd.bd_vector(ds, 4).size() == bd.expected_size(ds.spec, 4)
 
@@ -224,13 +225,18 @@ def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
 
 
 @pytest.mark.parametrize("ratio", SUITES)
-def test_float_suites_build_no_kernel(ratio, monkeypatch):
-    def no_trie(self, n, rows_of):
-        raise AssertionError("a float suite built a trie")
+def test_float_suites_build_one_trie_per_case(ratio, monkeypatch):
+    tables, trie_table = [], flags.WedgeTrie.table
 
-    monkeypatch.setattr(flags.WedgeTrie, "__init__", no_trie)
+    def counting(trie, ids, where):
+        tables.append(trie)
+        return trie_table(trie, ids, where)
+
+    monkeypatch.setattr(flags.WedgeTrie, "table", counting)
     report = SUITES[ratio](5, samples=6, seed=3, mode="float")
     assert report.passed and report.cases == 6 * (6 if ratio == "triple" else 4)
+    assert len({id(trie) for trie in tables}) == len(tables) == 6
+    assert {trie.mode for trie in tables} == {"float"}
 
 
 @pytest.mark.parametrize("ratio", SUITES)
@@ -398,6 +404,30 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     zero_rows = table.trie.rows[table.keys[0]]
     assert zero_rows[0] == [0] * (n - 1) + [1]
     assert not any(call is row for call in calls for row in zero_rows)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_float_flag_at_zero_is_read_off_the_other_blocks(n, monkeypatch):
+    # the float flag at 0 has the unit rows e_n, e_(n-1), ... too, and a
+    # float step's pivot is the minor on its pivot columns as a Bareiss pivot
+    # is: a float table reads a wedge through that flag off the last pivot of
+    # the other blocks when they pivoted in order, as the rows of the flag at
+    # infinity always do, and every entry is the oracle LU of its rows
+    appended, step = [], multilinear.float_append
+    monkeypatch.setattr(multilinear, "float_append",
+                        lambda steps, row: appended.append(row) or step(steps, row))
+    pts = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 0.0), ProjPoint(-2.5, 1.0))
+    table = flags.wedge_table([veronese_flag(p, n) for p in pts], "in a test")
+    rows = [table.trie.rows[key] for key in table.keys]
+    appended.clear()   # the flags' own independence checks
+    assert [list(row) for row in rows[0]] == [[int(j == n - 1 - i) for j in range(n)]
+                                             for i in range(n)]
+    for a in range(n + 1):
+        assert table.wedge(a, n - a, 0) == row_pivot_det(rows[0][:a] + rows[1][:n - a])
+    assert not any(call is row for call in appended for row in rows[0])
+    for levels in level_tuples(n, 3):
+        stacked = [row for block, d in zip(rows, levels) for row in block[:d]]
+        assert table.wedge(*levels) == pytest.approx(row_pivot_det(stacked), rel=1e-12)
 
 
 class CountedPivot(int):
