@@ -278,13 +278,16 @@ class ClosedLeafReport(NamedTuple):
         return dev
 
     def to_json_dict(self):
+        """The entries, their largest deviation, and whether it is within ``TOL``."""
+        deviation = self.max_deviation()
         return {
             "n": self.n,
             "entries": [
                 {"curve": cid, "p": p, "R": serialize_value(r),
                  "L": serialize_value(l), "length": serialize_value(lp)}
                 for cid, p, r, l, lp in self.entries],
-            "max_deviation": serialize_value(self.max_deviation()),
+            "max_deviation": serialize_value(deviation),
+            "holds": deviation <= TOL,
         }
 
 

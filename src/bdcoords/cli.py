@@ -12,11 +12,17 @@ deterministic functions of (arguments, input files): floats are printed with
 17 significant digits and the only randomness is Python's Mersenne Twister
 seeded from --seed.  Each JSON report is one line of compact JSON with sorted
 keys.
+
+``build_parser`` builds the argument parser on its first call, not at
+import, and returns that parser afterwards; ``main`` only reads it, since
+each ``parse_args`` fills a fresh namespace.  So a process that calls
+``main`` many times builds the parser once.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -340,6 +346,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdcoords",

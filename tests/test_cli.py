@@ -3,19 +3,24 @@ import inspect
 import json
 import os
 import pathlib
+import random
 import re
 import runpy
+import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdcoords import bd, surfaces, verification
-from bdcoords.cli import main, spec_from_dict, spec_to_dict
+from bdcoords.cli import build_parser, main, spec_from_dict, spec_to_dict
 from bdcoords.surfaces import SLOTS, PantsLamination, SurfaceSpec, SurfaceSpecError
 
-DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(HERE, os.pardir, "src")
+DATA = os.path.join(HERE, os.pardir, "data")
 SURFACE = os.path.join(DATA, "genus2_surface.json")
 SLICE = os.path.join(DATA, "genus2_slice.json")
 
@@ -829,3 +834,151 @@ def test_plaque_on_the_wrong_side_of_its_axis_exits_2(monkeypatch, tmp_path, cap
         "error: pants 'P0': boundary 1: the short-arc vertex of triangle 0 "
         "developed on the wrong side of the axis\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: each call of ``main`` reads the parser the first
+# call built, so nothing one call parses may show in the next
+
+
+def fresh_process(argv, cwd):
+    """``bdcoords`` run in a process of its own, with its stdout, stderr and
+    exit code; help is formatted at the width of a terminal-less process."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bdcoords.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_build_parser_returns_one_parser():
+    parser = build_parser()
+    assert main(["verify", "--suite", "pants", "--samples", "1"]) == 0
+    assert build_parser() is parser
+
+
+def test_verify_options_do_not_carry_to_the_next_call(tmp_path, monkeypatch, capsys):
+    # a plain call after one that set every option reports the defaults,
+    # and prints and writes what a fresh process does
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "triple-ratio", "--n", "4", "--samples", "2",
+                 "--seed", "5", "--float", "--out", "report.json"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())[0]["params"] == {
+        "n": 4, "samples": 2, "seed": 5, "mode": "float"}
+    capsys.readouterr()
+    argv = ["verify", "--suite", "triple-ratio", "--out", "report.json"]
+    assert main(argv) == 0
+    report = (tmp_path / "report.json").read_text()
+    assert json.loads(report)[0]["params"] == {
+        "n": 3, "samples": verification.DEFAULT_SAMPLES, "seed": verification.DEFAULT_SEED,
+        "mode": "exact"}
+    fresh = fresh_process(argv, tmp_path / "fresh")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, *capsys.readouterr())
+    assert (tmp_path / "fresh" / "report.json").read_text() == report
+    args = build_parser().parse_args(["verify", "--suite", "triple-ratio"])
+    assert [getattr(args, opt) for opt in ("n", "samples", "seed", "max", "mode", "out")] == [
+        None] * 6
+
+
+def test_a_call_after_an_argparse_refusal_runs_as_in_a_fresh_process(tmp_path, monkeypatch,
+                                                                     capsys):
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path)
+    refused = ["invariants", "--input", SURFACE, "--n", "3", "--tol", "1e-9"]
+    with pytest.raises(SystemExit) as exit_:
+        main(refused)
+    fresh = fresh_process(refused, tmp_path / "fresh")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (
+        exit_.value.code, *capsys.readouterr())
+    argv = ["invariants", "--input", SURFACE, "--n", "3"]
+    assert main(argv) == 0
+    fresh = fresh_process(argv, tmp_path / "fresh")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, *capsys.readouterr())
+    for name in ("invariants.json", "invariants.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_threads_parsing_with_the_shared_parser_keep_their_own_options():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a parse that leaked into another thread's namespace would show there
+    argvs = [["verify", "--suite", "triple-ratio", "--n", str(n), "--float"]
+             for n in range(3, 7)] + [["invariants", "--input", SURFACE, "--n", "8"]]
+    expected = [vars(build_parser.__wrapped__().parse_args(argv)) for argv in argvs]
+    wrong = []
+
+    def parse(argv, want):
+        for _ in range(200):
+            got = vars(build_parser().parse_args(argv))
+            if got != want:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=pair) for pair in zip(argvs, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["invariants"], ["realize"]],
+                         ids=lambda command: " ".join(command) or "top")
+def test_help_after_other_calls_is_a_fresh_parsers_help(command, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "pants", "--samples", "1", "--seed", "3"]) == 0
+    assert main(["realize", "--input", SLICE, "--n", "3"]) == 0
+    assert main(["verify", "--suite", "pants", "--float"]) == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "triple-ratio", "--float", "--exact"])
+    capsys.readouterr()
+    helps = []
+    for parse in (main, build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exit_:
+            parse([*command, "--help"])
+        helps.append((exit_.value.code, *capsys.readouterr()))
+    fresh = fresh_process([*command, "--help"], tmp_path)
+    assert helps[0] == helps[1] == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: bdcoords ")
+
+
+# the closed-leaf verdict: ``holds`` is max_deviation <= bd.TOL, judged apart
+# from polytope membership (R_p = L_p > 0)
+
+
+def boundary_length_input(path, scale: float) -> str:
+    """The spec and spiral signs of the seed-1 genus-2 sample, boundary
+    lengths (L, 1.1 L, 0.9 L) at L = ``scale`` and twist 0.15 on every curve,
+    written as a surface file."""
+    spec, _, _ = verification.sample_genus2(random.Random(1))
+    lengths = (scale, 1.1 * scale, 0.9 * scale)
+    shears = {pid: verification.shears_from_lengths(
+        [lam.spiral_signs[s] for s in SLOTS], lengths) for pid, lam in spec.pants.items()}
+    path.write_text(json.dumps(dict(spec_to_dict(spec), shears=shears,
+                                    twists={cid: 0.15 for cid in spec.curves})))
+    return str(path)
+
+
+@pytest.mark.parametrize("length, n, holds", [
+    pytest.param(None, 3, True, id="example-n3"),
+    pytest.param(None, 8, True, id="example-n8"),
+    pytest.param(11.0, 5, True, id="length-11"),
+    # developing in doubles drifts past TOL at L = 12 (4.0e-9), though every
+    # R_p and L_p still agree to TOL and are positive
+    pytest.param(12.0, 5, False, id="length-12"),
+])
+def test_closed_leaf_verdict_is_the_deviation_against_tol(length, n, holds, tmp_path):
+    source = SURFACE if length is None else boundary_length_input(tmp_path / "in.json", length)
+    assert main(["invariants", "--input", source, "--n", str(n),
+                 "--out", str(tmp_path / "inv")]) == 0
+    data = json.loads((tmp_path / "inv.json").read_text())
+    closed_leaf = data["closed_leaf"]
+    assert closed_leaf["holds"] is holds
+    assert (float(closed_leaf["max_deviation"]) <= bd.TOL) is holds
+    assert data["polytope_membership"] is True and data["slice_membership"] is True
