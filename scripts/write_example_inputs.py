@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the example input files in data/."""
+"""Regenerate the example input files in data/: the genus-2 surface that
+`bdcoords invariants` reads and the slice point that `bdcoords realize` reads.
+"""
+import argparse
 import json
 import os
 import sys
@@ -11,7 +14,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, os.pardir, "data")
 
 
-def main():
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     spec = genus2_spec()
     surface = spec_to_dict(spec)
     surface["shears"] = {

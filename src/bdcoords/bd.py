@@ -52,7 +52,7 @@ from typing import NamedTuple
 from .scalars import EXACT, serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
-from .veronese import exact_flag_rows
+from .veronese import exact_flag_rows, flag_rows
 from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
@@ -78,7 +78,7 @@ def triple_indices(n: int):
 
 
 # ---------------------------------------------------------------------------
-# exact wedge tables of Veronese flags
+# wedge tables of Veronese flags
 
 
 def _integer_point(pt: ProjPoint):
@@ -97,12 +97,16 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
-def veronese_trie(n: int) -> WedgeTrie:
-    """The trie of the exact Veronese flags of one computation (one
-    :func:`bd_vector`, or one case of the exact identity suites), named by
-    their integer points (``_integer_point``), whose every table shares its
-    states."""
-    return WedgeTrie(n, lambda point: exact_flag_rows(*point, n), EXACT)
+def veronese_trie(n: int, mode: str) -> WedgeTrie:
+    """The trie of the Veronese flags of one computation (one
+    :func:`bd_vector`, or one case of an identity suite), named by their
+    integer points (``_integer_point``), whose every table shares its
+    states.  Its rows and elimination step are the mode's: the triangular
+    integer rows (``exact_flag_rows``) with the Bareiss step, or the
+    orthonormal float rows at those integers (``flag_rows``) with the float
+    step."""
+    rows = exact_flag_rows if mode == EXACT else flag_rows
+    return WedgeTrie(n, lambda point: rows(*point, n), mode)
 
 
 def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
@@ -191,7 +195,7 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     """All invariants of the developed surface at rank n, off one Veronese trie."""
-    trie = veronese_trie(n)
+    trie = veronese_trie(n, EXACT)
     tau = {}
     sigma = {}
     theta = {}

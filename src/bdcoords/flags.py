@@ -25,8 +25,9 @@ each new row's largest entry in float mode; the fold of the same step is
 integer rows: an exact flag's basis rows, each cleared to integers, or the
 integer Veronese rows of a point (the bd module), so the pair is two
 integer products of wedges, each checked exactly nonzero.  A float table
-stacks a float flag's basis rows scaled to unit norm, and an entry counts
-as nonzero when its magnitude is above 1e-12.  Neither scale is seen by
+stacks a float flag's basis rows scaled to unit norm, or the orthonormal
+float Veronese rows of a point, and an entry counts as nonzero when its
+magnitude is above 1e-12.  Neither scale is seen by
 a ratio.  A flag's integer Veronese rows are upper triangular, so its own
 earlier rows give a new row zero leads, and a unit row stacked first leaves
 a zero rest: ``bareiss_append`` only pops the lead of such a rescale-only

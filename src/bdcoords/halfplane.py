@@ -49,9 +49,6 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return self.b == 0
 
-    def to_float(self) -> "ProjPoint":
-        return ProjPoint(float(self.a), float(self.b))
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented

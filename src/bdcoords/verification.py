@@ -6,10 +6,11 @@ reproducible bit for bit from (suite, parameters, seed).
 
 Exact-mode suites assert identities with rational arithmetic (the worst
 deviation is then 0 or 1); float-mode suites report the worst absolute
-deviation against the stated tolerance.  The exact triple- and double-ratio
-suites read each case off a fresh ``bd.veronese_trie``, the path of
-``bd_vector``; the float ones off float Veronese flags.  Every report lists its first 20
-failing cases, then "..." if there are more, on stdout and in its JSON.
+deviation against the stated tolerance.  The triple- and double-ratio
+suites read each case off a fresh ``bd.veronese_trie`` of their mode (the
+path of ``bd_vector``; no ``Flag`` is built), the permutation suite off one
+trie of its flags.  Every report lists its first 20 failing cases, then
+"..." if there are more, on stdout and in its JSON.
 """
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ import math
 import random
 from fractions import Fraction
 
-from .flags import DegenerateFlagError, Flag, is_generic, triple_ratio, wedge_table
+from .flags import DegenerateFlagError, Flag, is_generic, wedge_table
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
-from .veronese import veronese_flag
 from .multilinear import compare_band, compare_rhombus
 from .surfaces import (PantsLamination, SLOTS, SurfaceSpec, assemble_surface,
                        boundary_lengths, cyclic_pair, develop_pants, leaf_name,
@@ -145,15 +145,6 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
 # flag identity suites
 
 
-def _veronese_table(points, n: int, mode: str, where: str):
-    """The wedge table of the Veronese flags at exact ``points``: read off a
-    fresh ``bd.veronese_trie`` in exact mode, or of the float flags at the
-    rounded points in float mode."""
-    if mode == "float":
-        return wedge_table([veronese_flag(p.to_float(), n) for p in points], where)
-    return bd.veronese_table(bd.veronese_trie(n), points, where)
-
-
 def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                      mode: str = "exact") -> SuiteReport:
     """Triple ratios of Veronese flags at clockwise triples all equal 1.
@@ -168,7 +159,7 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c = sort_ccw(pts)
         triple = (c, b, a)   # clockwise
         assert is_clockwise(*triple)
-        table = _veronese_table(triple, n, mode, "in triple ratio")
+        table = bd.veronese_table(bd.veronese_trie(n, mode), triple, "in triple ratio")
         for p, q, r in bd.triple_indices(n):
             try:
                 value = table.quotient(*table.triple_ratio(p, q, r))
@@ -196,7 +187,8 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c, d = sort_ccw(pts)   # counterclockwise quadruple
         z = cross_ratio(c, d, a, b)
         expected = -1 / z
-        table = _veronese_table((a, c, b, d), n, mode, "in double ratio")
+        table = bd.veronese_table(bd.veronese_trie(n, mode), (a, c, b, d),
+                                  "in double ratio")
         for p in range(1, n):
             try:
                 value = table.quotient(*table.double_ratio(p))
@@ -214,15 +206,19 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
 
 
 def run_permutation(n: int, samples: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """The triple-ratio permutation laws on random generic exact flags."""
+    """The triple-ratio permutation laws on random generic exact flags, each
+    case's three orders read off one trie."""
     rng = random.Random(seed)
     report = SuiteReport("permutation", dict(n=n, samples=samples, seed=seed))
     for case in range(samples):
         E, F, G = random_generic_flags(rng, n, 3)
+        efg = wedge_table((E, F, G), "in triple ratio")
+        fge = efg.trie.table((F, G, E), "in triple ratio")
+        feg = efg.trie.table((F, E, G), "in triple ratio")
         for p, q, r in bd.triple_indices(n):
-            t = triple_ratio(E, F, G, p, q, r)
-            ok = (t == triple_ratio(F, G, E, q, r, p)
-                  and t * triple_ratio(F, E, G, q, p, r) == 1)
+            t = efg.quotient(*efg.triple_ratio(p, q, r))
+            ok = (t == fge.quotient(*fge.triple_ratio(q, r, p))
+                  and t * feg.quotient(*feg.triple_ratio(q, p, r)) == 1)
             report.record(0.0 if ok else 1.0, f"case {case} T_{p}{q}{r}")
     return report
 

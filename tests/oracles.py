@@ -4,13 +4,16 @@ Bareiss elimination and a float LU with row swaps instead of the library's
 column-pivoting row appends, the plain Bareiss update at every step of an
 append, affine cross ratios instead of projective ones, the
 symmetric-power representation as plain rows, a trie of one-shot
-determinants in the other Veronese basis, one fan walk per spiral sum), and
+determinants in the other Veronese basis, a Veronese wedge in closed form,
+one fan walk per spiral sum), and
 one-off invariant values read off a Veronese trie of their own."""
+import functools
 import math
 from fractions import Fraction
 
 import bdcoords.bd as bd
 from bdcoords.flags import WedgeTrie
+from bdcoords.multilinear import band_det_bruteforce
 from bdcoords.surfaces import fan_cycle
 
 CLOCKWISE = (0, 2, 1)   # corners of a placed triangle, clockwise from corner 0
@@ -163,7 +166,7 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
     the vertices taken clockwise from ``vertex``."""
     pts = ds.pants[pants_id].triangles[tri].pts
     k = CLOCKWISE.index(vertex)
-    table = bd.veronese_table(bd.veronese_trie(n),
+    table = bd.veronese_table(bd.veronese_trie(n, "exact"),
                               [pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
                               f"at pants {pants_id} triangle {tri}")
     return bd.log_triple_ratio(table, p, q, r)
@@ -215,6 +218,27 @@ def complement_factor(a, b):
     return Fraction(b) if a == 0 else Fraction(-(a * a + b * b), a)
 
 
+_band_det = functools.cache(band_det_bruteforce)
+
+
+def veronese_wedge(points, levels):
+    """The wedge of the exact Veronese flag rows (``exact_flag_rows``) at
+    integer points [a_i : b_i], every a_i != 0, stacked at ``levels``, in
+    closed form (Kalman 1984, *The generalized Vandermonde matrix*):
+    K * prod a_i^C(d_i, 2) * prod_{i<j} (a_i b_j - a_j b_i)^(d_i d_j) over
+    the nonzero blocks in stacking order, where K is 1 for one or two
+    blocks and the band determinant of the levels for three."""
+    blocks = [(a, b, d) for (a, b), d in zip(points, levels) if d]
+    if len(blocks) > 3:
+        raise ValueError("the closed form covers at most three nonzero blocks")
+    value = _band_det(*(d for _, _, d in blocks)) if len(blocks) == 3 else 1
+    for i, (a, b, d) in enumerate(blocks):
+        value *= a ** math.comb(d, 2)
+        for c, e, f in blocks[i + 1:]:
+            value *= (a * e - c * b) ** (d * f)
+    return value
+
+
 def integer_coordinates(pt):
     """[numerator : denominator] of a point's affine value a / b, or
     [1 : 0] at infinity."""
@@ -224,14 +248,14 @@ def integer_coordinates(pt):
     return x.numerator, x.denominator
 
 
-def complement_trie(n):
+def complement_trie(n, mode):
     """A Veronese trie whose flags are the integer rows of the complement
     basis (b X - a Y) at the points of ``complement_table``, and whose every
     wedge is one ``row_swap_det`` of the stacked rows: no shared prefix, no
     row append, no pivot read.  Passed for ``bd.veronese_trie``, with
     ``complement_table`` for ``bd.veronese_table``, it gives the invariants
     of the float basis in exact arithmetic."""
-    trie = WedgeTrie(n, lambda point: complement_rows(*point, n), "exact")
+    trie = WedgeTrie(n, lambda point: complement_rows(*point, n), mode)
     trie.wedge = lambda blocks: row_swap_det(
         [row for key, d in blocks for row in trie.rows[key][:d]])
     return trie

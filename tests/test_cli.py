@@ -749,19 +749,40 @@ def test_any_one_field_of_an_example_input_exits_0_or_2(field, value):
                      "--out", os.path.join(tmp, "x")]) in (0, 2)
 
 
-def test_example_inputs_are_what_the_script_writes(tmp_path, monkeypatch):
+def example_inputs_script(data, monkeypatch):
+    """The example-input script, loaded as a module that writes into ``data``."""
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                           "write_example_inputs.py")
     loader = importlib.util.spec_from_file_location("write_example_inputs", script)
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
-    monkeypatch.setattr(module, "DATA", str(tmp_path))
-    module.main()
+    monkeypatch.setattr(module, "DATA", str(data))
+    return module
+
+
+def test_example_inputs_are_what_the_script_writes(tmp_path, monkeypatch):
+    module = example_inputs_script(tmp_path, monkeypatch)
+    module.main([])
     shipped = sorted(name for name in os.listdir(DATA) if name.endswith(".json"))
     assert sorted(os.listdir(tmp_path)) == shipped
     for name in shipped:
         with open(os.path.join(DATA, name), "rb") as fh:
             assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["--out", "x"], 2)],
+                         ids=("help", "unknown-option"))
+def test_example_inputs_script_writes_nothing_on_help_or_a_bad_option(
+        argv, status, tmp_path, monkeypatch, capsys):
+    module = example_inputs_script(tmp_path, monkeypatch)
+    with pytest.raises(SystemExit) as caught:
+        module.main(argv)
+    assert caught.value.code == status
+    out, err = capsys.readouterr()
+    assert os.listdir(tmp_path) == [] and "wrote" not in out
+    assert "usage:" in (out if status == 0 else err)
+    if status == 0:
+        assert "Regenerate the example input files" in out
 
 
 def test_demo_script_runs(monkeypatch, capsys):

@@ -271,7 +271,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     for a, b, c in suite_cases(n, 6, n, 3, "exact"):
         pts = (c, b, a)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
-        table = bd.veronese_table(bd.veronese_trie(n), pts, "in triple ratio")
+        table = bd.veronese_table(bd.veronese_trie(n, "exact"), pts, "in triple ratio")
         for pqr in bd.triple_indices(n):
             expected = triple_ratio_by(rational_det, *old, *pqr)
             assert table.quotient(*table.triple_ratio(*pqr)) == expected
@@ -279,7 +279,7 @@ def test_exact_suite_ratios_equal_det_int_of_the_complement_basis(n):
     for a, b, c, d in suite_cases(n, 6, n, 4, "exact"):
         pts = (a, c, b, d)
         flags, old = [veronese_flag(p, n) for p in pts], [complement_flag(p) for p in pts]
-        table = bd.veronese_table(bd.veronese_trie(n), pts, "in double ratio")
+        table = bd.veronese_table(bd.veronese_trie(n, "exact"), pts, "in double ratio")
         for p in range(1, n):
             expected = double_ratio_by(rational_det, *old, p)
             assert table.quotient(*table.double_ratio(p)) == expected
@@ -413,7 +413,7 @@ def suite_cases(n, samples, seed, count, mode):
                                     min_separation=0.2 if mode == "float" else 0.0))
              for case in range(samples)]
     if mode == "float":
-        return [tuple(p.to_float() for p in pts) for pts in cases]
+        return [tuple(ProjPoint(float(p.a), float(p.b)) for p in pts) for pts in cases]
     return cases
 
 
@@ -460,7 +460,7 @@ def test_float_table_ratios_are_the_det_raw_oracle(n):
     # row-swapping LU: the same to a relative 1e-12
     rng = random.Random(40 + n)
     pts = sample_points(rng, 4, min_separation=0.2)
-    flags = [veronese_flag(p.to_float(), n) for p in pts]
+    flags = [veronese_flag(ProjPoint(float(p.a), float(p.b)), n) for p in pts]
     flags[3] = Flag([[x * (1 + 0.25 * i) for x in row] for i, row in enumerate(flags[3].basis)])
     table = wedge_table(flags, "in a test")
     for det in (float_det, row_pivot_det):
@@ -485,9 +485,9 @@ def test_a_table_computes_each_entry_once(mode, monkeypatch):
     pts = sample_points(random.Random(48), 3, min_separation=0.2)
     calls = []
     if mode == "exact":
-        table = bd.veronese_table(bd.veronese_trie(n), pts, "in a test")
+        table = bd.veronese_table(bd.veronese_trie(n, "exact"), pts, "in a test")
     else:
-        table = wedge_table([veronese_flag(p.to_float(), n) for p in pts], "in a test")
+        table = wedge_table([veronese_flag(ProjPoint(float(p.a), float(p.b)), n) for p in pts], "in a test")
     trie_wedge = table.trie.wedge
     monkeypatch.setattr(table.trie, "wedge",
                         lambda blocks: calls.append(blocks) or trie_wedge(blocks))
@@ -504,7 +504,7 @@ def test_a_table_computes_each_entry_once(mode, monkeypatch):
 def test_repeated_flag_raises_on_every_ratio_through_it(n, mode):
     pts = (ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1), ProjPoint(5, 2))
     if mode == "float":
-        pts = tuple(p.to_float() for p in pts)
+        pts = tuple(ProjPoint(float(p.a), float(p.b)) for p in pts)
     E, F, G = (veronese_flag(p, n) for p in pts)
     # the table's fourth flag repeats the first: triple ratios of (E, F, G)
     # never stack it, every double ratio of (E, F, G, E) does

@@ -20,6 +20,11 @@ def pt(x):
     return ProjPoint(Fraction(x), 1)
 
 
+def float_pt(p):
+    """The point p in float coordinates."""
+    return ProjPoint(float(p.a), float(p.b))
+
+
 def affine(p):
     """The affine coordinate a / b of a finite point."""
     return p.a / p.b
@@ -164,10 +169,10 @@ def test_sort_ccw():
 
 def test_shear_examples():
     z = shear_from_quadruple
-    assert z(pt(0).to_float(), pt(1).to_float(), INF.to_float(), pt(-1).to_float()) == 0
-    assert z(pt(0).to_float(), pt(2).to_float(), INF.to_float(), pt(-1).to_float()) == \
+    assert z(float_pt(pt(0)), float_pt(pt(1)), float_pt(INF), float_pt(pt(-1))) == 0
+    assert z(float_pt(pt(0)), float_pt(pt(2)), float_pt(INF), float_pt(pt(-1))) == \
         pytest.approx(math.log(2))
-    assert z(pt(0).to_float(), pt(1).to_float(), INF.to_float(), pt(-3).to_float()) == \
+    assert z(float_pt(pt(0)), float_pt(pt(1)), float_pt(INF), float_pt(pt(-3))) == \
         pytest.approx(-math.log(3))
 
 
@@ -178,7 +183,7 @@ def test_shear_rejects_nonnegative_cross_ratio():
 
 def test_shear_symmetric_under_full_swap():
     # swapping the two triangles (x <-> y, zl <-> zr) preserves the shear
-    y, zr, x, zl = (p.to_float() for p in (pt(0), pt(3), INF, pt(-2)))
+    y, zr, x, zl = (float_pt(p) for p in (pt(0), pt(3), INF, pt(-2)))
     s1 = shear_from_quadruple(y, zr, x, zl)
     s2 = shear_from_quadruple(x, zl, y, zr)
     assert s1 == pytest.approx(s2)
@@ -186,7 +191,7 @@ def test_shear_symmetric_under_full_swap():
 
 def test_shear_antisymmetric_under_side_swap():
     # reflecting the side vertices through the axis (zl <-> zr) negates it
-    y, zr, x, zl = (p.to_float() for p in (pt(0), pt(3), INF, pt(-2)))
+    y, zr, x, zl = (float_pt(p) for p in (pt(0), pt(3), INF, pt(-2)))
     s1 = shear_from_quadruple(y, zr, x, zl)
     s2 = shear_from_quadruple(y, zl, x, zr)
     assert s1 == pytest.approx(-s2)
@@ -213,7 +218,7 @@ def test_axis_data_conjugation_equivariance():
     g = Mobius([[1.0, 2.0], [0.5, 3.0]])
     att, rep, length = axis_data(g @ m @ g.inverse())
     assert length == pytest.approx(l)
-    assert att == g(INF.to_float())
+    assert att == g(float_pt(INF))
     assert rep == g(ProjPoint(0.0, 1.0))
 
 

@@ -7,8 +7,10 @@ and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
 points and to 1e-12 on the float points of a developed surface.  Their
 stacked wedges, read off the shared elimination trie, are checked against
 one ``oracles.row_swap_det`` of the same integer rows, an elimination that
-shares no code with the trie's row appends.  A float trie's wedges are
-checked against ``oracles.row_pivot_det``, a row-swapping float LU.
+shares no code with the trie's row appends, and at n = 12 and 16, where
+that is too slow, against the closed form ``oracles.veronese_wedge``.  A
+float trie's wedges are checked against ``oracles.row_pivot_det``, a
+row-swapping float LU.
 """
 import functools
 import json
@@ -29,11 +31,12 @@ from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
 from bdcoords.multilinear import bareiss_append
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
-from bdcoords.verification import (run_double_ratio, run_triple_ratio, sample_genus2,
-                                   sample_points)
-from bdcoords.veronese import exact_flag_rows, veronese_flag
+from bdcoords import verification
+from bdcoords.verification import (run_double_ratio, run_permutation, run_triple_ratio,
+                                   sample_genus2, sample_points)
+from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
 from oracles import (complement_table, complement_trie, integer_coordinates, row_pivot_det,
-                     row_swap_det)
+                     row_swap_det, veronese_wedge)
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -59,7 +62,7 @@ def test_kernel_matches_general_route_on_rational_points(n):
     for case in range(6):
         pts = sample_points(rng, 4, with_infinity=(case % 3 == 0))
         a, b, c, d = sort_ccw(pts)
-        trie = bd.veronese_trie(n)
+        trie = bd.veronese_trie(n, "exact")
         for triple in ((c, b, a), (a, b, c), (b, d, a)):
             table = bd.veronese_table(trie, triple, f"case {case}")
             for pqr, expected in general_log_triples(triple, n).items():
@@ -134,7 +137,7 @@ def test_invariants_command_at_rank_8(tmp_path):
 
 def test_vanishing_wedge_names_object_index_and_rank():
     pts = (ProjPoint(0, 1), ProjPoint(0, 1), ProjPoint(1, 0))
-    table = bd.veronese_table(bd.veronese_trie(3), pts, "at pants P0 triangle 1")
+    table = bd.veronese_table(bd.veronese_trie(3, "exact"), pts, "at pants P0 triangle 1")
     with pytest.raises(DegenerateFlagError,
                        match=r"^vanishing wedge factor at pants P0 triangle 1: "
                              r"wedge \(2, 1, 0\) is exactly 0 at n = 3$"):
@@ -161,7 +164,7 @@ def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch
 def test_negative_double_ratio_names_object_and_rank():
     # (x, y, zl, zr) with zl and zr on the same side of the axis (0, oo)
     pts = (ProjPoint(0, 1), ProjPoint(1, 0), ProjPoint(1, 1), ProjPoint(2, 1))
-    table = bd.veronese_table(bd.veronese_trie(4), pts, "at curve C2")
+    table = bd.veronese_table(bd.veronese_trie(4, "exact"), pts, "at curve C2")
     with pytest.raises(AssemblyError,
                        match=r"double ratio D_2 at curve C2 is not positive: .* at n = 4"):
         bd.log_double_ratio(table, 2)
@@ -181,15 +184,16 @@ NEGATIVE_RATIOS = [
 
 @pytest.mark.parametrize("pts, message", NEGATIVE_RATIOS, ids=("huge", "tiny", "in-range"))
 def test_negative_ratio_is_named_by_its_value_or_its_log(pts, message):
-    table = bd.veronese_table(bd.veronese_trie(3), pts, "at test")
+    table = bd.veronese_table(bd.veronese_trie(3, "exact"), pts, "at test")
     with pytest.raises(AssemblyError) as caught:
         bd.log_double_ratio(table, 1)
     assert str(caught.value) == f"double ratio D_1 at test is {message} at n = 3"
 
 
 def test_kernel_rejects_bad_indices():
-    table = bd.veronese_table(bd.veronese_trie(4), (ProjPoint(0, 1), ProjPoint(1, 1),
-                                                    ProjPoint(1, 0)), "pants P1 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(4, "exact"),
+                              (ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(1, 0)),
+                              "pants P1 triangle 0")
     with pytest.raises(ValueError, match="p \\+ q \\+ r = 4"):
         bd.log_triple_ratio(table, 0, 2, 2)
     with pytest.raises(ValueError, match="1 <= p <= 3"):
@@ -232,11 +236,52 @@ def test_float_suites_build_one_trie_per_case(ratio, monkeypatch):
         tables.append(trie)
         return trie_table(trie, ids, where)
 
+    def no_flag(self, basis):
+        raise AssertionError("a float suite built a Flag")
+
     monkeypatch.setattr(flags.WedgeTrie, "table", counting)
+    monkeypatch.setattr(flags.Flag, "__init__", no_flag)
     report = SUITES[ratio](5, samples=6, seed=3, mode="float")
     assert report.passed and report.cases == 6 * (6 if ratio == "triple" else 4)
     assert len({id(trie) for trie in tables}) == len(tables) == 6
     assert {trie.mode for trie in tables} == {"float"}
+    # each a float Veronese trie: its flags are named by integer points
+    assert all(trie.rows_of((1, 0)) == flag_rows(1, 0, 5) for trie in tables)
+
+
+def test_permutation_suite_builds_one_trie_per_case(monkeypatch):
+    # besides the genericity checks of the sampler, one trie per case holds
+    # the three orders of its flags (the per-ratio route built 3 per ratio)
+    tries, checks = [], []
+    trie_init, generic = flags.WedgeTrie.__init__, verification.is_generic
+    monkeypatch.setattr(flags.WedgeTrie, "__init__",
+                        lambda trie, *args: tries.append(trie) or trie_init(trie, *args))
+    monkeypatch.setattr(verification, "is_generic",
+                        lambda fs: checks.append(fs) or generic(fs))
+    report = run_permutation(5, samples=4, seed=3)
+    assert report.passed and report.cases == 4 * len(bd.triple_indices(5))
+    assert len(tries) == len(checks) + 4
+
+
+@pytest.mark.parametrize("ratio", SUITES)
+@pytest.mark.parametrize("n", (12, 16))
+def test_suite_entries_are_the_closed_form_at_high_rank(n, ratio, monkeypatch):
+    # every entry the exact suites read, against the closed-form wedge at
+    # ranks where row_swap_det is too slow; the sampled points all have a != 0
+    tables, trie_table = [], flags.WedgeTrie.table
+
+    def keeping(trie, ids, where):
+        table = trie_table(trie, ids, where)
+        tables.append((ids, table))
+        return table
+
+    monkeypatch.setattr(flags.WedgeTrie, "table", keeping)
+    assert SUITES[ratio](n, samples=4, seed=3).passed
+    assert len(tables) == 4 and all(a for ids, _ in tables for a, _ in ids)
+    for ids, table in tables:
+        assert len(table._entries) >= 2 * n
+        for levels, value in table._entries.items():
+            assert value == veronese_wedge(ids, levels)
 
 
 @pytest.mark.parametrize("ratio", SUITES)
@@ -292,7 +337,7 @@ def random_points(rng: random.Random, count: int, dyadic: bool):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_every_stacked_wedge_is_det_int_of_its_rows(n, dyadic):
     rng = random.Random(700 + n + 50 * dyadic)
-    trie = bd.veronese_trie(n)
+    trie = bd.veronese_trie(n, "exact")
     for case in range(2 if n <= 8 else 1):
         pts = random_points(rng, 4, dyadic)
         rng.shuffle(pts)
@@ -311,7 +356,7 @@ def test_points_at_zero_and_infinity_force_column_pivots(n):
     # column order at 0, so the pivot column of nearly every row is not the
     # first free one
     assert integer_rows(zero, n)[0] == [0] * (n - 1) + [1]
-    trie = bd.veronese_trie(n)
+    trie = bd.veronese_trie(n, "exact")
     for pts in ((zero, inf, one), (inf, zero, one), (one, zero, inf, ProjPoint(-2, 1))):
         table = bd.veronese_table(trie, pts, "axis")
         for levels in level_tuples(n, len(pts)):
@@ -321,11 +366,11 @@ def test_points_at_zero_and_infinity_force_column_pivots(n):
 def test_tables_sharing_leading_blocks_get_equal_entries():
     n = 7
     x, y, zl, zr = random_points(random.Random(5), 4, dyadic=True)
-    trie = bd.veronese_trie(n)
+    trie = bd.veronese_trie(n, "exact")
     triangle = bd.veronese_table(trie, (x, y, zl), "triangle")
     quadruple = bd.veronese_table(trie, (x, y, zl, zr), "quadruple")
     other = bd.veronese_table(trie, (x, y, zr), "other triangle")
-    alone = bd.veronese_table(bd.veronese_trie(n), (x, y, zl, zr), "alone")
+    alone = bd.veronese_table(bd.veronese_trie(n, "exact"), (x, y, zl, zr), "alone")
     for a, b, c in level_tuples(n, 3):
         assert quadruple.wedge(a, b, c, 0) == triangle.wedge(a, b, c)
         assert quadruple.wedge(a, b, 0, c) == other.wedge(a, b, c)
@@ -336,7 +381,7 @@ def test_tables_sharing_leading_blocks_get_equal_entries():
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_repeated_point_gives_a_dependent_prefix(n):
     p, q = ProjPoint(Fraction(1, 3), 1), ProjPoint(-2, 1)
-    table = bd.veronese_table(bd.veronese_trie(n), (p, p, q), "at pants P1 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(n, "exact"), (p, p, q), "at pants P1 triangle 0")
     for a, b, c in level_tuples(n, 3):
         if a and b:
             # the first row of p is stacked twice: the prefix is dependent
@@ -370,7 +415,7 @@ def test_flag_at_zero_in_every_position(n):
     zero = ProjPoint(0, 1)
     rng = random.Random(800 + n)
     x, y, z = [p for p in random_points(rng, 4, dyadic=n % 2 == 0) if p.a != 0][:3]
-    trie = bd.veronese_trie(n)
+    trie = bd.veronese_trie(n, "exact")
     tables = [(zero, x, y), (x, zero, y), (x, y, zero), (zero, x, zero), (y, zero, zero)]
     if n <= 7:   # the oracle's four-flag tables, as above
         tables += [(x, zero, y, z), (x, y, z, zero), (zero, x, y, zero)]
@@ -394,7 +439,7 @@ def test_triangle_at_zero_reads_its_wedges_with_few_appends(monkeypatch):
     n = 8
     calls = count_appends(monkeypatch)
     pts = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(-2.5, 1.0))
-    table = bd.veronese_table(bd.veronese_trie(n), pts, "at pants P0 triangle 0")
+    table = bd.veronese_table(bd.veronese_trie(n, "exact"), pts, "at pants P0 triangle 0")
     for levels in level_tuples(n, 3):
         assert table.wedge(*levels) == stacked_wedge(pts, levels, n)
     # one append per state of the flags at 1 and at -2.5: the rows of the
