@@ -21,12 +21,22 @@ every table holds the flag at 0 (the base triangle is (0, 1, infinity) and
 each curve chart has its repelling point at 0): the trie reads a wedge
 through it off the last pivot of the other blocks, their leading minor, and
 appends that flag's rows only when the other blocks pivoted out of order or
-are dependent.  Each ratio's sign is checked exactly, and only its final
-quotient is rounded and passed to the log.  The float genericity threshold
-of the flags module plays no part here, so a triangle invariant of a
-developed surface is exactly 0.  Every table and every log ratio
-(``log_triple_ratio``, ``log_double_ratio``) names its object in errors; a
-log ratio formats that name only when it raises.
+are dependent.
+
+Much of that work does not depend on the surface: at n = 8, 170 of a
+surface's 312 entries stack only the flags at 0, 1 and infinity (every
+triangle 0 is the base triangle, and each other table holds one point
+besides).  So every Veronese trie borrows those three flags from a base
+trie, one per rank and mode per process, which keeps every state that
+stacks them alone (``veronese_trie``).  Each table's ratios are read by a
+per-rank plan (``read_plans``): every entry once, every ratio in one pass.
+
+Each ratio's sign is checked exactly, and only its final quotient is
+rounded and passed to the log.  The float genericity threshold of the
+flags module plays no part here, so a triangle invariant of a developed
+surface is exactly 0.  Every table and every log ratio (``log_ratios``)
+names its object in errors; a log ratio formats that name only when it
+raises.
 
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
@@ -45,12 +55,13 @@ four points.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
 
 from .scalars import EXACT, serialize_value
-from .flags import WedgeTable, WedgeTrie
+from .flags import RatioPlan, WedgeTable, WedgeTrie, ratio_plan
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows, flag_rows
 from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
@@ -97,6 +108,12 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
+# the flags at 0 = [0 : 1], 1 = [1 : 1] and infinity = [1 : 0], by their
+# integer points: the base triangle of every developed surface
+_BASE_POINTS = ((0, 1), (1, 1), (1, 0))
+_BASE_TRIES = {}   # (n, mode) -> the trie of the base flags, shared per process
+
+
 def veronese_trie(n: int, mode: str) -> WedgeTrie:
     """The trie of the Veronese flags of one computation (one
     :func:`bd_vector`, or one case of an identity suite), named by their
@@ -104,9 +121,22 @@ def veronese_trie(n: int, mode: str) -> WedgeTrie:
     states.  Its rows and elimination step are the mode's: the triangular
     integer rows (``exact_flag_rows``) with the Bareiss step, or the
     orthonormal float rows at those integers (``flag_rows``) with the float
-    step."""
+    step.  The flags at 0, 1 and infinity take its first keys from the
+    process's base trie of the rank and mode, which is made on first use and
+    holds every state that stacks only those flags, so each is eliminated
+    once per process; a trie that never reads them pays only the copy of
+    their three keys."""
     rows = exact_flag_rows if mode == EXACT else flag_rows
-    return WedgeTrie(n, lambda point: rows(*point, n), mode)
+
+    def rows_of(point):
+        return rows(*point, n)
+
+    base = _BASE_TRIES.get((n, mode))
+    if base is None:   # keyed before it is shared
+        base = WedgeTrie(n, rows_of, mode, None)
+        base.keys_of(_BASE_POINTS)
+        base = _BASE_TRIES.setdefault((n, mode), base)
+    return WedgeTrie(n, rows_of, mode, base)
 
 
 def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
@@ -136,14 +166,23 @@ def _log_ratio(table: WedgeTable, name: str, index, num: int, den: int) -> float
                         f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
 
 
-def log_triple_ratio(table: WedgeTable, p: int, q: int, r: int) -> float:
-    """log T_pqr of the first three flags of a table."""
-    return _log_ratio(table, "triple ratio T_", (p, q, r), *table.triple_ratio(p, q, r))
+def log_ratios(table: WedgeTable, plan: RatioPlan, name: str) -> list:
+    """(index, log ratio) of each ratio of a read plan off a table, in the
+    plan's order (``flags.WedgeTable.ratios``); ``name`` and the index name
+    a ratio in errors ("triple ratio T_" and (1, 2, 5)).  Each log is the
+    log of its ratio with the sign checked exactly, so the first ratio
+    that is not positive, or reads a vanishing wedge, raises."""
+    return [(index, _log_ratio(table, name, index, num, den))
+            for index, num, den in table.ratios(plan)]
 
 
-def log_double_ratio(table: WedgeTable, p: int) -> float:
-    """log D_p of the flag quadruple of a table."""
-    return _log_ratio(table, "double ratio D_", p, *table.double_ratio(p))
+@functools.cache
+def read_plans(n: int) -> tuple:
+    """The read plans of the triple ratios at ``triple_indices(n)`` and of
+    the double ratios at p = 1, ..., n - 1 (``flags.ratio_plan``), made once
+    per rank."""
+    return (ratio_plan(n, WedgeTable.triple_ratio, triple_indices(n)),
+            ratio_plan(n, WedgeTable.double_ratio, range(1, n)))
 
 
 class BDVector(NamedTuple):
@@ -173,17 +212,24 @@ class BDVector(NamedTuple):
             out.append(("theta", cid, p, "", "", v))
         return out
 
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "tau": [{"pants": pid, "triangle": tri, "p": p, "q": q, "r": r,
-                     "value": serialize_value(v)}
-                    for (pid, tri, (p, q, r)), v in sorted(self.tau.items())],
-            "sigma": [{"pants": pid, "leaf": leaf, "p": p, "value": serialize_value(v)}
-                      for (pid, leaf, p), v in sorted(self.sigma.items())],
-            "theta": [{"curve": cid, "p": p, "value": serialize_value(v)}
-                      for (cid, p), v in sorted(self.theta.items())],
-        }
+    def serialized(self):
+        """The JSON ``invariants`` block and the CSV rows of the vector, in
+        one canonically ordered pass that serializes each value once: the
+        rows are those of :meth:`rows` with each value as text."""
+        tau, sigma, theta, rows = [], [], [], []
+        for (pid, tri, (p, q, r)), v in sorted(self.tau.items()):
+            text = serialize_value(v)
+            tau.append({"pants": pid, "triangle": tri, "p": p, "q": q, "r": r, "value": text})
+            rows.append(("tau", f"{pid}/T{tri}", p, q, r, text))
+        for (pid, leaf, p), v in sorted(self.sigma.items()):
+            text = serialize_value(v)
+            sigma.append({"pants": pid, "leaf": leaf, "p": p, "value": text})
+            rows.append(("sigma", f"{pid}/{leaf}", p, "", "", text))
+        for (cid, p), v in sorted(self.theta.items()):
+            text = serialize_value(v)
+            theta.append({"curve": cid, "p": p, "value": text})
+            rows.append(("theta", cid, p, "", "", text))
+        return {"n": self.n, "tau": tau, "sigma": sigma, "theta": theta}, rows
 
 
 def expected_size(spec: SurfaceSpec, n: int) -> int:
@@ -194,8 +240,10 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
-    """All invariants of the developed surface at rank n, off one Veronese trie."""
+    """All invariants of the developed surface at rank n, off one Veronese
+    trie, each table's family of ratios read by its plan in one pass."""
     trie = veronese_trie(n, EXACT)
+    triples, doubles = read_plans(n)
     tau = {}
     sigma = {}
     theta = {}
@@ -204,17 +252,17 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
             table = veronese_table(trie, [pts[c] for c in _CW_ORDER],
                                    f"at pants {pid!r} triangle {tri}")
-            for pqr in triple_indices(n):
-                tau[(pid, tri, pqr)] = log_triple_ratio(table, *pqr)
+            for pqr, value in log_ratios(table, triples, "triple ratio T_"):
+                tau[(pid, tri, pqr)] = value
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
             table = veronese_table(trie, (q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
-            for p in range(1, n):
-                sigma[(pid, leaf, p)] = log_double_ratio(table, p)
+            for p, value in log_ratios(table, doubles, "double ratio D_"):
+                sigma[(pid, leaf, p)] = value
     for cid, c in ds.curves.items():
         table = veronese_table(trie, (c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
-        for p in range(1, n):
-            theta[(cid, p)] = log_double_ratio(table, p)
+        for p, value in log_ratios(table, doubles, "double ratio D_"):
+            theta[(cid, p)] = value
     return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
 
 

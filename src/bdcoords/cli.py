@@ -231,16 +231,16 @@ def _read_input(path: str, command: str):
     return data, spec, shears_section(spec, data.get("shears", {}))
 
 
-def _write_report(args: argparse.Namespace, payload: dict, vec: bd.BDVector, summary: str):
-    """Write a command's report as ``<prefix>.json`` and its invariants as
-    ``<prefix>.csv``, the prefix ``--out`` or the command's name, and say so."""
+def _write_report(args: argparse.Namespace, payload: dict, rows: list, summary: str):
+    """Write a command's report as ``<prefix>.json`` and its invariants'
+    CSV ``rows`` (``bd.BDVector.serialized``) as ``<prefix>.csv``, the prefix
+    ``--out`` or the command's name, and say so."""
     prefix = args.out or args.command
     _dump_json(payload, f"{prefix}.json")
     with open(f"{prefix}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "object", "p", "q", "r", "value"])
-        for block, obj, p, q, r, value in vec.rows():
-            writer.writerow([block, obj, p, q, r, serialize_value(value)])
+        writer.writerows(rows)
     print(f"wrote {prefix}.json and {prefix}.csv ({summary})")
 
 
@@ -302,16 +302,17 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     vec = bd.bd_vector(ds, args.n)
     report = bd.closed_leaf_report(vec, ds)
     ok, problems = bd.polytope_membership(report)
+    invariants, rows = vec.serialized()
     payload = {
         "surface": spec_to_dict(spec),
         "n": args.n,
-        "invariants": vec.to_json_dict(),
+        "invariants": invariants,
         "closed_leaf": report.to_json_dict(),
         "polytope_membership": ok,
         "polytope_violations": problems,
         "slice_membership": bd.slice_membership(vec),
     }
-    _write_report(args, payload, vec,
+    _write_report(args, payload, rows,
                   f"{vec.size()} invariants, slice={payload['slice_membership']}")
     return EXIT_OK
 
@@ -323,6 +324,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     ds = bd.realize_slice(sp, spec)
     vec = bd.bd_vector(ds, args.n)
     deviation = bd.roundtrip_deviation(vec, sp)
+    invariants, rows = vec.serialized()
     payload = {
         "surface": spec_to_dict(spec),
         "n": args.n,
@@ -336,10 +338,10 @@ def cmd_realize(args: argparse.Namespace) -> int:
                   "zr": serialize_value(float(c.zr.a) / float(c.zr.b)),
                   "length": serialize_value(c.length)}
             for cid, c in sorted(ds.curves.items())},
-        "invariants": vec.to_json_dict(),
+        "invariants": invariants,
         "max_roundtrip_deviation": serialize_value(deviation),
     }
-    _write_report(args, payload, vec, f"max round-trip deviation {deviation:.3g}")
+    _write_report(args, payload, rows, f"max round-trip deviation {deviation:.3g}")
     return EXIT_OK
 
 

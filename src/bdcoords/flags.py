@@ -35,12 +35,18 @@ step and folds its factor into the next updating step's divisor, so every
 state holds the integers of the plain update.  A wedge through a flag
 whose rows are unit rows (the flag at 0) is read off the last pivot of the
 other blocks when they pivoted in order (their leading minor), so that
-flag's rows are not appended; otherwise all rows are stacked.  A table
-checks each entry against its threshold once and keeps it by its levels,
-since the ratios read the same entry several times (126 reads of 42
-entries for the triple ratios at n = 8).  :func:`triple_ratio` and
-:func:`double_ratio` build a fresh trie and table per call; the identity
-suites build one trie per sampled case, and ``bd_vector`` one per surface.
+flag's rows are not appended; otherwise all rows are stacked.
+
+The ratios of a family read the same entry several times (the triple
+ratios at n = 8 make 126 reads of 42 entries), and a table computes each
+entry once: read ratio by ratio, it keeps each entry by its levels; read
+by a plan (:func:`ratio_plan`, read off the formula itself), it gives
+every ratio of the family in one pass (:meth:`WedgeTable.ratios`).
+:func:`triple_ratio` and :func:`double_ratio` build a fresh trie and table
+per call; the identity suites build one trie per sampled case and
+``bd_vector`` one per surface.  A Veronese trie (``bd.veronese_trie``)
+borrows a base trie, one per rank and mode, that holds the states of the
+flags at 0, 1 and infinity alone.
 """
 from __future__ import annotations
 
@@ -111,38 +117,56 @@ class WedgeTrie:
     reduced once.  A state of n rows is its signed determinant; a dependent
     one is 0, as is every state below it.
 
+    A ``base`` trie (or None) lends its flags, under its keys, to this one:
+    every state whose blocks are all base flags is read off and kept in the
+    base, which many tries share, and only the states that stack a flag of
+    this trie's own are kept here.  The base's flags are named before it is
+    lent, and a state, once stored, is never changed.
+
     A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
     at 0 = [0 : 1]) is recognised by those rows when it is first read, and
     :meth:`wedge` does not stack its first block: see there.
     """
 
-    def __init__(self, n: int, rows_of, mode: str):
-        self.n, self.rows_of, self.mode = n, rows_of, mode
+    def __init__(self, n: int, rows_of, mode: str, base):
+        self.n, self.rows_of, self.mode, self.base = n, rows_of, mode, base
         self.tol = _RANK_TOL[mode]
         self.step = multilinear.bareiss_append if mode == EXACT else multilinear.float_append
-        self.rows = []                 # rows of each flag, by key
-        self._keys = {}                # id -> key
         self._states = {(): ((), 0)}   # stacked blocks -> elimination state
-        self._at_zero = set()          # keys of the flags with rows e_n, e_{n-1}, ...
+        if base is None:
+            self.rows = []             # rows of each flag, by key
+            self._keys = {}            # id -> key
+            self._at_zero = set()      # keys of the flags with rows e_n, e_{n-1}, ...
+        else:
+            self.rows, self._keys = list(base.rows), dict(base._keys)
+            self._at_zero = set(base._at_zero)
+        self._own = len(self.rows)     # the first key of a flag not the base's
         self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
+
+    def keys_of(self, ids) -> list:
+        """The keys of the flags named by ``ids``, each flag's rows read by
+        ``rows_of`` when it is first named."""
+        keys = []
+        for flag_id in ids:
+            key = self._keys.get(flag_id)
+            if key is None:
+                rows = self.rows_of(flag_id)
+                key = self._keys[flag_id] = len(self.rows)
+                if [list(row) for row in rows] == self._zero_rows:
+                    self._at_zero.add(key)
+                self.rows.append(rows)
+            keys.append(key)
+        return keys
 
     def table(self, ids, where: str) -> "WedgeTable":
         """The wedge table of the flags named by ``ids``; ``where`` places it
         in errors ("at pants P0 triangle 1")."""
-        keys = []
-        for flag_id in ids:
-            if flag_id not in self._keys:
-                rows = self.rows_of(flag_id)
-                if [list(row) for row in rows] == self._zero_rows:
-                    self._at_zero.add(len(self.rows))
-                self._keys[flag_id] = len(self.rows)
-                self.rows.append(rows)
-            keys.append(self._keys[flag_id])
-        return WedgeTable(self, keys, where)
+        return WedgeTable(self, self.keys_of(ids), where)
 
     def wedge(self, blocks):
         """The signed determinant of stacked blocks of n rows in all, 0 when
-        they are dependent; memoised like every state.
+        they are dependent; memoised like every state, in the base when the
+        blocks are all base flags.
 
         The first block of a flag at 0, at level a with m rows stacked after
         it, spans the last a columns, so the wedge is
@@ -154,6 +178,8 @@ class WedgeTrie:
         rows are never appended.  When the other blocks are dependent or
         pivoted out of order, all rows are stacked as for any other wedge.
         """
+        if max(blocks)[0] < self._own:   # the base's flags alone
+            return self.base.wedge(blocks)
         value = self._states.get(blocks)
         if value is not None:
             return value
@@ -177,6 +203,8 @@ class WedgeTrie:
         signed determinant at n rows, 0 once dependent."""
         state = self._states.get(blocks)
         if state is None:
+            if max(blocks)[0] < self._own:   # the base's flags alone
+                return self.base._state(blocks)
             key, level = blocks[-1]
             parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
             state = append_row(self._state(parent), self.rows[key][level - 1], self.step)
@@ -204,17 +232,43 @@ class WedgeTable:
         threshold once per table; DegenerateFlagError when it vanishes."""
         value = self._entries.get(levels)
         if value is None:
-            value = self._stacked(levels)
-            value = self._entries[levels] = value if abs(value) > self.trie.tol else 0
-        if not value:
-            size = (f"{abs(self._stacked(levels)):.3g}, not above {self.trie.tol:g}"
-                    if self.trie.tol else "exactly 0")
-            raise DegenerateFlagError(f"vanishing wedge factor {self.where}: wedge {levels} "
-                                      f"is {size} at n = {self.n}")
+            value = self._entries[levels] = self._entry(levels)
         return value
 
-    def _stacked(self, levels):
-        return self.trie.wedge(tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
+    def _entry(self, levels):
+        """The entry at ``levels`` read off the trie; DegenerateFlagError,
+        naming the table and the levels, when it is not above the threshold."""
+        value = self.trie.wedge(tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
+        if abs(value) > self.trie.tol:
+            return value
+        size = f"{abs(value):.3g}, not above {self.trie.tol:g}" if self.trie.tol else "exactly 0"
+        raise DegenerateFlagError(f"vanishing wedge factor {self.where}: wedge {levels} "
+                                  f"is {size} at n = {self.n}")
+
+    def ratios(self, plan: "RatioPlan"):
+        """(index, num, den) of each ratio of a read plan (see
+        :func:`ratio_plan`), in the plan's order.  Each entry the plan lists
+        is computed and checked once, when the first ratio that reads it
+        comes up, so the first vanishing wedge raises as it does read ratio
+        by ratio; each side multiplies its factors in the formula's order."""
+        entries = []
+        for index, sign, num_at, den_at, read in plan.reads:
+            while len(entries) < read:
+                entries.append(self._entry(plan.levels[len(entries)]))
+            num = math.prod(map(entries.__getitem__, num_at))
+            yield index, -num if sign < 0 else num, math.prod(map(entries.__getitem__, den_at))
+
+    def is_generic(self) -> bool:
+        """Whether every selection of leading blocks of total dimension n is
+        direct: for each composition (n_1, ..., n_k) of n, the wedge of the
+        first n_1 vectors of flag 1, first n_2 of flag 2, ... is nonzero.
+        Every entry is read, so a generic table holds them all."""
+        try:
+            for comp in _compositions(self.n, len(self.keys)):
+                self.wedge(*comp)
+        except DegenerateFlagError:
+            return False
+        return True
 
     def quotient(self, num, den):
         """The value of a ratio given as (num, den): a Fraction or a float by
@@ -264,7 +318,61 @@ def wedge_table(flags, where: str) -> WedgeTable:
         if f.n != n:
             raise ValueError("flags of different dimensions")
         join_mode(mode, f.mode)
-    return WedgeTrie(n, attrgetter("_rows"), mode).table(flags, where)
+    return WedgeTrie(n, attrgetter("_rows"), mode, None).table(flags, where)
+
+
+class RatioPlan:
+    """How a table reads one family of ratios at one rank (see
+    :meth:`WedgeTable.ratios`): ``levels``, the distinct levels the ratios
+    read, in first-read order, and ``reads``, per ratio (index, sign,
+    numerator positions, denominator positions, levels read up to it)."""
+
+    __slots__ = ("levels", "reads")
+
+    def __init__(self, levels: tuple, reads: tuple):
+        self.levels, self.reads = levels, reads
+
+
+class _Factors:
+    """One side of a ratio while a plan reads its formula: the sign and the
+    positions of its wedge factors, in the formula's order."""
+
+    __slots__ = ("sign", "at")
+
+    def __init__(self, sign: int, at: tuple):
+        self.sign, self.at = sign, at
+
+    def __mul__(self, other):
+        return _Factors(self.sign * other.sign, self.at + other.at)
+
+    def __neg__(self):
+        return _Factors(-self.sign, self.at)
+
+
+class _PlanReader:
+    """What a ratio formula reads of its table (``n``, ``where`` and
+    ``wedge``) while a plan is made: each wedge is the position of its
+    levels in first-read order."""
+
+    def __init__(self, n: int):
+        self.n, self.where, self.levels = n, "in a read plan", {}
+
+    def wedge(self, *levels):
+        return _Factors(1, (self.levels.setdefault(levels, len(self.levels)),))
+
+
+def ratio_plan(n: int, formula, indices) -> RatioPlan:
+    """The read plan of the ratios of ``formula`` (``WedgeTable.triple_ratio``
+    or ``WedgeTable.double_ratio``) at rank n, at each of ``indices`` in
+    order: the formula's arguments, or its one argument.  The plan is read
+    off the formula itself, so a plan and the formula agree factor for
+    factor; a bad index raises the formula's ValueError."""
+    reader = _PlanReader(n)
+    reads = []
+    for index in indices:
+        num, den = formula(reader, *(index if isinstance(index, tuple) else (index,)))
+        reads.append((index, num.sign * den.sign, num.at, den.at, len(reader.levels)))
+    return RatioPlan(tuple(reader.levels), tuple(reads))
 
 
 def _compositions(n: int, k: int):
@@ -278,18 +386,9 @@ def _compositions(n: int, k: int):
 
 
 def is_generic(flags) -> bool:
-    """Whether every selection of leading blocks of total dimension n is direct.
-
-    For each composition (n_1, ..., n_k) of n, the wedge of the first n_1
-    vectors of flag 1, first n_2 of flag 2, ... must be nonzero (one table).
-    """
-    table = wedge_table(flags, "in a flag tuple")
-    try:
-        for comp in _compositions(table.n, len(flags)):
-            table.wedge(*comp)
-    except DegenerateFlagError:
-        return False
-    return True
+    """Whether a flag tuple is generic: :meth:`WedgeTable.is_generic` of a
+    fresh table of the flags."""
+    return wedge_table(flags, "in a flag tuple").is_generic()
 
 
 def triple_ratio(E: Flag, F: Flag, G: Flag, p: int, q: int, r: int):

@@ -47,7 +47,9 @@ def bareiss_append(steps, row):
     step divides by Q instead of P, which cancels the deferred factor
     exactly: (x P/Q pivot - lead P/Q y) / P = (x pivot - lead y) / Q.  A
     run that ends the row is applied once, as x P // Q.  The step returned
-    is the one the plain update gives.  Exact Veronese rows are upper
+    is the one the plain update gives.  A divisor of 1 (the first updating
+    step's, and on the sparse Veronese rows often a later one's) is not
+    divided by.  Exact Veronese rows are upper
     triangular, so a flag's own earlier rows always give zero leads, and
     the unit rows of the flags at 0 and at infinity leave zero rests that
     every row stacked below them passes through.
@@ -62,10 +64,13 @@ def bareiss_append(steps, row):
     for index, pivot, rest in steps:
         lead = r.pop(index)
         if lead and any(rest):
-            r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
+            if prev == 1:   # nothing to divide out
+                r = [x * pivot - lead * y for x, y in zip(r, rest)]
+            else:
+                r = [(x * pivot - lead * y) // prev for x, y in zip(r, rest)]
             prev = pivot
     if pivot != prev:   # a run of rescale-only steps ends the row
-        r = [x * pivot // prev for x in r]
+        r = [x * pivot // prev for x in r] if prev != 1 else [x * pivot for x in r]
     for index, x in enumerate(r):
         if x:
             return index, x, r[:index] + r[index + 1:]

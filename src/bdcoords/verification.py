@@ -4,13 +4,16 @@ All randomness flows through ``random.Random(seed)`` (Python's Mersenne
 Twister), drawing only integers via ``randint``; reports are therefore
 reproducible bit for bit from (suite, parameters, seed).
 
-Exact-mode suites assert identities with rational arithmetic (the worst
-deviation is then 0 or 1); float-mode suites report the worst absolute
-deviation against the stated tolerance.  The triple- and double-ratio
-suites read each case off a fresh ``bd.veronese_trie`` of their mode (the
-path of ``bd_vector``; no ``Flag`` is built), the permutation suite off one
-trie of its flags.  Every report lists its first 20 failing cases, then
-"..." if there are more, on stdout and in its JSON.
+Exact-mode suites assert identities exactly (the worst deviation is then 0
+or 1): the triple-ratio suite decides T = 1 as num == den and the
+double-ratio suite D = -1/z by cross-multiplying with the numerator and
+denominator of -1/z, so neither builds a Fraction per ratio.  Float-mode
+suites report the worst absolute deviation against the stated tolerance.
+The triple- and double-ratio suites read each case off a fresh
+``bd.veronese_trie`` of their mode (the path of ``bd_vector``; no ``Flag``
+is built), the permutation suite off the one trie that checked its flags
+generic.  Every report lists its first 20 failing cases, then "..." if
+there are more, on stdout and in its JSON.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .flags import DegenerateFlagError, Flag, is_generic, wedge_table
+from .flags import DegenerateFlagError, Flag, wedge_table
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
 from .multilinear import compare_band, compare_rhombus
 from .surfaces import (PantsLamination, SLOTS, SurfaceSpec, assemble_surface,
@@ -125,8 +128,9 @@ def sample_float(rng: random.Random, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.randint(0, 10 ** 9) / 10 ** 9
 
 
-def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
-    """Random exact flags forming a generic tuple (rejection sampled)."""
+def random_generic_flags(rng: random.Random, n: int, count: int):
+    """Random exact flags forming a generic tuple (rejection sampled), and
+    the table that checked them (``WedgeTable.is_generic``)."""
     for _ in range(200):
         flags = []
         try:
@@ -136,8 +140,9 @@ def random_generic_flags(rng: random.Random, n: int, count: int) -> list:
                 flags.append(Flag(basis))
         except ValueError:
             continue
-        if is_generic(flags):
-            return flags
+        table = wedge_table(flags, "in a flag tuple")
+        if table.is_generic():
+            return flags, table
     raise RuntimeError("generic flag sampling stalled")
 
 
@@ -162,14 +167,14 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         table = bd.veronese_table(bd.veronese_trie(n, mode), triple, "in triple ratio")
         for p, q, r in bd.triple_indices(n):
             try:
-                value = table.quotient(*table.triple_ratio(p, q, r))
+                num, den = table.triple_ratio(p, q, r)
             except DegenerateFlagError as exc:
                 report.record_failure(f"case {case} T_{p}{q}{r}: {exc}")
                 continue
             if mode == "exact":
-                dev = 0.0 if value == 1 else 1.0
+                dev = 0.0 if num == den else 1.0
             else:
-                dev = abs(value - 1.0)
+                dev = abs(num / den - 1.0)
             report.record(dev, f"case {case} T_{p}{q}{r}", bd.TOL if mode == "float" else 0.0)
     return report
 
@@ -191,28 +196,30 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
                                   "in double ratio")
         for p in range(1, n):
             try:
-                value = table.quotient(*table.double_ratio(p))
+                num, den = table.double_ratio(p)
             except DegenerateFlagError as exc:
                 report.record_failure(f"case {case} D_{p}: {exc}")
                 continue
             if mode == "exact":
-                dev = 0.0 if value == expected else 1.0
+                # num / den == expected, cross-multiplied (den and the
+                # expected denominator are nonzero)
+                dev = 0.0 if num * expected.denominator == den * expected.numerator else 1.0
                 report.record(dev, f"case {case} D_{p}")
             else:
                 e = float(expected)
-                dev = abs(value - e) / max(1.0, abs(e))
+                dev = abs(num / den - e) / max(1.0, abs(e))
                 report.record(dev, f"case {case} D_{p}", bd.TOL)
     return report
 
 
 def run_permutation(n: int, samples: int = 100, seed: int = DEFAULT_SEED) -> SuiteReport:
     """The triple-ratio permutation laws on random generic exact flags, each
-    case's three orders read off one trie."""
+    case's three orders read off the trie of the sampler's genericity check,
+    whose table holds every entry of the order (E, F, G)."""
     rng = random.Random(seed)
     report = SuiteReport("permutation", dict(n=n, samples=samples, seed=seed))
     for case in range(samples):
-        E, F, G = random_generic_flags(rng, n, 3)
-        efg = wedge_table((E, F, G), "in triple ratio")
+        (E, F, G), efg = random_generic_flags(rng, n, 3)
         fge = efg.trie.table((F, G, E), "in triple ratio")
         feg = efg.trie.table((F, E, G), "in triple ratio")
         for p, q, r in bd.triple_indices(n):

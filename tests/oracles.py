@@ -6,13 +6,14 @@ append, affine cross ratios instead of projective ones, the
 symmetric-power representation as plain rows, a trie of one-shot
 determinants in the other Veronese basis, a Veronese wedge in closed form,
 one fan walk per spiral sum), and
-one-off invariant values read off a Veronese trie of their own."""
+one-off invariant values read off a Veronese trie of their own, or off a
+table by a read plan of one index."""
 import functools
 import math
 from fractions import Fraction
 
 import bdcoords.bd as bd
-from bdcoords.flags import WedgeTrie
+from bdcoords.flags import WedgeTable, WedgeTrie, ratio_plan
 from bdcoords.multilinear import band_det_bruteforce
 from bdcoords.surfaces import fan_cycle
 
@@ -169,7 +170,22 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
     table = bd.veronese_table(bd.veronese_trie(n, "exact"),
                               [pts[CLOCKWISE[(k + m) % 3]] for m in range(3)],
                               f"at pants {pants_id} triangle {tri}")
-    return bd.log_triple_ratio(table, p, q, r)
+    return log_triple_ratio(table, p, q, r)
+
+
+def log_triple_ratio(table, p, q, r):
+    """log T_pqr of a table alone, by ``bd.log_ratios`` on a read plan of
+    that index."""
+    plan = ratio_plan(table.n, WedgeTable.triple_ratio, [(p, q, r)])
+    [(_, value)] = bd.log_ratios(table, plan, "triple ratio T_")
+    return value
+
+
+def log_double_ratio(table, p):
+    """log D_p of a table alone, as ``log_triple_ratio``."""
+    plan = ratio_plan(table.n, WedgeTable.double_ratio, [p])
+    [(_, value)] = bd.log_ratios(table, plan, "double ratio D_")
+    return value
 
 
 def spiral_sum(v, spec, curve_id, p, side, vertex_rule):
@@ -255,7 +271,7 @@ def complement_trie(n, mode):
     row append, no pivot read.  Passed for ``bd.veronese_trie``, with
     ``complement_table`` for ``bd.veronese_table``, it gives the invariants
     of the float basis in exact arithmetic."""
-    trie = WedgeTrie(n, lambda point: complement_rows(*point, n), mode)
+    trie = WedgeTrie(n, lambda point: complement_rows(*point, n), mode, None)
     trie.wedge = lambda blocks: row_swap_det(
         [row for key, d in blocks for row in trie.rows[key][:d]])
     return trie

@@ -114,7 +114,8 @@ def test_bd_vector_rows_and_json(ds):
     assert len(rows) == 22
     blocks = {r[0] for r in rows}
     assert blocks == {"tau", "sigma", "theta"}
-    data = vec.to_json_dict()
+    data, csv_rows = vec.serialized()
+    assert [row[:5] for row in csv_rows] == [row[:5] for row in rows]
     assert len(data["tau"]) == 4 and len(data["sigma"]) == 12 and len(data["theta"]) == 6
 
 

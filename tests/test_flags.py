@@ -108,7 +108,7 @@ def test_triple_ratio_veronese_normalized_triple():
 
 
 def test_triple_ratio_index_validation():
-    E, F, G = random_generic_flags(random.Random(0), 4, 3)
+    (E, F, G), _ = random_generic_flags(random.Random(0), 4, 3)
     with pytest.raises(ValueError):
         triple_ratio(E, F, G, 0, 2, 2)
     with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ def test_triple_ratio_rejects_degenerate_triple():
 def test_triple_ratio_against_cofactor_oracle():
     rng = random.Random(12)
     for _ in range(10):
-        E, F, G = random_generic_flags(rng, 4, 3)
+        (E, F, G), _ = random_generic_flags(rng, 4, 3)
         for pqr in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
             assert triple_ratio(E, F, G, *pqr) == triple_ratio_by_cofactors(E, F, G, *pqr)
 
@@ -134,7 +134,7 @@ def test_triple_ratio_permutation_laws():
     cases = 0
     for n in (3, 4, 5):
         for _ in range(35):
-            E, F, G = random_generic_flags(rng, n, 3)
+            (E, F, G), _ = random_generic_flags(rng, n, 3)
             for p in range(1, n - 1):
                 for q in range(1, n - p):
                     r = n - p - q
@@ -148,12 +148,12 @@ def test_triple_ratio_permutation_laws():
 def test_projective_invariance():
     rng = random.Random(8)
     for n in (3, 4):
-        E, F, G = random_generic_flags(rng, n, 3)
+        (E, F, G), _ = random_generic_flags(rng, n, 3)
         m = random_unimodular(rng, n)
         for pqr in [(1, 1, n - 2)]:
             assert triple_ratio(apply_matrix(m, E), apply_matrix(m, F),
                                 apply_matrix(m, G), *pqr) == triple_ratio(E, F, G, *pqr)
-    E, F, G, Gp = random_generic_flags(rng, 3, 4)
+    (E, F, G, Gp), _ = random_generic_flags(rng, 3, 4)
     m = random_unimodular(rng, 3)
     for p in (1, 2):
         assert double_ratio(apply_matrix(m, E), apply_matrix(m, F),
@@ -163,7 +163,7 @@ def test_projective_invariance():
 
 def test_scaling_independence():
     rng = random.Random(15)
-    E, F, G = random_generic_flags(rng, 4, 3)
+    (E, F, G), _ = random_generic_flags(rng, 4, 3)
     scaled = rescaled(E, [Fraction(3), Fraction(-1, 2), Fraction(5), Fraction(2, 7)])
     for pqr in ((1, 1, 2), (2, 1, 1)):
         assert triple_ratio(E, F, G, *pqr) == triple_ratio(scaled, F, G, *pqr)
@@ -185,12 +185,12 @@ def test_double_ratio_veronese_n3():
 def test_double_ratio_against_cofactor_oracle():
     rng = random.Random(30)
     for _ in range(10):
-        E, F, G, Gp = random_generic_flags(rng, 3, 4)
+        (E, F, G, Gp), _ = random_generic_flags(rng, 3, 4)
         assert double_ratio(E, F, G, Gp, 2) == double_ratio_by_cofactors(E, F, G, Gp, 2)
 
 
 def test_double_ratio_index_range():
-    E, F, G, Gp = random_generic_flags(random.Random(1), 3, 4)
+    (E, F, G, Gp), _ = random_generic_flags(random.Random(1), 3, 4)
     with pytest.raises(ValueError):
         double_ratio(E, F, G, Gp, 0)
     with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ def test_double_ratio_index_range():
 def test_float_mode_agrees_with_exact():
     rng = random.Random(44)
     for _ in range(5):
-        flags = random_generic_flags(rng, 3, 4)
+        flags, _ = random_generic_flags(rng, 3, 4)
         float_flags = [Flag([[float(x) for x in row] for row in f.basis]) for f in flags]
         exact = double_ratio(*flags, 1)
         approx = double_ratio(*float_flags, 1)

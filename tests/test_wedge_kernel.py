@@ -1,6 +1,6 @@
 """The exact wedge-table kernel behind the invariant vector and the exact
 identity suites: the tables of a ``bd.veronese_trie``, whose ratios
-``bd.log_triple_ratio`` and ``bd.log_double_ratio`` read.
+``bd.log_ratios`` reads by the per-rank plans of ``bd.read_plans``.
 
 Their values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
@@ -18,6 +18,9 @@ import math
 import os
 import random
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -31,12 +34,11 @@ from bdcoords.flags import DegenerateFlagError, double_ratio, triple_ratio
 from bdcoords.halfplane import ProjPoint, sort_ccw
 from bdcoords.multilinear import bareiss_append
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
-from bdcoords import verification
 from bdcoords.verification import (run_double_ratio, run_permutation, run_triple_ratio,
                                    sample_genus2, sample_points)
 from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
-from oracles import (complement_table, complement_trie, integer_coordinates, row_pivot_det,
-                     row_swap_det, veronese_wedge)
+from oracles import (complement_table, complement_trie, integer_coordinates, log_double_ratio,
+                     log_triple_ratio, row_pivot_det, row_swap_det, veronese_wedge)
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -66,11 +68,11 @@ def test_kernel_matches_general_route_on_rational_points(n):
         for triple in ((c, b, a), (a, b, c), (b, d, a)):
             table = bd.veronese_table(trie, triple, f"case {case}")
             for pqr, expected in general_log_triples(triple, n).items():
-                assert bd.log_triple_ratio(table, *pqr) == expected
+                assert log_triple_ratio(table, *pqr) == expected
         quad = (a, c, b, d)
         table = bd.veronese_table(trie, quad, f"case {case}")
         for p, expected in general_log_doubles(quad, n).items():
-            assert bd.log_double_ratio(table, p) == expected
+            assert log_double_ratio(table, p) == expected
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -99,9 +101,18 @@ def test_bd_vector_builds_no_flag_objects(monkeypatch):
     assert bd.bd_vector(ds, 4).size() == bd.expected_size(ds.spec, 4)
 
 
+def cold_base(monkeypatch):
+    """No base trie from here on: the next ``bd.veronese_trie`` of each rank
+    and mode makes its own, and the process's bases are back after the test,
+    so a step or a row builder the test patches stays out of them."""
+    monkeypatch.setattr(bd, "_BASE_TRIES", {})
+
+
 def test_bd_vector_builds_each_points_rows_once(monkeypatch):
     # the trie names each flag by its integer point, so the rows of a point
-    # are built once however many tables of the surface hold it
+    # are built once however many tables of the surface hold it; on a cold
+    # base those of 0, 1 and infinity are built for the base
+    cold_base(monkeypatch)
     ds = assemble_surface(*sample_genus2(random.Random(7)))
     calls, rows_of = [], bd.exact_flag_rows
     monkeypatch.setattr(bd, "exact_flag_rows",
@@ -141,7 +152,7 @@ def test_vanishing_wedge_names_object_index_and_rank():
     with pytest.raises(DegenerateFlagError,
                        match=r"^vanishing wedge factor at pants P0 triangle 1: "
                              r"wedge \(2, 1, 0\) is exactly 0 at n = 3$"):
-        bd.log_triple_ratio(table, 1, 1, 1)
+        log_triple_ratio(table, 1, 1, 1)
 
 
 @pytest.mark.parametrize("n", (3, 5, 8))
@@ -167,7 +178,7 @@ def test_negative_double_ratio_names_object_and_rank():
     table = bd.veronese_table(bd.veronese_trie(4, "exact"), pts, "at curve C2")
     with pytest.raises(AssemblyError,
                        match=r"double ratio D_2 at curve C2 is not positive: .* at n = 4"):
-        bd.log_double_ratio(table, 2)
+        log_double_ratio(table, 2)
 
 
 TINY = ProjPoint(Fraction(1, 10 ** 400), 1)
@@ -186,7 +197,7 @@ NEGATIVE_RATIOS = [
 def test_negative_ratio_is_named_by_its_value_or_its_log(pts, message):
     table = bd.veronese_table(bd.veronese_trie(3, "exact"), pts, "at test")
     with pytest.raises(AssemblyError) as caught:
-        bd.log_double_ratio(table, 1)
+        log_double_ratio(table, 1)
     assert str(caught.value) == f"double ratio D_1 at test is {message} at n = 3"
 
 
@@ -195,9 +206,9 @@ def test_kernel_rejects_bad_indices():
                               (ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(1, 0)),
                               "pants P1 triangle 0")
     with pytest.raises(ValueError, match="p \\+ q \\+ r = 4"):
-        bd.log_triple_ratio(table, 0, 2, 2)
+        log_triple_ratio(table, 0, 2, 2)
     with pytest.raises(ValueError, match="1 <= p <= 3"):
-        bd.log_double_ratio(table, 4)
+        log_double_ratio(table, 4)
 
 
 # -- the exact identity suites ----------------------------------------------
@@ -250,17 +261,18 @@ def test_float_suites_build_one_trie_per_case(ratio, monkeypatch):
 
 
 def test_permutation_suite_builds_one_trie_per_case(monkeypatch):
-    # besides the genericity checks of the sampler, one trie per case holds
-    # the three orders of its flags (the per-ratio route built 3 per ratio)
+    # the trie of the sampler's genericity check holds the three orders of a
+    # case's flags: one trie per check, none besides (the per-ratio route
+    # built 3 per ratio, and a second trie per case re-eliminated the check's)
     tries, checks = [], []
-    trie_init, generic = flags.WedgeTrie.__init__, verification.is_generic
+    trie_init, generic = flags.WedgeTrie.__init__, flags.WedgeTable.is_generic
     monkeypatch.setattr(flags.WedgeTrie, "__init__",
                         lambda trie, *args: tries.append(trie) or trie_init(trie, *args))
-    monkeypatch.setattr(verification, "is_generic",
-                        lambda fs: checks.append(fs) or generic(fs))
+    monkeypatch.setattr(flags.WedgeTable, "is_generic",
+                        lambda table: checks.append(table) or generic(table))
     report = run_permutation(5, samples=4, seed=3)
     assert report.passed and report.cases == 4 * len(bd.triple_indices(5))
-    assert len(tries) == len(checks) + 4
+    assert len(tries) == len(checks) >= 4
 
 
 @pytest.mark.parametrize("ratio", SUITES)
@@ -424,7 +436,9 @@ def test_flag_at_zero_in_every_position(n):
 
 
 def count_appends(monkeypatch):
-    """The rows ``multilinear.bareiss_append`` appends from now on, in order."""
+    """The rows ``multilinear.bareiss_append`` appends from now on, in order,
+    from a cold base."""
+    cold_base(monkeypatch)
     calls = []
 
     def counting(steps, row):
@@ -489,7 +503,8 @@ class CountedPivot(int):
 
 def sampled_surface_work(monkeypatch, n):
     """The appends and the element updates of one ``bd_vector`` of the
-    seed-7 sampled surface at rank n."""
+    seed-7 sampled surface at rank n, on a cold base."""
+    cold_base(monkeypatch)
     ds = assemble_surface(*sample_genus2(random.Random(7)))
     appends = 0
 
@@ -518,3 +533,123 @@ def test_sampled_surface_appends_at_rank_12(monkeypatch):
     appends, updates = sampled_surface_work(monkeypatch, 12)
     assert appends == 382
     assert updates <= 7050
+
+
+# -- the per-process base tries and the per-rank read plans -----------------
+
+
+BASE_TRIANGLE = (ProjPoint(0, 1), ProjPoint(1, 1), ProjPoint(1, 0))
+
+
+def test_warm_base_appends_no_state_of_the_base_flags_alone(monkeypatch):
+    # the seed-7 surface at rank 8: on a cold base, the appends of one trie
+    # (as in test_sampled_surface_appends_at_rank_8); run again, every state
+    # that stacks only the flags at 0, 1 and infinity is the base's already:
+    # the base gains no state, and no trie of a surface keeps one of those,
+    # so 64 of the 190 appends are not made again
+    calls = count_appends(monkeypatch)
+    tries, veronese_trie = [], bd.veronese_trie
+    monkeypatch.setattr(bd, "veronese_trie",
+                        lambda n, mode: tries.append(veronese_trie(n, mode)) or tries[-1])
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    first = bd.bd_vector(ds, 8)
+    cold, base = len(calls), tries[0].base
+    base_states = dict(base._states)
+    calls.clear()
+    assert bd.bd_vector(ds, 8) == first
+    assert (cold, len(calls)) == (190, 126)
+    assert tries[1].base is base and base._states == base_states
+    assert all(max(blocks)[0] >= 3 for trie in tries for blocks in trie._states if blocks)
+
+
+def test_base_tries_are_per_rank_and_mode(monkeypatch):
+    cold_base(monkeypatch)
+    one, two = bd.veronese_trie(5, "exact"), bd.veronese_trie(5, "exact")
+    others = [bd.veronese_trie(6, "exact"), bd.veronese_trie(5, "float")]
+    assert one.base is two.base
+    bases = [one.base] + [trie.base for trie in others]
+    assert len({id(base) for base in bases}) == 3
+    assert not any(row is other for base in bases for other_base in bases if other_base is not base
+                   for rows in base.rows for row in rows
+                   for other_rows in other_base.rows for other in other_rows)
+    sizes = [len(base._states) for base in bases]
+    # a table that never reads a base point leaves every base as it was
+    table = bd.veronese_table(one, (ProjPoint(2, 1), ProjPoint(-3, 1), ProjPoint(5, 2)), "own")
+    for levels in level_tuples(5, 3):
+        table.wedge(*levels)
+    assert [len(base._states) for base in bases] == sizes
+    # the base triangle fills its own base and no other, and stays out of the trie
+    table = bd.veronese_table(one, BASE_TRIANGLE, "base")
+    for levels in level_tuples(5, 3):
+        assert table.wedge(*levels) == stacked_wedge(BASE_TRIANGLE, levels, 5)
+    assert len(bases[0]._states) > sizes[0]
+    assert [len(base._states) for base in bases[1:]] == sizes[1:]
+    assert all(max(blocks)[0] >= 3 for blocks in one._states if blocks)
+    # the other trie of the rank reads the same entries off the shared states
+    table = bd.veronese_table(two, BASE_TRIANGLE, "base")
+    full = len(bases[0]._states)
+    for levels in level_tuples(5, 3):
+        assert table.wedge(*levels) == stacked_wedge(BASE_TRIANGLE, levels, 5)
+    assert len(bases[0]._states) == full and len(two._states) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_read_plans_reproduce_each_ratio_by_index(n):
+    # each plan is read off its formula: read by plan, every ratio is the
+    # formula's (num, den), index by index, the sign and the factor order
+    # (which a float product sees) included
+    triples, doubles = bd.read_plans(n)
+    assert [index for index, *_ in triples.reads] == bd.triple_indices(n)
+    assert [index for index, *_ in doubles.reads] == list(range(1, n))
+    for plan in triples, doubles:
+        read = [r for *_, r in plan.reads]
+        assert read == sorted(read) and read[-1:] in ([], [len(plan.levels)])
+        assert len(set(plan.levels)) == len(plan.levels)
+    rng = random.Random(900 + n)
+    for mode in ("exact", "float") if n <= 8 else ("exact",):
+        pts = sort_ccw(sample_points(rng, 4, with_infinity=n % 2 == 0, min_separation=0.2))
+        trie = bd.veronese_trie(n, mode)
+        triangle = bd.veronese_table(trie, pts[:3], "triangle")
+        quadruple = bd.veronese_table(trie, pts, "quadruple")
+        assert list(triangle.ratios(triples)) == [(pqr, *triangle.triple_ratio(*pqr))
+                                                  for pqr in bd.triple_indices(n)]
+        assert list(quadruple.ratios(doubles)) == [(p, *quadruple.double_ratio(p))
+                                                   for p in range(1, n)]
+
+
+def test_read_plan_counts_at_rank_8():
+    # 126 reads of 42 entries for the triple ratios, 28 of 16 for the doubles
+    triples, doubles = bd.read_plans(8)
+    assert (len(triples.levels), sum(len(num) + len(den) for _, _, num, den, _ in triples.reads)) \
+        == (42, 126)
+    assert (len(doubles.levels), sum(len(num) + len(den) for _, _, num, den, _ in doubles.reads)) \
+        == (16, 28)
+    assert {sign for _, sign, *_ in triples.reads} == {1}
+    assert {sign for _, sign, *_ in doubles.reads} == {-1}
+    with pytest.raises(ValueError, match=r"p \+ q \+ r = 8"):
+        flags.ratio_plan(8, flags.WedgeTable.triple_ratio, [(1, 1, 1)])
+
+
+def test_concurrent_bd_vectors_get_the_serial_results(monkeypatch):
+    # eight threads on distinct surfaces at one rank, all filling one cold
+    # base: the base holds only states that are the same whichever thread
+    # computes them first, so every vector is the serial one
+    surfaces = [assemble_surface(*sample_genus2(random.Random(seed))) for seed in range(1, 9)]
+    cold_base(monkeypatch)
+    serial = [bd.bd_vector(ds, 8) for ds in surfaces]
+    cold_base(monkeypatch)
+    start = threading.Barrier(len(surfaces))
+
+    def run(ds):
+        start.wait()
+        return bd.bd_vector(ds, 8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often, so their reads interleave
+    try:
+        with ThreadPoolExecutor(max_workers=len(surfaces)) as pool:
+            threaded = list(pool.map(run, surfaces))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert list(bd._BASE_TRIES) == [(8, "exact")]
