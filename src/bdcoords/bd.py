@@ -28,13 +28,13 @@ surface's 312 entries stack only the flags at 0, 1 and infinity (every
 triangle 0 is the base triangle, and each other table holds one point
 besides).  So every Veronese trie borrows those three flags from a base
 trie, one per rank and mode per process, which keeps every state that
-stacks them alone (``veronese_trie``).  Each table's ratios are read by a
-per-rank plan (``read_plans``): every entry once, every ratio in one pass.
+stacks them alone (``veronese_trie``).  Each table computes each entry
+once, however many of its ratios read it.
 
 Each ratio's sign is checked exactly, and only its final quotient is
 rounded and passed to the log.  The float genericity threshold of the
 flags module plays no part here, so a triangle invariant of a developed
-surface is exactly 0.  Every table and every log ratio (``log_ratios``)
+surface is exactly 0.  Every table and every log ratio (``_log_ratio``)
 names its object in errors; a log ratio formats that name only when it
 raises.
 
@@ -55,13 +55,12 @@ four points.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import NamedTuple
 
 from .scalars import EXACT, serialize_value
-from .flags import RatioPlan, WedgeTable, WedgeTrie, ratio_plan
+from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows, flag_rows
 from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
@@ -166,25 +165,6 @@ def _log_ratio(table: WedgeTable, name: str, index, num: int, den: int) -> float
                         f"{math.log(abs(num)) - math.log(abs(den)):.6g} at n = {table.n}")
 
 
-def log_ratios(table: WedgeTable, plan: RatioPlan, name: str) -> list:
-    """(index, log ratio) of each ratio of a read plan off a table, in the
-    plan's order (``flags.WedgeTable.ratios``); ``name`` and the index name
-    a ratio in errors ("triple ratio T_" and (1, 2, 5)).  Each log is the
-    log of its ratio with the sign checked exactly, so the first ratio
-    that is not positive, or reads a vanishing wedge, raises."""
-    return [(index, _log_ratio(table, name, index, num, den))
-            for index, num, den in table.ratios(plan)]
-
-
-@functools.cache
-def read_plans(n: int) -> tuple:
-    """The read plans of the triple ratios at ``triple_indices(n)`` and of
-    the double ratios at p = 1, ..., n - 1 (``flags.ratio_plan``), made once
-    per rank."""
-    return (ratio_plan(n, WedgeTable.triple_ratio, triple_indices(n)),
-            ratio_plan(n, WedgeTable.double_ratio, range(1, n)))
-
-
 class BDVector(NamedTuple):
     """The full invariant tuple of a developed surface for one n.
 
@@ -241,9 +221,9 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     """All invariants of the developed surface at rank n, off one Veronese
-    trie, each table's family of ratios read by its plan in one pass."""
+    trie: each ratio read off its table at its index, in index order."""
     trie = veronese_trie(n, EXACT)
-    triples, doubles = read_plans(n)
+    triples, doubles = triple_indices(n), range(1, n)
     tau = {}
     sigma = {}
     theta = {}
@@ -252,17 +232,19 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
             table = veronese_table(trie, [pts[c] for c in _CW_ORDER],
                                    f"at pants {pid!r} triangle {tri}")
-            for pqr, value in log_ratios(table, triples, "triple ratio T_"):
-                tau[(pid, tri, pqr)] = value
+            for pqr in triples:
+                tau[(pid, tri, pqr)] = _log_ratio(table, "triple ratio T_", pqr,
+                                                  *table.triple_ratio(*pqr))
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
             table = veronese_table(trie, (q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
-            for p, value in log_ratios(table, doubles, "double ratio D_"):
-                sigma[(pid, leaf, p)] = value
+            for p in doubles:
+                sigma[(pid, leaf, p)] = _log_ratio(table, "double ratio D_", p,
+                                                   *table.double_ratio(p))
     for cid, c in ds.curves.items():
         table = veronese_table(trie, (c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
-        for p, value in log_ratios(table, doubles, "double ratio D_"):
-            theta[(cid, p)] = value
+        for p in doubles:
+            theta[(cid, p)] = _log_ratio(table, "double ratio D_", p, *table.double_ratio(p))
     return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
 
 

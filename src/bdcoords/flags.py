@@ -39,12 +39,11 @@ flag's rows are not appended; otherwise all rows are stacked.
 
 The ratios of a family read the same entry several times (the triple
 ratios at n = 8 make 126 reads of 42 entries), and a table computes each
-entry once: read ratio by ratio, it keeps each entry by its levels; read
-by a plan (:func:`ratio_plan`, read off the formula itself), it gives
-every ratio of the family in one pass (:meth:`WedgeTable.ratios`).
-:func:`triple_ratio` and :func:`double_ratio` build a fresh trie and table
-per call; the identity suites build one trie per sampled case and
-``bd_vector`` one per surface.  A Veronese trie (``bd.veronese_trie``)
+entry once and keeps it by its levels.  Every ratio is read one way, by
+:meth:`WedgeTable.triple_ratio` or :meth:`WedgeTable.double_ratio` at its
+index.  :func:`triple_ratio` and :func:`double_ratio` build a fresh trie
+and table per call; the identity suites build one trie per sampled case
+and ``bd_vector`` one per surface.  A Veronese trie (``bd.veronese_trie``)
 borrows a base trie, one per rank and mode, that holds the states of the
 flags at 0, 1 and infinity alone.
 """
@@ -245,19 +244,6 @@ class WedgeTable:
         raise DegenerateFlagError(f"vanishing wedge factor {self.where}: wedge {levels} "
                                   f"is {size} at n = {self.n}")
 
-    def ratios(self, plan: "RatioPlan"):
-        """(index, num, den) of each ratio of a read plan (see
-        :func:`ratio_plan`), in the plan's order.  Each entry the plan lists
-        is computed and checked once, when the first ratio that reads it
-        comes up, so the first vanishing wedge raises as it does read ratio
-        by ratio; each side multiplies its factors in the formula's order."""
-        entries = []
-        for index, sign, num_at, den_at, read in plan.reads:
-            while len(entries) < read:
-                entries.append(self._entry(plan.levels[len(entries)]))
-            num = math.prod(map(entries.__getitem__, num_at))
-            yield index, -num if sign < 0 else num, math.prod(map(entries.__getitem__, den_at))
-
     def is_generic(self) -> bool:
         """Whether every selection of leading blocks of total dimension n is
         direct: for each composition (n_1, ..., n_k) of n, the wedge of the
@@ -319,60 +305,6 @@ def wedge_table(flags, where: str) -> WedgeTable:
             raise ValueError("flags of different dimensions")
         join_mode(mode, f.mode)
     return WedgeTrie(n, attrgetter("_rows"), mode, None).table(flags, where)
-
-
-class RatioPlan:
-    """How a table reads one family of ratios at one rank (see
-    :meth:`WedgeTable.ratios`): ``levels``, the distinct levels the ratios
-    read, in first-read order, and ``reads``, per ratio (index, sign,
-    numerator positions, denominator positions, levels read up to it)."""
-
-    __slots__ = ("levels", "reads")
-
-    def __init__(self, levels: tuple, reads: tuple):
-        self.levels, self.reads = levels, reads
-
-
-class _Factors:
-    """One side of a ratio while a plan reads its formula: the sign and the
-    positions of its wedge factors, in the formula's order."""
-
-    __slots__ = ("sign", "at")
-
-    def __init__(self, sign: int, at: tuple):
-        self.sign, self.at = sign, at
-
-    def __mul__(self, other):
-        return _Factors(self.sign * other.sign, self.at + other.at)
-
-    def __neg__(self):
-        return _Factors(-self.sign, self.at)
-
-
-class _PlanReader:
-    """What a ratio formula reads of its table (``n``, ``where`` and
-    ``wedge``) while a plan is made: each wedge is the position of its
-    levels in first-read order."""
-
-    def __init__(self, n: int):
-        self.n, self.where, self.levels = n, "in a read plan", {}
-
-    def wedge(self, *levels):
-        return _Factors(1, (self.levels.setdefault(levels, len(self.levels)),))
-
-
-def ratio_plan(n: int, formula, indices) -> RatioPlan:
-    """The read plan of the ratios of ``formula`` (``WedgeTable.triple_ratio``
-    or ``WedgeTable.double_ratio``) at rank n, at each of ``indices`` in
-    order: the formula's arguments, or its one argument.  The plan is read
-    off the formula itself, so a plan and the formula agree factor for
-    factor; a bad index raises the formula's ValueError."""
-    reader = _PlanReader(n)
-    reads = []
-    for index in indices:
-        num, den = formula(reader, *(index if isinstance(index, tuple) else (index,)))
-        reads.append((index, num.sign * den.sign, num.at, den.at, len(reader.levels)))
-    return RatioPlan(tuple(reader.levels), tuple(reads))
 
 
 def _compositions(n: int, k: int):

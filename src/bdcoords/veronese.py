@@ -49,9 +49,9 @@ def _poly_mul(p, q):
 def flag_rows(a, b, n: int):
     """The rows (a X + b Y)^{n-d} (b X - a Y)^{d-1}, d = 1, ..., n, of the
     Veronese flag at [a : b], the basis of float flags: [a : b] scaled to
-    unit norm, column j weighted by C(n-1, j)^(-1/2) and row d by
-    C(n-1, d-1)^(1/2), so the rows are orthonormal (see the module
-    docstring)."""
+    unit norm and the entry of row d, column j weighted by
+    (C(n-1, d-1) / C(n-1, j))^(1/2), so the rows are orthonormal (see the
+    module docstring)."""
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
     norm = math.hypot(a, b)
@@ -60,9 +60,11 @@ def flag_rows(a, b, n: int):
     for _ in range(n - 1):   # the powers (a X + b Y)^k and (b X - a Y)^k
         lead.append(_poly_mul(lead[-1], [a, b]))
         aux.append(_poly_mul(aux[-1], [b, -a]))
-    weights = [math.comb(n - 1, j) ** -0.5 for j in range(n)]
-    return [[math.comb(n - 1, d - 1) ** 0.5 * x * w
-             for x, w in zip(_poly_mul(lead[n - d], aux[d - 1]), weights)]
+    # one square root per entry, so the weight is exactly 1.0 where the two
+    # binomials are equal and the flag at 0 is exactly e_n, e_{n-1}, ...
+    combs = [math.comb(n - 1, j) for j in range(n)]
+    return [[x * math.sqrt(combs[d - 1] / c)
+             for x, c in zip(_poly_mul(lead[n - d], aux[d - 1]), combs)]
             for d in range(1, n + 1)]
 
 

@@ -7,13 +7,13 @@ symmetric-power representation as plain rows, a trie of one-shot
 determinants in the other Veronese basis, a Veronese wedge in closed form,
 one fan walk per spiral sum), and
 one-off invariant values read off a Veronese trie of their own, or off a
-table by a read plan of one index."""
+table at one index."""
 import functools
 import math
 from fractions import Fraction
 
 import bdcoords.bd as bd
-from bdcoords.flags import WedgeTable, WedgeTrie, ratio_plan
+from bdcoords.flags import WedgeTrie
 from bdcoords.multilinear import band_det_bruteforce
 from bdcoords.surfaces import fan_cycle
 
@@ -174,18 +174,13 @@ def triangle_invariant(ds, pants_id, tri, vertex, p, q, r, n):
 
 
 def log_triple_ratio(table, p, q, r):
-    """log T_pqr of a table alone, by ``bd.log_ratios`` on a read plan of
-    that index."""
-    plan = ratio_plan(table.n, WedgeTable.triple_ratio, [(p, q, r)])
-    [(_, value)] = bd.log_ratios(table, plan, "triple ratio T_")
-    return value
+    """log T_pqr of a table alone, by ``bd._log_ratio`` of that index."""
+    return bd._log_ratio(table, "triple ratio T_", (p, q, r), *table.triple_ratio(p, q, r))
 
 
 def log_double_ratio(table, p):
     """log D_p of a table alone, as ``log_triple_ratio``."""
-    plan = ratio_plan(table.n, WedgeTable.double_ratio, [p])
-    [(_, value)] = bd.log_ratios(table, plan, "double ratio D_")
-    return value
+    return bd._log_ratio(table, "double ratio D_", p, *table.double_ratio(p))
 
 
 def spiral_sum(v, spec, curve_id, p, side, vertex_rule):

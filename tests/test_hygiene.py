@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports an underscore (module-private) name from another module of the
 package, the package imports nothing outside the standard library, each
-ratio formula of the flags module is written in one function only, only
-``flags.WedgeTrie.table`` constructs a ``WedgeTable`` and no class
-derives from the wedge classes, only ``multilinear.bareiss_append``
+ratio formula of the flags module is written in one function only and only
+the formulas, the entry memo and the genericity check read a table's
+entries, only ``flags.WedgeTrie.table`` constructs a ``WedgeTable`` and no
+class derives from the wedge classes, only ``multilinear.bareiss_append``
 holds the Bareiss update and ``det_int`` folds its state step, every
 function, class and method of the package is read by the package, a script
 or the benchmark, not by tests alone, and every function the benchmark's
@@ -157,6 +158,58 @@ def test_each_ratio_formula_has_one_copy(ratio):
     sites = [(path.name, name) for path in ALL_MODULES
              for name in pattern_sites(path.read_text(), RATIO_PATTERNS[ratio])]
     assert sites == [("flags.py", ratio.replace(" ", "_"))]
+
+
+def entry_read_sites(source: str) -> list:
+    """(class, function) of every read of ``.wedge`` or ``._entry`` on a
+    table, called or not, with "" for no class: on any receiver but a trie,
+    which is ``self`` in ``WedgeTrie`` or an attribute named ``trie`` or
+    ``base``."""
+    sites = set()
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in ("wedge", "_entry"):
+            receiver = node.value
+            on_trie = (getattr(receiver, "attr", None) in ("trie", "base")
+                       or (cls == "WedgeTrie" and getattr(receiver, "id", None) == "self"))
+            if not on_trie:
+                sites.add((cls, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function)
+
+    visit(ast.parse(source), "", None)
+    return sorted(sites)
+
+
+def test_checker_finds_each_read_of_a_table_entry():
+    source = ("class WedgeTrie:\n"
+              "    def wedge(self, blocks):\n"
+              "        return self.base.wedge(blocks) or self.wedge(blocks[1:])\n"
+              "class WedgeTable:\n"
+              "    def _entry(self, levels):\n"
+              "        return self.trie.wedge(levels)\n"
+              "    def ratios(self, plan):\n"
+              "        return [self._entry(levels) for levels in plan]\n"
+              "    def double(self, p):\n"
+              "        w = self.wedge\n"
+              "        return w(p, 1)\n"
+              "def log_ratio(table):\n"
+              "    return table.wedge(1, 2)\n")
+    assert entry_read_sites(source) == [("", "log_ratio"), ("WedgeTable", "double"),
+                                        ("WedgeTable", "ratios")]
+
+
+def test_ratios_have_one_reader():
+    # a table's entries are read by its memo, the two ratio formulas and the
+    # genericity check, and by nothing else: no second way to read a ratio
+    sites = [(path.name, *site) for path in ALL_MODULES
+             for site in entry_read_sites(path.read_text())]
+    assert sorted(sites) == [("flags.py", "WedgeTable", name) for name in
+                             ("double_ratio", "is_generic", "triple_ratio", "wedge")]
 
 
 WEDGE_CLASSES = ("WedgeTrie", "WedgeTable")

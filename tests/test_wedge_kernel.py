@@ -1,6 +1,6 @@
 """The exact wedge-table kernel behind the invariant vector and the exact
 identity suites: the tables of a ``bd.veronese_trie``, whose ratios
-``bd.log_ratios`` reads by the per-rank plans of ``bd.read_plans``.
+``bd_vector`` reads index by index.
 
 Their values are checked against the general flag route (``flags.triple_ratio``
 and ``flags.double_ratio`` on ``veronese_flag`` flags), exactly on rational
@@ -489,6 +489,15 @@ def test_float_flag_at_zero_is_read_off_the_other_blocks(n, monkeypatch):
         assert table.wedge(*levels) == pytest.approx(row_pivot_det(stacked), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_float_veronese_trie_marks_the_flag_at_zero(n):
+    # the float Veronese rows at 0 are exactly the unit rows at every rank,
+    # so a float Veronese trie reads wedges through that flag off the others
+    trie = bd.veronese_trie(n, "float")
+    [key] = trie.keys_of([(0, 1)])
+    assert key in trie._at_zero
+
+
 class CountedPivot(int):
     """A pivot that counts the products it enters as a right operand: each
     element of a Bareiss update, x * pivot - lead * y, and of a deferred
@@ -591,43 +600,6 @@ def test_base_tries_are_per_rank_and_mode(monkeypatch):
     for levels in level_tuples(5, 3):
         assert table.wedge(*levels) == stacked_wedge(BASE_TRIANGLE, levels, 5)
     assert len(bases[0]._states) == full and len(two._states) == 1
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_read_plans_reproduce_each_ratio_by_index(n):
-    # each plan is read off its formula: read by plan, every ratio is the
-    # formula's (num, den), index by index, the sign and the factor order
-    # (which a float product sees) included
-    triples, doubles = bd.read_plans(n)
-    assert [index for index, *_ in triples.reads] == bd.triple_indices(n)
-    assert [index for index, *_ in doubles.reads] == list(range(1, n))
-    for plan in triples, doubles:
-        read = [r for *_, r in plan.reads]
-        assert read == sorted(read) and read[-1:] in ([], [len(plan.levels)])
-        assert len(set(plan.levels)) == len(plan.levels)
-    rng = random.Random(900 + n)
-    for mode in ("exact", "float") if n <= 8 else ("exact",):
-        pts = sort_ccw(sample_points(rng, 4, with_infinity=n % 2 == 0, min_separation=0.2))
-        trie = bd.veronese_trie(n, mode)
-        triangle = bd.veronese_table(trie, pts[:3], "triangle")
-        quadruple = bd.veronese_table(trie, pts, "quadruple")
-        assert list(triangle.ratios(triples)) == [(pqr, *triangle.triple_ratio(*pqr))
-                                                  for pqr in bd.triple_indices(n)]
-        assert list(quadruple.ratios(doubles)) == [(p, *quadruple.double_ratio(p))
-                                                   for p in range(1, n)]
-
-
-def test_read_plan_counts_at_rank_8():
-    # 126 reads of 42 entries for the triple ratios, 28 of 16 for the doubles
-    triples, doubles = bd.read_plans(8)
-    assert (len(triples.levels), sum(len(num) + len(den) for _, _, num, den, _ in triples.reads)) \
-        == (42, 126)
-    assert (len(doubles.levels), sum(len(num) + len(den) for _, _, num, den, _ in doubles.reads)) \
-        == (16, 28)
-    assert {sign for _, sign, *_ in triples.reads} == {1}
-    assert {sign for _, sign, *_ in doubles.reads} == {-1}
-    with pytest.raises(ValueError, match=r"p \+ q \+ r = 8"):
-        flags.ratio_plan(8, flags.WedgeTable.triple_ratio, [(1, 1, 1)])
 
 
 def test_concurrent_bd_vectors_get_the_serial_results(monkeypatch):
