@@ -1,14 +1,28 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the two-pants genus-2 surface.
 
-Develops the surface from shear/twist data, prints the rank-n invariant
-vector with the closed-leaf condition, then realizes a slice point and
-reports the round-trip deviation.
+Develops the surface of data/genus2_surface.json from its shear/twist data,
+prints the rank-n invariant vector with the closed-leaf condition, then
+realizes the slice point of data/genus2_slice.json and reports the
+round-trip deviation.
 """
 import argparse
+import json
+import os
 
 import bdcoords.bd as bd
-from bdcoords.surfaces import assemble_surface, genus2_spec
+from bdcoords.cli import gluing_section, shears_section, spec_from_dict
+from bdcoords.surfaces import assemble_surface
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data")
+
+
+def read_example(name):
+    """An example input of data/: its JSON data, spec and shears."""
+    with open(os.path.join(DATA, name)) as fh:
+        data = json.load(fh)
+    spec = spec_from_dict(data)
+    return data, spec, shears_section(spec, data["shears"])
 
 
 def main():
@@ -17,13 +31,9 @@ def main():
     args = parser.parse_args()
     n = args.n
 
-    spec = genus2_spec()
-    shears = {"P0": {"B12": 0.8, "B13": 0.6, "B23": 1.1},
-              "P1": {"B12": 0.8, "B13": 0.6, "B23": 1.1}}
-    twists = {"C1": 0.15, "C2": -0.4, "C3": 0.9}
-
+    data, spec, shears = read_example("genus2_surface.json")
     print(f"== genus-2 surface, rank n = {n}")
-    ds = assemble_surface(spec, shears, twists)
+    ds = assemble_surface(spec, shears, data["twists"])
     for cid, chart in sorted(ds.curves.items()):
         print(f"  {cid}: length {chart.length:.6f}  twist {chart.twist:+.3f}  "
               f"gluing cross ratio {chart.gluing_cross_ratio():+.6f}")
@@ -41,13 +51,13 @@ def main():
     ok, _ = bd.polytope_membership(report)
     print(f"  polytope membership: {ok}   slice membership: {bd.slice_membership(vec)}")
 
-    target = bd.SlicePoint(
-        shears={"P0": {"B12": 1.0, "B13": 1.0, "B23": 1.0},
-                "P1": {"B12": 1.0, "B13": 1.0, "B23": 1.0}},
-        gluing={"C1": 0.0, "C2": 0.7, "C3": -1.2})
+    data, spec, shears = read_example("genus2_slice.json")
+    target = bd.SlicePoint(shears=shears, gluing=gluing_section(spec, data["gluing"]))
     realized = bd.realize_slice(target, spec)
     dev = bd.roundtrip_deviation(bd.bd_vector(realized, n), target)
-    print(f"\n== slice realization: shears 1.0, gluing (0, 0.7, -1.2)")
+    shear_values = sorted({v for leaves in shears.values() for v in leaves.values()})
+    print(f"\n== slice realization: shears {', '.join(map(str, shear_values))}, "
+          f"gluing ({', '.join(f'{g:g}' for _, g in sorted(target.gluing.items()))})")
     solved = {cid: round(chart.twist, 6) for cid, chart in sorted(realized.curves.items())}
     print(f"  solved twists: {solved}")
     print(f"  round-trip deviation: {dev:.2e}")

@@ -63,7 +63,7 @@ from .scalars import EXACT, serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
 from .veronese import exact_flag_rows, flag_rows
-from .surfaces import (AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
+from .surfaces import (BASE_CHART, AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
 TOL = 1e-9
@@ -107,9 +107,6 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
-# the flags at 0 = [0 : 1], 1 = [1 : 1] and infinity = [1 : 0], by their
-# integer points: the base triangle of every developed surface
-_BASE_POINTS = ((0, 1), (1, 1), (1, 0))
 _BASE_TRIES = {}   # (n, mode) -> the trie of the base flags, shared per process
 
 
@@ -120,11 +117,11 @@ def veronese_trie(n: int, mode: str) -> WedgeTrie:
     states.  Its rows and elimination step are the mode's: the triangular
     integer rows (``exact_flag_rows``) with the Bareiss step, or the
     orthonormal float rows at those integers (``flag_rows``) with the float
-    step.  The flags at 0, 1 and infinity take its first keys from the
-    process's base trie of the rank and mode, which is made on first use and
-    holds every state that stacks only those flags, so each is eliminated
-    once per process; a trie that never reads them pays only the copy of
-    their three keys."""
+    step.  The flags at 0, 1 and infinity (``surfaces.BASE_CHART``) take
+    its first keys from the process's base trie of the rank and mode, which
+    is made on first use and holds every state that stacks only those
+    flags, so each is eliminated once per process; a trie that never reads
+    them pays only the copy of their three keys."""
     rows = exact_flag_rows if mode == EXACT else flag_rows
 
     def rows_of(point):
@@ -133,7 +130,7 @@ def veronese_trie(n: int, mode: str) -> WedgeTrie:
     base = _BASE_TRIES.get((n, mode))
     if base is None:   # keyed before it is shared
         base = WedgeTrie(n, rows_of, mode, None)
-        base.keys_of(_BASE_POINTS)
+        base.keys_of([_integer_point(pt) for pt in BASE_CHART])
         base = _BASE_TRIES.setdefault((n, mode), base)
     return WedgeTrie(n, rows_of, mode, base)
 

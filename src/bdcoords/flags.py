@@ -54,7 +54,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from . import multilinear
-from .scalars import EXACT, FLOAT, infer_mode, join_mode
+from .scalars import EXACT, FLOAT, join_mode, settle_mode
 from .multilinear import append_row, det_raw, integer_row
 
 # a wedge counts as nonzero when its magnitude is above this: any nonzero
@@ -84,12 +84,11 @@ class Flag:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("flag basis must be n vectors of length n")
         self.n = n
-        self.mode = infer_mode(x for row in rows for x in row)
+        self.mode, entries = settle_mode(x for row in rows for x in row)
+        self.basis = tuple(tuple(entries[k:k + n]) for k in range(0, n * n, n))
         if self.mode == EXACT:
-            self.basis = tuple(tuple(Fraction(x) for x in row) for row in rows)
             self._rows = tuple(integer_row(row)[0] for row in self.basis)
         else:
-            self.basis = tuple(tuple(float(x) for x in row) for row in rows)
             self._rows = tuple(_unit(row) for row in self.basis)
         if not abs(det_raw(self._rows, self.mode)) > _RANK_TOL[self.mode]:
             raise DegenerateFlagError("flag basis is not linearly independent")

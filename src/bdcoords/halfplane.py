@@ -13,9 +13,8 @@ triples, -1 for clockwise ones.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, infer_mode, join_mode
+from .scalars import EXACT, FLOAT, join_mode, settle_mode
 
 _HYPERBOLIC_TOL = 1e-12  # |trace| must exceed 2 by this much in float mode
 
@@ -30,9 +29,7 @@ class ProjPoint:
     __slots__ = ("a", "b", "mode")
 
     def __init__(self, a, b):
-        mode = infer_mode([a, b])
-        conv = float if mode == FLOAT else Fraction
-        a, b = conv(a), conv(b)
+        mode, (a, b) = settle_mode((a, b))
         if a == 0 and b == 0:
             raise ValueError("[0 : 0] is not a projective point")
         if mode == FLOAT:
@@ -102,7 +99,7 @@ def fourth_point(a: ProjPoint, c: ProjPoint, d: ProjPoint, r) -> ProjPoint:
     r must be in the points' mode or a plain int.
     """
     da, dc = wedge(d, a), wedge(d, c)
-    infer_mode([r], requested=a.mode)
+    settle_mode([r], a.mode)
     # (b ^ c) * (d ^ a) = r * (b ^ a) * (d ^ c), linear in b = [b1 : b2]
     b1 = c.a * da - r * a.a * dc
     b2 = c.b * da - r * a.b * dc
@@ -122,10 +119,8 @@ class Mobius:
     __slots__ = ("m", "mode")
 
     def __init__(self, rows):
-        mode = infer_mode([x for row in rows for x in row])
-        conv = float if mode == FLOAT else Fraction
         (a, b), (c, d) = rows
-        a, b, c, d = (conv(x) for x in (a, b, c, d))
+        mode, (a, b, c, d) = settle_mode((a, b, c, d))
         det = a * d - b * c
         if det == 0:
             raise ValueError("singular matrix is not a Moebius map")

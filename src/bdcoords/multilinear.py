@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .scalars import FLOAT, infer_mode
+from .scalars import FLOAT, settle_mode
 
 
 def bareiss_append(steps, row):
@@ -139,7 +139,7 @@ def integer_row(row):
 def det_raw(rows, mode: str):
     """Determinant on raw row data in the given mode; returns a raw Fraction
     or float.  The entries must be of that mode or plain ints (the mode rule
-    of ``scalars.infer_mode``): ScalarModeError otherwise.
+    of ``scalars.settle_mode``): ScalarModeError otherwise.
 
     Exact rows are cleared to integers by :func:`integer_row`, so integer
     Bareiss elimination serves integral and rational input alike.  Float rows
@@ -149,7 +149,7 @@ def det_raw(rows, mode: str):
     n = len(rows)
     if not n or any(len(r) != n for r in rows):
         raise ValueError("determinant of an empty or non-square matrix")
-    if infer_mode((x for row in rows for x in row), requested=mode) == FLOAT:
+    if settle_mode((x for row in rows for x in row), mode)[0] == FLOAT:
         return float(functools.reduce(functools.partial(append_row, step=float_append),
                                       rows, ((), 0)))
     cleared = [integer_row(row) for row in rows]

@@ -4,14 +4,14 @@ Every quantity in this package is either *exact* (an arbitrary-precision
 ``fractions.Fraction``) or *float* (IEEE double), and numeric functions
 return these raw values.  The two modes never mix silently: the
 constructors of ``Flag``, ``ProjPoint`` and ``Mobius`` settle the common
-mode of their entries with :func:`infer_mode`, and operations on two objects
-check theirs with :func:`join_mode`; both raise :class:`ScalarModeError` on
-a clash.  Plain python ``int`` values are mode-agnostic and lift into
-whichever mode the other values carry; the integer determinants of the
-multilinear module (``det_int``, the brute-force binomial determinants)
-return them.  ``det_raw`` and ``flags.WedgeTrie`` take their mode as an
-argument (``flags.wedge_table`` settles it for a flag tuple), and it picks
-their elimination step once.
+mode of their entries and convert them to it with :func:`settle_mode`, and
+operations on two objects check theirs with :func:`join_mode`; both raise
+:class:`ScalarModeError` on a clash.  Plain python ``int`` values are
+mode-agnostic and lift into whichever mode the other values carry; the
+integer determinants of the multilinear module (``det_int``, the
+brute-force binomial determinants) return them.  ``det_raw`` and
+``flags.WedgeTrie`` take their mode as an argument (``flags.wedge_table``
+settles it for a flag tuple), and it picks their elimination step once.
 """
 from __future__ import annotations
 
@@ -25,8 +25,12 @@ class ScalarModeError(TypeError):
     """Raised when exact and float quantities are combined."""
 
 
-def infer_mode(values, requested=None) -> str:
-    """Common mode of a collection: ints lift either way, Fraction/float clash."""
+def settle_mode(values, requested=None) -> tuple:
+    """The common mode of a collection and its values converted to it, as
+    (mode, list): ints lift into either mode (exact when nothing else, or
+    ``requested``, says otherwise), Fraction and float clash, a bool or any
+    other type is not a scalar, and a mode other than ``requested`` raises."""
+    values = list(values)
     seen = set()
     for x in values:
         if isinstance(x, bool):
@@ -41,10 +45,11 @@ def infer_mode(values, requested=None) -> str:
             raise TypeError(f"cannot interpret {x!r} as a scalar")
     if len(seen) > 1:
         raise ScalarModeError("mixed exact and float values")
-    inferred = seen.pop() if seen else (requested or EXACT)
-    if requested is not None and requested != inferred:
-        raise ScalarModeError(f"values are {inferred}, requested {requested}")
-    return inferred
+    mode = seen.pop() if seen else (requested or EXACT)
+    if requested is not None and requested != mode:
+        raise ScalarModeError(f"values are {mode}, requested {requested}")
+    conv = float if mode == FLOAT else Fraction
+    return mode, [conv(x) for x in values]
 
 
 def join_mode(a: str, b: str) -> str:
@@ -53,9 +58,6 @@ def join_mode(a: str, b: str) -> str:
     return a
 
 
-def serialize_value(raw) -> str:
-    """Lossless text form: "p/q" for exact values, 17 significant digits for floats."""
-    if isinstance(raw, float):
-        return format(raw, ".17g")
-    frac = Fraction(raw)
-    return f"{frac.numerator}/{frac.denominator}"
+def serialize_value(raw: float) -> str:
+    """Lossless text form of a float of a report: 17 significant digits."""
+    return format(raw, ".17g")

@@ -24,7 +24,9 @@ Convention notes (load-bearing, referenced throughout):
 
 1. Placed corner cycles (0, 1, 2) are counterclockwise on the circle, and
    every table side is (c, c + 1 mod 3), so each crossed (u, w, t) is too.
-   This, not a run-time test, fixes each crossing and each leaf's sides.
+   This fixes each crossing and each leaf's sides; in double precision a
+   developed vertex can still land past its edge, so ``_cross`` tests every
+   plaque it places, and that is the only run-time test of this fact.
 2. Walking a spike fan by always crossing the side that *ends* at the spike
    corner advances counterclockwise around the spike; the deck map of one
    full period is the inverse of the boundary holonomy induced by the pants
@@ -49,12 +51,12 @@ Convention notes (load-bearing, referenced throughout):
 Checks: the tables are constant data, built once at import for kind I and
 for kind II at each distinguished boundary, and the tests check them (each
 fan closes up after visiting every spike corner of its boundary once, and
-every placed plaque is counterclockwise), so
-nothing re-checks them at run time.  ``SurfaceSpec`` checks the gluing
-combinatorics, ``develop_pants`` every fact about one pants (shears are
-plain {leaf: value} dicts), and ``assemble_surface`` only what spans a curve.
-Every orientation test is a check that raises: the base triangle, each
-leaf's side vertices (the guard of convention 1) and every fan plaque's side.
+the first leaf leads from triangle 0 to triangle 1), so nothing re-checks
+them at run time.  ``SurfaceSpec`` checks the gluing combinatorics,
+``develop_pants`` every fact about one pants (shears are plain {leaf: value}
+dicts), and ``assemble_surface`` only what spans a curve.  Every orientation
+test is a check that raises: the base triangle, every crossed plaque (the
+guard of convention 1, which names the leaf) and every fan plaque's side.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ import math
 from typing import NamedTuple
 
 from .halfplane import (Mobius, ProjPoint, axis_data, cross_ratio, fourth_point,
-                        mobius_to_standard, orientation, wedge)
+                        mobius_to_standard, orientation)
 
 _LENGTH_MATCH_RTOL = 1e-9   # relative tolerance for lengths across a curve
 _INTERNAL_RTOL = 1e-8       # developed length vs shear sum self-check
@@ -178,7 +180,6 @@ class LaminationTables(NamedTuple):
     side_leaf: dict          # (tri, (u, w)) -> (leaf, side index)
     leaf_end_slots: dict     # leaf -> (slot of end0, slot of end1)
     fans: dict               # slot -> tuple of FanSteps, see fan_cycle
-    to_tri1: tuple           # the side of triangle 0 whose leaf leads to triangle 1
 
 
 def tables_for(lam: PantsLamination) -> LaminationTables:
@@ -194,7 +195,6 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
             leaf_name(1, 3): (LeafSide(0, (2, 0)), LeafSide(1, (0, 1))),
             leaf_name(2, 3): (LeafSide(0, (1, 2)), LeafSide(1, (1, 2))),
         }
-        to_tri1 = (0, 1)
     else:
         i = distinguished
         j, k = cyclic_pair(i)
@@ -205,7 +205,6 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
             leaf_name(i, j): (LeafSide(0, (0, 1)), LeafSide(0, (2, 0))),
             leaf_name(i, k): (LeafSide(1, (0, 1)), LeafSide(1, (2, 0))),
         }
-        to_tri1 = (1, 2)
     side_leaf = {}
     end_slots = {}
     for leaf, (sa, sb) in leaf_sides.items():
@@ -216,8 +215,7 @@ def _build_tables(kind: str, distinguished) -> LaminationTables:
     fans = {slot: _walk_fan(corner_slot, leaf_sides, side_leaf, slot)
             for slot in (1, 2, 3)}
     return LaminationTables(corner_slot=corner_slot, leaf_sides=leaf_sides,
-                            side_leaf=side_leaf, leaf_end_slots=end_slots, fans=fans,
-                            to_tri1=to_tri1)
+                            side_leaf=side_leaf, leaf_end_slots=end_slots, fans=fans)
 
 
 class FanStep(NamedTuple):
@@ -281,7 +279,12 @@ def _ranged_sums(lam: PantsLamination, s: dict) -> dict:
     the valid range: every boundary needs sign(C) * (its sum) positive; kind
     II additionally needs the two simple leaves positive (equivalently,
     positive spiraling at the two plain boundaries)."""
-    sums = {slot: sum(s[step.leaf] for step in fan_cycle(lam, slot)) for slot in SLOTS}
+    sums = {}
+    for slot in SLOTS:
+        total = 0.0   # left to right, as on every Python (3.12's sum() compensates)
+        for step in fan_cycle(lam, slot):
+            total += s[step.leaf]
+        sums[slot] = total
     ok = all(lam.spiral_signs[slot] * sums[slot] > 0 for slot in SLOTS)
     if lam.kind == "II":
         i = lam.distinguished
@@ -326,15 +329,17 @@ def _cross(tables: LaminationTables, placed: Placed, side: tuple[int, int],
            s: dict) -> Placed:
     """The lift across the given side of a placed plaque.  Its corners
     (u, w, third) run counterclockwise (convention 1), so the new vertex
-    solves z(u, new, w, third) = -exp(-shear) with no orientation test."""
+    solves z(u, new, w, third) = -exp(-shear), and the new plaque (w, u,
+    new) must run counterclockwise too: this is the one run-time test of
+    convention 1, and the error names the crossed leaf."""
     u, w = side
     leaf, which = tables.side_leaf[(placed.tri, side)]
     other = tables.leaf_sides[leaf][1 - which]
     uo, wo = other.corners
     p_u, p_w = placed.pts[u], placed.pts[w]
     new_vertex = fourth_point(p_u, p_w, placed.pts[3 - u - w], -math.exp(-s[leaf]))
-    if wedge(new_vertex, p_u) == 0 or wedge(new_vertex, p_w) == 0:
-        raise AssemblyError(f"leaf {leaf}: developed vertex collapsed onto the crossed edge")
+    if orientation(p_w, p_u, new_vertex) <= 0:
+        raise AssemblyError(f"leaf {leaf}: the plaque developed across it is not counterclockwise")
     pts = [None, None, None]
     pts[wo] = p_u
     pts[uo] = p_w
@@ -371,40 +376,43 @@ class DevelopedPants(NamedTuple):
     fans: dict               # slot -> FanData
 
 
-_BASE_POINTS = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(1.0, 0.0))
+BASE_CHART = (ProjPoint(0.0, 1.0), ProjPoint(1.0, 1.0), ProjPoint(1.0, 0.0))
+"""The points 0, 1 and oo, counterclockwise: the default base triangle of
+every pants, and the x, zr and y of every curve chart (``CurveChart``)."""
 
 
 def develop_pants(lam: PantsLamination, shears: dict,
                   base_points=None) -> DevelopedPants:
     """Develop one pair of pants from its shear coordinates {leaf: value}.
 
-    Places a base lift of triangle 0 at (0, 1, oo) (or at the given
-    counterclockwise base_points), develops one neighboring lift of triangle
-    1 and one full fan period around each boundary, and reads off the
-    boundary holonomies as the deck maps of the fans.
+    Places a base lift of triangle 0 at ``BASE_CHART`` (or at the given
+    counterclockwise base_points), develops the lift of triangle 1 across
+    the first leaf and one full fan period around each boundary, and reads
+    off the boundary holonomies as the deck maps of the fans.
 
     Every fact about one pants is checked here, once: the shear keys and
-    range (the error shows the signed spiral sums), that no crossing
-    collapses and each leaf's side vertices lie on its two sides (both name
-    the leaf), each boundary's hyperbolic holonomy of length |spiral sum|,
-    and, on every fan plaque, that its trailing (short-arc) vertex v lies on
-    the pants' side of the axis, orientation(rep, v, att) < 0; that error
-    names the boundary slot and the triangle.
+    range (the error shows the signed spiral sums), that the base triangle
+    and every crossed plaque run counterclockwise (``_cross``, whose error
+    names the leaf; two counterclockwise plaques put the side vertices of
+    their leaf on its two sides), each boundary's hyperbolic holonomy of
+    length |spiral sum|, and, on every fan plaque, that its trailing
+    (short-arc) vertex v lies on the pants' side of the axis,
+    orientation(rep, v, att) < 0; that error names the boundary slot and
+    the triangle.
     """
     s = _leaf_shears(lam, shears)
     sums = _ranged_sums(lam, s)
     tables = tables_for(lam)
-    pts = tuple(base_points) if base_points is not None else _BASE_POINTS
+    pts = tuple(base_points) if base_points is not None else BASE_CHART
     if len(pts) != 3 or orientation(*pts) <= 0:
         raise AssemblyError("base triangle must be three counterclockwise points")
-    base = Placed(0, pts)
-
-    triangles = {0: base, 1: _cross(tables, base, tables.to_tri1, s)}
+    triangles = {0: Placed(0, pts)}
 
     quadruples = {}
     for leaf, (side_a, side_b) in tables.leaf_sides.items():
         plaque = triangles[side_a.tri]
         neighbor = _cross(tables, plaque, side_a.corners, s)
+        triangles.setdefault(1, neighbor)   # the first leaf leads from triangle 0 to 1
         u, w = side_a.corners
         ou, ow = side_b.corners
         s_a, s_b = plaque.pts[3 - u - w], neighbor.pts[3 - ou - ow]
@@ -414,8 +422,6 @@ def develop_pants(lam: PantsLamination, shears: dict,
             x, y, zl, zr = plaque.pts[w], plaque.pts[u], s_a, s_b
         else:
             x, y, zl, zr = plaque.pts[u], plaque.pts[w], s_b, s_a
-        if orientation(x, zl, y) <= 0 or orientation(x, zr, y) >= 0:
-            raise AssemblyError(f"leaf {leaf}: side vertices not separated by the leaf")
         quadruples[leaf] = LeafQuadruple(x=x, y=y, zl=zl, zr=zr)
 
     fans = {}
@@ -498,10 +504,7 @@ class SurfaceSpec(_SurfaceSpecFields):
                         f"pants boundary ({pid!r}, {slot}) glued by both "
                         f"{used[(pid, slot)]!r} and {cid!r}")
                 used[(pid, slot)] = cid
-        for pid in self.pants:
-            for slot in SLOTS:
-                if (pid, slot) not in used:
-                    raise SurfaceSpecError(f"pants boundary ({pid!r}, {slot}) is unglued")
+        # 3g - 3 curves glue 6g - 6 distinct boundaries: every one of 2g - 2 pants
         return self
 
     def side(self, curve_id: str, side: str) -> tuple:
@@ -559,6 +562,7 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
     invariants are unchanged (the closed-form chart does not depend on it).
     """
     base_points = base_points or {}
+    zero, one, infinity = BASE_CHART
     developed = {}
     for pid, lam in spec.pants.items():
         try:
@@ -580,10 +584,8 @@ def assemble_surface(spec: SurfaceSpec, shears: dict, twists: dict,
                 f"curve {cid!r}: twist {t:.17g} puts zl = -exp(2t) at "
                 f"{'0' if t < 0 else 'infinity'} in double precision")
         charts[cid] = CurveChart(
-            length=len_l, twist=t,
-            x=ProjPoint(0.0, 1.0), y=ProjPoint.infinity("float"),
-            zl=ProjPoint(-1.0, e) if t > 0 else ProjPoint(-e, 1.0),
-            zr=ProjPoint(1.0, 1.0))
+            length=len_l, twist=t, x=zero, y=infinity,
+            zl=ProjPoint(-1.0, e) if t > 0 else ProjPoint(-e, 1.0), zr=one)
     return DevelopedSurface(spec=spec, pants=developed, curves=charts)
 
 

@@ -195,6 +195,14 @@ def _set_distinguished(data, value):
     data["pants"][0].update(type="II", distinguished=value)
 
 
+def _set_kind_I_distinguished(data, value):
+    data["pants"][0]["distinguished"] = value
+
+
+def _set_doubled_leaf_orientation(data, value):
+    data["pants"][0].update(type="II", distinguished=1, leaf_orientations={"B11": value})
+
+
 @pytest.mark.parametrize("command, source", [
     pytest.param("invariants", SURFACE, id="invariants"),
     pytest.param("realize", SLICE, id="realize"),
@@ -264,6 +272,11 @@ def _rename_spiral_sign_key(data, value):
     pytest.param(_set_distinguished, 4,
                  "pants 'P0': kind II needs a distinguished boundary 1, 2 or 3",
                  id="distinguished"),
+    pytest.param(_set_kind_I_distinguished, 1,
+                 "pants 'P0': kind I has no distinguished boundary", id="kind-I-distinguished"),
+    pytest.param(_set_doubled_leaf_orientation, 2,
+                 "pants 'P0': B11 orientation must be an end id 0 or 1",
+                 id="doubled-leaf-orientation"),
 ])
 def test_bad_id_or_lamination_field_is_named_and_exits_2(command, source, set_field, value,
                                                          message, tmp_path, capsys):
@@ -309,11 +322,16 @@ def test_bad_id_or_lamination_field_is_named_and_exits_2(command, source, set_fi
                  id="curves-string"),
     pytest.param(lambda d: d.update(pants=5), "pants must be a JSON array, got 5",
                  id="pants-number"),
+    pytest.param(lambda d: d["pants"][1].update(id="P0"), "duplicate pants id 'P0'",
+                 id="duplicate-pants-id"),
+    pytest.param(lambda d: d["curves"][1].update(id="C1"), "duplicate curve id 'C1'",
+                 id="duplicate-curve-id"),
 ])
 def test_malformed_entry_is_named_and_exits_2(command, source, edit, message, tmp_path,
                                               capsys):
-    # a pants or curve entry of the wrong shape, or without a required key,
-    # is named with the field, not reported as a bare index or key error; a
+    # a pants or curve entry of the wrong shape, without a required key or
+    # with the id of an earlier entry, is named with the field, not reported
+    # as a bare index or key error, nor read over the earlier entry; a
     # "pants" or "curves" section that is not an array is never iterated
     bad = json.loads(open(source).read())
     edit(bad)
@@ -634,6 +652,20 @@ def test_verify_prints_every_stored_failure_line(tmp_path, capsys):
     assert head.startswith("[FAIL] triple-ratio ")
     assert len(report["failures"]) == 21 and report["failures"][-1] == "..."
     assert lines == [f"    {f}" for f in report["failures"]]
+
+
+def test_deviation_above_tolerance_is_a_failed_case(monkeypatch, tmp_path, capsys):
+    # every recovered shear off by 0.5: the pants suite fails those cases,
+    # one per leaf, names each with its deviation and still counts the rest
+    shear = verification.shear_from_quadruple
+    monkeypatch.setattr(verification, "shear_from_quadruple", lambda *q: shear(*q) + 0.5)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "pants", "--samples", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] pants cases=126 worst=0.5\n")
+    (report,) = json.loads(out.read_text())
+    assert report["failures"][:3] == [f"I/None/(1, 1, 1) case 0 shear {leaf}: deviation 0.5"
+                                      for leaf in ("B12", "B13", "B23")]
+    assert len(report["failures"]) == 21 and report["failures"][-1] == "..."
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -1003,3 +1035,25 @@ def test_closed_leaf_verdict_is_the_deviation_against_tol(length, n, holds, tmp_
     assert closed_leaf["holds"] is holds
     assert (float(closed_leaf["max_deviation"]) <= bd.TOL) is holds
     assert data["polytope_membership"] is True and data["slice_membership"] is True
+
+
+@pytest.mark.parametrize("length, message", [
+    # the developed boundary length drifts off its shear sum by more than its
+    # 1e-8 self-check (ROADMAP item 14 moves this edge)
+    pytest.param(15.0, r"developed length 15\.0000\d+ of boundary 1 does not match "
+                       r"shear sum -15\.0", id="length-15"),
+    # a plaque of the fan of boundary 1 lands past its edge, which left a
+    # holonomy of det < 0 that only trace normalization refused
+    pytest.param(28.0, "leaf B12: the plaque developed across it is not counterclockwise",
+                 id="length-28"),
+    pytest.param(30.0, "leaf B12: the plaque developed across it is not counterclockwise",
+                 id="length-30"),
+])
+def test_developing_breakdown_names_the_pants_and_what_failed(length, message, tmp_path,
+                                                              capsys):
+    source = boundary_length_input(tmp_path / "in.json", length)
+    assert main(["invariants", "--input", source, "--n", "5",
+                 "--out", str(tmp_path / "inv")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: pants 'P0': {message}\n", err), err
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.json"]
