@@ -26,10 +26,13 @@ are dependent.
 Much of that work does not depend on the surface: at n = 8, 170 of a
 surface's 312 entries stack only the flags at 0, 1 and infinity (every
 triangle 0 is the base triangle, and each other table holds one point
-besides).  So every Veronese trie borrows those three flags from a base
-trie, one per rank and mode per process, which keeps every state that
-stacks them alone (``veronese_trie``).  Each table computes each entry
-once, however many of its ratios read it.
+besides).  So every Veronese trie borrows those three flags from a base,
+one per rank and mode per process (``_base``), which keeps every state
+that stacks them alone and every table entry that does, per key pattern
+(``veronese_trie``), and the tau row of each triangle of base flags alone,
+read once per rank.  Each table computes each entry once, however many of
+its ratios read it, and ``bd_vector`` turns each developed point into
+integers once.
 
 Each ratio's sign is checked exactly, and only its final quotient is
 rounded and passed to the log.  The float genericity threshold of the
@@ -41,7 +44,9 @@ raises.
 The closed leaf condition ties these to the length spectrum: for each curve
 and each index p, the right and left spiral sums R_p and L_p both equal the
 p-th eigenvalue-gap length of the curve's holonomy.  ``closed_leaf_report``
-walks each side's fan once and reads every p's sum off that walk.  On the
+walks each side's fan once and reads every p's sum off that walk, adding
+the terms of rows built once per rank, fan crossings and vertex rule
+(``_spiral_terms``).  On the
 Fuchsian locus every such length is the curve's hyperbolic length, which
 the developed surface carries for each curve.  The slice of the
 parameter polytope carved out by vanishing triangle invariants and
@@ -55,6 +60,7 @@ four points.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -107,7 +113,27 @@ def _integer_point(pt: ProjPoint):
     return a // g, b // g
 
 
-_BASE_TRIES = {}   # (n, mode) -> the trie of the base flags, shared per process
+class _Base(NamedTuple):
+    """What one rank and mode share per process: the trie of the flags at
+    0, 1 and infinity, and the tau row of each triangle of those flags
+    alone, by its keys (``bd_vector``)."""
+
+    trie: WedgeTrie
+    tau_rows: dict
+
+
+_BASE_TRIES = {}   # (n, mode) -> its _Base, shared per process
+
+
+def _base(n: int, mode: str) -> _Base:
+    """The process's base of the rank and mode, made on first use."""
+    base = _BASE_TRIES.get((n, mode))
+    if base is None:   # keyed before it is shared
+        rows = exact_flag_rows if mode == EXACT else flag_rows
+        trie = WedgeTrie(n, lambda point: rows(*point, n), mode, None)
+        trie.keys_of([_integer_point(pt) for pt in BASE_CHART])
+        base = _BASE_TRIES.setdefault((n, mode), _Base(trie, {}))
+    return base
 
 
 def veronese_trie(n: int, mode: str) -> WedgeTrie:
@@ -118,21 +144,13 @@ def veronese_trie(n: int, mode: str) -> WedgeTrie:
     integer rows (``exact_flag_rows``) with the Bareiss step, or the
     orthonormal float rows at those integers (``flag_rows``) with the float
     step.  The flags at 0, 1 and infinity (``surfaces.BASE_CHART``) take
-    its first keys from the process's base trie of the rank and mode, which
-    is made on first use and holds every state that stacks only those
-    flags, so each is eliminated once per process; a trie that never reads
-    them pays only the copy of their three keys."""
-    rows = exact_flag_rows if mode == EXACT else flag_rows
-
-    def rows_of(point):
-        return rows(*point, n)
-
-    base = _BASE_TRIES.get((n, mode))
-    if base is None:   # keyed before it is shared
-        base = WedgeTrie(n, rows_of, mode, None)
-        base.keys_of([_integer_point(pt) for pt in BASE_CHART])
-        base = _BASE_TRIES.setdefault((n, mode), base)
-    return WedgeTrie(n, rows_of, mode, base)
+    its first keys from the process's base trie of the rank and mode
+    (``_base``), which holds every state that stacks only those flags, and
+    every table entry that does, per table pattern; so each is eliminated
+    and read once per process, and a trie that never reads them pays only
+    the copy of their three keys."""
+    base = _base(n, mode).trie
+    return WedgeTrie(n, base.rows_of, mode, base)
 
 
 def veronese_table(trie: WedgeTrie, points, where: str) -> WedgeTable:
@@ -218,8 +236,19 @@ def expected_size(spec: SurfaceSpec, n: int) -> int:
 
 def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     """All invariants of the developed surface at rank n, off one Veronese
-    trie: each ratio read off its table at its index, in index order."""
+    trie: each ratio read off its table at its index, in index order.
+
+    Each developed point is converted to integers once, and the tau row of
+    a triangle of base flags alone (every triangle 0 on the default base
+    chart) is read once per rank and process and kept in its ``_base``."""
+    tau_rows = _base(n, EXACT).tau_rows
     trie = veronese_trie(n, EXACT)
+    integer = {}   # id of a point of ds -> its integer point
+
+    def table(points, where):
+        return trie.table([integer.get(id(pt)) or integer.setdefault(id(pt), _integer_point(pt))
+                           for pt in points], where)
+
     triples, doubles = triple_indices(n), range(1, n)
     tau = {}
     sigma = {}
@@ -227,21 +256,25 @@ def bd_vector(ds: DevelopedSurface, n: int) -> BDVector:
     for pid, dev in ds.pants.items():
         for tri in (0, 1):
             pts = dev.triangles[tri].pts   # clockwise from the canonical vertex
-            table = veronese_table(trie, [pts[c] for c in _CW_ORDER],
-                                   f"at pants {pid!r} triangle {tri}")
-            for pqr in triples:
-                tau[(pid, tri, pqr)] = _log_ratio(table, "triple ratio T_", pqr,
-                                                  *table.triple_ratio(*pqr))
+            tri_table = table([pts[c] for c in _CW_ORDER], f"at pants {pid!r} triangle {tri}")
+            row = tau_rows.get(tri_table.pattern)
+            if row is None:
+                row = [_log_ratio(tri_table, "triple ratio T_", pqr, *tri_table.triple_ratio(*pqr))
+                       for pqr in triples]
+                if None not in tri_table.pattern:   # base flags alone
+                    tau_rows[tri_table.pattern] = row
+            tau.update(((pid, tri, pqr), value) for pqr, value in zip(triples, row))
         for leaf in dev.lam.leaves():
             q = dev.leaf_quadruples[leaf]
-            table = veronese_table(trie, (q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
+            leaf_table = table((q.x, q.y, q.zl, q.zr), f"at pants {pid!r} leaf {leaf}")
             for p in doubles:
-                sigma[(pid, leaf, p)] = _log_ratio(table, "double ratio D_", p,
-                                                   *table.double_ratio(p))
+                sigma[(pid, leaf, p)] = _log_ratio(leaf_table, "double ratio D_", p,
+                                                   *leaf_table.double_ratio(p))
     for cid, c in ds.curves.items():
-        table = veronese_table(trie, (c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
+        curve_table = table((c.x, c.y, c.zl, c.zr), f"at curve {cid!r}")
         for p in doubles:
-            theta[(cid, p)] = _log_ratio(table, "double ratio D_", p, *table.double_ratio(p))
+            theta[(cid, p)] = _log_ratio(curve_table, "double ratio D_", p,
+                                         *curve_table.double_ratio(p))
     return BDVector(n=n, tau=tau, sigma=sigma, theta=theta)
 
 
@@ -278,22 +311,38 @@ def _spiral_sums(v: BDVector, spec: SurfaceSpec, curve_id: str, side: str,
     leading_p = with_direction == (vertex_rule == "verbatim")
     # per crossing: its leaf, whether the leaf reads index p (else n - p),
     # its spike triangle, and the rotation from the canonical vertex
-    crossings = [(step.leaf, (lam.forward_end(step.leaf) == step.fan_end) == with_direction,
-                  step.tri, _CW_ORDER.index(step.corner))
-                 for step in fan_cycle(lam, slot)]
+    crossings = tuple((step.leaf, (lam.forward_end(step.leaf) == step.fan_end) == with_direction,
+                       step.tri, _CW_ORDER.index(step.corner))
+                      for step in fan_cycle(lam, slot))
+    sigma, tau = v.sigma, v.tau
     sums = []
+    for row in _spiral_terms(n, crossings, leading_p):
+        total = 0.0
+        for leaf, index, tri, tau_terms in row:
+            total += sigma[(pid, leaf, index)]
+            for pqr in tau_terms:
+                total += tau[(pid, tri, pqr)]
+        sums.append(sign * total)
+    return sums
+
+
+@functools.lru_cache(maxsize=None)
+def _spiral_terms(n: int, crossings: tuple, leading_p: bool) -> tuple:
+    """The terms of one side's spiral sums, p = 1, ..., n - 1, off its fan's
+    ``crossings`` (see ``_spiral_sums``): per p and crossing, the leaf, its
+    shearing index, the spike triangle and the triangle terms' indices
+    rotated to the canonical vertex, in summation order.  They depend on
+    the rank and the lamination alone, so each is built once per process."""
+    rows = []
     for p in range(1, n):
         if leading_p:
             tau_terms = [(p, q, n - p - q) for q in range(1, n - p)]
         else:
             tau_terms = [(n - p, q, p - q) for q in range(1, p)]
-        total = 0.0
-        for leaf, at_p, tri, steps in crossings:
-            total += v.sigma[(pid, leaf, p if at_p else n - p)]
-            for pqr in tau_terms:
-                total += v.tau[(pid, tri, _rotate_indices(pqr, steps))]
-        sums.append(sign * total)
-    return sums
+        rows.append(tuple((leaf, p if at_p else n - p, tri,
+                           tuple(_rotate_indices(pqr, steps) for pqr in tau_terms))
+                          for leaf, at_p, tri, steps in crossings))
+    return tuple(rows)
 
 
 class ClosedLeafReport(NamedTuple):

@@ -45,7 +45,10 @@ index.  :func:`triple_ratio` and :func:`double_ratio` build a fresh trie
 and table per call; the identity suites build one trie per sampled case
 and ``bd_vector`` one per surface.  A Veronese trie (``bd.veronese_trie``)
 borrows a base trie, one per rank and mode, that holds the states of the
-flags at 0, 1 and infinity alone.
+flags at 0, 1 and infinity alone, and the table entries that stack them
+alone, per key pattern (a table's keys with its own flags masked): a
+table starts from its pattern's entries, and fills in each one it is the
+first to compute.
 """
 from __future__ import annotations
 
@@ -119,7 +122,9 @@ class WedgeTrie:
     every state whose blocks are all base flags is read off and kept in the
     base, which many tries share, and only the states that stack a flag of
     this trie's own are kept here.  The base's flags are named before it is
-    lent, and a state, once stored, is never changed.
+    lent, and a state, once stored, is never changed.  The base also keeps
+    the table entries that stack its flags alone, per table pattern (see
+    :class:`WedgeTable`), so a table starts from those.
 
     A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
     at 0 = [0 : 1]) is recognised by those rows when it is first read, and
@@ -131,6 +136,7 @@ class WedgeTrie:
         self.tol = _RANK_TOL[mode]
         self.step = multilinear.bareiss_append if mode == EXACT else multilinear.float_append
         self._states = {(): ((), 0)}   # stacked blocks -> elimination state
+        self._seeds = {}               # pattern -> {levels: entry}, as a base: see WedgeTable
         if base is None:
             self.rows = []             # rows of each flag, by key
             self._keys = {}            # id -> key
@@ -150,7 +156,8 @@ class WedgeTrie:
             if key is None:
                 rows = self.rows_of(flag_id)
                 key = self._keys[flag_id] = len(self.rows)
-                if [list(row) for row in rows] == self._zero_rows:
+                if (list(rows[0]) == self._zero_rows[0]
+                        and [list(row) for row in rows] == self._zero_rows):
                     self._at_zero.add(key)
                 self.rows.append(rows)
             keys.append(key)
@@ -218,12 +225,20 @@ class WedgeTable:
     on, read off a trie that holds the flags under ``keys``: an integer, or
     a float in float mode.  ``where`` places the table in errors ("at pants
     P0 triangle 1").
+
+    The table's ``pattern`` is its keys with the trie's own flags masked
+    (None).  An entry whose nonzero levels all fall on base flags depends on
+    the pattern alone, so the trie's base keeps it per pattern once some
+    table computed it, and every table of the pattern starts from those.
     """
 
     def __init__(self, trie: WedgeTrie, keys, where: str):
         self.trie, self.keys, self.where = trie, tuple(keys), where
         self.n = trie.n
-        self._entries = {}   # levels -> entry, each computed once
+        self.pattern = tuple([key if key < trie._own else None for key in self.keys])
+        # the pattern's entries of base flags alone, shared by every table of it
+        self._seeds = trie.base._seeds.setdefault(self.pattern, {}) if trie.base else {}
+        self._entries = dict(self._seeds)   # levels -> entry, each computed once
 
     def wedge(self, *levels):
         """The entry at ``levels``, computed and checked against the trie's
@@ -234,10 +249,14 @@ class WedgeTable:
         return value
 
     def _entry(self, levels):
-        """The entry at ``levels`` read off the trie; DegenerateFlagError,
+        """The entry at ``levels`` read off the trie, and kept for the
+        table's pattern when it stacks base flags alone; DegenerateFlagError,
         naming the table and the levels, when it is not above the threshold."""
-        value = self.trie.wedge(tuple([(key, d) for key, d in zip(self.keys, levels) if d]))
+        blocks = tuple([(key, d) for key, d in zip(self.keys, levels) if d])
+        value = self.trie.wedge(blocks)
         if abs(value) > self.trie.tol:
+            if max(blocks)[0] < self.trie._own:
+                self._seeds[levels] = value
             return value
         size = f"{abs(value):.3g}, not above {self.trie.tol:g}" if self.trie.tol else "exactly 0"
         raise DegenerateFlagError(f"vanishing wedge factor {self.where}: wedge {levels} "

@@ -395,10 +395,11 @@ def develop_pants(lam: PantsLamination, shears: dict,
     and every crossed plaque run counterclockwise (``_cross``, whose error
     names the leaf; two counterclockwise plaques put the side vertices of
     their leaf on its two sides), each boundary's hyperbolic holonomy of
-    length |spiral sum|, and, on every fan plaque, that its trailing
-    (short-arc) vertex v lies on the pants' side of the axis,
-    orientation(rep, v, att) < 0; that error names the boundary slot and
-    the triangle.
+    length |spiral sum| (a deck map that comes out singular in double
+    precision is an error that names the boundary slot), and, on every fan
+    plaque, that its trailing (short-arc) vertex v lies on the pants' side
+    of the axis, orientation(rep, v, att) < 0; that error names the
+    boundary slot and the triangle.
     """
     s = _leaf_shears(lam, shears)
     sums = _ranged_sums(lam, s)
@@ -433,8 +434,12 @@ def develop_pants(lam: PantsLamination, shears: dict,
         first, last = placed[0], placed[-1]
         # convention 2: one period of counterclockwise fan traversal is the
         # inverse of the induced-orientation boundary holonomy
-        deck = (mobius_to_standard(*first.pts).inverse()
-                @ mobius_to_standard(*last.pts))
+        try:
+            deck = (mobius_to_standard(*first.pts).inverse()
+                    @ mobius_to_standard(*last.pts))
+        except ValueError as exc:
+            raise AssemblyError(f"boundary {slot}: the deck map of its fan came out "
+                                f"singular in double precision") from exc
         shear_sum = sums[slot]
         try:
             att, rep, length = axis_data(deck)

@@ -260,22 +260,24 @@ def integer_coordinates(pt):
 
 
 def complement_trie(n, mode):
-    """A Veronese trie whose flags are the integer rows of the complement
-    basis (b X - a Y) at the points of ``complement_table``, and whose every
-    wedge is one ``row_swap_det`` of the stacked rows: no shared prefix, no
+    """A Veronese trie whose flags, named by integer points, are the integer
+    rows of the complement basis (b X - a Y) there, and whose every wedge is
+    one ``row_swap_det`` of the stacked rows: no base, no shared prefix, no
     row append, no pivot read.  Passed for ``bd.veronese_trie``, with
-    ``complement_table`` for ``bd.veronese_table``, it gives the invariants
-    of the float basis in exact arithmetic."""
+    ``integer_coordinates`` for ``bd._integer_point``, it gives the
+    invariants of the float basis in exact arithmetic."""
     trie = WedgeTrie(n, lambda point: complement_rows(*point, n), mode, None)
     trie.wedge = lambda blocks: row_swap_det(
         [row for key, d in blocks for row in trie.rows[key][:d]])
     return trie
 
 
-def complement_table(trie, points, where):
-    """The table of a ``complement_trie`` at ``points``, each turned into
-    integers by ``integer_coordinates``, not by the library's conversion."""
-    return trie.table([integer_coordinates(pt) for pt in points], where)
+def random_vector(rng, vec):
+    """A vector with vec's keys and independent random values, so a sum
+    that reads a wrong index or vertex comes out different."""
+    return bd.BDVector(n=vec.n, **{block: {k: rng.uniform(-2.0, 2.0) for k in values}
+                                   for block, values in (("tau", vec.tau), ("sigma", vec.sigma),
+                                                         ("theta", vec.theta))})
 
 
 def slice_point_of(v, spec):

@@ -14,7 +14,7 @@ from bdcoords.surfaces import (LaminationError, assemble_surface, genus2_spec,
 from bdcoords.veronese import veronese_flag
 from bdcoords import verification
 from bdcoords.verification import sample_genus2
-from oracles import slice_point_of, spiral_sum, triangle_invariant
+from oracles import random_vector, slice_point_of, spiral_sum, triangle_invariant
 
 SHEARS = {"P0": {"B12": 0.8, "B13": 0.6, "B23": 1.1},
           "P1": {"B12": 0.8, "B13": 0.6, "B23": 1.1}}
@@ -145,14 +145,6 @@ def test_closed_leaf_report_reduces_to_shear_sums(ds):
             for cid, p, r, l, lp in report.entries:
                 assert r == pytest.approx(lp, abs=1e-9)
                 assert l == pytest.approx(lp, abs=1e-9)
-
-
-def random_vector(rng, vec):
-    """A vector with vec's keys and independent random values, so a sum
-    that reads a wrong index or vertex comes out different."""
-    return bd.BDVector(n=vec.n, **{block: {k: rng.uniform(-2.0, 2.0) for k in values}
-                                   for block, values in (("tau", vec.tau), ("sigma", vec.sigma),
-                                                         ("theta", vec.theta))})
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])

@@ -1005,16 +1005,17 @@ def test_help_after_other_calls_is_a_fresh_parsers_help(command, tmp_path, monke
 # from polytope membership (R_p = L_p > 0)
 
 
-def boundary_length_input(path, scale: float) -> str:
-    """The spec and spiral signs of the seed-1 genus-2 sample, boundary
-    lengths (L, 1.1 L, 0.9 L) at L = ``scale`` and twist 0.15 on every curve,
+def boundary_length_input(path, scale: float, seed: int = 1, section: str = "twists") -> str:
+    """The spec and spiral signs of the genus-2 sample of ``seed``, boundary
+    lengths (L, 1.1 L, 0.9 L) at L = ``scale`` and 0.15 on every curve in
+    ``section`` ("twists" for ``invariants``, "gluing" for ``realize``),
     written as a surface file."""
-    spec, _, _ = verification.sample_genus2(random.Random(1))
+    spec, _, _ = verification.sample_genus2(random.Random(seed))
     lengths = (scale, 1.1 * scale, 0.9 * scale)
     shears = {pid: verification.shears_from_lengths(
         [lam.spiral_signs[s] for s in SLOTS], lengths) for pid, lam in spec.pants.items()}
-    path.write_text(json.dumps(dict(spec_to_dict(spec), shears=shears,
-                                    twists={cid: 0.15 for cid in spec.curves})))
+    path.write_text(json.dumps({**spec_to_dict(spec), "shears": shears,
+                                section: {cid: 0.15 for cid in spec.curves}}))
     return str(path)
 
 
@@ -1037,22 +1038,32 @@ def test_closed_leaf_verdict_is_the_deviation_against_tol(length, n, holds, tmp_
     assert data["polytope_membership"] is True and data["slice_membership"] is True
 
 
-@pytest.mark.parametrize("length, message", [
+SINGULAR_DECK = "boundary 2: the deck map of its fan came out singular in double precision"
+
+
+@pytest.mark.parametrize("length, seed, command, message", [
     # the developed boundary length drifts off its shear sum by more than its
     # 1e-8 self-check (ROADMAP item 14 moves this edge)
-    pytest.param(15.0, r"developed length 15\.0000\d+ of boundary 1 does not match "
-                       r"shear sum -15\.0", id="length-15"),
+    pytest.param(15.0, 1, "invariants", r"developed length 15\.0000\d+ of boundary 1 does "
+                                        r"not match shear sum -15\.0", id="length-15"),
     # a plaque of the fan of boundary 1 lands past its edge, which left a
     # holonomy of det < 0 that only trace normalization refused
-    pytest.param(28.0, "leaf B12: the plaque developed across it is not counterclockwise",
+    pytest.param(28.0, 1, "invariants",
+                 "leaf B12: the plaque developed across it is not counterclockwise",
                  id="length-28"),
-    pytest.param(30.0, "leaf B12: the plaque developed across it is not counterclockwise",
+    pytest.param(30.0, 1, "invariants",
+                 "leaf B12: the plaque developed across it is not counterclockwise",
                  id="length-30"),
+    # the last plaque of the fan of boundary 2 gives a deck map of determinant
+    # 0 in doubles, which was the bare "singular matrix is not a Moebius map"
+    pytest.param(21.5, 5, "invariants", SINGULAR_DECK, id="seed-5-length-21.5-invariants"),
+    pytest.param(21.5, 5, "realize", SINGULAR_DECK, id="seed-5-length-21.5-realize"),
 ])
-def test_developing_breakdown_names_the_pants_and_what_failed(length, message, tmp_path,
-                                                              capsys):
-    source = boundary_length_input(tmp_path / "in.json", length)
-    assert main(["invariants", "--input", source, "--n", "5",
+def test_developing_breakdown_names_the_pants_and_what_failed(length, seed, command, message,
+                                                              tmp_path, capsys):
+    section = "gluing" if command == "realize" else "twists"
+    source = boundary_length_input(tmp_path / "in.json", length, seed, section)
+    assert main([command, "--input", source, "--n", "5",
                  "--out", str(tmp_path / "inv")]) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: pants 'P0': {message}\n", err), err

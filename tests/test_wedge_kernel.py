@@ -13,9 +13,11 @@ float trie's wedges are checked against ``oracles.row_pivot_det``, a
 row-swapping float LU.
 """
 import functools
+import importlib
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import sys
@@ -26,6 +28,7 @@ from itertools import product
 
 import pytest
 
+import bdcoords
 import bdcoords.bd as bd
 import bdcoords.flags as flags
 import bdcoords.multilinear as multilinear
@@ -37,8 +40,8 @@ from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import (run_double_ratio, run_permutation, run_triple_ratio,
                                    sample_genus2, sample_points)
 from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
-from oracles import (complement_table, complement_trie, integer_coordinates, log_double_ratio,
-                     log_triple_ratio, row_pivot_det, row_swap_det, veronese_wedge)
+from oracles import (complement_trie, integer_coordinates, log_double_ratio, log_triple_ratio,
+                     random_vector, row_pivot_det, row_swap_det, veronese_wedge)
 
 SURFACE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                        "genus2_surface.json")
@@ -102,10 +105,14 @@ def test_bd_vector_builds_no_flag_objects(monkeypatch):
 
 
 def cold_base(monkeypatch):
-    """No base trie from here on: the next ``bd.veronese_trie`` of each rank
-    and mode makes its own, and the process's bases are back after the test,
-    so a step or a row builder the test patches stays out of them."""
+    """No per-process cache from here on: the next ``bd.veronese_trie`` of
+    each rank and mode makes its own base (its states, its entries per table
+    pattern and its tau rows), and ``bd._spiral_terms`` builds its rows
+    afresh.  The process's caches are back after the test, so a step or a
+    row builder the test patches stays out of them."""
     monkeypatch.setattr(bd, "_BASE_TRIES", {})
+    monkeypatch.setattr(bd, "_spiral_terms",
+                        functools.lru_cache(maxsize=None)(bd._spiral_terms.__wrapped__))
 
 
 def test_bd_vector_builds_each_points_rows_once(monkeypatch):
@@ -158,14 +165,16 @@ def test_vanishing_wedge_names_object_index_and_rank():
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_bd_vector_equals_one_shot_wedges_of_the_complement_basis(n, monkeypatch):
     # the same invariants, value for value, from one row_swap_det per wedge of
-    # the (b X - a Y) rows the float flags use: the basis and the trie
-    # change no ratio, so not even the last bit of a log
+    # the (b X - a Y) rows the float flags use, at points turned into
+    # integers by the oracle's conversion: the basis, the trie and the
+    # per-process caches change no ratio, so not even the last bit of a log
     for seed in (1, 2, 3):
         ds = assemble_surface(*sample_genus2(random.Random(seed)))
         vec = bd.bd_vector(ds, n)
         with monkeypatch.context() as m:
+            cold_base(m)   # a base made under the patch is dropped with it
             m.setattr(bd, "veronese_trie", complement_trie)
-            m.setattr(bd, "veronese_table", complement_table)
+            m.setattr(bd, "_integer_point", integer_coordinates)
             expected = bd.bd_vector(ds, n)
         assert vec.tau == expected.tau
         assert vec.sigma == expected.sigma
@@ -604,17 +613,20 @@ def test_base_tries_are_per_rank_and_mode(monkeypatch):
 
 def test_concurrent_bd_vectors_get_the_serial_results(monkeypatch):
     # eight threads on distinct surfaces at one rank, all filling one cold
-    # base: the base holds only states that are the same whichever thread
-    # computes them first, so every vector is the serial one
+    # base and cold spiral terms: the caches hold only data that is the same
+    # whichever thread computes it first, so every vector and closed-leaf
+    # report is the serial one
     surfaces = [assemble_surface(*sample_genus2(random.Random(seed))) for seed in range(1, 9)]
     cold_base(monkeypatch)
     serial = [bd.bd_vector(ds, 8) for ds in surfaces]
+    reports = [bd.closed_leaf_report(vec, ds) for vec, ds in zip(serial, surfaces)]
     cold_base(monkeypatch)
     start = threading.Barrier(len(surfaces))
 
     def run(ds):
         start.wait()
-        return bd.bd_vector(ds, 8)
+        vec = bd.bd_vector(ds, 8)
+        return vec, bd.closed_leaf_report(vec, ds)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)   # switch threads often, so their reads interleave
@@ -623,5 +635,95 @@ def test_concurrent_bd_vectors_get_the_serial_results(monkeypatch):
             threaded = list(pool.map(run, surfaces))
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == serial
+    assert threaded == list(zip(serial, reports))
     assert list(bd._BASE_TRIES) == [(8, "exact")]
+
+
+# -- the per-process caches are invisible -----------------------------------
+
+
+def surface_outputs(ds, n):
+    """The text of the vector's report block and of its closed-leaf reports
+    under both vertex rules, on the vector and on one with random values off
+    the Fuchsian locus, where a wrong term of a spiral sum shows."""
+    vec = bd.bd_vector(ds, n)
+    off = random_vector(random.Random(n), vec)
+    return vec.serialized(), [bd.closed_leaf_report(v, ds, rule).to_json_dict()
+                              for v in (vec, off) for rule in ("verbatim", "swapped")]
+
+
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_warm_caches_give_the_cold_outputs(n, monkeypatch):
+    # each of seeds 1-10 on cold caches, against the same surface computed
+    # after the others warmed them: in order, where seed k follows seeds
+    # 1..k-1, and in reverse, where it follows seeds k+1..10
+    surfaces = [assemble_surface(*sample_genus2(random.Random(seed))) for seed in range(1, 11)]
+    cold = []
+    for ds in surfaces:
+        cold_base(monkeypatch)
+        cold.append(surface_outputs(ds, n))
+    cold_base(monkeypatch)
+    assert [surface_outputs(ds, n) for ds in surfaces] == cold
+    cold_base(monkeypatch)
+    assert [surface_outputs(ds, n) for ds in reversed(surfaces)] == cold[::-1]
+
+
+def table_entries(trie, pts):
+    """Every entry of the table of ``trie`` at ``pts``, by levels."""
+    table = bd.veronese_table(trie, pts, "in a test")
+    return {levels: table.wedge(*levels) for levels in level_tuples(trie.n, len(pts))}
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+def test_each_table_pattern_reads_its_own_entries(mode, monkeypatch):
+    # the base triangle in both orientations, and the base flags in other
+    # slots of a quadruple, (1, oo, u, 0) against (0, oo, 1, w): each table
+    # read after every other pattern filled the base gets the entries of a
+    # cold base, and exact ones are the oracle's; so does a table whose own
+    # point differs from the one that filled its pattern
+    n = 6
+    zero, one, infinity = BASE_TRIANGLE
+    u, w, u2, w2 = (ProjPoint(x, 1.0) for x in (-2.5, 0.375, 5.25, -0.75))
+    tables = [(zero, infinity, one), (zero, one, infinity),
+              (one, infinity, u, zero), (zero, infinity, one, w),
+              (one, infinity, u2, zero), (zero, infinity, one, w2)]
+    cold = []
+    for pts in tables:
+        cold_base(monkeypatch)
+        cold.append(table_entries(bd.veronese_trie(n, mode), pts))
+    if mode == "exact":
+        for pts, entries in zip(tables, cold):
+            assert entries == {levels: stacked_wedge(pts, levels, n) for levels in entries}
+    cold_base(monkeypatch)
+    for order in (range(len(tables)), range(len(tables) - 1, -1, -1)):
+        trie = bd.veronese_trie(n, mode)
+        assert [table_entries(trie, tables[i]) for i in order] == [cold[i] for i in order]
+    patterns = bd._BASE_TRIES[(n, mode)].trie._seeds
+    assert len(patterns) == 4   # the quadruples at u and u2 (w and w2) share one
+    seeded = bd.veronese_table(bd.veronese_trie(n, mode), tables[-1], "seeded")
+    assert seeded.pattern == (0, 2, 1, None)
+    assert seeded._entries == {levels: value for levels, value in cold[-1].items()
+                               if not levels[3]}
+
+
+def test_cold_base_resets_every_per_process_cache(monkeypatch):
+    # the package's caches are the bases and the spiral terms, besides the
+    # CLI's one parser; after cold_base a rank's vector and report start
+    # from empty ones, and fill new ones, not the process's
+    modules = [importlib.import_module(f"bdcoords.{info.name}")
+               for info in pkgutil.iter_modules(bdcoords.__path__)]
+    cached = sorted(f"{module.__name__}.{name}" for module in modules
+                    for name, value in vars(module).items() if hasattr(value, "cache_info"))
+    assert cached == ["bdcoords.bd._spiral_terms", "bdcoords.cli.build_parser"]
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    bd.closed_leaf_report(bd.bd_vector(ds, 5), ds)
+    warm, warm_terms = bd._BASE_TRIES[(5, "exact")], bd._spiral_terms
+    assert warm.tau_rows and warm.trie._seeds and warm_terms.cache_info().currsize
+    cold_base(monkeypatch)
+    assert bd._BASE_TRIES == {} and bd._spiral_terms.cache_info().currsize == 0
+    bd.closed_leaf_report(bd.bd_vector(ds, 5), ds)
+    base = bd._BASE_TRIES[(5, "exact")]
+    assert base is not warm and base.trie is not warm.trie
+    assert base.tau_rows.items() <= warm.tau_rows.items()
+    assert base.trie._seeds.keys() <= warm.trie._seeds.keys()
+    assert bd._spiral_terms is not warm_terms and bd._spiral_terms.cache_info().currsize
