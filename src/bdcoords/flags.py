@@ -72,11 +72,12 @@ class DegenerateFlagError(ValueError):
 class Flag:
     """A complete flag given by an ordered basis of R^n.
 
-    ``basis`` holds the rows as Fractions in exact mode and as floats in
-    float mode.  A flag also keeps the rows its wedge tables stack: in exact
-    mode each row cleared to integers (see ``multilinear.integer_row``), in
-    float mode each row scaled to unit norm.  Either is a positive scale of
-    the row, which no ratio sees.
+    ``basis`` holds the rows as exact values (ints, and Fractions where not
+    integral) in exact mode and as floats in float mode.  A flag also keeps
+    the rows its wedge tables stack: in exact mode each row cleared to
+    integers (see ``multilinear.integer_row``), in float mode each row
+    scaled to unit norm.  Either is a positive scale of the row, which no
+    ratio sees.
     """
 
     __slots__ = ("n", "mode", "basis", "_rows")
@@ -141,11 +142,12 @@ class WedgeTrie:
             self.rows = []             # rows of each flag, by key
             self._keys = {}            # id -> key
             self._at_zero = set()      # keys of the flags with rows e_n, e_{n-1}, ...
+            self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
         else:
             self.rows, self._keys = list(base.rows), dict(base._keys)
             self._at_zero = set(base._at_zero)
+            self._zero_rows = base._zero_rows
         self._own = len(self.rows)     # the first key of a flag not the base's
-        self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
 
     def keys_of(self, ids) -> list:
         """The keys of the flags named by ``ids``, each flag's rows read by
@@ -170,8 +172,9 @@ class WedgeTrie:
 
     def wedge(self, blocks):
         """The signed determinant of stacked blocks of n rows in all, 0 when
-        they are dependent; memoised like every state, in the base when the
-        blocks are all base flags.
+        they are dependent; memoised like every state.  Blocks of the base's
+        flags alone are the base's to read (:meth:`WedgeTable._entry` reads
+        them there), so the memo of a shared entry is shared too.
 
         The first block of a flag at 0, at level a with m rows stacked after
         it, spans the last a columns, so the wedge is
@@ -183,8 +186,6 @@ class WedgeTrie:
         rows are never appended.  When the other blocks are dependent or
         pivoted out of order, all rows are stacked as for any other wedge.
         """
-        if max(blocks)[0] < self._own:   # the base's flags alone
-            return self.base.wedge(blocks)
         value = self._states.get(blocks)
         if value is not None:
             return value
@@ -253,9 +254,10 @@ class WedgeTable:
         table's pattern when it stacks base flags alone; DegenerateFlagError,
         naming the table and the levels, when it is not above the threshold."""
         blocks = tuple([(key, d) for key, d in zip(self.keys, levels) if d])
-        value = self.trie.wedge(blocks)
+        base_only = max(blocks)[0] < self.trie._own   # the base's flags alone
+        value = self.trie.base.wedge(blocks) if base_only else self.trie.wedge(blocks)
         if abs(value) > self.trie.tol:
-            if max(blocks)[0] < self.trie._own:
+            if base_only:
                 self._seeds[levels] = value
             return value
         size = f"{abs(value):.3g}, not above {self.trie.tol:g}" if self.trie.tol else "exactly 0"

@@ -13,6 +13,7 @@ triples, -1 for clockwise ones.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, join_mode, settle_mode
 
@@ -83,14 +84,15 @@ def is_clockwise(a: ProjPoint, b: ProjPoint, c: ProjPoint) -> bool:
 def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint):
     """z(a,b,c,d) = (d-a)(b-c) / ((d-c)(b-a)), evaluated projectively.
 
-    Normalized so that z(0, 1, oo, d) = d.  Degenerate quadruples (d = c or
-    b = a, or coincidences making the value 0/0) raise.
+    Normalized so that z(0, 1, oo, d) = d: a Fraction or a float by the
+    points' mode.  Degenerate quadruples (d = c or b = a, or coincidences
+    making the value 0/0) raise.
     """
     num = wedge(d, a) * wedge(b, c)
     den = wedge(d, c) * wedge(b, a)
     if den == 0:
         raise DegenerateConfigurationError("cross ratio undefined: d = c or b = a")
-    return num / den
+    return Fraction(num, den) if a.mode == EXACT else num / den
 
 
 def fourth_point(a: ProjPoint, c: ProjPoint, d: ProjPoint, r) -> ProjPoint:
@@ -223,11 +225,12 @@ def axis_data(m: Mobius):
 def sort_ccw(points) -> list:
     """Sort boundary points into counterclockwise circle order.
 
-    Increasing real order with infinity as the final wrap point; pure
-    convenience for building oriented test configurations.
+    Increasing real order with infinity as the final wrap point, the affine
+    coordinate a / b compared exactly in exact mode; pure convenience for
+    building oriented test configurations.
     """
     def key(p: ProjPoint):
         if p.is_infinity:
             return (1, 0)
-        return (0, p.a / p.b)
+        return (0, p.a / p.b if p.mode == FLOAT else Fraction(p.a, p.b))
     return sorted(points, key=key)

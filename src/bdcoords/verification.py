@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .flags import DegenerateFlagError, Flag, wedge_table
 from .halfplane import ProjPoint, cross_ratio, is_clockwise, shear_from_quadruple, sort_ccw
@@ -135,7 +134,7 @@ def random_generic_flags(rng: random.Random, n: int, count: int):
         flags = []
         try:
             for _ in range(count):
-                basis = [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
+                basis = [[rng.randint(-9, 9) for _ in range(n)]
                          for _ in range(n)]
                 flags.append(Flag(basis))
         except ValueError:

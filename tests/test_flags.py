@@ -5,11 +5,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from bdcoords import bd
 from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
-from bdcoords.halfplane import ProjPoint, cross_ratio, is_clockwise, sort_ccw
+from bdcoords.halfplane import (Mobius, ProjPoint, cross_ratio, fourth_point, is_clockwise,
+                                mobius_to_standard, sort_ccw)
 from bdcoords.multilinear import det_int, det_raw, integer_row
 from bdcoords.scalars import ScalarModeError
 from bdcoords.veronese import exact_flag_rows, veronese_flag
@@ -45,21 +47,54 @@ def test_flag_requires_independent_basis():
         Flag([[1, 2], [2, 4]])
 
 
-@pytest.mark.parametrize("rows, kind", [
-    pytest.param([[2, 0, 1], [0, -3, 0], [1, 1, 1]], Fraction, id="int"),
+@pytest.mark.parametrize("rows, mode", [
+    pytest.param([[2, 0, 1], [0, -3, 0], [1, 1, 1]], "exact", id="int"),
     pytest.param([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 5), 7],
-                  [1, Fraction(-3, 4), Fraction(1, 6)]], Fraction, id="fraction"),
-    pytest.param([[0.5, 0.25, 0], [0.0, 2.5, 7.0], [1, -0.75, 1.5]], float, id="float"),
+                  [Fraction(3, 3), Fraction(-3, 4), Fraction(1, 6)]], "exact", id="fraction"),
+    pytest.param([[0.5, 0.25, 0], [0.0, 2.5, 7.0], [1, -0.75, 1.5]], "float", id="float"),
 ])
-def test_flag_keeps_its_basis_in_its_mode(rows, kind):
-    # ints lift to the mode of the other entries, Fractions in exact mode
+def test_flag_keeps_its_basis_in_its_mode(rows, mode):
+    # ints lift to float mode beside floats; in exact mode an integral
+    # entry is an int, an integral Fraction included, and the rest Fractions
     flag = Flag(rows)
-    assert (flag.n, flag.mode) == (3, "float" if kind is float else "exact")
-    assert flag.basis == tuple(tuple(kind(x) for x in row) for row in rows)
-    assert all(type(x) is kind for row in flag.basis for x in row)
+    assert (flag.n, flag.mode) == (3, mode)
+    assert flag.basis == tuple(tuple(row) for row in rows)
+    assert [type(x) for row in flag.basis for x in row] == [
+        float if mode == "float" else int if x.denominator == 1 else Fraction
+        for row in rows for x in row]
     # the third row replaced by the sum of the first two
     with pytest.raises(DegenerateFlagError, match="not linearly independent"):
         Flag(rows[:2] + [[x + y for x, y in zip(*rows[:2])]])
+
+
+COORDINATE = st.integers(min_value=-50, max_value=50)
+
+
+@given(st.lists(st.tuples(COORDINATE, COORDINATE).filter(any), min_size=4, max_size=4),
+       st.lists(COORDINATE, min_size=4, max_size=4), COORDINATE)
+def test_exact_values_built_from_ints_are_never_floats(pairs, entries, r):
+    # what is built from ints keeps ints, and each quotient is a Fraction
+    def ints(values):
+        return all(type(x) is int for x in values)
+
+    pts = [ProjPoint(a, b) for a, b in pairs]
+    assume(all(p != q for p, q in itertools.combinations(pts, 2)))
+    assume(entries[0] * entries[3] != entries[1] * entries[2])
+    a, b, c, d = pts
+    m = Mobius([entries[:2], entries[2:]])
+    maps = (m, m.inverse(), m @ m, mobius_to_standard(a, b, c))
+    assert all(ints(entry for row in g.m for entry in row) for g in maps)
+    images = [m(p) for p in pts] + [fourth_point(a, c, d, r)]
+    assert all(ints((p.a, p.b)) for p in pts + images)
+    assert type(cross_ratio(a, b, c, d)) is Fraction
+    assert type(cross_ratio(a, images[-1], c, d)) is Fraction
+    flags = [veronese_flag(p, 4) for p in pts]
+    assert all(ints(x for row in f.basis for x in row) for f in flags)
+    assert type(det_raw(flags[0].basis, "exact")) is Fraction
+    assert type(det_raw([entries[:2], entries[2:]], "exact")) is Fraction
+    table = wedge_table(flags, "in a test")
+    assert type(table.quotient(*table.triple_ratio(1, 1, 2))) is Fraction
+    assert type(table.quotient(*table.double_ratio(2))) is Fraction
 
 
 def test_flag_of_exact_and_float_entries_is_rejected():

@@ -26,8 +26,8 @@ def float_pt(p):
 
 
 def affine(p):
-    """The affine coordinate a / b of a finite point."""
-    return p.a / p.b
+    """The affine coordinate a / b of a finite point, exact in exact mode."""
+    return Fraction(p.a, p.b) if p.mode == EXACT else p.a / p.b
 
 
 # -- cross ratio ------------------------------------------------------------
@@ -54,6 +54,14 @@ def test_cross_ratio_classical_relation(values):
     a, b, c, d = values
     zprime = Fraction(d - a) * (b - c) / ((d - c) * (b - a))
     assert cross_ratio(pt(a), pt(b), pt(c), pt(d)) == zprime
+
+
+def test_cross_ratio_of_integer_points_is_a_fraction():
+    # integer points stay integers, and the one division makes a Fraction
+    z = cross_ratio(ProjPoint(2, 3), ProjPoint(-1, 2), ProjPoint(5, 1), ProjPoint(7, 3))
+    assert type(z) is Fraction and z == Fraction(-165, 56)
+    z = cross_ratio(ProjPoint(2, 1), ProjPoint(-1, 1), INF, ProjPoint(7, 3))
+    assert type(z) is Fraction and z == Fraction(-1, 9)
 
 
 def test_cross_ratio_degenerate():
@@ -165,6 +173,14 @@ def test_sort_ccw():
     assert [p.b == 0 or affine(p) for p in sort_ccw(pts)] == [-1, 0, 3, True]
 
 
+def test_sort_ccw_orders_integer_points_exactly():
+    # affine coordinates 1 + 2^-60 and 1 + 1/(2^60 + 1), both 1.0 as floats
+    big, small = ProjPoint(2 ** 60 + 1, 2 ** 60), ProjPoint(2 ** 60 + 2, 2 ** 60 + 1)
+    assert float(big.a) / float(big.b) == float(small.a) / float(small.b)
+    for pts in ([big, small], [small, big]):
+        assert [p is small for p in sort_ccw(pts)] == [True, False]
+
+
 # -- shears -----------------------------------------------------------------
 
 def test_shear_examples():
@@ -252,13 +268,15 @@ def test_projpoint_rejects_mixed_and_degenerate_coordinates(coords, error):
     ((-3.0, 0.75), (-1.0, 0.25), FLOAT),
     ((2, 4.0), (0.5, 1.0), FLOAT),
     ((-3.0, 1), (-1.0, 1 / 3), FLOAT),
-    ((3, 6), (Fraction(3), Fraction(6)), EXACT),
-    ((Fraction(1, 2), 3), (Fraction(1, 2), Fraction(3)), EXACT),
+    ((3, 6), (3, 6), EXACT),
+    ((Fraction(1, 2), 3), (Fraction(1, 2), 3), EXACT),
+    ((Fraction(4, 2), Fraction(-6, 3)), (2, -2), EXACT),
 ])
 def test_projpoint_settles_its_mode(coords, expected, mode):
+    # an exact coordinate is an int when integral and a Fraction otherwise
     p = ProjPoint(*coords)
     assert (p.a, p.b, p.mode) == (*expected, mode)
-    assert {type(p.a), type(p.b)} == {float if mode == FLOAT else Fraction}
+    assert (type(p.a), type(p.b)) == tuple(type(x) for x in expected)
     if mode == FLOAT:
         assert max(abs(p.a), abs(p.b)) == 1.0
 
@@ -282,9 +300,9 @@ def test_mobius_rejects_mixed_and_singular_entries(rows, error):
     ([[4.0, 0.0], [0.0, 1.0]], ((2.0, 0.0), (0.0, 0.5)), FLOAT),
     ([[0.0, -2.0], [2.0, 0.0]], ((0.0, -1.0), (1.0, 0.0)), FLOAT),
     ([[2, 0.0], [0.0, 2]], ((1.0, 0.0), (0.0, 1.0)), FLOAT),
-    ([[1, 2], [3, 4]], ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))), EXACT),
+    ([[1, 2], [3, 4]], ((1, 2), (3, 4)), EXACT),
 ])
 def test_mobius_settles_its_mode(rows, expected, mode):
     m = Mobius(rows)
     assert (m.m, m.mode) == (expected, mode)
-    assert {type(x) for row in m.m for x in row} == {float if mode == FLOAT else Fraction}
+    assert {type(x) for row in m.m for x in row} == {float if mode == FLOAT else int}

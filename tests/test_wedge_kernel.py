@@ -706,6 +706,20 @@ def test_each_table_pattern_reads_its_own_entries(mode, monkeypatch):
                                if not levels[3]}
 
 
+def test_float_table_needs_separated_points():
+    # the chordal gap of -66 and infinity is 0.015, under the float suites'
+    # 0.2: the exact table of the points is generic, the float table reads
+    # one of its wedges below the threshold
+    pts = (ProjPoint(1, 1), ProjPoint(1, 0), ProjPoint(-66, 1), ProjPoint(0, 1))
+    exact = bd.veronese_table(bd.veronese_trie(6, "exact"), pts, "in a test")
+    assert exact.is_generic() and exact.wedge(0, 2, 4, 0) == 82653950016
+    table = bd.veronese_table(bd.veronese_trie(6, "float"), pts, "in a test")
+    with pytest.raises(DegenerateFlagError, match=r"wedge \(0, 2, 4, 0\) is \d\.\d+e-15, "
+                                                  r"not above 1e-12 at n = 6"):
+        table.wedge(0, 2, 4, 0)
+    assert not table.is_generic()
+
+
 def test_cold_base_resets_every_per_process_cache(monkeypatch):
     # the package's caches are the bases and the spiral terms, besides the
     # CLI's one parser; after cold_base a rank's vector and report start
