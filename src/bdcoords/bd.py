@@ -68,7 +68,7 @@ from typing import NamedTuple
 from .scalars import EXACT, serialize_value
 from .flags import WedgeTable, WedgeTrie
 from .halfplane import ProjPoint
-from .veronese import exact_flag_rows, flag_rows
+from .veronese import Chart, exact_flag_rows, flag_rows
 from .surfaces import (BASE_CHART, AssemblyError, CurveChart, DevelopedSurface, SurfaceSpec,
                        UnreachableTwistError, assemble_surface, fan_cycle, solve_twist)
 
@@ -136,7 +136,7 @@ def _base(n: int, mode: str) -> _Base:
     return base
 
 
-def veronese_trie(n: int, mode: str) -> WedgeTrie:
+def veronese_trie(n: int, mode: str, chart=None) -> WedgeTrie:
     """The trie of the Veronese flags of one computation (one
     :func:`bd_vector`, or one case of an identity suite), named by their
     integer points (``_integer_point``), whose every table shares its
@@ -147,8 +147,19 @@ def veronese_trie(n: int, mode: str) -> WedgeTrie:
     its first keys from the process's base trie of the rank and mode
     (``_base``), which holds every state that stacks only those flags, and
     every table entry that does, per table pattern; so each is eliminated
-    and read once per process, and a trie that never reads them pays only
-    the copy of their three keys."""
+    and read once per process.
+
+    With a ``chart`` point (exact mode only: an exact identity-suite case
+    passes its first point), the trie has no base, and each point's rows
+    are its exact rows in the ``veronese.Chart`` that sends the chart point
+    to 0: the same rows moved by an integer matrix of determinant 1, so
+    every wedge is the same integer, and the chart point's flag is read as
+    the flag at 0 (``flags.WedgeTrie.wedge``), its rows never stacked."""
+    if chart is not None:
+        if mode != EXACT:
+            raise ValueError("a chart moves exact rows only")
+        chart = Chart(*_integer_point(chart), n)
+        return WedgeTrie(n, lambda point: exact_flag_rows(*point, n, chart), mode, None)
     base = _base(n, mode).trie
     return WedgeTrie(n, base.rows_of, mode, base)
 

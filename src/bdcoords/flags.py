@@ -32,10 +32,13 @@ a ratio.  A flag's integer Veronese rows are upper triangular, so its own
 earlier rows give a new row zero leads, and a unit row stacked first leaves
 a zero rest: ``bareiss_append`` only pops the lead of such a rescale-only
 step and folds its factor into the next updating step's divisor, so every
-state holds the integers of the plain update.  A wedge through a flag
-whose rows are unit rows (the flag at 0) is read off the last pivot of the
-other blocks when they pivoted in order (their leading minor), so that
-flag's rows are not appended; otherwise all rows are stacked.
+state holds the integers of the plain update.  A flag at 0 is one whose
+level-d rows lie in the last d columns, recognised by that support (the
+unit rows of the Veronese flag at 0, or the rows of an identity-suite
+case's first point in its chart); a wedge through it is the product of its
+block's diagonal entries times the last pivot of the other blocks when they
+pivoted in order (their leading minor), so that flag's rows are not
+appended; otherwise all rows are stacked.
 
 The ratios of a family read the same entry several times (the triple
 ratios at n = 8 make 126 reads of 42 entries), and a table computes each
@@ -43,12 +46,13 @@ entry once and keeps it by its levels.  Every ratio is read one way, by
 :meth:`WedgeTable.triple_ratio` or :meth:`WedgeTable.double_ratio` at its
 index.  :func:`triple_ratio` and :func:`double_ratio` build a fresh trie
 and table per call; the identity suites build one trie per sampled case
-and ``bd_vector`` one per surface.  A Veronese trie (``bd.veronese_trie``)
-borrows a base trie, one per rank and mode, that holds the states of the
-flags at 0, 1 and infinity alone, and the table entries that stack them
-alone, per key pattern (a table's keys with its own flags masked): a
-table starts from its pattern's entries, and fills in each one it is the
-first to compute.
+and ``bd_vector`` one per surface.  A Veronese trie of the identity chart
+(``bd.veronese_trie``) borrows a base trie, one per rank and mode, that
+holds the states of the flags at 0, 1 and infinity alone, and the table
+entries that stack them alone, per key pattern (a table's keys with its
+own flags masked): a table starts from its pattern's entries, and fills in
+each one it is the first to compute.  An exact identity-suite case's trie,
+in the chart of its first point, has no base.
 """
 from __future__ import annotations
 
@@ -127,9 +131,11 @@ class WedgeTrie:
     the table entries that stack its flags alone, per table pattern (see
     :class:`WedgeTable`), so a table starts from those.
 
-    A flag whose rows are the unit rows e_n, e_{n-1}, ... (the Veronese flag
-    at 0 = [0 : 1]) is recognised by those rows when it is first read, and
-    :meth:`wedge` does not stack its first block: see there.
+    A flag whose level-d rows lie in the last d columns (a flag at 0, such
+    as the unit rows e_n, e_{n-1}, ... of the Veronese flag at 0 = [0 : 1])
+    is recognised by that support when it is first read, and keeps the
+    products of its leading diagonal entries; :meth:`wedge` does not stack
+    its first block: see there.
     """
 
     def __init__(self, n: int, rows_of, mode: str, base):
@@ -141,12 +147,10 @@ class WedgeTrie:
         if base is None:
             self.rows = []             # rows of each flag, by key
             self._keys = {}            # id -> key
-            self._at_zero = set()      # keys of the flags with rows e_n, e_{n-1}, ...
-            self._zero_rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
+            self._at_zero = {}         # key of a flag at 0 -> its diagonal products
         else:
             self.rows, self._keys = list(base.rows), dict(base._keys)
-            self._at_zero = set(base._at_zero)
-            self._zero_rows = base._zero_rows
+            self._at_zero = dict(base._at_zero)
         self._own = len(self.rows)     # the first key of a flag not the base's
 
     def keys_of(self, ids) -> list:
@@ -158,9 +162,9 @@ class WedgeTrie:
             if key is None:
                 rows = self.rows_of(flag_id)
                 key = self._keys[flag_id] = len(self.rows)
-                if (list(rows[0]) == self._zero_rows[0]
-                        and [list(row) for row in rows] == self._zero_rows):
-                    self._at_zero.add(key)
+                diagonal = _zero_diagonal(rows)
+                if diagonal is not None:
+                    self._at_zero[key] = diagonal
                 self.rows.append(rows)
             keys.append(key)
         return keys
@@ -178,23 +182,25 @@ class WedgeTrie:
 
         The first block of a flag at 0, at level a with m rows stacked after
         it, spans the last a columns, so the wedge is
-        (-1)^(a(a-1)/2 + a m) times the leading (n - a)-minor of the other
-        blocks.  When every step of their state pivoted in the next free
-        column, that minor is its last pivot (the pivot of a step is the
-        minor on the pivot columns, a Bareiss pivot and a float step's
-        product of pivots alike; 1 for the empty stack), and the block's
-        rows are never appended.  When the other blocks are dependent or
-        pivoted out of order, all rows are stacked as for any other wedge.
+        (-1)^(a(a-1)/2 + a m) times the product of its a diagonal entries
+        times the leading (n - a)-minor of the other blocks.  When every
+        step of their state pivoted in the next free column, that minor is
+        its last pivot (the pivot of a step is the minor on the pivot
+        columns, a Bareiss pivot and a float step's product of pivots alike;
+        1 for the empty stack), and the block's rows are never appended.
+        When the other blocks are dependent or pivoted out of order, all
+        rows are stacked as for any other wedge.
         """
         value = self._states.get(blocks)
         if value is not None:
             return value
         stacked = 0   # rows in the blocks before the current one
         for i, (key, level) in enumerate(blocks):
-            if key in self._at_zero:
-                state = self._state(blocks[:i] + blocks[i + 1:])
+            diagonal = self._at_zero.get(key)
+            if diagonal is not None:
+                state = self._prefix_state(blocks[:i] + blocks[i + 1:])
                 if state and not state[1]:   # independent, pivoted in order
-                    value = state[0][-1][1] if state[0] else 1
+                    value = (state[0][-1][1] if state[0] else 1) * diagonal[level]
                     if (level * (level - 1) // 2 + level * (self.n - stacked - level)) & 1:
                         value = -value
                     self._states[blocks] = value
@@ -203,19 +209,43 @@ class WedgeTrie:
             stacked += level
         return self._state(blocks)
 
+    def _prefix_state(self, blocks):
+        """The state of stacked blocks that may hold the base's flags alone,
+        read off the base then; :meth:`_state` of any other."""
+        if self.base is not None and blocks and max(blocks)[0] < self._own:
+            return self.base._state(blocks)
+        return self._state(blocks)
+
     def _state(self, blocks):
-        """The elimination state of the stacked blocks (see
+        """The elimination state of stacked blocks (see
         ``multilinear.append_row``): ``(steps, skipped)`` below n rows, the
-        signed determinant at n rows, 0 once dependent."""
+        signed determinant at n rows, 0 once dependent.  In a trie with a
+        base the blocks hold a flag of its own, and only the parent that
+        drops a whole block can stack the base's flags alone."""
         state = self._states.get(blocks)
         if state is None:
-            if max(blocks)[0] < self._own:   # the base's flags alone
-                return self.base._state(blocks)
             key, level = blocks[-1]
-            parent = blocks[:-1] + ((key, level - 1),) if level > 1 else blocks[:-1]
-            state = append_row(self._state(parent), self.rows[key][level - 1], self.step)
+            if level > 1:
+                parent = self._state(blocks[:-1] + ((key, level - 1),))
+            else:
+                parent = self._prefix_state(blocks[:-1])
+            state = append_row(parent, self.rows[key][level - 1], self.step)
             self._states[blocks] = state
         return state
+
+
+def _zero_diagonal(rows):
+    """The products of the first d diagonal entries, d = 0, ..., n, of a
+    flag at 0: one whose level-d rows lie in the last d columns, the
+    diagonal entry of row d being its entry in column n - d.  None for any
+    other flag."""
+    n = len(rows)
+    products = [1]
+    for d, row in enumerate(rows, 1):
+        if any(row[:n - d]):
+            return None
+        products.append(products[-1] * row[n - d])
+    return products
 
 
 class WedgeTable:
@@ -254,7 +284,7 @@ class WedgeTable:
         table's pattern when it stacks base flags alone; DegenerateFlagError,
         naming the table and the levels, when it is not above the threshold."""
         blocks = tuple([(key, d) for key, d in zip(self.keys, levels) if d])
-        base_only = max(blocks)[0] < self.trie._own   # the base's flags alone
+        base_only = self.trie.base is not None and max(blocks)[0] < self.trie._own
         value = self.trie.base.wedge(blocks) if base_only else self.trie.wedge(blocks)
         if abs(value) > self.trie.tol:
             if base_only:

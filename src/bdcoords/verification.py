@@ -11,9 +11,11 @@ denominator of -1/z, so neither builds a Fraction per ratio.  Float-mode
 suites report the worst absolute deviation against the stated tolerance.
 The triple- and double-ratio suites read each case off a fresh
 ``bd.veronese_trie`` of their mode (the path of ``bd_vector``; no ``Flag``
-is built), the permutation suite off the one trie that checked its flags
-generic.  Every report lists its first 20 failing cases, then "..." if
-there are more, on stdout and in its JSON.
+is built), in exact mode in the chart that puts the case's first point at
+0, so that flag's rows are never stacked; the permutation suite reads each
+case off the one trie that checked its flags generic.  Every report lists
+its first 20 failing cases, then "..." if there are more, on stdout and in
+its JSON.
 """
 from __future__ import annotations
 
@@ -163,7 +165,8 @@ def run_triple_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c = sort_ccw(pts)
         triple = (c, b, a)   # clockwise
         assert is_clockwise(*triple)
-        table = bd.veronese_table(bd.veronese_trie(n, mode), triple, "in triple ratio")
+        trie = bd.veronese_trie(n, mode, triple[0] if mode == "exact" else None)
+        table = bd.veronese_table(trie, triple, "in triple ratio")
         for p, q, r in bd.triple_indices(n):
             try:
                 num, den = table.triple_ratio(p, q, r)
@@ -191,8 +194,8 @@ def run_double_ratio(n: int, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT
         a, b, c, d = sort_ccw(pts)   # counterclockwise quadruple
         z = cross_ratio(c, d, a, b)
         expected = -1 / z
-        table = bd.veronese_table(bd.veronese_trie(n, mode), (a, c, b, d),
-                                  "in double ratio")
+        trie = bd.veronese_trie(n, mode, a if mode == "exact" else None)
+        table = bd.veronese_table(trie, (a, c, b, d), "in double ratio")
         for p in range(1, n):
             try:
                 num, den = table.double_ratio(p)

@@ -26,6 +26,11 @@ any linear form M independent of a X + b Y.  Two choices of M are used:
 The two bases span the same flag up to row scales and a diagonal change of
 coordinates, which every triple and double ratio cancels, since each flag
 puts the same levels into its numerator and denominator.
+
+An integer matrix g of determinant 1 acts on the exact rows without
+changing any stacked wedge (its image on the forms of degree n - 1 has
+determinant 1 too); a :class:`Chart` is such a g that sends a chosen point
+to 0, and ``exact_flag_rows`` with a chart gives the rows moved by it.
 """
 from __future__ import annotations
 
@@ -38,11 +43,11 @@ from .halfplane import ProjPoint
 
 def _poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
+    for i, x in enumerate(p):
+        if x == 0:
             continue
-        for j, qj in enumerate(q):
-            out[i + j] = out[i + j] + pi * qj
+        for j, y in enumerate(q, i):
+            out[j] += x * y
     return out
 
 
@@ -68,22 +73,62 @@ def flag_rows(a, b, n: int):
             for d in range(1, n + 1)]
 
 
-def exact_flag_rows(a, b, n: int):
+def _powers(a, b, n: int):
+    """The coefficients of (a X + b Y)^m by rising power of Y, m = 0, ...,
+    n - 1, each power the one before times a X + b Y: the weighted Pascal
+    rule c_j = a c'_j + b c'_(j-1), so no binomial is computed."""
+    power = [1]
+    powers = [power]
+    for _ in range(n - 1):
+        power = [a * power[0], *[a * x + b * y for x, y in zip(power[1:], power)], b * power[-1]]
+        powers.append(power)
+    return powers
+
+
+class Chart:
+    """The integer chart g = ((b, -a), (u, v)), u a + v b = 1, of the point
+    [a : b] (integers, gcd 1): det g = 1 and g sends [a : b] to [0 : 1].
+
+    g acts on the linear forms by a X + b Y -> a' X + b' Y with
+    [a' : b'] = g [a : b], so on the degree n - 1 forms as an integer
+    matrix of determinant det(g)^(n(n-1)/2) = 1, which moves every stacked
+    wedge of exact Veronese rows to itself.  The rows of a point in the
+    chart (``exact_flag_rows``) are g of its rows: (a' X + b' Y)^(n-d)
+    M^(d-1) with M = g(Y) = -a X + v Y, whose powers are made once per
+    chart, or M = g(X) = b X + u Y at a point with a = 0.
+    """
+
+    __slots__ = ("g", "aux")
+
+    def __init__(self, a: int, b: int, n: int):
+        (r, u, v), (r1, u1, v1) = (a, 1, 0), (b, 0, 1)   # extended Euclid: r = u a + v b
+        while r1:
+            q = r // r1
+            (r, u, v), (r1, u1, v1) = (r1, u1, v1), (r - q * r1, u - q * u1, v - q * v1)
+        if abs(r) != 1:
+            raise ValueError(f"[{a} : {b}] is not a point with coprime integers")
+        u, v = u * r, v * r   # r = +-1
+        self.g = ((b, -a), (u, v))
+        self.aux = _powers(-a, v, n)   # M^0, ..., M^(n-1) for M = g(Y)
+
+
+def exact_flag_rows(a, b, n: int, chart=None):
     """The rows (a X + b Y)^{n-d} Y^{d-1}, d = 1, ..., n, of the Veronese
     flag at [a : b] (X^{d-1} in place of Y^{d-1} at a = 0), read off the
-    powers of a and b: the basis of exact flags, triangular as the module
-    docstring says."""
+    powers of a X + b Y: the basis of exact flags, triangular as the module
+    docstring says.  In a :class:`Chart`, the chart's image of those rows,
+    each a product with one of its powers of M."""
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
-    pa, pb = [1], [1]
-    for _ in range(n - 1):
-        pa.append(pa[-1] * a)
-        pb.append(pb[-1] * b)
+    if chart is not None:
+        (p, q), (r, s) = chart.g
+        lead = _powers(p * a + q * b, r * a + s * b, n)
+        # M = g(X) at a = 0: one point, whose rows a trie builds once
+        aux = chart.aux if a != 0 else _powers(p, r, n)
+        return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
     if a == 0:
-        return [[pb[n - d] if k == n - d else 0 for k in range(n)]
-                for d in range(1, n + 1)]
-    return [[0] * (n - 1 - m) + [math.comb(m, j) * pa[m - j] * pb[j] for j in range(m + 1)]
-            for m in range(n - 1, -1, -1)]   # m = n - d
+        return [[0] * (n - d) + [b ** (n - d)] + [0] * (d - 1) for d in range(1, n + 1)]
+    return [[0] * (d - 1) + power for d, power in enumerate(reversed(_powers(a, b, n)), 1)]
 
 
 def veronese_flag(p: ProjPoint, n: int) -> Flag:

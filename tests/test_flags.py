@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from bdcoords import bd
+import bdcoords.multilinear as multilinear
 from bdcoords.flags import (DegenerateFlagError, Flag, double_ratio, is_generic,
                             triple_ratio, wedge_table)
 from bdcoords.halfplane import (Mobius, ProjPoint, cross_ratio, fourth_point, is_clockwise,
@@ -423,6 +425,48 @@ def test_flag_at_zero_beside_blocks_that_pivot_out_of_order(n):
         a = n - 2
         assert wedge_table((E, zero), "in a test").wedge(2, a) == integer_wedge(
             (E, zero), (2, a)) == -E.basis[0][1] * E.basis[1][0] * (-1) ** (a * (a - 1) // 2)
+
+
+def supported_at_zero(rng, n, stray=False):
+    """An integer flag whose level-d rows lie in the last d columns, with
+    diagonal entries other than 1 (a flag at 0 by its support); with
+    ``stray``, its second row has one more entry left of its diagonal."""
+    rows = [[0] * (n - d) + [rng.choice((-3, -2, 2, 3))] + [rng.randint(-5, 5) for _ in range(d - 1)]
+            for d in range(1, n + 1)]
+    if stray:
+        rows[1][n - 3] = 1
+    return Flag(rows)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_flag_at_zero_is_recognised_by_its_support(n, monkeypatch):
+    rng = random.Random(500 + n)
+    zero = supported_at_zero(rng, n)
+    E, F = integer_flag(rng, n), rational_flag(rng, n)
+    G = veronese_flag(ProjPoint(-3, 7), n)   # triangular: G's rows pivot in order
+    appended, step = [], multilinear.bareiss_append
+    monkeypatch.setattr(multilinear, "bareiss_append",
+                        lambda steps, row: appended.append(row) or step(steps, row))
+    diagonal = [zero.basis[d - 1][n - d] for d in range(1, n + 1)]
+    tables = [(G, zero), (zero, G), (E, F, zero), (F, zero, E), (zero, E, F), (E, zero, zero)]
+    if n > 2:
+        stray = supported_at_zero(rng, n, stray=True)
+        tables.append((zero, stray, F))
+        assert wedge_table((stray,), "in a test").trie._at_zero == {}
+    for t in tables:
+        table = wedge_table(t, "in a test")
+        assert table.trie._at_zero[table.keys[t.index(zero)]] == list(
+            itertools.accumulate(diagonal, operator.mul, initial=1))
+        for levels in level_tuples(n, len(t)):
+            expected = integer_wedge(t, levels)
+            if expected:
+                assert table.wedge(*levels) == expected
+            else:
+                with pytest.raises(DegenerateFlagError):
+                    table.wedge(*levels)
+        if G in t:   # the rows of the flag at 0 are never stacked
+            assert not any(call is row for call in appended for row in table.trie.rows[
+                table.keys[t.index(zero)]])
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -8,7 +8,7 @@ import pytest
 from bdcoords.flags import is_generic
 from bdcoords.halfplane import Mobius, ProjPoint
 from bdcoords.multilinear import det_int, det_raw, ext_binomial
-from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
+from bdcoords.veronese import Chart, exact_flag_rows, flag_rows, veronese_flag
 from oracles import complement_factor, complement_rows, irrep_n, matmul
 
 INF = ProjPoint(1, 0)
@@ -181,6 +181,38 @@ def test_exact_rows_are_triangular_with_nonzero_diagonal(n):
                                         for d in range(1, n + 1)]
     assert exact_flag_rows(1, 0, n) == [[int(k == d) for k in range(1, n + 1)]
                                         for d in range(1, n + 1)]
+
+
+# 0, infinity in both signs, and coprime points of either sign
+CHART_POINTS = [(0, 1), (1, 0), (-1, 0), (1, 1), (3, 7), (-40, 1), (7, -3), (-39, 40), (40, 39)]
+
+
+@pytest.mark.parametrize("point", CHART_POINTS)
+def test_chart_sends_its_point_to_zero_with_determinant_1(point):
+    a, b = point
+    (p, q), (r, s) = Chart(a, b, 4).g
+    assert p * s - q * r == 1
+    assert (p * a + q * b, r * a + s * b) == (0, 1)
+
+
+def test_chart_needs_coprime_integers():
+    with pytest.raises(ValueError, match=r"\[4 : 6\] is not a point with coprime integers"):
+        Chart(4, 6, 5)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chart_rows_are_the_symmetric_power_of_the_chart(n):
+    # a chart's rows of a point are its identity rows moved by the
+    # symmetric-power image of g, at every point, at 0 and at infinity
+    # (whose chart rows take the powers of g(X)) included
+    rng = random.Random(40 + n)
+    pairs = seeded_coordinates(rng, 12) + [(Fraction(-3, 4), Fraction(5, 6))]
+    for point in CHART_POINTS:
+        chart = Chart(*point, n)
+        image = irrep_n(Mobius([list(row) for row in chart.g]), n)
+        for a, b in pairs:
+            moved = matmul(exact_flag_rows(a, b, n), [list(col) for col in zip(*image)])
+            assert exact_flag_rows(a, b, n, chart) == moved
 
 
 @pytest.mark.parametrize("n", range(2, 10))

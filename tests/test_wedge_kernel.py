@@ -39,7 +39,7 @@ from bdcoords.multilinear import bareiss_append
 from bdcoords.surfaces import AssemblyError, assemble_surface, genus2_spec
 from bdcoords.verification import (run_double_ratio, run_permutation, run_triple_ratio,
                                    sample_genus2, sample_points)
-from bdcoords.veronese import exact_flag_rows, flag_rows, veronese_flag
+from bdcoords.veronese import Chart, exact_flag_rows, flag_rows, veronese_flag
 from oracles import (complement_trie, integer_coordinates, log_double_ratio, log_triple_ratio,
                      random_vector, row_pivot_det, row_swap_det, veronese_wedge)
 
@@ -231,7 +231,7 @@ def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
     tables, trie_table = [], flags.WedgeTrie.table
 
     def counting(trie, ids, where):
-        tables.append((trie, where))
+        tables.append((trie, ids, where))
         return trie_table(trie, ids, where)
 
     def no_flag(self, basis):
@@ -242,10 +242,48 @@ def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
     report = SUITES[ratio](5, samples=6, seed=3)
     assert report.passed and report.worst == 0
     assert len(tables) == 6
-    assert len({id(trie) for trie, _ in tables}) == 6   # a trie per case
-    # each a Veronese trie: its flags are named by integer points
-    assert all(trie.rows_of((1, 0)) == exact_flag_rows(1, 0, 5) for trie, _ in tables)
-    assert {where for _, where in tables} == {f"in {ratio} ratio"}
+    assert len({id(trie) for trie, _, _ in tables}) == 6   # a trie per case
+    # each a Veronese trie in the chart of its case's first point: its flags
+    # are named by integer points, its rows are their chart rows, and the
+    # first flag is read as the flag at 0
+    for trie, ids, _ in tables:
+        chart = Chart(*ids[0], 5)
+        assert trie.base is None
+        assert [trie.rows[key] for key in trie.keys_of(ids)] == [
+            exact_flag_rows(*point, 5, chart) for point in ids]
+        assert trie.keys_of(ids[:1]) == [0] and 0 in trie._at_zero
+        assert not trie._at_zero.keys() - {0}
+    assert {where for _, _, where in tables} == {f"in {ratio} ratio"}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_chart_trie_gives_the_identity_tries_entries(n):
+    # seeded suite cases, and cases whose chart point is infinity or 0, with
+    # the chart point first and second: every entry (or its vanishing error)
+    # of the chart trie's table is the identity trie's
+    rng = random.Random(950 + n)
+    cases = [tuple(sort_ccw(sample_points(rng, 4, with_infinity=k == 0))) for k in range(3)]
+    cases.append((ProjPoint(1, 0), *sample_points(rng, 3)))
+    cases.append((ProjPoint(0, 1), *sample_points(rng, 3)))
+    cases.append(cases[0][:2] + (ProjPoint(0, 1),) + cases[0][3:])   # 0 beside the chart point
+    for pts in cases:
+        for order in (pts, (pts[1], pts[0], *pts[2:])):
+            tables = [bd.veronese_table(bd.veronese_trie(n, "exact", chart), order, "in a case")
+                      for chart in (None, pts[0])]
+            charted = tables[1]
+            assert charted.trie.base is None
+            assert charted.keys[order.index(pts[0])] in charted.trie._at_zero
+            for levels in level_tuples(n, 4):
+                identity, charted = (outcome(table.wedge, *levels) for table in tables)
+                assert charted == identity and type(charted) is type(identity)
+
+
+def outcome(read, *args):
+    """What ``read`` returns, or the message of the DegenerateFlagError it raises."""
+    try:
+        return read(*args)
+    except DegenerateFlagError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("ratio", SUITES)
@@ -544,6 +582,15 @@ def test_sampled_surface_appends_at_rank_8(monkeypatch):
     appends, updates = sampled_surface_work(monkeypatch, 8)
     assert appends == 190
     assert updates <= 1494
+
+
+@pytest.mark.parametrize("ratio, samples, appends", (("triple", 2, 84), ("double", 4, 92)))
+def test_exact_suite_appends_at_rank_8(ratio, samples, appends, monkeypatch):
+    # the benchmark's two exact ops: 308 and 196 appends when each case's
+    # trie borrowed the base and stacked the rows of its first flag
+    calls = count_appends(monkeypatch)
+    assert SUITES[ratio](8, samples=samples, seed=1).passed
+    assert len(calls) == appends
 
 
 def test_sampled_surface_appends_at_rank_12(monkeypatch):
