@@ -151,15 +151,16 @@ def veronese_trie(n: int, mode: str, chart=None) -> WedgeTrie:
 
     With a ``chart`` point (exact mode only: an exact identity-suite case
     passes its first point), the trie has no base, and each point's rows
-    are its exact rows in the ``veronese.Chart`` that sends the chart point
-    to 0: the same rows moved by an integer matrix of determinant 1, so
-    every wedge is the same integer, and the chart point's flag is read as
-    the flag at 0 (``flags.WedgeTrie.wedge``), its rows never stacked."""
+    are the exact rows at its image under the ``veronese.Chart`` g that
+    sends the chart point to 0.  They span g's image of the point's flag
+    level by level, so each wedge gains a nonzero factor per level that
+    every ratio cancels, and the chart point's flag is the unit rows of the
+    flag at 0 (``flags.WedgeTrie.wedge``), never stacked."""
     if chart is not None:
         if mode != EXACT:
             raise ValueError("a chart moves exact rows only")
-        chart = Chart(*_integer_point(chart), n)
-        return WedgeTrie(n, lambda point: exact_flag_rows(*point, n, chart), mode, None)
+        chart = Chart(*_integer_point(chart))
+        return WedgeTrie(n, lambda point: exact_flag_rows(*chart(point), n), mode, None)
     base = _base(n, mode).trie
     return WedgeTrie(n, base.rows_of, mode, base)
 

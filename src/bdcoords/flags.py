@@ -33,9 +33,9 @@ earlier rows give a new row zero leads, and a unit row stacked first leaves
 a zero rest: ``bareiss_append`` only pops the lead of such a rescale-only
 step and folds its factor into the next updating step's divisor, so every
 state holds the integers of the plain update.  A flag at 0 is one whose
-level-d rows lie in the last d columns, recognised by that support (the
-unit rows of the Veronese flag at 0, or the rows of an identity-suite
-case's first point in its chart); a wedge through it is the product of its
+level-d rows lie in the last d columns, recognised by that support (such
+as the unit rows of the Veronese flag at 0, where an exact identity-suite
+case puts its first point); a wedge through it is the product of its
 block's diagonal entries times the last pivot of the other blocks when they
 pivoted in order (their leading minor), so that flag's rows are not
 appended; otherwise all rows are stacked.
@@ -51,8 +51,9 @@ and ``bd_vector`` one per surface.  A Veronese trie of the identity chart
 holds the states of the flags at 0, 1 and infinity alone, and the table
 entries that stack them alone, per key pattern (a table's keys with its
 own flags masked): a table starts from its pattern's entries, and fills in
-each one it is the first to compute.  An exact identity-suite case's trie,
-in the chart of its first point, has no base.
+each one it is the first to compute.  An exact identity-suite case's trie
+has no base: it holds the triangular rows at the points' images in the
+chart of its first point, whose ratios are the points' own.
 """
 from __future__ import annotations
 

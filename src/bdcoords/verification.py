@@ -11,9 +11,10 @@ denominator of -1/z, so neither builds a Fraction per ratio.  Float-mode
 suites report the worst absolute deviation against the stated tolerance.
 The triple- and double-ratio suites read each case off a fresh
 ``bd.veronese_trie`` of their mode (the path of ``bd_vector``; no ``Flag``
-is built), in exact mode in the chart that puts the case's first point at
-0, so that flag's rows are never stacked; the permutation suite reads each
-case off the one trie that checked its flags generic.  Every report lists
+is built), in exact mode off the triangular rows at the points' images in
+the chart that puts the case's first point at 0, whose unit rows are never
+stacked; the permutation suite reads each case off the one trie that
+checked its flags generic.  Every report lists
 its first 20 failing cases, then "..." if there are more, on stdout and in
 its JSON.
 """

@@ -27,10 +27,12 @@ The two bases span the same flag up to row scales and a diagonal change of
 coordinates, which every triple and double ratio cancels, since each flag
 puts the same levels into its numerator and denominator.
 
-An integer matrix g of determinant 1 acts on the exact rows without
-changing any stacked wedge (its image on the forms of degree n - 1 has
-determinant 1 too); a :class:`Chart` is such a g that sends a chosen point
-to 0, and ``exact_flag_rows`` with a chart gives the rows moved by it.
+A 2x2 matrix g moves the Veronese flag at p to the one at g p, so the
+exact rows at g p span the image of the flag at p level by level; they
+differ from the image of its rows by a level-triangular change of basis,
+whose nonzero diagonal every ratio cancels.  A :class:`Chart` is an
+integer g of determinant 1 that sends a chosen point to 0, where the exact
+rows are the unit anti-diagonal rows.
 """
 from __future__ import annotations
 
@@ -88,44 +90,33 @@ def _powers(a, b, n: int):
 class Chart:
     """The integer chart g = ((b, -a), (u, v)), u a + v b = 1, of the point
     [a : b] (integers, gcd 1): det g = 1 and g sends [a : b] to [0 : 1].
+    Called on an integer point, it gives the point's image, in integers
+    with gcd 1 again."""
 
-    g acts on the linear forms by a X + b Y -> a' X + b' Y with
-    [a' : b'] = g [a : b], so on the degree n - 1 forms as an integer
-    matrix of determinant det(g)^(n(n-1)/2) = 1, which moves every stacked
-    wedge of exact Veronese rows to itself.  The rows of a point in the
-    chart (``exact_flag_rows``) are g of its rows: (a' X + b' Y)^(n-d)
-    M^(d-1) with M = g(Y) = -a X + v Y, whose powers are made once per
-    chart, or M = g(X) = b X + u Y at a point with a = 0.
-    """
+    __slots__ = ("g",)
 
-    __slots__ = ("g", "aux")
-
-    def __init__(self, a: int, b: int, n: int):
+    def __init__(self, a: int, b: int):
         (r, u, v), (r1, u1, v1) = (a, 1, 0), (b, 0, 1)   # extended Euclid: r = u a + v b
         while r1:
             q = r // r1
             (r, u, v), (r1, u1, v1) = (r1, u1, v1), (r - q * r1, u - q * u1, v - q * v1)
         if abs(r) != 1:
             raise ValueError(f"[{a} : {b}] is not a point with coprime integers")
-        u, v = u * r, v * r   # r = +-1
-        self.g = ((b, -a), (u, v))
-        self.aux = _powers(-a, v, n)   # M^0, ..., M^(n-1) for M = g(Y)
+        self.g = ((b, -a), (u * r, v * r))   # r = +-1
+
+    def __call__(self, point):
+        (p, q), (r, s) = self.g
+        a, b = point
+        return p * a + q * b, r * a + s * b
 
 
-def exact_flag_rows(a, b, n: int, chart=None):
+def exact_flag_rows(a, b, n: int):
     """The rows (a X + b Y)^{n-d} Y^{d-1}, d = 1, ..., n, of the Veronese
     flag at [a : b] (X^{d-1} in place of Y^{d-1} at a = 0), read off the
     powers of a X + b Y: the basis of exact flags, triangular as the module
-    docstring says.  In a :class:`Chart`, the chart's image of those rows,
-    each a product with one of its powers of M."""
+    docstring says."""
     if n < 2:
         raise ValueError("veronese flags need n >= 2")
-    if chart is not None:
-        (p, q), (r, s) = chart.g
-        lead = _powers(p * a + q * b, r * a + s * b, n)
-        # M = g(X) at a = 0: one point, whose rows a trie builds once
-        aux = chart.aux if a != 0 else _powers(p, r, n)
-        return [_poly_mul(lead[n - d], aux[d - 1]) for d in range(1, n + 1)]
     if a == 0:
         return [[0] * (n - d) + [b ** (n - d)] + [0] * (d - 1) for d in range(1, n + 1)]
     return [[0] * (d - 1) + power for d, power in enumerate(reversed(_powers(a, b, n)), 1)]

@@ -9,6 +9,7 @@ one fan walk per spiral sum), and
 one-off invariant values read off a Veronese trie of their own, or off a
 table at one index."""
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -234,14 +235,31 @@ _band_det = functools.cache(band_det_bruteforce)
 
 def veronese_wedge(points, levels):
     """The wedge of the exact Veronese flag rows (``exact_flag_rows``) at
-    integer points [a_i : b_i], every a_i != 0, stacked at ``levels``, in
-    closed form (Kalman 1984, *The generalized Vandermonde matrix*):
+    integer points [a_i : b_i], stacked at ``levels``, in closed form
+    (Kalman 1984, *The generalized Vandermonde matrix*): with every a_i != 0,
     K * prod a_i^C(d_i, 2) * prod_{i<j} (a_i b_j - a_j b_i)^(d_i d_j) over
     the nonzero blocks in stacking order, where K is 1 for one or two
-    blocks and the band determinant of the levels for three."""
+    blocks and the band determinant of the levels for three.
+
+    A block at a point [0 : b] (a flag at 0, whose rows take X^(d-1) in
+    place of Y^(d-1)) is read by an integer shift: the substitution
+    Y -> Y + k X has determinant 1 on the forms and moves [a : b] to
+    [a + k b : b], scaling the level-d row of its exact rows, modulo the
+    rows above it, by (a / (a + k b))^(d-1), or by (-1/k)^(d-1) at a = 0.
+    The wedge is the closed form at the shifted points times each block's
+    product of those scales, with the least k >= 1 that moves no point to
+    a = 0."""
     blocks = [(a, b, d) for (a, b), d in zip(points, levels) if d]
     if len(blocks) > 3:
         raise ValueError("the closed form covers at most three nonzero blocks")
+    if any(a == 0 for a, _, _ in blocks):
+        k = next(k for k in itertools.count(1) if all(a + k * b for a, b, _ in blocks))
+        value = Fraction(veronese_wedge([(a + k * b, b) for a, b, _ in blocks],
+                                        [d for _, _, d in blocks]))
+        for a, b, d in blocks:
+            value *= (Fraction(a, a + k * b) if a else Fraction(-1, k)) ** math.comb(d, 2)
+        assert value.denominator == 1
+        return value.numerator
     value = _band_det(*(d for _, _, d in blocks)) if len(blocks) == 3 else 1
     for i, (a, b, d) in enumerate(blocks):
         value *= a ** math.comb(d, 2)

@@ -190,29 +190,51 @@ CHART_POINTS = [(0, 1), (1, 0), (-1, 0), (1, 1), (3, 7), (-40, 1), (7, -3), (-39
 @pytest.mark.parametrize("point", CHART_POINTS)
 def test_chart_sends_its_point_to_zero_with_determinant_1(point):
     a, b = point
-    (p, q), (r, s) = Chart(a, b, 4).g
+    chart = Chart(a, b)
+    (p, q), (r, s) = chart.g
     assert p * s - q * r == 1
-    assert (p * a + q * b, r * a + s * b) == (0, 1)
+    assert chart(point) == (p * a + q * b, r * a + s * b) == (0, 1)
 
 
 def test_chart_needs_coprime_integers():
     with pytest.raises(ValueError, match=r"\[4 : 6\] is not a point with coprime integers"):
-        Chart(4, 6, 5)
+        Chart(4, 6)
+
+
+def paired_ranks(first, second):
+    """The rank of first[:d] + second[:d], d = 1, ..., n: one elimination
+    over the rationals of the rows taken in pairs, each row reduced against
+    the independent rows before it."""
+    basis, ranks = [], []   # basis: (pivot column, reduced row)
+    for pair in zip(first, second):
+        for row in pair:
+            row = [Fraction(x) for x in row]
+            for col, kept in basis:
+                if row[col]:
+                    f = row[col] / kept[col]
+                    row = [x - f * y for x, y in zip(row, kept)]
+            col = next((k for k, x in enumerate(row) if x), None)
+            if col is not None:
+                basis.append((col, row))
+        ranks.append(len(basis))
+    return ranks
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_chart_rows_are_the_symmetric_power_of_the_chart(n):
-    # a chart's rows of a point are its identity rows moved by the
-    # symmetric-power image of g, at every point, at 0 and at infinity
-    # (whose chart rows take the powers of g(X)) included
+    # the exact rows at a point's chart image span the symmetric-power image
+    # of the flag at the point level by level: the first d rows of each
+    # have rank d together, at every point, the chart point, 0 and infinity
+    # (whose exact rows take X^(d-1)) included
     rng = random.Random(40 + n)
     pairs = seeded_coordinates(rng, 12) + [(Fraction(-3, 4), Fraction(5, 6))]
     for point in CHART_POINTS:
-        chart = Chart(*point, n)
+        chart = Chart(*point)
         image = irrep_n(Mobius([list(row) for row in chart.g]), n)
-        for a, b in pairs:
+        for a, b in pairs + [point]:
             moved = matmul(exact_flag_rows(a, b, n), [list(col) for col in zip(*image)])
-            assert exact_flag_rows(a, b, n, chart) == moved
+            rows = exact_flag_rows(*chart((a, b)), n)
+            assert paired_ranks(rows, moved) == list(range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

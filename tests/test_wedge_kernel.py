@@ -244,13 +244,14 @@ def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
     assert len(tables) == 6
     assert len({id(trie) for trie, _, _ in tables}) == 6   # a trie per case
     # each a Veronese trie in the chart of its case's first point: its flags
-    # are named by integer points, its rows are their chart rows, and the
-    # first flag is read as the flag at 0
+    # are named by integer points, its rows are the exact rows at their
+    # chart images, and the first flag is read as the flag at 0
     for trie, ids, _ in tables:
-        chart = Chart(*ids[0], 5)
+        chart = Chart(*ids[0])
         assert trie.base is None
         assert [trie.rows[key] for key in trie.keys_of(ids)] == [
-            exact_flag_rows(*point, 5, chart) for point in ids]
+            exact_flag_rows(*chart(point), 5) for point in ids]
+        assert trie.rows[0] == exact_flag_rows(0, 1, 5)
         assert trie.keys_of(ids[:1]) == [0] and 0 in trie._at_zero
         assert not trie._at_zero.keys() - {0}
     assert {where for _, _, where in tables} == {f"in {ratio} ratio"}
@@ -259,13 +260,17 @@ def test_exact_suites_read_one_kernel_table_per_case(ratio, monkeypatch):
 @pytest.mark.parametrize("n", range(3, 11))
 def test_chart_trie_gives_the_identity_tries_entries(n):
     # seeded suite cases, and cases whose chart point is infinity or 0, with
-    # the chart point first and second: every entry (or its vanishing error)
-    # of the chart trie's table is the identity trie's
+    # the chart point first and second: the chart trie's entries are the
+    # identity trie's up to a nonzero factor per flag level, so every ratio
+    # (as a Fraction), every vanishing entry and every error text is the
+    # identity trie's
     rng = random.Random(950 + n)
     cases = [tuple(sort_ccw(sample_points(rng, 4, with_infinity=k == 0))) for k in range(3)]
     cases.append((ProjPoint(1, 0), *sample_points(rng, 3)))
     cases.append((ProjPoint(0, 1), *sample_points(rng, 3)))
     cases.append(cases[0][:2] + (ProjPoint(0, 1),) + cases[0][3:])   # 0 beside the chart point
+    cases.append(cases[1][:3] + cases[1][:1])   # the chart point twice: vanishing entries
+    errors = 0
     for pts in cases:
         for order in (pts, (pts[1], pts[0], *pts[2:])):
             tables = [bd.veronese_table(bd.veronese_trie(n, "exact", chart), order, "in a case")
@@ -273,9 +278,19 @@ def test_chart_trie_gives_the_identity_tries_entries(n):
             charted = tables[1]
             assert charted.trie.base is None
             assert charted.keys[order.index(pts[0])] in charted.trie._at_zero
+            reads = [("triple_ratio", pqr) for pqr in bd.triple_indices(n)]
+            reads += [("double_ratio", (p,)) for p in range(1, n)]
+            for name, index in reads:
+                identity, charted = (outcome(lambda: table.quotient(
+                    *getattr(table, name)(*index))) for table in tables)
+                assert charted == identity and type(charted) is type(identity)
+                errors += isinstance(identity, str)
             for levels in level_tuples(n, 4):
                 identity, charted = (outcome(table.wedge, *levels) for table in tables)
-                assert charted == identity and type(charted) is type(identity)
+                assert type(charted) is type(identity)
+                assert charted == identity if isinstance(identity, str) else charted != 0
+                errors += isinstance(identity, str)
+    assert errors
 
 
 def outcome(read, *args):
@@ -326,7 +341,23 @@ def test_permutation_suite_builds_one_trie_per_case(monkeypatch):
 @pytest.mark.parametrize("n", (12, 16))
 def test_suite_entries_are_the_closed_form_at_high_rank(n, ratio, monkeypatch):
     # every entry the exact suites read, against the closed-form wedge at
-    # ranks where row_swap_det is too slow; the sampled points all have a != 0
+    # ranks where row_swap_det is too slow: the wedge of the exact rows at
+    # the points' chart images, the first of which is the flag at 0
+    tables = keep_tables(monkeypatch)
+    assert SUITES[ratio](n, samples=4, seed=3).passed
+    assert len(tables) == 4
+    for ids, table in tables:
+        chart = Chart(*ids[0])
+        images = [chart(point) for point in ids]
+        assert images[0] == (0, 1)
+        assert len(table._entries) >= 2 * n
+        for levels, value in table._entries.items():
+            assert value == veronese_wedge(images, levels)
+
+
+def keep_tables(monkeypatch):
+    """The (ids, table) of every table ``flags.WedgeTrie.table`` makes from
+    now on, in order."""
     tables, trie_table = [], flags.WedgeTrie.table
 
     def keeping(trie, ids, where):
@@ -335,12 +366,38 @@ def test_suite_entries_are_the_closed_form_at_high_rank(n, ratio, monkeypatch):
         return table
 
     monkeypatch.setattr(flags.WedgeTrie, "table", keeping)
-    assert SUITES[ratio](n, samples=4, seed=3).passed
-    assert len(tables) == 4 and all(a for ids, _ in tables for a, _ in ids)
+    return tables
+
+
+@pytest.mark.parametrize("n", (12, 16))
+def test_surface_entries_are_the_closed_form_at_high_rank(n, monkeypatch):
+    # every wedge one bd_vector of the seed-7 sampled surface reads, against
+    # the closed form: each table holds the flag at 0, read by the integer
+    # shift, and no entry stacks more than three nonzero blocks
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    tables = keep_tables(monkeypatch)
+    bd.bd_vector(ds, n)
+    assert len(tables) == 13   # 4 triangles, 6 leaves and 3 curves
     for ids, table in tables:
-        assert len(table._entries) >= 2 * n
+        assert (0, 1) in ids
         for levels, value in table._entries.items():
+            assert sum(map(bool, levels)) <= 3
             assert value == veronese_wedge(ids, levels)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_form_wedge_is_det_int_of_its_rows(n):
+    # the closed form against row_swap_det of the stacked exact rows, with
+    # points [0 : b] (read by the shift) in every position, points of
+    # either sign and a repeated point
+    rng = random.Random(1000 + n)
+    axis = [(0, 1), (0, -1), (0, 3), (1, 0), (-2, 0)]
+    for _ in range(12):
+        pts = [rng.choice(axis) if rng.random() < 0.4 else
+               (rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(-9, 9)) for _ in range(3)]
+        for levels in level_tuples(n, 3):
+            rows = [row for point, d in zip(pts, levels) for row in exact_flag_rows(*point, n)[:d]]
+            assert veronese_wedge(pts, levels) == row_swap_det(rows)
 
 
 @pytest.mark.parametrize("ratio", SUITES)
@@ -557,11 +614,9 @@ class CountedPivot(int):
         return int(other) * int(self)
 
 
-def sampled_surface_work(monkeypatch, n):
-    """The appends and the element updates of one ``bd_vector`` of the
-    seed-7 sampled surface at rank n, on a cold base."""
+def exact_work(monkeypatch, run):
+    """The appends and the element updates of ``run()`` on a cold base."""
     cold_base(monkeypatch)
-    ds = assemble_surface(*sample_genus2(random.Random(7)))
     appends = 0
 
     def counting(steps, row):
@@ -571,8 +626,15 @@ def sampled_surface_work(monkeypatch, n):
 
     monkeypatch.setattr(multilinear, "bareiss_append", counting)
     monkeypatch.setattr(CountedPivot, "products", 0)
-    bd.bd_vector(ds, n)
+    run()
     return appends, CountedPivot.products
+
+
+def sampled_surface_work(monkeypatch, n):
+    """The appends and the element updates of one ``bd_vector`` of the
+    seed-7 sampled surface at rank n, on a cold base."""
+    ds = assemble_surface(*sample_genus2(random.Random(7)))
+    return exact_work(monkeypatch, lambda: bd.bd_vector(ds, n))
 
 
 def test_sampled_surface_appends_at_rank_8(monkeypatch):
@@ -584,13 +646,17 @@ def test_sampled_surface_appends_at_rank_8(monkeypatch):
     assert updates <= 1494
 
 
-@pytest.mark.parametrize("ratio, samples, appends", (("triple", 2, 84), ("double", 4, 92)))
-def test_exact_suite_appends_at_rank_8(ratio, samples, appends, monkeypatch):
+@pytest.mark.parametrize("ratio, samples, appends, updates",
+                         (("triple", 2, 84, 780), ("double", 4, 92, 1228)),
+                         ids=("triple-2-84", "double-4-92"))
+def test_exact_suite_appends_at_rank_8(ratio, samples, appends, updates, monkeypatch):
     # the benchmark's two exact ops: 308 and 196 appends when each case's
-    # trie borrowed the base and stacked the rows of its first flag
-    calls = count_appends(monkeypatch)
-    assert SUITES[ratio](8, samples=samples, seed=1).passed
-    assert len(calls) == appends
+    # trie borrowed the base and stacked the rows of its first flag, and
+    # 1 764 and 1 568 element updates when each row was the chart's image
+    # of the point's rows, dense, in place of the rows at its chart image
+    reports = []
+    work = exact_work(monkeypatch, lambda: reports.append(SUITES[ratio](8, samples=samples, seed=1)))
+    assert reports[0].passed and work == (appends, updates)
 
 
 def test_sampled_surface_appends_at_rank_12(monkeypatch):
